@@ -70,7 +70,8 @@ fn main() {
             .run_to_completion()
             .matching;
         let spec = dmatch::bipartite::SubgraphSpec::full_bipartite(&bg, &sides);
-        let pass = dmatch::bipartite::count::run(&bg, &m, &spec, 5, 2);
+        let pass =
+            dmatch::bipartite::count::run_cfg(&bg, &m, &spec, 5, 2, simnet::ExecCfg::default());
         t.row(vec![
             d.to_string(),
             pass.stats.max_msg_bits.to_string(),

@@ -9,7 +9,7 @@
 
 use bench_harness::{banner, f3, mean, Table};
 use dgraph::generators::random::random_tree;
-use dmatch::israeli_itai;
+use dmatch::Session;
 
 fn main() {
     banner(
@@ -27,7 +27,13 @@ fn main() {
             let mut ratios = Vec::new();
             for seed in 0..5u64 {
                 let g = random_tree(n, 500 + seed);
-                let (m, _) = israeli_itai::truncated_matching(&g, seed * 13 + iters, iters);
+                // Israeli–Itai cut off after `iters` 3-round iterations.
+                let m = Session::on(&g)
+                    .seed(seed * 13 + iters)
+                    .round_limit(3 * iters)
+                    .build()
+                    .run_to_completion()
+                    .matching;
                 let opt = dgraph::blossom::max_matching(&g).size().max(1);
                 ratios.push(m.size() as f64 / opt as f64);
             }

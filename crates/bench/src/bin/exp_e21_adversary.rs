@@ -36,7 +36,7 @@ use bench_harness::{banner, env_or, f2, host, mean, Table};
 use dgraph::generators::weights::WeightModel;
 use dmatch::weighted::MwmBox;
 use dmatch::Algorithm;
-use simnet::{Budget, FaultPlan};
+use simnet::{Budget, ExecCfg, FaultPlan};
 use std::fmt::Write as _;
 
 /// One (algorithm × plan) cell, averaged over seeds.
@@ -96,7 +96,7 @@ fn sweep_cell(
         let base = w.session(alg, seed).build().run_to_completion();
         let r = w
             .session(alg, seed)
-            .adversary(plan)
+            .exec(ExecCfg::default().with_faults(plan))
             .build()
             .run_to_completion();
         if r.matching.validate(&w.graph).is_err() {

@@ -12,6 +12,7 @@
 use bench_harness::banner;
 use dgraph::{Graph, Matching};
 use dmatch::bipartite::{count, SubgraphSpec};
+use simnet::ExecCfg;
 
 fn main() {
     banner(
@@ -50,7 +51,7 @@ fn main() {
 
     let ell = 5;
     let spec = SubgraphSpec::full_bipartite(&g, &sides);
-    let pass = count::run(&g, &m, &spec, ell, 0);
+    let pass = count::run_cfg(&g, &m, &spec, ell, 0, ExecCfg::default());
 
     // Print by BFS layer, exactly like the figure's annotations.
     for d in 0..=ell as u64 {

@@ -19,6 +19,7 @@ use dgraph::generators::weights::{apply_weights, WeightModel};
 use dgraph::{Graph, NodeId};
 use dmatch::weighted::MwmBox;
 use dmatch::{Algorithm, Session};
+use simnet::ExecCfg;
 
 fn weighted_case(n: usize, seed: u64) -> (Graph, Vec<bool>) {
     let (g0, sides) = bipartite_gnp(n / 2, n / 2, 6.0 / (n / 2) as f64, seed);
@@ -114,7 +115,7 @@ fn main() {
             if opt <= 0.0 {
                 continue;
             }
-            let (m, _) = mwm_box.run(&g, seed);
+            let (m, _) = mwm_box.run_cfg(&g, seed, ExecCfg::default());
             standalone.push(m.weight(&g) / opt);
             let r = Session::on(&g)
                 .algorithm(Algorithm::Weighted {
@@ -146,7 +147,7 @@ fn main() {
     let sides = dgraph::bipartite::two_color(&g).unwrap();
     let opt = dgraph::hungarian::max_weight_matching(&g, &sides).weight(&g);
     let mut t = Table::new(vec!["algorithm", "ratio", "rounds"]);
-    let (ld, ld_stats) = dmatch::weighted::local_dominant::run(&g, 1);
+    let (ld, ld_stats) = dmatch::weighted::local_dominant::run_cfg(&g, 1, ExecCfg::default());
     t.row(vec![
         "local-dominant (½, Hoepman-style)".to_string(),
         f3(ld.weight(&g) / opt),

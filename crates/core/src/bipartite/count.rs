@@ -126,11 +126,6 @@ impl Protocol for CountNode {
 }
 
 /// Execute one counting pass of `ell + 1` rounds on the subgraph.
-pub fn run(g: &Graph, m: &Matching, spec: &SubgraphSpec, ell: usize, seed: u64) -> CountPass {
-    run_cfg(g, m, spec, ell, seed, ExecCfg::default())
-}
-
-/// [`run`] under explicit execution knobs.
 pub fn run_cfg(
     g: &Graph,
     m: &Matching,
@@ -185,7 +180,7 @@ mod tests {
         let (g, sides) = complete_bipartite(3, 4);
         let spec = SubgraphSpec::full_bipartite(&g, &sides);
         let m = Matching::new(g.n());
-        let pass = run(&g, &m, &spec, 1, 0);
+        let pass = run_cfg(&g, &m, &spec, 1, 0, ExecCfg::default());
         assert_eq!(pass.leaders, 4, "every free Y is reached at distance 1");
         for y in 3..7u32 {
             assert_eq!(pass.dist[y as usize], Some(1));
@@ -202,7 +197,7 @@ mod tests {
         let g = path(4);
         let (spec, sides) = full_spec(&g);
         let m = Matching::from_edges(&g, &[1]);
-        let pass = run(&g, &m, &spec, 3, 0);
+        let pass = run_cfg(&g, &m, &spec, 3, 0, ExecCfg::default());
         // Node 0 and node 2 are X (sides come from 2-coloring of path:
         // 0,2 on one side, 1,3 on the other).
         let _ = sides;
@@ -218,9 +213,9 @@ mod tests {
         let g = path(6); // 0-1-2-3-4-5, matched (1,2),(3,4): one length-5 path
         let (spec, _) = full_spec(&g);
         let m = Matching::from_edges(&g, &[1, 3]);
-        let short = run(&g, &m, &spec, 3, 0);
+        let short = run_cfg(&g, &m, &spec, 3, 0, ExecCfg::default());
         assert_eq!(short.leaders, 0, "no augmenting path of length ≤ 3");
-        let long = run(&g, &m, &spec, 5, 0);
+        let long = run_cfg(&g, &m, &spec, 5, 0, ExecCfg::default());
         assert_eq!(long.leaders, 1);
         assert_eq!(long.dist[5], Some(5));
     }
@@ -230,7 +225,7 @@ mod tests {
         let (g, sides) = complete_bipartite(4, 4);
         let spec = SubgraphSpec::full_bipartite(&g, &sides);
         let m = Matching::new(g.n());
-        let pass = run(&g, &m, &spec, 1, 0);
+        let pass = run_cfg(&g, &m, &spec, 1, 0, ExecCfg::default());
         let delta = g.max_degree() as u128;
         for v in 0..g.n() {
             if let Some(d) = pass.dist[v] {
@@ -254,7 +249,7 @@ mod tests {
             // Shortest augmenting length, if any.
             let sl = dgraph::augmenting::shortest_augmenting_path_len_bipartite(&g, &sides, &m);
             let Some(ell) = sl else { continue };
-            let pass = run(&g, &m, &spec, ell, seed);
+            let pass = run_cfg(&g, &m, &spec, ell, seed, ExecCfg::default());
             // For each reached free Y at distance exactly ell, the count
             // must equal the number of shortest augmenting paths ending
             // there.
@@ -280,7 +275,7 @@ mod tests {
         let m = Matching::from_edges(&g, &[1]);
         // Monochromatic matched pair → all edges inactive.
         let spec = SubgraphSpec::from_coloring(&g, &m, &[false, true, true, false]);
-        let pass = run(&g, &m, &spec, 3, 0);
+        let pass = run_cfg(&g, &m, &spec, 3, 0, ExecCfg::default());
         assert_eq!(pass.leaders, 0);
         assert_eq!(pass.stats.messages, 0);
     }

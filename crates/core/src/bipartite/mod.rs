@@ -21,9 +21,24 @@
 //!    path conflict graph); surviving tokens reach free X nodes and
 //!    flip their paths.
 //!
-//! [`aug_until_maximal`] repeats iterations until no augmenting path of
-//! length ≤ ℓ remains, which is the postcondition `Aug(H, M, ℓ)` needs;
-//! [`run`] wraps the phase schedule `ℓ = 1, 3, …, 2k-1` of Theorem 3.8.
+//! [`aug_until_maximal_cfg`] repeats iterations until no augmenting
+//! path of length ≤ ℓ remains, which is the postcondition `Aug(H, M, ℓ)`
+//! needs; the `Session` driver runs the phase schedule
+//! `ℓ = 1, 3, …, 2k-1` of Theorem 3.8 over it:
+//!
+//! ```
+//! use dgraph::generators::random::bipartite_gnp;
+//! use dmatch::{Algorithm, Session};
+//! let (g, sides) = bipartite_gnp(30, 30, 0.1, 5);
+//! let out = Session::on(&g)
+//!     .algorithm(Algorithm::Bipartite { k: 3 })
+//!     .sides(&sides)
+//!     .seed(42)
+//!     .build()
+//!     .run_to_completion();
+//! let opt = dgraph::hopcroft_karp::max_matching(&g, &sides).size();
+//! assert!(out.matching.size() as f64 >= (1.0 - 1.0 / 3.0) * opt as f64);
+//! ```
 
 pub mod count;
 pub mod token;
@@ -133,17 +148,6 @@ pub struct AugOutcome {
 /// does not charge for termination detection. The loop is capped at
 /// `4·n` iterations, far beyond the whp `O(log n)` bound — reaching the
 /// cap would indicate a bug and panics.
-pub fn aug_until_maximal(
-    g: &Graph,
-    m0: &Matching,
-    spec: &SubgraphSpec,
-    ell: usize,
-    seed: u64,
-) -> AugOutcome {
-    aug_until_maximal_cfg(g, m0, spec, ell, seed, ExecCfg::default())
-}
-
-/// [`aug_until_maximal`] under explicit execution knobs.
 pub fn aug_until_maximal_cfg(
     g: &Graph,
     m0: &Matching,
@@ -153,7 +157,7 @@ pub fn aug_until_maximal_cfg(
     cfg: ExecCfg,
 ) -> AugOutcome {
     assert!(ell % 2 == 1, "augmenting path lengths are odd");
-    let faulty = cfg.effective_faults().is_active();
+    let faulty = cfg.faults.is_active();
     let mut m = m0.clone();
     let mut stats = NetStats::default();
     let mut applied = 0usize;
@@ -205,122 +209,6 @@ pub fn aug_until_maximal_cfg(
     }
 }
 
-/// Per-phase details of [`run_phased`].
-#[derive(Debug, Clone)]
-pub struct PhaseOutcome {
-    /// Path length `ℓ` of the phase.
-    pub ell: usize,
-    /// Augmenting paths applied during the phase.
-    pub applied: usize,
-    /// Count+token iterations consumed.
-    pub iterations: u64,
-    /// Rounds consumed by the phase.
-    pub rounds: u64,
-    /// Matching size after the phase.
-    pub matching_size: usize,
-}
-
-/// Theorem 3.8: `(1 - 1/k)`-approximate maximum matching of a bipartite
-/// graph with small messages, via phases `ℓ = 1, 3, …, 2k-1`.
-///
-/// ```
-/// use dgraph::generators::random::bipartite_gnp;
-/// let (g, sides) = bipartite_gnp(30, 30, 0.1, 5);
-/// #[allow(deprecated)]
-/// let out = dmatch::bipartite::run(&g, &sides, 3, 42);
-/// let opt = dgraph::hopcroft_karp::max_matching(&g, &sides).size();
-/// assert!(out.matching.size() as f64 >= (1.0 - 1.0 / 3.0) * opt as f64);
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Bipartite { k }).sides(sides)`"
-)]
-#[allow(deprecated)]
-pub fn run(g: &Graph, sides: &[bool], k: usize, seed: u64) -> AugOutcome {
-    run_phased(g, sides, k, seed).0
-}
-
-/// [`run`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Bipartite { k }).sides(sides).exec(cfg)`"
-)]
-#[allow(deprecated)]
-pub fn run_cfg(g: &Graph, sides: &[bool], k: usize, seed: u64, cfg: ExecCfg) -> AugOutcome {
-    run_phased_cfg(g, sides, k, seed, cfg).0
-}
-
-/// Like [`run`], additionally returning a per-phase log (used by the
-/// E3 experiment and the phase-invariant tests).
-#[deprecated(
-    since = "0.1.0",
-    note = "drive a Bipartite session stepwise: `Session::step()` + `Session::phase_log()`"
-)]
-#[allow(deprecated)]
-pub fn run_phased(
-    g: &Graph,
-    sides: &[bool],
-    k: usize,
-    seed: u64,
-) -> (AugOutcome, Vec<PhaseOutcome>) {
-    run_phased_cfg(g, sides, k, seed, ExecCfg::default())
-}
-
-/// [`run_phased`] under explicit execution knobs. The phase schedule
-/// (`ℓ = 2·phase + 1`, seed offset `0x1000·ℓ`) must stay aligned with
-/// the `dmatch::session` Bipartite driver, which re-implements this
-/// loop stepwise (asserted bit-identical by `tests/prop_session.rs`).
-#[deprecated(
-    since = "0.1.0",
-    note = "drive a Bipartite session stepwise: `Session::step()` + `Session::phase_log()`"
-)]
-pub fn run_phased_cfg(
-    g: &Graph,
-    sides: &[bool],
-    k: usize,
-    seed: u64,
-    cfg: ExecCfg,
-) -> (AugOutcome, Vec<PhaseOutcome>) {
-    assert!(k >= 1);
-    let spec = SubgraphSpec::full_bipartite(g, sides);
-    let mut m = Matching::new(g.n());
-    let mut stats = NetStats::default();
-    let mut applied = 0;
-    let mut iterations = 0;
-    let mut phases = Vec::with_capacity(k);
-    for phase in 0..k {
-        let ell = 2 * phase + 1;
-        let out = aug_until_maximal_cfg(
-            g,
-            &m,
-            &spec,
-            ell,
-            seed.wrapping_add(0x1000 * ell as u64),
-            cfg,
-        );
-        m = out.matching;
-        stats.absorb(&out.stats);
-        applied += out.applied;
-        iterations += out.iterations;
-        phases.push(PhaseOutcome {
-            ell,
-            applied: out.applied,
-            iterations: out.iterations,
-            rounds: out.stats.rounds,
-            matching_size: m.size(),
-        });
-    }
-    (
-        AugOutcome {
-            matching: m,
-            applied,
-            iterations,
-            stats,
-        },
-        phases,
-    )
-}
-
 /// Run phases with growing `ℓ` until **no augmenting path of any
 /// length remains** — an exact distributed maximum matching (the
 /// distributed analogue of full Hopcroft–Karp; `O(√opt)` phases by
@@ -335,7 +223,14 @@ pub fn run_to_optimal(g: &Graph, sides: &[bool], seed: u64) -> AugOutcome {
     let mut iterations = 0;
     let mut ell = 1usize;
     loop {
-        let out = aug_until_maximal(g, &m, &spec, ell, seed.wrapping_add(0x2000 * ell as u64));
+        let out = aug_until_maximal_cfg(
+            g,
+            &m,
+            &spec,
+            ell,
+            seed.wrapping_add(0x2000 * ell as u64),
+            ExecCfg::default(),
+        );
         m = out.matching;
         stats.absorb(&out.stats);
         applied += out.applied;
@@ -365,12 +260,19 @@ pub(crate) fn mate_ports(g: &Graph, m: &Matching) -> Vec<Option<usize>> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::{Algorithm, RunReport, Session};
     use dgraph::generators::random::{bipartite_gnp, bipartite_regular};
     use dgraph::generators::structured::{complete_bipartite, path};
     use dgraph::hopcroft_karp;
+
+    fn run(g: &Graph, sides: &[bool], k: usize, seed: u64) -> RunReport {
+        let s = Session::on(g)
+            .algorithm(Algorithm::Bipartite { k })
+            .sides(sides);
+        s.seed(seed).build().run_to_completion()
+    }
 
     fn check_ratio(g: &Graph, sides: &[bool], k: usize, seed: u64) {
         let out = run(g, sides, k, seed);
@@ -489,7 +391,13 @@ mod tests {
     #[test]
     fn phase_log_tracks_invariants() {
         let (g, sides) = bipartite_gnp(20, 20, 0.15, 12);
-        let (out, phases) = run_phased(&g, &sides, 3, 5);
+        let mut s = Session::on(&g)
+            .algorithm(Algorithm::Bipartite { k: 3 })
+            .sides(&sides)
+            .seed(5)
+            .build();
+        let out = s.run_to_completion();
+        let phases = s.phase_log();
         assert_eq!(phases.len(), 3);
         assert_eq!(phases[0].ell, 1);
         assert_eq!(phases[2].ell, 5);
@@ -502,7 +410,11 @@ mod tests {
             phases.iter().map(|p| p.rounds).sum::<u64>(),
             out.stats.rounds
         );
-        assert_eq!(phases.iter().map(|p| p.applied).sum::<usize>(), out.applied);
+        // Every applied path grows the (initially empty) matching by one.
+        assert_eq!(
+            phases.iter().map(|p| p.applied).sum::<u64>(),
+            out.matching.size() as u64
+        );
     }
 
     #[test]
@@ -513,7 +425,7 @@ mod tests {
         let spec = SubgraphSpec::full_bipartite(&g, &sides);
         let mut m = Matching::new(g.n());
         for ell in [1usize, 3, 5] {
-            let out = aug_until_maximal(&g, &m, &spec, ell, 9);
+            let out = aug_until_maximal_cfg(&g, &m, &spec, ell, 9, ExecCfg::default());
             m = out.matching;
             let sl = dgraph::augmenting::shortest_augmenting_path_len_bipartite(&g, &sides, &m);
             assert!(

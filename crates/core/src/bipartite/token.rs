@@ -23,7 +23,7 @@
 use super::count::CountPass;
 use super::{Role, SubgraphSpec};
 use crate::state;
-use dgraph::{Graph, Matching, NodeId, UNMATCHED};
+use dgraph::{Graph, Matching, NodeId};
 use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol, SplitMix64};
 
 /// Wire messages of the token pass.
@@ -188,18 +188,6 @@ impl Protocol for TokenNode {
 
 /// Execute one token pass (2ℓ+1 rounds) given the counting results, and
 /// apply all surviving augmenting paths.
-pub fn run(
-    g: &Graph,
-    m: &Matching,
-    spec: &SubgraphSpec,
-    ell: usize,
-    pass: &CountPass,
-    seed: u64,
-) -> TokenOutcome {
-    run_cfg(g, m, spec, ell, pass, seed, ExecCfg::default())
-}
-
-/// [`run`] under explicit execution knobs.
 pub fn run_cfg(
     g: &Graph,
     m: &Matching,
@@ -228,23 +216,14 @@ pub fn run_cfg(
     net.run_rounds(2 * ell as u64 + 1);
     let (nodes, stats) = net.into_parts();
     let applied = nodes.iter().filter(|n| n.initiated).count();
-    let mates: Vec<NodeId> = nodes
-        .iter()
-        .enumerate()
-        .map(|(v, n)| match n.new_mate_port {
-            Some(p) => g.incident(v as NodeId)[p].0,
-            None => UNMATCHED,
-        })
-        .collect();
     // A Flip lost or parked mid-retrace leaves one-sided mate claims;
     // under an active fault plan keep only the pairs both endpoints
-    // agree on (always a valid matching). Fault-free extraction is
-    // unchanged.
-    let matching = if cfg.effective_faults().is_active() {
-        state::agreed_matching(g, &mates)
-    } else {
-        state::matching_from_mates(g, mates)
-    };
+    // agree on (always a valid matching).
+    let matching = state::matching_from_ports(
+        g,
+        nodes.iter().map(|n| n.new_mate_port),
+        cfg.faults.is_active(),
+    );
     TokenOutcome {
         matching,
         applied,
@@ -266,8 +245,8 @@ mod tests {
         ell: usize,
         seed: u64,
     ) -> TokenOutcome {
-        let pass = count::run(g, m, spec, ell, seed);
-        run(g, m, spec, ell, &pass, seed + 1)
+        let pass = count::run_cfg(g, m, spec, ell, seed, ExecCfg::default());
+        run_cfg(g, m, spec, ell, &pass, seed + 1, ExecCfg::default())
     }
 
     #[test]

@@ -12,6 +12,19 @@
 //! The coloring is drawn per node from its own RNG stream and shared
 //! with neighbors in one single-bit exchange round (charged to the
 //! stats); everything else runs through [`crate::bipartite`].
+//!
+//! ```
+//! use dgraph::generators::structured::cycle;
+//! use dmatch::{Algorithm, Session};
+//! // Odd cycles are non-bipartite: this is Algorithm 4's territory.
+//! let g = cycle(15);
+//! let r = Session::on(&g)
+//!     .algorithm(Algorithm::General { k: 2, early_stop: None })
+//!     .seed(3)
+//!     .build()
+//!     .run_to_completion();
+//! assert!(2 * r.matching.size() >= dgraph::blossom::max_matching(&g).size());
+//! ```
 
 use crate::bipartite::{self, SubgraphSpec};
 use dgraph::{Graph, Matching};
@@ -26,40 +39,14 @@ pub fn iteration_bound(k: usize) -> u64 {
     (2f64.powi(2 * k as i32 + 1) * (k as f64 + 1.0) * lnk).ceil() as u64
 }
 
-/// Options for [`run_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GeneralOpts {
-    /// Sampling iterations; `None` uses [`iteration_bound`].
-    pub iterations: Option<u64>,
-    /// Stop early after this many consecutive iterations without any
-    /// augmentation (an oracle check; `None` disables). The paper runs
-    /// the full budget; experiments compare both (E4).
-    pub early_stop_after: Option<u64>,
-}
-
-/// Outcome of Algorithm 4.
-#[derive(Debug)]
-pub struct GeneralRun {
-    /// Final matching: `(1-1/k)`-MCM whp.
-    pub matching: Matching,
-    /// Sampling iterations actually executed.
-    pub iterations: u64,
-    /// Total augmenting paths applied.
-    pub applied: usize,
-    /// Accumulated statistics (color exchanges + all `Aug` calls).
-    pub stats: NetStats,
-}
-
-/// The RNG stream drawing the red/blue colorings. Both the legacy
-/// entry points and the `dmatch::session` driver must derive it
-/// identically (asserted bit-identical by `tests/prop_session.rs`).
+/// The RNG stream drawing the red/blue colorings (one per session, at
+/// the frozen [`streams::GENERAL_COLOR`] id).
 pub(crate) fn color_rng(seed: u64) -> SplitMix64 {
     SplitMix64::for_node(seed, streams::GENERAL_COLOR)
 }
 
 /// One sampling iteration of Algorithm 4 (Lines 3–6): color, build `Ĝ`,
-/// `Aug`, apply — the single source of truth shared by
-/// [`run_with_cfg`]'s loop and the stepwise `dmatch::session` driver.
+/// `Aug`, apply — the unit the `dmatch::session` General driver steps.
 /// Returns the number of augmenting paths applied.
 #[allow(clippy::too_many_arguments)] // the phase contract: graph, state, schedule, knobs
 pub(crate) fn sample_iteration(
@@ -87,86 +74,25 @@ pub(crate) fn sample_iteration(
     out.applied
 }
 
-/// Run Algorithm 4 with the paper's default budget.
-///
-/// ```
-/// use dgraph::generators::structured::cycle;
-/// // Odd cycles are non-bipartite: this is Algorithm 4's territory.
-/// let g = cycle(15);
-/// #[allow(deprecated)]
-/// let r = dmatch::general::run(&g, 2, 3);
-/// assert!(2 * r.matching.size() >= dgraph::blossom::max_matching(&g).size());
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::General { k, early_stop: None })`"
-)]
-#[allow(deprecated)]
-pub fn run(g: &Graph, k: usize, seed: u64) -> GeneralRun {
-    run_with(g, k, seed, GeneralOpts::default())
-}
-
-/// Run Algorithm 4 with explicit options.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::General { k, early_stop })` \
-            (+ `.sampling_iterations(n)` for an explicit budget)"
-)]
-#[allow(deprecated)]
-pub fn run_with(g: &Graph, k: usize, seed: u64, opts: GeneralOpts) -> GeneralRun {
-    run_with_cfg(g, k, seed, opts, ExecCfg::default())
-}
-
-/// [`run_with`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::General { k, early_stop }).exec(cfg)`"
-)]
-pub fn run_with_cfg(g: &Graph, k: usize, seed: u64, opts: GeneralOpts, cfg: ExecCfg) -> GeneralRun {
-    assert!(k >= 1, "k must be positive");
-    let budget = opts.iterations.unwrap_or_else(|| iteration_bound(k));
-    let ell = 2 * k - 1;
-    let mut m = Matching::new(g.n());
-    let mut stats = NetStats::default();
-    let mut rng = color_rng(seed);
-    let mut applied = 0usize;
-    let mut idle_streak = 0u64;
-    let mut iterations = 0u64;
-
-    for it in 0..budget {
-        iterations = it + 1;
-        let newly = sample_iteration(g, &mut m, ell, it, seed, cfg, &mut rng, &mut stats);
-        applied += newly;
-
-        if newly == 0 {
-            idle_streak += 1;
-            if opts.early_stop_after.is_some_and(|s| idle_streak >= s) {
-                break;
-            }
-        } else {
-            idle_streak = 0;
-        }
-    }
-    GeneralRun {
-        matching: m,
-        iterations,
-        applied,
-        stats,
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::{Algorithm, RunReport, Session};
     use dgraph::generators::random::gnp;
     use dgraph::generators::structured::{cycle, p4_chain};
 
-    fn early(stop: u64) -> GeneralOpts {
-        GeneralOpts {
-            iterations: None,
-            early_stop_after: Some(stop),
-        }
+    /// Algorithm 4 with the paper's budget, stopping after `stop` idle
+    /// iterations; `oracle_checks` counts the sampling iterations run.
+    fn run_early(g: &Graph, k: usize, seed: u64, stop: u64) -> RunReport {
+        let alg = Algorithm::General {
+            k,
+            early_stop: Some(stop),
+        };
+        Session::on(g)
+            .algorithm(alg)
+            .seed(seed)
+            .build()
+            .run_to_completion()
     }
 
     #[test]
@@ -181,7 +107,7 @@ mod tests {
         for seed in 0..4 {
             let g = gnp(24, 0.15, seed);
             let k = 3;
-            let r = run_with(&g, k, seed * 31, early(40));
+            let r = run_early(&g, k, seed * 31, 40);
             assert!(r.matching.validate(&g).is_ok());
             let opt = dgraph::blossom::max_matching(&g).size();
             let bound = 1.0 - 1.0 / k as f64;
@@ -198,14 +124,14 @@ mod tests {
     fn handles_odd_cycles() {
         // C9 is non-bipartite; optimum 4. With k = 3 we need ≥ 2/3·4 ≥ 3.
         let g = cycle(9);
-        let r = run_with(&g, 3, 5, early(40));
+        let r = run_early(&g, 3, 5, 40);
         assert!(r.matching.size() >= 3, "got {}", r.matching.size());
     }
 
     #[test]
     fn p4_chains_reach_optimum() {
         let g = p4_chain(6);
-        let r = run_with(&g, 2, 9, early(30));
+        let r = run_early(&g, 2, 9, 30);
         // Optimum 12; (1-1/2) guarantee is weak, but the sampler should
         // reach optimality quickly on disjoint P4s with length-3 phases.
         assert!(r.matching.size() >= 9);
@@ -216,7 +142,7 @@ mod tests {
         use dgraph::augmenting::has_augmenting_path_within;
         let g = gnp(20, 0.2, 77);
         let k = 2;
-        let r = run_with(&g, k, 3, early(60));
+        let r = run_early(&g, k, 3, 60);
         // After enough productive iterations the matching should admit
         // no augmenting path of length ≤ 2k-1 (this is what drives
         // Lemma 3.9 to its fixed point).
@@ -229,21 +155,24 @@ mod tests {
     #[test]
     fn early_stop_limits_iterations() {
         let g = gnp(16, 0.2, 2);
-        let r = run_with(&g, 3, 1, early(5));
-        assert!(r.iterations < iteration_bound(3));
+        let r = run_early(&g, 3, 1, 5);
+        assert!(r.oracle_checks < iteration_bound(3));
     }
 
     #[test]
     fn empty_graph() {
         let g = Graph::new(0, vec![]);
-        let r = run_with(&g, 3, 0, early(1));
+        let r = run_early(&g, 3, 0, 1);
         assert_eq!(r.matching.size(), 0);
     }
 
     #[test]
     fn stats_accumulate_across_iterations() {
         let g = gnp(18, 0.2, 4);
-        let r = run_with(&g, 2, 6, early(10));
-        assert!(r.stats.rounds > r.iterations, "each iteration costs rounds");
+        let r = run_early(&g, 2, 6, 10);
+        assert!(
+            r.stats.rounds > r.oracle_checks,
+            "each iteration costs rounds"
+        );
     }
 }

@@ -73,7 +73,8 @@ struct GatherNode {
     /// sparse scheduler a repair's gathering rounds cost O(|ball|),
     /// not O(n). (Their merged views are never consulted — every
     /// augmenting path, and every view the phase inspects, lives
-    /// inside the region by the `repair` precondition.)
+    /// inside the region by the repair precondition; see
+    /// `Session::resume_after_rewire`.)
     participating: bool,
 }
 
@@ -111,32 +112,12 @@ impl Protocol for GatherNode {
     }
 }
 
-/// Run the ball-gathering phase: after it, node `v`'s view contains all
-/// edges/free-flags whose origin is within distance `rounds - 1`.
-pub(crate) fn gather_balls(
-    g: &Graph,
-    m: &Matching,
-    radius: usize,
-    seed: u64,
-) -> (Vec<BTreeSet<ViewItem>>, NetStats) {
-    gather_balls_cfg(g, m, radius, seed, ExecCfg::default())
-}
-
-/// [`gather_balls`] under explicit execution knobs.
-pub(crate) fn gather_balls_cfg(
-    g: &Graph,
-    m: &Matching,
-    radius: usize,
-    seed: u64,
-    cfg: ExecCfg,
-) -> (Vec<BTreeSet<ViewItem>>, NetStats) {
-    gather_balls_region(g, m, radius, seed, cfg, None)
-}
-
-/// Ball gathering, optionally restricted to a *region*: when
-/// `region[v]` is false, node `v` never sends (its knowledge stays
-/// local and does not propagate). Incremental repair uses this to keep
-/// gathering traffic inside the damage neighborhood.
+/// Run the ball-gathering phase (Algorithm 2): afterwards node `v`'s
+/// view holds every edge/free flag whose origin is within distance
+/// `radius`. With a `region`, node `v` takes part only where
+/// `region[v]` is true (elsewhere its knowledge stays local and does
+/// not propagate); incremental repair uses this to keep gathering
+/// traffic inside the damage neighborhood.
 pub(crate) fn gather_balls_region(
     g: &Graph,
     m: &Matching,
@@ -164,7 +145,7 @@ pub(crate) fn gather_balls_region(
         })
         .collect();
     let mut net = Network::new(crate::state::topology_of(g), nodes, seed).with_cfg(cfg);
-    if cfg.effective_faults().breaks_synchrony() {
+    if cfg.faults.breaks_synchrony() {
         // Crashed nodes never step (and so never halt), and delayed
         // payloads keep the plane busy past the schedule: run the fixed
         // window and take whatever views the survivors gathered.
@@ -311,137 +292,15 @@ pub(crate) fn conflict_graph_mis(
     }
 }
 
-/// Per-phase log entry.
+/// What one phase reports to the session driver.
 #[derive(Debug, Clone)]
-pub struct PhaseLog {
+pub(crate) struct PhaseLog {
     /// Path length `ℓ` of the phase.
-    pub ell: usize,
-    /// Augmenting paths present in the conflict graph.
-    pub conflict_nodes: usize,
+    pub(crate) ell: usize,
     /// Paths applied (size of the MIS).
-    pub applied: usize,
+    pub(crate) applied: usize,
     /// Luby iterations on the conflict graph.
-    pub mis_iterations: u64,
-    /// Matching size after the phase.
-    pub matching_size: usize,
-}
-
-/// Output of [`run`].
-pub struct GenericRun {
-    /// The final matching — a `(1 - 1/(k+1))`-MCM.
-    pub matching: Matching,
-    /// Combined network statistics (gathering measured, MIS/augment
-    /// charged per Lemma 3.3).
-    pub stats: NetStats,
-    /// Per-phase details.
-    pub phases: Vec<PhaseLog>,
-}
-
-/// Run Algorithm 1 with parameter `k` (phases `ℓ = 1, 3, …, 2k-1`),
-/// producing a `(1 - 1/(k+1))`-approximate maximum cardinality
-/// matching of `g`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dmatch::session::Session::on(g).algorithm(Algorithm::Generic { k })` (see the \
-            migration table in the crate docs)"
-)]
-#[allow(deprecated)]
-pub fn run(g: &Graph, k: usize, seed: u64) -> GenericRun {
-    run_cfg(g, k, seed, ExecCfg::default())
-}
-
-/// [`run`] under explicit execution knobs (threads / fault injection
-/// apply to the measured ball-gathering phases).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Generic { k }).exec(cfg)`"
-)]
-pub fn run_cfg(g: &Graph, k: usize, seed: u64, cfg: ExecCfg) -> GenericRun {
-    run_inner(g, &Matching::new(g.n()), k, seed, cfg, None)
-}
-
-/// Warm-start entry point: run the phases `ℓ = 1, 3, …, 2k-1` starting
-/// from `initial` instead of the empty matching.
-///
-/// Correctness is unchanged — phase `ℓ` applies a maximal set of
-/// disjoint augmenting paths of length `ℓ`, and augmentation never
-/// frees a matched vertex, so after the last phase no augmenting path
-/// of length `≤ 2k-1` survives and the result is a
-/// `(1 - 1/(k+1))`-MCM regardless of the starting matching. A good
-/// warm start (e.g. the surviving matching after churn) leaves far
-/// fewer augmenting paths, which shrinks the conflict graphs and the
-/// charged MIS/augmentation traffic.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Generic { k }).warm_start(initial)`"
-)]
-#[allow(deprecated)]
-pub fn run_from(g: &Graph, initial: &Matching, k: usize, seed: u64) -> GenericRun {
-    run_from_cfg(g, initial, k, seed, ExecCfg::default())
-}
-
-/// [`run_from`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Generic { k }).warm_start(initial).exec(cfg)`"
-)]
-pub fn run_from_cfg(
-    g: &Graph,
-    initial: &Matching,
-    k: usize,
-    seed: u64,
-    cfg: ExecCfg,
-) -> GenericRun {
-    run_inner(g, initial, k, seed, cfg, None)
-}
-
-/// Incremental repair after a churn batch: warm-start from the
-/// surviving matching `initial` and keep all gathering traffic inside
-/// the ball `B(damage, 4k+2)`.
-///
-/// `damage` is the set of vertices whose incident structure changed:
-/// endpoints of inserted edges and endpoints of *matched* edges that
-/// were removed (removing an unmatched edge only destroys augmenting
-/// paths). Every augmenting path of length `≤ 2k-1` in the new
-/// instance either survived from the previous epoch — impossible if
-/// the previous matching met the bound — or touches `damage`; all
-/// vertices such a path visits, and all vertices whose matched status
-/// later changes during the phases, stay within distance `O(k)` of
-/// `damage`, so restricting the flooding region loses nothing
-/// (debug-asserted). With no damage the previous guarantee still holds
-/// and the repair is free.
-#[deprecated(
-    since = "0.1.0",
-    note = "complete a Generic session, then `Session::resume_after_rewire(RewirePatch::new(g, damage))`"
-)]
-#[allow(deprecated)]
-pub fn repair(g: &Graph, initial: &Matching, damage: &[NodeId], k: usize, seed: u64) -> GenericRun {
-    repair_cfg(g, initial, damage, k, seed, ExecCfg::default())
-}
-
-/// [`repair`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "complete a Generic session, then `Session::resume_after_rewire(RewirePatch::new(g, damage))`"
-)]
-pub fn repair_cfg(
-    g: &Graph,
-    initial: &Matching,
-    damage: &[NodeId],
-    k: usize,
-    seed: u64,
-    cfg: ExecCfg,
-) -> GenericRun {
-    if damage.is_empty() {
-        return GenericRun {
-            matching: initial.clone(),
-            stats: NetStats::default(),
-            phases: Vec::new(),
-        };
-    }
-    let damage = normalize_damage(damage);
-    let region = ball(g, &damage, 4 * k + 2);
-    run_inner(g, initial, k, seed, cfg, Some(region))
+    pub(crate) mis_iterations: u64,
 }
 
 /// Sort + dedupe a damage list. Callers hand us raw endpoint dumps
@@ -456,10 +315,9 @@ pub(crate) fn normalize_damage(damage: &[NodeId]) -> Vec<NodeId> {
     d
 }
 
-/// `region[v]` = v is within `radius` hops of a seed. Shared with the
-/// session driver ([`crate::session::Session::resume_after_rewire`]),
-/// which restricts repair gathering to `B(damage, 4k+2)` exactly like
-/// [`repair_cfg`].
+/// `region[v]` = v is within `radius` hops of a seed. The session
+/// driver ([`crate::session::Session::resume_after_rewire`]) restricts
+/// repair gathering to `B(damage, 4k+2)` with it.
 pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
     let mut dist = vec![usize::MAX; g.n()];
     let mut queue = std::collections::VecDeque::new();
@@ -485,8 +343,9 @@ pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
 }
 
 /// One phase of Algorithm 1 (`ℓ = 2·phase_idx + 1`): ball gathering,
-/// conflict-graph MIS, augmentation — the single source of truth shared
-/// by [`run_from_cfg`]'s loop and the stepwise `dmatch::session` driver.
+/// conflict-graph MIS, augmentation — the unit the `dmatch::session`
+/// Generic driver steps.
+///
 /// MIS priorities are keyed by `(seed, ell, iteration, path key)` (see
 /// [`path_priority`]), so the phase carries no RNG state between calls.
 pub(crate) fn phase_step(
@@ -512,7 +371,7 @@ pub(crate) fn phase_step(
     let paths = enumerate_augmenting_paths(g, m, ell);
     if let Some(region) = region {
         // Incremental runs: every augmenting path must live inside
-        // the damage ball (see `repair`). A path outside it means
+        // the damage ball (see `Session::resume_after_rewire`). A path outside it means
         // the warm start violated the precondition (it still had
         // short augmenting paths away from the damage) — silently
         // skipping such paths would return a matching below the
@@ -534,7 +393,7 @@ pub(crate) fn phase_step(
     // carried a path into some node's ball. Safety is unaffected (path
     // enumeration is global); the gathered traffic just degrades.
     debug_assert!(
-        cfg.effective_faults().is_active()
+        cfg.faults.is_active()
             || paths.iter().all(|p| p.iter().all(|&v| {
                 p.windows(2).all(|w| {
                     let e = g.edge_between(w[0], w[1]).unwrap();
@@ -571,54 +430,24 @@ pub(crate) fn phase_step(
 
     PhaseLog {
         ell,
-        conflict_nodes: paths.len(),
         applied: cm.chosen.len(),
         mis_iterations: cm.iterations,
-        matching_size: m.size(),
-    }
-}
-
-fn run_inner(
-    g: &Graph,
-    initial: &Matching,
-    k: usize,
-    seed: u64,
-    cfg: ExecCfg,
-    region: Option<Vec<bool>>,
-) -> GenericRun {
-    assert!(k >= 1, "k must be positive");
-    let mut m = initial.clone();
-    debug_assert!(m.validate(g).is_ok(), "warm start must be a valid matching");
-    let mut stats = NetStats::default();
-    let mut phases = Vec::new();
-
-    for phase_idx in 0..k {
-        if g.n() == 0 {
-            break;
-        }
-        phases.push(phase_step(
-            g,
-            &mut m,
-            phase_idx,
-            seed,
-            cfg,
-            region.as_deref(),
-            &mut stats,
-        ));
-    }
-    GenericRun {
-        matching: m,
-        stats,
-        phases,
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::{Algorithm, RewirePatch, RunReport, Session};
     use dgraph::generators::random::{bipartite_gnp, gnp};
     use dgraph::generators::structured::{cycle, p4_chain, path};
+
+    fn run(g: &Graph, k: usize, seed: u64) -> RunReport {
+        let s = Session::on(g)
+            .algorithm(Algorithm::Generic { k })
+            .seed(seed);
+        s.build().run_to_completion()
+    }
 
     fn ratio(g: &Graph, m: &Matching) -> f64 {
         let opt = dgraph::blossom::max_matching(g).size();
@@ -702,13 +531,21 @@ mod tests {
     #[test]
     fn phase_log_is_coherent() {
         let g = gnp(30, 0.1, 9);
-        let r = run(&g, 3, 4);
-        assert_eq!(r.phases.len(), 3);
-        assert_eq!(r.phases[0].ell, 1);
-        assert_eq!(r.phases[2].ell, 5);
-        assert_eq!(r.phases.last().unwrap().matching_size, r.matching.size());
-        for p in &r.phases {
-            assert!(p.applied <= p.conflict_nodes);
+        let mut s = Session::on(&g)
+            .algorithm(Algorithm::Generic { k: 3 })
+            .seed(4)
+            .build();
+        let r = s.run_to_completion();
+        let phases = s.phase_log();
+        assert_eq!(phases.len(), 3);
+        assert_eq!(phases[0].ell, 1);
+        assert_eq!(phases[2].ell, 5);
+        assert_eq!(phases.last().unwrap().matching_size, r.matching.size());
+        // Every applied path grows the (initially empty) matching by one.
+        let mut size = 0;
+        for p in phases {
+            size += p.applied as usize;
+            assert_eq!(p.matching_size, size);
         }
     }
 
@@ -735,7 +572,12 @@ mod tests {
             let g = gnp(28, 0.14, 70 + seed);
             let init = dgraph::greedy::greedy_maximal(&g);
             for k in 1..=3 {
-                let r = run_from(&g, &init, k, seed);
+                let r = Session::on(&g)
+                    .algorithm(Algorithm::Generic { k })
+                    .warm_start(&init)
+                    .seed(seed)
+                    .build()
+                    .run_to_completion();
                 assert!(r.matching.validate(&g).is_ok());
                 assert!(
                     r.matching.size() >= init.size(),
@@ -749,31 +591,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn repair_ignores_damage_duplicates() {
-        // A duplicated-hub damage list (one entry per lost edge) must
-        // behave exactly like its deduped form: same matching, same
-        // stats, same phase logs.
-        let g = gnp(40, 0.08, 91);
-        let k = 2;
-        let full = run(&g, k, 7);
-        let &e = full.matching.edge_ids(&g).first().expect("nonempty");
-        let (a, b) = g.endpoints(e);
-        let (g2, _) = g.edge_subgraph(|x| x != e);
-        let mut m = Matching::new(g2.n());
-        for &eid in &full.matching.edge_ids(&g) {
-            if eid != e {
-                let (u, v) = g.endpoints(eid);
-                m.add(&g2, g2.edge_between(u, v).expect("surviving edge"));
-            }
-        }
-        let clean = repair(&g2, &m, &[a, b], k, 8);
-        let dup = repair(&g2, &m, &[b, b, a, b, a, a], k, 8);
-        assert_eq!(clean.matching, dup.matching);
-        assert_eq!(clean.stats, dup.stats);
-        assert_eq!(clean.phases.len(), dup.phases.len());
     }
 
     #[test]
@@ -811,7 +628,11 @@ mod tests {
         for seed in 0..4 {
             let g = gnp(40, 0.08, 90 + seed);
             let k = 2;
-            let full = run(&g, k, seed);
+            let mut s = Session::on(&g)
+                .algorithm(Algorithm::Generic { k })
+                .seed(seed)
+                .build();
+            let full = s.run_to_completion();
             // Damage the instance: remove one matched edge (both
             // endpoints become free) — the classic churn event.
             let Some(&e) = full.matching.edge_ids(&g).first() else {
@@ -819,39 +640,22 @@ mod tests {
             };
             let (a, b) = g.endpoints(e);
             let (g2, _back) = g.edge_subgraph(|x| x != e);
-            let mut m = Matching::new(g2.n());
-            for &eid in &full.matching.edge_ids(&g) {
-                if eid != e {
-                    let (u, v) = g.endpoints(eid);
-                    let e2 = g2.edge_between(u, v).expect("surviving edge");
-                    m.add(&g2, e2);
-                }
-            }
-            let r = repair(&g2, &m, &[a, b], k, seed + 1);
+            s.resume_after_rewire(RewirePatch::new(g2.clone(), vec![a, b]));
+            let r = s.run_to_completion();
+            let repair_messages = r.stats.messages - full.stats.messages;
             assert!(r.matching.validate(&g2).is_ok());
             assert!(
                 !has_augmenting_path_within(&g2, &r.matching, 2 * k - 1),
                 "seed {seed}: repair left a short augmenting path"
             );
             // Localized repair must cost far fewer messages than a
-            // cold run on the same instance.
+            // cold run on the same instance (epoch 1 seeds as seed + 1).
             let cold = run(&g2, k, seed + 1);
             assert!(
-                r.stats.messages <= cold.stats.messages,
-                "seed {seed}: repair sent {} messages vs cold {}",
-                r.stats.messages,
+                repair_messages <= cold.stats.messages,
+                "seed {seed}: repair sent {repair_messages} messages vs cold {}",
                 cold.stats.messages
             );
         }
-    }
-
-    #[test]
-    fn repair_with_no_damage_is_free() {
-        let g = gnp(20, 0.15, 3);
-        let full = run(&g, 2, 1);
-        let r = repair(&g, &full.matching, &[], 2, 2);
-        assert_eq!(r.matching, full.matching);
-        assert_eq!(r.stats.messages, 0);
-        assert_eq!(r.stats.rounds, 0);
     }
 }

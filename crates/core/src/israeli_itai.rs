@@ -16,9 +16,19 @@
 //! iterations is `O(log n)` with high probability \[15\].
 //!
 //! Messages are constant-size (2-bit tags), well inside CONGEST.
+//!
+//! ```
+//! use dgraph::generators::random::gnp;
+//! use dmatch::Session;
+//! let g = gnp(100, 0.05, 1);
+//! // Israeli–Itai is the session's default algorithm.
+//! let r = Session::on(&g).seed(7).build().run_to_completion();
+//! assert!(r.matching.is_maximal(&g)); // ⇒ a ½-approximation
+//! assert!(r.stats.max_msg_bits <= 2); // constant-size messages
+//! ```
 
 use crate::state::{self, NodeInit};
-use dgraph::{Graph, Matching, NodeId, UNMATCHED};
+use dgraph::{Graph, Matching};
 use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol};
 
 /// Wire messages (2 bits each).
@@ -179,151 +189,56 @@ pub fn round_budget(n: usize) -> u64 {
     3 * (200 + 60 * simnet::id_bits(n.max(2)))
 }
 
-/// Run Israeli–Itai to completion on `g`, starting from `initial`
-/// (pass the empty matching for the classical algorithm). Returns the
-/// resulting *maximal* matching and the network statistics.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::IsraeliItai).warm_start(initial)`"
-)]
-pub fn maximal_matching_from(g: &Graph, initial: &Matching, seed: u64) -> (Matching, NetStats) {
-    maximal_matching_from_cfg(g, initial, seed, ExecCfg::default())
-}
-
-/// The Israeli–Itai primitive every higher layer builds on: run to
-/// completion from `initial` under explicit execution knobs (worker
-/// threads / fault injection) — results are bit-identical across
-/// thread counts. Prefer driving it through `dmatch::session::Session`
-/// (`Algorithm::IsraeliItai`); this function stays public as the
-/// building block for compound protocols (weight classes, schedulers).
-pub fn maximal_matching_from_cfg(
+/// The Israeli–Itai primitive every higher layer builds on (the
+/// `Session` driver, the per-class δ-MWM boxes): run from `initial`
+/// (the empty matching for the classical algorithm) under `cfg`.
+/// Results are bit-identical across thread counts and schedulers.
+///
+/// Fault-free and without a `round_limit`, the network runs until every
+/// node halts and the result is a *maximal* matching. An active fault
+/// plan breaks both that termination and symmetric mate claims (a lost
+/// `Accept` leaves a one-sided claim), so then — or whenever
+/// `round_limit` is given — exactly `round_limit` rounds run (default
+/// [`round_budget`]) and only the *agreed* pairs, in which both
+/// endpoints claim each other, are kept: always a valid matching, with
+/// liveness degraded to whatever the surviving messages achieved.
+///
+/// A short fault-free window is the constant-round regime of
+/// Hoepman–Kutten–Lotker \[12\] (cited by the paper): on trees, a
+/// constant number of 3-round iterations already yields a
+/// `(½-ε)`-approximation in expectation (experiment E14).
+pub fn run(
     g: &Graph,
     initial: &Matching,
     seed: u64,
     cfg: ExecCfg,
+    round_limit: Option<u64>,
 ) -> (Matching, NetStats) {
     let inits = state::node_inits(g, initial);
     let nodes: Vec<IINode> = inits.iter().map(IINode::new).collect();
     let mut net = Network::new(state::topology_of(g), nodes, seed).with_cfg(cfg);
-    net.run_until_halt(round_budget(g.n()));
+    let bounded = round_limit.is_some() || cfg.faults.is_active();
+    if bounded {
+        net.run_rounds(round_limit.unwrap_or_else(|| round_budget(g.n())));
+    } else {
+        net.run_until_halt(round_budget(g.n()));
+    }
     let (nodes, stats) = net.into_parts();
-    let mates: Vec<NodeId> = nodes
-        .iter()
-        .enumerate()
-        .map(|(v, s)| match s.mate_port {
-            Some(p) => g.incident(v as NodeId)[p].0,
-            None => UNMATCHED,
-        })
-        .collect();
-    (state::matching_from_mates(g, mates), stats)
-}
-
-/// Classical Israeli–Itai from the empty matching.
-///
-/// ```
-/// use dgraph::generators::random::gnp;
-/// let g = gnp(100, 0.05, 1);
-/// #[allow(deprecated)]
-/// let (m, stats) = dmatch::israeli_itai::maximal_matching(&g, 7);
-/// assert!(m.is_maximal(&g));            // ⇒ a ½-approximation
-/// assert!(stats.max_msg_bits <= 2);     // constant-size messages
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::IsraeliItai)` (see the crate-docs migration table)"
-)]
-pub fn maximal_matching(g: &Graph, seed: u64) -> (Matching, NetStats) {
-    maximal_matching_from_cfg(g, &Matching::new(g.n()), seed, ExecCfg::default())
-}
-
-/// [`maximal_matching`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::IsraeliItai).exec(cfg)`"
-)]
-pub fn maximal_matching_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
-    maximal_matching_from_cfg(g, &Matching::new(g.n()), seed, cfg)
-}
-
-/// Run exactly `iterations` Israeli–Itai iterations (3 rounds each) and
-/// return whatever matching exists then — *not* necessarily maximal.
-///
-/// This is the constant-round regime of Hoepman–Kutten–Lotker \[12\]
-/// (cited by the paper): on trees, a constant number of iterations
-/// already yields a `(½-ε)`-approximation in expectation. Experiment
-/// E14 measures the ratio as a function of `iterations`.
-pub fn truncated_matching(g: &Graph, seed: u64, iterations: u64) -> (Matching, NetStats) {
-    let inits = state::node_inits(g, &Matching::new(g.n()));
-    let nodes: Vec<IINode> = inits.iter().map(IINode::new).collect();
-    let mut net = Network::new(state::topology_of(g), nodes, seed);
-    net.run_rounds(3 * iterations);
-    let (nodes, stats) = net.into_parts();
-    let mates: Vec<NodeId> = nodes
-        .iter()
-        .enumerate()
-        .map(|(v, s)| match s.mate_port {
-            Some(p) => g.incident(v as NodeId)[p].0,
-            None => UNMATCHED,
-        })
-        .collect();
-    (state::matching_from_mates(g, mates), stats)
-}
-
-/// Run Israeli–Itai for a *fixed* round budget under an arbitrary
-/// `ExecCfg` fault plan and return the **agreed** matching: pairs in
-/// which both endpoints claim each other. Broken synchrony (drops,
-/// delays, crashes) can leave one-sided claims behind; the agreement
-/// rule discards them, so the result is always a valid matching — the
-/// safety guarantee fault injection verifies. Liveness degrades to
-/// whatever the surviving messages achieved within `rounds`.
-pub fn bounded_matching_from_cfg(
-    g: &Graph,
-    initial: &Matching,
-    seed: u64,
-    cfg: ExecCfg,
-    rounds: u64,
-) -> (Matching, NetStats) {
-    let inits = state::node_inits(g, initial);
-    let nodes: Vec<IINode> = inits.iter().map(IINode::new).collect();
-    let mut net = Network::new(state::topology_of(g), nodes, seed).with_cfg(cfg);
-    net.run_rounds(rounds);
-    let (nodes, stats) = net.into_parts();
-    let claims: Vec<NodeId> = nodes
-        .iter()
-        .enumerate()
-        .map(|(v, s)| match s.mate_port {
-            Some(p) => g.incident(v as NodeId)[p].0,
-            None => UNMATCHED,
-        })
-        .collect();
-    (state::agreed_matching(g, &claims), stats)
-}
-
-/// Run Israeli–Itai for a fixed round budget under message loss and
-/// return the *agreed* matching: pairs in which both endpoints claim
-/// each other. Safety check for fault injection — agreement pairs
-/// always form a valid matching even when messages vanish.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).adversary(FaultPlan::drop(loss)).round_limit(rounds)` \
-            (bit-identical for the same seed)"
-)]
-pub fn lossy_matching(g: &Graph, seed: u64, rounds: u64, loss: f64) -> (Matching, u64) {
-    let report = crate::session::Session::on(g)
-        .adversary(simnet::FaultPlan::drop(loss))
-        .round_limit(rounds)
-        .seed(seed)
-        .build()
-        .run_to_completion();
-    (report.matching, report.stats.dropped)
+    let m = state::matching_from_ports(g, nodes.iter().map(|s| s.mate_port), bounded);
+    (m, stats)
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::Session;
     use dgraph::generators::random::gnp;
     use dgraph::generators::structured::{complete, cycle, path, star};
+
+    fn maximal_matching(g: &Graph, seed: u64) -> (Matching, NetStats) {
+        let r = Session::on(g).seed(seed).build().run_to_completion();
+        (r.matching, r.stats)
+    }
 
     #[test]
     fn produces_maximal_matchings() {
@@ -372,7 +287,12 @@ mod tests {
     fn respects_warm_start() {
         let g = path(6);
         let init = Matching::from_edges(&g, &[2]); // middle edge (2,3)
-        let (m, _) = maximal_matching_from(&g, &init, 5);
+        let m = Session::on(&g)
+            .warm_start(&init)
+            .seed(5)
+            .build()
+            .run_to_completion()
+            .matching;
         assert!(m.contains(&g, 2), "warm-start edges must survive");
         assert!(m.is_maximal(&g));
     }

@@ -19,38 +19,15 @@
 //! from the paper's telegraphic description, and `DESIGN.md` at the
 //! workspace root for the substitution table.
 //!
-//! ## The `Session` driver (and migrating from the free functions)
+//! ## The `Session` driver
 //!
-//! Every algorithm is driven through one builder-first [`session::Session`]:
+//! Every algorithm runs through one builder-first [`session::Session`]:
 //! build it (`Session::on(&g).algorithm(…).seed(…).build()`), then
 //! `run_to_completion()`, or `step()` phase by phase with mid-run
 //! `snapshot()`s, per-round/per-phase [`session::Observer`] callbacks,
 //! and — for the incremental algorithms — churn-epoch repair via
-//! `resume_after_rewire`. The pre-`Session` free functions survive as
-//! `#[deprecated]` shims, asserted bit-identical to their session
-//! equivalents (matching **and** full `NetStats`) by
-//! `tests/prop_session.rs`:
-//!
-//! | Deprecated free function | Session equivalent |
-//! |---|---|
-//! | `runner::run(g, sides, alg, seed, term)` | `Session::on(g).algorithm(alg).sides(s).seed(seed).termination(term).build().run_to_completion()` |
-//! | `runner::run_cfg(…, cfg)` | `… .exec(cfg) …` |
-//! | `israeli_itai::maximal_matching{,_cfg}(g, seed)` | `Session::on(g).algorithm(Algorithm::IsraeliItai)…` |
-//! | `israeli_itai::maximal_matching_from(g, m, seed)` | `… .warm_start(m) …` |
-//! | `generic::run{,_cfg}(g, k, seed)` | `… .algorithm(Algorithm::Generic { k }) …` |
-//! | `generic::run_from{,_cfg}(g, m, k, seed)` | `… .warm_start(m) …` |
-//! | `generic::repair{,_cfg}(g, m, damage, k, seed)` | complete a Generic session, then `resume_after_rewire(RewirePatch::new(g, damage))` |
-//! | `bipartite::run{,_cfg}(g, sides, k, seed)` | `… .algorithm(Algorithm::Bipartite { k }).sides(sides) …` |
-//! | `bipartite::run_phased{,_cfg}(…)` | drive `step()` and read `Session::phase_log()` |
-//! | `general::run{,_with,_with_cfg}(g, k, seed, opts)` | `… .algorithm(Algorithm::General { k, early_stop })` (+ `.sampling_iterations(n)`) |
-//! | `weighted::run{,_cfg}(g, ε, box, seed)` | `… .algorithm(Algorithm::Weighted { epsilon, mwm_box })`; weight trajectory via the [`session::ConvergenceCurve`] observer |
-//! | `weighted::classes::run_parallel{,_cfg}(g, seed)` | `… .algorithm(Algorithm::DeltaMwm { mwm_box: MwmBox::ParClass })` |
-//!
-//! Still first-class (not deprecated): the per-phase primitives the
-//! session itself drives — `israeli_itai::maximal_matching_from_cfg`,
-//! `bipartite::aug_until_maximal{,_cfg}`, `MwmBox::run{,_cfg}` — and
-//! the specialized regimes (`israeli_itai::truncated_matching`,
-//! `israeli_itai::lossy_matching`, `bipartite::run_to_optimal`).
+//! `resume_after_rewire`. Execution knobs, the adversary plan
+//! included, travel in one `simnet::ExecCfg` (`.exec(cfg)`).
 
 pub mod bipartite;
 pub mod general;

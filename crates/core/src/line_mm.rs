@@ -49,8 +49,11 @@ mod tests {
         for seed in 0..5 {
             let g = gnp(30, 0.15, 50 + seed);
             let (a, _) = maximal_matching(&g, seed);
-            #[allow(deprecated)]
-            let (b, _) = crate::israeli_itai::maximal_matching(&g, seed);
+            let b = crate::Session::on(&g)
+                .seed(seed)
+                .build()
+                .run_to_completion()
+                .matching;
             assert!(2 * a.size() >= b.size() && 2 * b.size() >= a.size());
         }
     }

@@ -10,7 +10,7 @@
 //! One iteration spans three rounds: priorities out, winners announce,
 //! losers retire.
 
-use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol, Topology};
+use simnet::{BitSize, Ctx, Inbox, NetStats, Network, Protocol, Topology};
 
 /// Wire messages.
 #[derive(Debug, Clone, Copy)]
@@ -77,23 +77,15 @@ pub fn round_budget(n: usize) -> u64 {
     3 * (200 + 60 * simnet::id_bits(n.max(2)))
 }
 
-/// Compute an MIS of `topo`. Returns the indicator vector and stats.
+/// Compute an MIS of `topo` on a reliable, sequential network. Returns
+/// the indicator vector and stats.
 pub fn mis(topo: &Topology, seed: u64) -> (Vec<bool>, NetStats) {
-    mis_cfg(topo, seed, ExecCfg::default())
-}
-
-/// [`mis`] under explicit execution knobs.
-///
-/// Fault-free only: this helper sits below the `Session` adversary
-/// dispatch, and its every-node-decided extraction assumes reliable
-/// delivery — install no active [`simnet::FaultPlan`] in `cfg`.
-pub fn mis_cfg(topo: &Topology, seed: u64, cfg: ExecCfg) -> (Vec<bool>, NetStats) {
     let n = topo.len();
     if n == 0 {
         return (Vec::new(), NetStats::default());
     }
     let nodes: Vec<LubyNode> = (0..n).map(|_| LubyNode::default()).collect();
-    let mut net = Network::new(topo.clone(), nodes, seed).with_cfg(cfg);
+    let mut net = Network::new(topo.clone(), nodes, seed);
     net.run_until_halt(round_budget(n));
     let (nodes, stats) = net.into_parts();
     let flags = nodes

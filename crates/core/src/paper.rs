@@ -4,23 +4,23 @@
 //! crate. This module contains no code — it is the navigation aid for
 //! readers holding the PDF.
 //!
-//! ## Algorithm 1 (abstract phase loop) → [`crate::generic::run`]
+//! ## Algorithm 1 (abstract phase loop) → the `Generic` arm of [`crate::session::Session`]
 //!
 //! | Line | Paper | Code |
 //! |---|---|---|
 //! | 1 | `M ← ∅` | `Matching::new(g.n())` |
 //! | 2 | `k ← ⌈1/ε⌉` | caller picks `k` |
-//! | 3 | `for ℓ ← 1,3,…,2k-1` | the phase loop |
-//! | 4 | construct `C_M(ℓ)` | `dgraph::augmenting::enumerate_augmenting_paths` over the gathered views |
+//! | 3 | `for ℓ ← 1,3,…,2k-1` | one `Session::step` per phase, running `generic::phase_step` |
+//! | 4 | construct `C_M(ℓ)` | `dgraph::augmenting::enumerate_augmenting_paths`, run *globally* on `G`; the gathered views feed only a debug-build check that every path is visible in its nodes' balls |
 //! | 5 | MIS of `C_M(ℓ)` | `conflict_graph_mis` (Luby process, charged per Lemma 3.3) |
 //! | 6–7 | `M ← M ⊕ P` | `Matching::augment_path` per chosen path |
 //!
-//! ## Algorithm 2 (view gathering) → `generic::gather_balls`
+//! ## Algorithm 2 (view gathering) → `generic::gather_balls_region`
 //!
 //! | Step | Paper | Code |
 //! |---|---|---|
 //! | 1 | send distance-(i-1) neighborhood each round | `GatherNode::on_round` (delta flooding, `Arc`-shared payloads) |
-//! | 2 | `P_v(ℓ)`, `P_v(2ℓ)` | implicit in the enumeration over views |
+//! | 2 | `P_v(ℓ)`, `P_v(2ℓ)` | not built per node: the gathering traffic is real, but the paths are enumerated globally (Algorithm 1, line 4) |
 //! | 3 | `leader(P)` = smaller-id endpoint | canonical path direction in the enumerator |
 //! | 4 | leaders announce paths | charged in the MIS token accounting |
 //!
@@ -48,23 +48,23 @@
 //! | trace back & augment | `TokMsg::Flip` retrace |
 //! | chunked pipelining (Lemma 3.7) | *not simulated*; values charged their exact bits (see DESIGN.md) |
 //!
-//! ## Algorithm 4 (red/blue sampling) → [`crate::general::run_with`]
+//! ## Algorithm 4 (red/blue sampling) → the `General` arm of [`crate::session::Session`]
 //!
 //! | Line | Paper | Code |
 //! |---|---|---|
 //! | 2 | `2^{2k+1}(k+1) ln k` iterations | [`crate::general::iteration_bound`] |
 //! | 3 | random coloring | per-iteration bit draw + 1-bit exchange charge |
 //! | 4 | `Ĝ = (V̂, Ê)` | [`crate::bipartite::SubgraphSpec::from_coloring`] |
-//! | 5 | `Aug(Ĝ, M, 2k-1)` | [`crate::bipartite::aug_until_maximal`] |
+//! | 5 | `Aug(Ĝ, M, 2k-1)` | [`crate::bipartite::aug_until_maximal_cfg`] |
 //! | 6 | `M ← M ⊕ P` | inside the token pass flips |
 //!
-//! ## Algorithm 5 (weighted reduction) → [`crate::weighted::run`]
+//! ## Algorithm 5 (weighted reduction) → the `Weighted` arm of [`crate::session::Session`]
 //!
 //! | Line | Paper | Code |
 //! |---|---|---|
 //! | 2 | `(3/2δ)·ln(2/ε)` iterations | [`crate::weighted::iteration_bound`] |
 //! | 3 | `G' ← (V, E, w_M)` | [`crate::weighted::derived_graph`] |
-//! | 4 | `M' ← δ-MWM(G')` | [`crate::weighted::MwmBox::run`] |
+//! | 4 | `M' ← δ-MWM(G')` | [`crate::weighted::MwmBox::run_cfg`] |
 //! | 5 | `M ← M ⊕ ⋃ wrap(e)` | [`crate::weighted::apply_wraps`] |
 //!
 //! ## Supporting lemmas

@@ -1,10 +1,11 @@
-//! Uniform driver: run any algorithm of the paper (or a baseline) on a
-//! graph and obtain a [`RunReport`] with the matching, the network
+//! The vocabulary of a run: which [`Algorithm`] to run, how
+//! [`TerminationMode`] charges global checks, and the [`RunReport`] a
+//! [`crate::session::Session`] returns — the matching, the network
 //! statistics, and quality metrics against exact or certified bounds.
 
-use crate::{bipartite, general, generic, israeli_itai, weighted};
+use crate::weighted;
 use dgraph::{Graph, Matching};
-use simnet::{ExecCfg, NetStats};
+use simnet::NetStats;
 use std::cell::OnceCell;
 use std::fmt;
 
@@ -192,149 +193,11 @@ pub fn mwm_upper_bound(g: &Graph) -> f64 {
     per_vertex / 2.0
 }
 
-/// Run `alg` on `g`. `sides` must be provided for
-/// [`Algorithm::Bipartite`]. In [`TerminationMode::Honest`], the
-/// measured cost of one distributed convergecast is added per oracle
-/// consultation (connected graphs only).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(alg).seed(seed).termination(termination).build()\
-            .run_to_completion()` (see the crate-docs migration table)"
-)]
-#[allow(deprecated)]
-pub fn run(
-    g: &Graph,
-    sides: Option<&[bool]>,
-    alg: Algorithm,
-    seed: u64,
-    termination: TerminationMode,
-) -> RunReport {
-    run_cfg(g, sides, alg, seed, termination, ExecCfg::default())
-}
-
-/// [`run`] under explicit execution knobs: every network phase of the
-/// chosen algorithm is stepped with `cfg.threads` workers and
-/// `cfg.loss` fault injection. Results are bit-identical across thread
-/// counts (asserted by the `prop_plane` workspace tests) **and**
-/// bit-identical to the equivalent [`crate::session::Session`] run
-/// (asserted by `tests/prop_session.rs`).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(alg).seed(seed).termination(termination).exec(cfg)\
-            .build().run_to_completion()`"
-)]
-#[allow(deprecated)]
-pub fn run_cfg(
-    g: &Graph,
-    sides: Option<&[bool]>,
-    alg: Algorithm,
-    seed: u64,
-    termination: TerminationMode,
-    cfg: ExecCfg,
-) -> RunReport {
-    let (matching, mut stats, oracle_checks) = match alg {
-        Algorithm::IsraeliItai => {
-            let (m, s) =
-                israeli_itai::maximal_matching_from_cfg(g, &Matching::new(g.n()), seed, cfg);
-            // Each 3-round iteration ends with a maximality consult.
-            let checks = s.rounds.div_ceil(3);
-            (m, s, checks)
-        }
-        Algorithm::Generic { k } => {
-            let r = generic::run_cfg(g, k, seed, cfg);
-            let checks = r.phases.iter().map(|p| p.mis_iterations).sum();
-            (r.matching, r.stats, checks)
-        }
-        Algorithm::Bipartite { k } => {
-            let sides = sides.expect("Bipartite algorithm requires sides");
-            let r = bipartite::run_cfg(g, sides, k, seed, cfg);
-            (r.matching, r.stats, r.iterations + k as u64)
-        }
-        Algorithm::General { k, early_stop } => {
-            let opts = general::GeneralOpts {
-                iterations: None,
-                early_stop_after: early_stop,
-            };
-            let r = general::run_with_cfg(g, k, seed, opts, cfg);
-            (r.matching, r.stats, r.iterations)
-        }
-        Algorithm::Weighted { epsilon, mwm_box } => {
-            let r = weighted::run_cfg(g, epsilon, mwm_box, seed, cfg);
-            (r.matching, r.stats, r.iterations)
-        }
-        Algorithm::DeltaMwm { mwm_box } => {
-            let (m, s) = mwm_box.run_cfg(g, seed, cfg);
-            // One global "is the box done" consult.
-            (m, s, 1)
-        }
-    };
-    if termination == TerminationMode::Honest && oracle_checks > 0 && g.n() > 0 {
-        let topo = crate::state::topology_of(g);
-        let (_, agg) = simnet::tree::aggregate(&topo, &vec![0u64; g.n()], simnet::tree::AggOp::Max);
-        for _ in 0..oracle_checks {
-            stats.absorb(&agg);
-        }
-    }
-    RunReport::new(alg.name(), matching, stats, oracle_checks)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
     use dgraph::generators::random::{bipartite_gnp, gnp};
     use dgraph::generators::weights::{apply_weights, WeightModel};
-
-    #[test]
-    fn all_algorithms_produce_valid_matchings() {
-        let g = gnp(24, 0.15, 1);
-        for alg in [
-            Algorithm::IsraeliItai,
-            Algorithm::Generic { k: 2 },
-            Algorithm::General {
-                k: 2,
-                early_stop: Some(15),
-            },
-            Algorithm::Weighted {
-                epsilon: 0.2,
-                mwm_box: weighted::MwmBox::SeqClass,
-            },
-            Algorithm::DeltaMwm {
-                mwm_box: weighted::MwmBox::LocalDominant,
-            },
-        ] {
-            let r = run(&g, None, alg, 7, TerminationMode::Oracle);
-            assert!(r.matching.validate(&g).is_ok(), "{}", r.name);
-            assert!(r.mcm_ratio(&g) > 0.0);
-        }
-    }
-
-    #[test]
-    fn bipartite_through_runner() {
-        let (g, sides) = bipartite_gnp(15, 15, 0.2, 2);
-        let r = run(
-            &g,
-            Some(&sides),
-            Algorithm::Bipartite { k: 3 },
-            5,
-            TerminationMode::Oracle,
-        );
-        assert!(r.mcm_ratio(&g) >= 2.0 / 3.0 - 1e-9);
-    }
-
-    #[test]
-    fn honest_mode_charges_more_rounds() {
-        let g = gnp(20, 0.3, 3); // dense ⇒ connected whp
-        assert_eq!(g.components(), 1, "test needs a connected graph");
-        let alg = Algorithm::General {
-            k: 2,
-            early_stop: Some(10),
-        };
-        let oracle = run(&g, None, alg, 9, TerminationMode::Oracle);
-        let honest = run(&g, None, alg, 9, TerminationMode::Honest);
-        assert!(honest.stats.rounds > oracle.stats.rounds);
-        assert_eq!(honest.matching.size(), oracle.matching.size());
-    }
 
     #[test]
     fn upper_bound_dominates_exact() {

@@ -1,8 +1,8 @@
 //! # The unified `Session` driver
 //!
-//! One builder-first surface for every algorithm of the paper, replacing
-//! the `run` / `run_cfg` / `run_from` / `run_phased` / `run_with` matrix
-//! of free functions that used to multiply with every new knob:
+//! The one builder-first surface that runs every algorithm of the
+//! paper, whatever the knobs (execution config, termination charging,
+//! warm start, observers):
 //!
 //! ```
 //! use dgraph::generators::random::gnp;
@@ -41,10 +41,10 @@
 //! repair. `dchurn::DynEngine` drives its generic arm through this
 //! path.
 //!
-//! Every legacy free function is now a thin `#[deprecated]` shim over
-//! the same per-phase primitives; `tests/prop_session.rs` asserts shim
-//! and session runs are bit-identical (matching *and* the full
-//! `NetStats` trace, including every per-round row).
+//! Each driver arm is the only implementation of its algorithm's phase
+//! loop, built on the per-phase primitives of the algorithm modules;
+//! `tests/prop_session.rs` pins every arm's outputs (matching, rounds,
+//! messages, bits, oracle checks) to a golden table.
 
 use crate::runner::{Algorithm, RunReport, TerminationMode};
 use crate::weighted::MwmBox;
@@ -339,29 +339,24 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Execution knobs: worker threads, fault injection, scheduler.
+    /// Execution knobs: worker threads, scheduler, and fault injection —
+    /// the adversary plan lives in [`ExecCfg::faults`], so
+    /// `.exec(cfg.with_faults(plan))` runs every simulated round through
+    /// the adversary plane (drops, delays, stalls, crashes, CONGEST
+    /// budgets — see `simnet::adversary`). Same seed + same plan ⇒
+    /// bit-identical runs at any thread count.
     pub fn exec(mut self, cfg: ExecCfg) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Run every simulated round through the adversary plane under
-    /// `plan` (drops, delays, stalls, crashes, CONGEST budgets — see
-    /// `simnet::adversary`). Equivalent to setting [`ExecCfg::faults`]
-    /// on the config passed to [`SessionBuilder::exec`]; call this
-    /// *after* `exec` or the config overwrite discards the plan. Same
-    /// seed + same plan ⇒ bit-identical runs at any thread count.
-    pub fn adversary(mut self, plan: simnet::FaultPlan) -> Self {
-        self.cfg.faults = plan;
         self
     }
 
     /// Cap the simulation at exactly `rounds` rounds and extract the
     /// *agreed* matching (pairs in which both endpoints claim each
     /// other) instead of running to quiescence. Only meaningful for
-    /// [`Algorithm::IsraeliItai`], whose fixed-budget lossy regime the
-    /// old `lossy_matching` helper exposed; `build` panics for other
-    /// algorithms.
+    /// [`Algorithm::IsraeliItai`]: fault-free, a short cap is the
+    /// constant-round truncated regime (experiment E14); under a drop
+    /// plan, it is the fixed-budget lossy regime. `build` panics for
+    /// other algorithms.
     pub fn round_limit(mut self, rounds: u64) -> Self {
         self.round_limit = Some(rounds);
         self
@@ -505,9 +500,9 @@ enum Status {
     Aborted,
 }
 
-/// Per-algorithm phase cursor. Every arm replays the exact loop (and
-/// seed derivations) of the corresponding legacy entry point, via the
-/// shared per-phase primitives of the algorithm modules.
+/// Per-algorithm phase cursor: each arm is its algorithm's phase loop
+/// (schedule and per-phase seed derivations), stepping the per-phase
+/// primitives of the algorithm modules.
 enum Driver {
     IsraeliItai {
         done: bool,
@@ -671,25 +666,8 @@ impl Session {
                 if *done {
                     None
                 } else {
-                    // Any active fault plan (even pure drop: a lost
-                    // Accept leaves a one-sided mate claim) invalidates
-                    // run-until-halt termination and symmetric-claim
-                    // extraction; run a bounded window and keep the
-                    // agreed pairs instead. Fault-free runs stay on the
-                    // legacy path and are bit-identical to before.
-                    let plan = self.cfg.effective_faults();
-                    let (m, s) = if self.round_limit.is_some() || plan.is_active() {
-                        let rounds = self
-                            .round_limit
-                            .unwrap_or_else(|| israeli_itai::round_budget(self.g.n()));
-                        israeli_itai::bounded_matching_from_cfg(
-                            &self.g, &self.m, epoch_seed, self.cfg, rounds,
-                        )
-                    } else {
-                        israeli_itai::maximal_matching_from_cfg(
-                            &self.g, &self.m, epoch_seed, self.cfg,
-                        )
-                    };
+                    let (m, s) =
+                        israeli_itai::run(&self.g, &self.m, epoch_seed, self.cfg, self.round_limit);
                     // Each 3-round iteration ends with a maximality
                     // consult.
                     self.oracle_checks += s.rounds.div_ceil(3);
@@ -886,8 +864,8 @@ impl Session {
     }
 
     /// Step until the epoch completes (or an observer aborts) and
-    /// return the [`RunReport`] — bit-identical, shims included, to the
-    /// legacy `runner::run_cfg` for the same configuration.
+    /// return the [`RunReport`] — bit-identical to stepping the same
+    /// configuration phase by phase.
     pub fn run_to_completion(&mut self) -> RunReport {
         while let Phase::Ran(_) = self.step() {}
         self.report()
@@ -917,6 +895,15 @@ impl Session {
     /// and `Generic { k }` (damage-local repair: all gathering traffic
     /// stays inside `B(damage, 4k+2)`, the invariant the dynamic-engine
     /// experiments measure). Panics for the cold-start algorithms.
+    ///
+    /// Why the Generic repair may stay local: `damage` holds the
+    /// endpoints of inserted edges and of destroyed *matched* edges
+    /// (removing an unmatched edge only destroys augmenting paths).
+    /// Every augmenting path of length `≤ 2k-1` in the new instance
+    /// touches `damage` — the previous epoch left none elsewhere — and
+    /// all vertices such a path visits, or whose matched status later
+    /// changes, stay within distance `O(k)` of it. An empty damage set
+    /// keeps the previous guarantee, so that epoch is free.
     pub fn resume_after_rewire(&mut self, patch: RewirePatch) {
         assert!(
             self.status == Status::Done,
@@ -984,7 +971,7 @@ impl Session {
         if let Algorithm::Bipartite { k } = self.alg {
             if !self.finish_bumped {
                 // The phase schedule itself consults the oracle once
-                // per phase (matching the legacy accounting).
+                // per phase.
                 self.oracle_checks += k as u64;
                 self.finish_bumped = true;
             }

@@ -54,46 +54,43 @@ pub fn node_inits(g: &Graph, m: &Matching) -> Vec<NodeInit> {
         .collect()
 }
 
-/// Extract the matching from per-node mate reports, validating
-/// symmetry. `mates[v]` is what node `v` believes its mate is.
-pub fn matching_from_mates(g: &Graph, mates: Vec<NodeId>) -> Matching {
+/// Extract the matching a protocol run left behind from its per-node
+/// mate ports (`mate_ports` yields, in node order, the port each node
+/// believes leads to its mate).
+///
+/// With `agreed == false` the claims must already be symmetric — the
+/// fault-free contract of every protocol here (debug-asserted). With
+/// `agreed == true`, possibly *inconsistent* claims (fault injection
+/// can leave one-sided ones) are tolerated: only pairs in which both
+/// endpoints claim each other are kept, which always yields a valid
+/// matching.
+pub(crate) fn matching_from_ports(
+    g: &Graph,
+    mate_ports: impl IntoIterator<Item = Option<usize>>,
+    agreed: bool,
+) -> Matching {
+    let mut mates: Vec<NodeId> = mate_ports
+        .into_iter()
+        .enumerate()
+        .map(|(v, port)| port.map_or(UNMATCHED, |p| g.incident(v as NodeId)[p].0))
+        .collect();
+    if agreed {
+        // Clearing in place is sound: an entry is cleared only when its
+        // target does not claim it back, so no reciprocated pair ever
+        // reads a cleared entry.
+        for v in 0..mates.len() {
+            let c = mates[v];
+            if c != UNMATCHED && mates[c as usize] != v as NodeId {
+                mates[v] = UNMATCHED;
+            }
+        }
+    }
     let m = Matching::from_mates(mates);
     debug_assert!(
         m.validate(g).is_ok(),
         "protocol produced an invalid matching"
     );
     m
-}
-
-/// Helper for protocols that track mates as ports: convert a port-based
-/// mate report into node ids.
-pub fn mates_from_ports(g: &Graph, mate_ports: &[Option<usize>]) -> Vec<NodeId> {
-    mate_ports
-        .iter()
-        .enumerate()
-        .map(|(v, &mp)| match mp {
-            Some(p) => g.incident(v as NodeId)[p].0,
-            None => UNMATCHED,
-        })
-        .collect()
-}
-
-/// Build a matching from possibly *inconsistent* mate claims (e.g.
-/// after fault injection): only pairs in which both endpoints claim
-/// each other are kept. Always yields a valid matching.
-pub fn agreed_matching(g: &Graph, claims: &[NodeId]) -> Matching {
-    let mut mates = vec![UNMATCHED; g.n()];
-    for v in 0..g.n() {
-        let c = claims[v];
-        if c != UNMATCHED
-            && (c as usize) < g.n()
-            && claims[c as usize] == v as NodeId
-            && g.edge_between(v as NodeId, c).is_some()
-        {
-            mates[v] = c;
-        }
-    }
-    Matching::from_mates(mates)
 }
 
 #[cfg(test)]
@@ -129,17 +126,15 @@ mod tests {
     fn roundtrip_mates() {
         let g = path(4);
         let m = Matching::from_edges(&g, &[0, 2]);
-        let ports: Vec<Option<usize>> = (0..4u32)
-            .map(|v| {
-                m.mate(v).map(|mv| {
-                    g.incident(v)
-                        .binary_search_by_key(&mv, |&(nb, _)| nb)
-                        .unwrap()
-                })
-            })
-            .collect();
-        let mates = mates_from_ports(&g, &ports);
-        let m2 = matching_from_mates(&g, mates);
-        assert_eq!(m, m2);
+        let ports = node_inits(&g, &m).into_iter().map(|i| i.mate_port);
+        assert_eq!(matching_from_ports(&g, ports.clone(), false), m);
+        assert_eq!(matching_from_ports(&g, ports, true), m);
+        // One-sided claims: 1 → 2 is not reciprocated (2 claims 3, and
+        // 3 claims 2 back), so only the pair (2, 3) survives agreement.
+        let claims = [None, Some(1), Some(1), Some(0)];
+        assert_eq!(
+            matching_from_ports(&g, claims, true),
+            Matching::from_edges(&g, &[2])
+        );
     }
 }

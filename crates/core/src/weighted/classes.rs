@@ -18,34 +18,16 @@
 //! **Cost:** `O(log n)` classes × `O(log n)` rounds per maximal
 //! matching = `O(log² n)` rounds with `O(1)`-bit messages. The real
 //! \[18\] achieves `O(log n)` by running classes concurrently; the
-//! parallel variant here ([`run_parallel`]) does the same by batching
-//! per-class messages (message size grows to `O(log n)` tags), which is
-//! the ablation of experiment E5b.
+//! parallel variant here ([`MwmBox::ParClass`](super::MwmBox::ParClass))
+//! does the same by batching per-class messages (message size grows to
+//! `O(log n)` tags), which is the ablation of experiment E5b.
+//!
+//! Each class instance is [`israeli_itai::run`] from the empty matching,
+//! so under an active fault plan it keeps only agreed pairs.
 
 use crate::israeli_itai;
 use dgraph::{EdgeId, Graph, Matching};
 use simnet::{ExecCfg, NetStats};
-
-/// The per-class maximal-matching primitive (empty warm start). Under
-/// any active fault plan the run-until-halt and symmetric-claim
-/// contracts no longer hold (a dropped `Accept` leaves a one-sided
-/// mate), so the class instance runs to Israeli–Itai's fixed round
-/// budget and keeps the agreed pairs — the same dispatch as the session
-/// driver.
-fn class_maximal(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
-    let empty = Matching::new(g.n());
-    if cfg.effective_faults().is_active() {
-        israeli_itai::bounded_matching_from_cfg(
-            g,
-            &empty,
-            seed,
-            cfg,
-            israeli_itai::round_budget(g.n()),
-        )
-    } else {
-        israeli_itai::maximal_matching_from_cfg(g, &empty, seed, cfg)
-    }
-}
 
 /// Number of retained classes for a graph on `n` nodes: weights below
 /// `W/n³` cannot matter (see module docs).
@@ -71,11 +53,6 @@ pub fn class_of(w: f64, wmax: f64, classes: u32) -> Option<u32> {
 
 /// Sequential-class δ-MWM (δ = ¼ up to the dropped tail): heaviest
 /// class first, Israeli–Itai maximal matching per class.
-pub fn run(g: &Graph, seed: u64) -> (Matching, NetStats) {
-    run_cfg(g, seed, ExecCfg::default())
-}
-
-/// [`run`] under explicit execution knobs.
 pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
     let mut stats = NetStats::default();
     let mut m = Matching::new(g.n());
@@ -95,7 +72,8 @@ pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
         if sub.m() == 0 {
             continue;
         }
-        let (cm, cstats) = class_maximal(&sub, seed.wrapping_add(j as u64), cfg);
+        let seed_j = seed.wrapping_add(j as u64);
+        let (cm, cstats) = israeli_itai::run(&sub, &Matching::new(sub.n()), seed_j, cfg, None);
         stats.absorb(&cstats);
         for e in cm.edge_ids(&sub) {
             m.add(g, back[e as usize]);
@@ -104,33 +82,15 @@ pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
     (m, stats)
 }
 
-/// Parallel-class variant: all classes run their Israeli–Itai instances
-/// concurrently; conflicts between classes are resolved by keeping, at
-/// every vertex, only the heaviest-class matched edge (both endpoints
-/// must agree). Fewer rounds, larger (batched) messages; the measured δ
-/// is compared against the sequential variant in E5b.
-#[deprecated(
-    since = "0.1.0",
-    note = "route through `MwmBox::ParClass` (e.g. \
-            `Session::on(g).algorithm(Algorithm::DeltaMwm { mwm_box: MwmBox::ParClass })`), \
-            which threads the session's `ExecCfg` into every per-class network"
-)]
-#[allow(deprecated)]
-pub fn run_parallel(g: &Graph, seed: u64) -> (Matching, NetStats) {
-    run_parallel_cfg(g, seed, ExecCfg::default())
-}
-
-/// [`run_parallel`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "route through `MwmBox::ParClass` with a session/`MwmBox::run_cfg` `ExecCfg`"
-)]
-pub fn run_parallel_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
-    run_parallel_inner(g, seed, cfg)
-}
-
-/// The [`MwmBox::ParClass`](crate::weighted::MwmBox) implementation:
-/// every per-class Israeli–Itai network runs under the *caller's*
+/// Parallel-class variant — the
+/// [`MwmBox::ParClass`](super::MwmBox::ParClass) box: all classes run
+/// their Israeli–Itai instances concurrently; conflicts between
+/// classes are resolved by keeping, at every vertex, only the
+/// heaviest-class matched edge (both endpoints must agree). Fewer
+/// rounds, larger (batched) messages; the measured δ is compared
+/// against the sequential variant in E5b.
+///
+/// Every per-class Israeli–Itai network runs under the *caller's*
 /// [`ExecCfg`] (scheduler mode, worker threads, fault injection) — no
 /// thread choice is hard-coded here, and results are bit-identical
 /// across `cfg.threads` like every other entry point (asserted by
@@ -153,7 +113,8 @@ pub(crate) fn run_parallel_inner(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matchin
         if sub.m() == 0 {
             continue;
         }
-        let (cm, cstats) = class_maximal(&sub, seed.wrapping_add(999 + j as u64), cfg);
+        let seed_j = seed.wrapping_add(999 + j as u64);
+        let (cm, cstats) = israeli_itai::run(&sub, &Matching::new(sub.n()), seed_j, cfg, None);
         max_rounds = max_rounds.max(cstats.rounds);
         let tag_bits = simnet::id_bits(classes as usize);
         stats.record_messages(cstats.messages, 2 + tag_bits);
@@ -194,7 +155,6 @@ pub(crate) fn run_parallel_inner(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matchin
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
     use dgraph::generators::random::gnp;
@@ -218,7 +178,7 @@ mod tests {
     fn quarter_approximation_sequential() {
         for seed in 0..8 {
             let g = apply_weights(&gnp(14, 0.3, seed), WeightModel::Exponential(2.0), seed + 3);
-            let (m, _) = run(&g, seed);
+            let (m, _) = run_cfg(&g, seed, ExecCfg::default());
             assert!(m.validate(&g).is_ok());
             let opt = max_weight_exact(&g);
             assert!(
@@ -241,7 +201,7 @@ mod tests {
                 },
                 seed,
             );
-            let (m, _) = run_parallel(&g, seed);
+            let (m, _) = run_parallel_inner(&g, seed, ExecCfg::default());
             assert!(m.validate(&g).is_ok());
             let opt = max_weight_exact(&g);
             // The prune step can lose another factor ~2 vs sequential.
@@ -258,14 +218,14 @@ mod tests {
     fn heavy_tail_prefers_heavy_edges() {
         // One huge edge must always be matched (class 0 goes first).
         let g = Graph::with_weights(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.0, 1000.0, 1.0]);
-        let (m, _) = run(&g, 0);
+        let (m, _) = run_cfg(&g, 0, ExecCfg::default());
         assert!(m.contains(&g, 1));
     }
 
     #[test]
     fn unit_weights_collapse_to_single_class() {
         let g = gnp(20, 0.2, 5);
-        let (m, _) = run(&g, 1);
+        let (m, _) = run_cfg(&g, 1, ExecCfg::default());
         assert!(m.is_maximal(&g), "single class ⇒ plain maximal matching");
     }
 
@@ -279,8 +239,8 @@ mod tests {
             },
             2,
         );
-        let (_, s_seq) = run(&g, 3);
-        let (_, s_par) = run_parallel(&g, 3);
+        let (_, s_seq) = run_cfg(&g, 3, ExecCfg::default());
+        let (_, s_par) = run_parallel_inner(&g, 3, ExecCfg::default());
         assert!(
             s_par.rounds <= s_seq.rounds,
             "parallel {} vs sequential {}",
@@ -292,7 +252,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = Graph::new(3, vec![]);
-        assert_eq!(run(&g, 0).0.size(), 0);
-        assert_eq!(run_parallel(&g, 0).0.size(), 0);
+        assert_eq!(run_cfg(&g, 0, ExecCfg::default()).0.size(), 0);
+        assert_eq!(run_parallel_inner(&g, 0, ExecCfg::default()).0.size(), 0);
     }
 }

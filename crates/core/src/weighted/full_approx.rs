@@ -26,7 +26,7 @@
 
 use dgraph::waug::{self, Augmentation};
 use dgraph::{Graph, Matching};
-use simnet::NetStats;
+use simnet::{ExecCfg, NetStats};
 
 /// Outcome of the `(1-ε)`-MWM algorithm.
 #[derive(Debug)]
@@ -67,7 +67,14 @@ pub fn run(g: &Graph, k: usize, delta: f64, _seed: u64) -> FullApproxRun {
         // The Algorithm-2 ball gathering that makes every augmentation
         // (and its conflicts) locally visible — executed with real
         // messages, exactly like Theorem 3.1's phases.
-        let (_views, gstats) = crate::generic::gather_balls(g, &m, 2 * ell, _seed.wrapping_add(it));
+        let (_views, gstats) = crate::generic::gather_balls_region(
+            g,
+            &m,
+            2 * ell,
+            _seed.wrapping_add(it),
+            ExecCfg::default(),
+            None,
+        );
         stats.absorb(&gstats);
         let augs = waug::enumerate_augmentations(g, &m, k);
         if augs.is_empty() {

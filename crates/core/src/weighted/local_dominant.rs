@@ -10,7 +10,7 @@
 //! One iteration spans two rounds: point, then resolve-and-announce.
 
 use crate::state::{self, NodeInit};
-use dgraph::{Graph, Matching, NodeId, UNMATCHED};
+use dgraph::{Graph, Matching};
 use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol};
 
 /// Wire messages.
@@ -132,20 +132,10 @@ pub fn round_budget(n: usize) -> u64 {
     2 * (2 * n as u64 + 16)
 }
 
-/// Run local-dominant matching from `initial` (empty for the classic
-/// algorithm). Returns a maximal-by-weight ½-MWM.
-pub fn run_from(g: &Graph, initial: &Matching, seed: u64) -> (Matching, NetStats) {
-    run_from_cfg(g, initial, seed, ExecCfg::default())
-}
-
-/// [`run_from`] under explicit execution knobs.
-pub fn run_from_cfg(
-    g: &Graph,
-    initial: &Matching,
-    seed: u64,
-    cfg: ExecCfg,
-) -> (Matching, NetStats) {
-    let inits = state::node_inits(g, initial);
+/// Run local-dominant matching under `cfg`. Returns a maximal-by-weight
+/// ½-MWM.
+pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
+    let inits = state::node_inits(g, &Matching::new(g.n()));
     let nodes: Vec<LdNode> = inits.iter().map(LdNode::new).collect();
     let mut net = Network::new(state::topology_of(g), nodes, seed).with_cfg(cfg);
     // Any active fault plan can break the mutual-pointing handshake: a
@@ -153,36 +143,15 @@ pub fn run_from_cfg(
     // dropped one-shot `Matched` announcement leaves a neighbor pointing
     // forever (so the network may never halt). Run to the fixed round
     // budget and keep only mutually-agreed pairs.
-    let faulty = cfg.effective_faults().is_active();
+    let faulty = cfg.faults.is_active();
     if faulty {
         net.run_rounds(round_budget(g.n()));
     } else {
         net.run_until_halt(round_budget(g.n()));
     }
     let (nodes, stats) = net.into_parts();
-    let mates: Vec<NodeId> = nodes
-        .iter()
-        .enumerate()
-        .map(|(v, s)| match s.mate_port {
-            Some(p) => g.incident(v as NodeId)[p].0,
-            None => UNMATCHED,
-        })
-        .collect();
-    if faulty {
-        (state::agreed_matching(g, &mates), stats)
-    } else {
-        (state::matching_from_mates(g, mates), stats)
-    }
-}
-
-/// Local-dominant matching from scratch.
-pub fn run(g: &Graph, seed: u64) -> (Matching, NetStats) {
-    run_from(g, &Matching::new(g.n()), seed)
-}
-
-/// [`run`] under explicit execution knobs.
-pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
-    run_from_cfg(g, &Matching::new(g.n()), seed, cfg)
+    let m = state::matching_from_ports(g, nodes.iter().map(|s| s.mate_port), faulty);
+    (m, stats)
 }
 
 #[cfg(test)]
@@ -191,6 +160,7 @@ mod tests {
     use dgraph::generators::random::gnp;
     use dgraph::generators::weights::{apply_weights, WeightModel};
     use dgraph::mwm_exact::max_weight_exact;
+    use dgraph::NodeId;
 
     #[test]
     fn half_approximation_on_random_weighted_graphs() {
@@ -200,7 +170,7 @@ mod tests {
                 WeightModel::Uniform(0.5, 5.0),
                 seed + 9,
             );
-            let (m, _) = run(&g, seed);
+            let (m, _) = run_cfg(&g, seed, ExecCfg::default());
             assert!(m.validate(&g).is_ok());
             let opt = max_weight_exact(&g);
             assert!(
@@ -220,7 +190,7 @@ mod tests {
                 WeightModel::Exponential(1.0),
                 seed,
             );
-            let (m, _) = run(&g, seed);
+            let (m, _) = run_cfg(&g, seed, ExecCfg::default());
             assert!(m.is_maximal(&g), "seed {seed}");
         }
     }
@@ -228,7 +198,7 @@ mod tests {
     #[test]
     fn takes_globally_heaviest_edge() {
         let g = Graph::with_weights(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.0, 10.0, 1.0]);
-        let (m, _) = run(&g, 0);
+        let (m, _) = run_cfg(&g, 0, ExecCfg::default());
         assert!(
             m.contains(&g, 1),
             "heaviest edge is always locally dominant"
@@ -246,7 +216,7 @@ mod tests {
             (0..n - 1).map(|i| (i as NodeId, i as NodeId + 1)).collect();
         let weights: Vec<f64> = (0..n - 1).map(|i| (i + 1) as f64).collect();
         let g = Graph::with_weights(n, edges, weights);
-        let (m, stats) = run(&g, 3);
+        let (m, stats) = run_cfg(&g, 3, ExecCfg::default());
         assert!(m.validate(&g).is_ok());
         // Every second edge from the heavy end.
         assert!(m.weight(&g) >= 0.5 * max_weight_exact_for_path(&g));
@@ -265,15 +235,15 @@ mod tests {
     #[test]
     fn deterministic_result() {
         let g = apply_weights(&gnp(16, 0.3, 7), WeightModel::Integer(1, 50), 8);
-        let (m1, _) = run(&g, 1);
-        let (m2, _) = run(&g, 2); // seed-independent: algorithm is deterministic
+        let (m1, _) = run_cfg(&g, 1, ExecCfg::default());
+        let (m2, _) = run_cfg(&g, 2, ExecCfg::default()); // seed-independent: algorithm is deterministic
         assert_eq!(m1, m2);
     }
 
     #[test]
     fn unit_weights_give_maximal_matching() {
         let g = gnp(20, 0.2, 11);
-        let (m, _) = run(&g, 4);
+        let (m, _) = run_cfg(&g, 4, ExecCfg::default());
         assert!(m.is_maximal(&g));
     }
 }

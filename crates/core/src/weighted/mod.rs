@@ -21,6 +21,20 @@
 //! node announces its matched weight (so both endpoints of every edge
 //! can evaluate `w_M` locally), the black box itself, and two rounds to
 //! apply the wraps; all charged.
+//!
+//! ```
+//! use dgraph::generators::{random::gnp, weights::{apply_weights, WeightModel}};
+//! use dmatch::weighted::MwmBox;
+//! use dmatch::{Algorithm, Session};
+//! let g = apply_weights(&gnp(14, 0.3, 1), WeightModel::Integer(1, 9), 2);
+//! let r = Session::on(&g)
+//!     .algorithm(Algorithm::Weighted { epsilon: 0.1, mwm_box: MwmBox::SeqClass })
+//!     .seed(3)
+//!     .build()
+//!     .run_to_completion();
+//! let opt = dgraph::mwm_exact::max_weight_exact(&g);
+//! assert!(r.matching.weight(&g) >= (0.5 - 0.1) * opt);
+//! ```
 
 pub mod classes;
 pub mod full_approx;
@@ -52,12 +66,7 @@ impl MwmBox {
         }
     }
 
-    /// Run the box on `g` (weights already derived).
-    pub fn run(self, g: &Graph, seed: u64) -> (Matching, NetStats) {
-        self.run_cfg(g, seed, ExecCfg::default())
-    }
-
-    /// [`MwmBox::run`] under explicit execution knobs.
+    /// Run the box on `g` (weights already derived) under `cfg`.
     pub fn run_cfg(self, g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
         match self {
             MwmBox::SeqClass => classes::run_cfg(g, seed, cfg),
@@ -140,44 +149,10 @@ pub fn iteration_bound(delta: f64, epsilon: f64) -> u64 {
     ((3.0 / (2.0 * delta)) * (2.0 / epsilon).ln()).ceil() as u64
 }
 
-/// Outcome of Algorithm 5.
-#[derive(Debug)]
-pub struct WeightedRun {
-    /// Final matching: `(½-ε)`-MWM.
-    pub matching: Matching,
-    /// Iterations executed.
-    pub iterations: u64,
-    /// Weight trajectory after each iteration (for E5's convergence
-    /// curve; Lemma 4.3 predicts `w(M_i) ≥ ½(1-e^{-2δi/3})·w(M*)`).
-    pub weights: Vec<f64>,
-    /// Accumulated statistics.
-    pub stats: NetStats,
-}
-
-/// Run Algorithm 5 on weighted `g` with the chosen black box.
-///
-/// ```
-/// use dgraph::generators::{random::gnp, weights::{apply_weights, WeightModel}};
-/// let g = apply_weights(&gnp(14, 0.3, 1), WeightModel::Integer(1, 9), 2);
-/// #[allow(deprecated)]
-/// let r = dmatch::weighted::run(&g, 0.1, dmatch::weighted::MwmBox::SeqClass, 3);
-/// let opt = dgraph::mwm_exact::max_weight_exact(&g);
-/// assert!(r.matching.weight(&g) >= (0.5 - 0.1) * opt);
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Weighted { epsilon, mwm_box })`"
-)]
-#[allow(deprecated)]
-pub fn run(g: &Graph, epsilon: f64, mwm_box: MwmBox, seed: u64) -> WeightedRun {
-    run_cfg(g, epsilon, mwm_box, seed, ExecCfg::default())
-}
-
 /// One iteration of Algorithm 5 (Lines 3–5): announce matched weights,
-/// run the black box on the derived graph, apply the wraps — the single
-/// source of truth shared by [`run_cfg`]'s loop and the stepwise
-/// `dmatch::session` driver (both must derive the per-iteration seed as
-/// `seed + it·0x5EED` for bit-identity).
+/// run the black box on the derived graph (seeded `seed + it·0x5EED`),
+/// apply the wraps — the unit the `dmatch::session` Weighted driver
+/// steps.
 pub(crate) fn iteration(
     g: &Graph,
     m: &mut Matching,
@@ -213,37 +188,22 @@ pub(crate) fn iteration(
     stats.record_round(0);
 }
 
-/// [`run`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Weighted { epsilon, mwm_box }).exec(cfg)`; \
-            the weight trajectory comes from the `ConvergenceCurve` observer"
-)]
-pub fn run_cfg(g: &Graph, epsilon: f64, mwm_box: MwmBox, seed: u64, cfg: ExecCfg) -> WeightedRun {
-    let delta = mwm_box.nominal_delta();
-    let iters = iteration_bound(delta, epsilon);
-    let mut m = Matching::new(g.n());
-    let mut stats = NetStats::default();
-    let mut weights = Vec::with_capacity(iters as usize);
-    for it in 0..iters {
-        iteration(g, &mut m, mwm_box, it, seed, cfg, &mut stats);
-        weights.push(m.weight(g));
-    }
-    WeightedRun {
-        matching: m,
-        iterations: iters,
-        weights,
-        stats,
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::{Algorithm, ConvergenceCurve, RunReport, Session};
     use dgraph::generators::random::{bipartite_gnp, gnp};
     use dgraph::generators::weights::{apply_weights, WeightModel};
     use dgraph::mwm_exact::max_weight_exact;
+
+    fn run(g: &Graph, epsilon: f64, mwm_box: MwmBox, seed: u64) -> RunReport {
+        let alg = Algorithm::Weighted { epsilon, mwm_box };
+        Session::on(g)
+            .algorithm(alg)
+            .seed(seed)
+            .build()
+            .run_to_completion()
+    }
 
     /// The worked example of Figure 2 (middle panel): verify that
     /// `w(M'') ≥ w(M) + w_M(M')` on a concrete instance.
@@ -332,13 +292,22 @@ mod tests {
     #[test]
     fn weight_trajectory_is_monotone() {
         let g = apply_weights(&gnp(20, 0.2, 3), WeightModel::Integer(1, 20), 4);
-        let r = run(&g, 0.1, MwmBox::SeqClass, 8);
-        for w in r.weights.windows(2) {
+        let curve = ConvergenceCurve::new();
+        Session::on(&g)
+            .algorithm(Algorithm::Weighted {
+                epsilon: 0.1,
+                mwm_box: MwmBox::SeqClass,
+            })
+            .seed(8)
+            .observe(curve.clone())
+            .build()
+            .run_to_completion();
+        for w in curve.points().windows(2) {
             assert!(
-                w[1] >= w[0] - 1e-9,
+                w[1].weight >= w[0].weight - 1e-9,
                 "weight decreased: {} -> {}",
-                w[0],
-                w[1]
+                w[0].weight,
+                w[1].weight
             );
         }
     }

@@ -5,9 +5,10 @@
 use dgraph::generators::random::{bipartite_gnp, gnp};
 use dgraph::generators::weights::{apply_weights, WeightModel};
 use dgraph::Matching;
-use dmatch::bipartite::{aug_until_maximal, count, SubgraphSpec};
+use dmatch::bipartite::{aug_until_maximal_cfg, count, SubgraphSpec};
 use dmatch::weighted::MwmBox;
 use dmatch::{Algorithm, Session};
+use simnet::ExecCfg;
 
 #[test]
 fn aug_applies_exactly_the_shortfall_on_simple_instances() {
@@ -31,8 +32,8 @@ fn counting_pass_is_idempotent_and_side_effect_free() {
     let (g, sides) = bipartite_gnp(10, 10, 0.3, 3);
     let spec = SubgraphSpec::full_bipartite(&g, &sides);
     let m = dgraph::greedy::greedy_maximal(&g);
-    let a = count::run(&g, &m, &spec, 5, 1);
-    let b = count::run(&g, &m, &spec, 5, 1);
+    let a = count::run_cfg(&g, &m, &spec, 5, 1, ExecCfg::default());
+    let b = count::run_cfg(&g, &m, &spec, 5, 1, ExecCfg::default());
     assert_eq!(a.dist, b.dist);
     assert_eq!(a.total, b.total);
     assert_eq!(a.leaders, b.leaders);
@@ -50,7 +51,7 @@ fn aug_until_maximal_monotone_in_ell() {
         let m0 = Matching::new(g.n());
         let mut last = 0usize;
         for ell in [1usize, 3, 5, 7] {
-            let out = aug_until_maximal(&g, &m0, &spec, ell, seed);
+            let out = aug_until_maximal_cfg(&g, &m0, &spec, ell, seed, ExecCfg::default());
             assert!(out.matching.size() >= last, "seed {seed}, ℓ={ell}");
             last = out.matching.size();
         }
@@ -68,7 +69,7 @@ fn subgraph_augmentations_never_touch_out_nodes() {
             .map(|v| (v * 7 + seed as usize).is_multiple_of(3))
             .collect();
         let spec = SubgraphSpec::from_coloring(&g, &m, &colors);
-        let out = aug_until_maximal(&g, &m, &spec, 3, seed);
+        let out = aug_until_maximal_cfg(&g, &m, &spec, 3, seed, ExecCfg::default());
         for v in 0..g.n() as u32 {
             if let Some(w) = m.mate(v) {
                 if colors[v as usize] == colors[w as usize] {

@@ -29,9 +29,10 @@
 //!
 //! Two repair algorithms are provided: an incremental Israeli–Itai
 //! ([`repair::RepairNode`], maximal ⇒ ½-MCM after every epoch) and the
-//! warm-started generic `(1-1/(k+1))`-MCM
-//! ([`dmatch::generic::repair`]). Both are bit-identical across worker
-//! thread counts, like every other protocol in the workspace.
+//! warm-started generic `(1-1/(k+1))`-MCM (a [`dmatch::Session`] that
+//! repairs through [`dmatch::Session::resume_after_rewire`]). Both are
+//! bit-identical across worker thread counts, like every other protocol
+//! in the workspace.
 //!
 //! ```
 //! use dchurn::{ChurnModel, DynEngine, RepairAlgo};

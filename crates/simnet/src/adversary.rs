@@ -2,14 +2,12 @@
 //!
 //! Every delivery in a [`crate::Network`] passes through one
 //! `Adversary` (crate-internal), configured by a single composable
-//! [`FaultPlan`]. The
-//! plan subsumes the three fault paths that previously lived in
-//! disconnected corners of the workspace — `ExecCfg::loss` (uniform
-//! Bernoulli drop), `israeli_itai::lossy_matching` (a bespoke lossy
-//! runner), and `switchsim::FailurePlan` (two-state Markov link flaps)
-//! — and extends them with bounded per-message delay, per-round partial
-//! delivery, crash-stop node faults with optional rejoin, and CONGEST
-//! bit-budget enforcement.
+//! [`FaultPlan`] — the workspace's one way to inject faults, installed
+//! through `ExecCfg::faults` (or [`crate::Network::with_faults`]). The
+//! plan covers uniform Bernoulli drop, two-state Markov link flaps (the
+//! model of `switchsim::FailurePlan`), bounded per-message delay,
+//! per-round partial delivery, crash-stop node faults with optional
+//! rejoin, and CONGEST bit-budget enforcement.
 //!
 //! ## Determinism contract
 //!
@@ -29,9 +27,9 @@
 //!   (derived from the master seed at reserved ids), and a stream is
 //!   consumed only when its fault class is enabled — so composing a
 //!   new fault class never perturbs the draws of another, and a plan
-//!   that only drops messages consumes the drop stream exactly as the
-//!   legacy `ExecCfg::loss` path did (bit-for-bit reproduction of old
-//!   lossy runs);
+//!   that only drops messages consumes nothing but the drop stream,
+//!   whose frozen id predates the plane (so lossy runs recorded before
+//!   it still reproduce bit-for-bit);
 //! * crash/rejoin events are **pre-sampled** at plan installation
 //!   (geometric first-crash rounds from one dedicated stream) and
 //!   applied at the top of each round, before any node is stepped;
@@ -207,9 +205,9 @@ impl FaultPlan {
         congest: CongestMode::Degrade,
     };
 
-    /// Uniform Bernoulli message drop with probability `p` — the plan
-    /// `ExecCfg::loss` and the deprecated `lossy_matching` route
-    /// through.
+    /// Uniform Bernoulli message drop with probability `p`: every
+    /// message is dropped independently *after* being charged to the
+    /// statistics (the sender paid for it).
     pub fn drop(p: f64) -> FaultPlan {
         FaultPlan::NONE.with_drop(p)
     }

@@ -346,14 +346,9 @@ pub struct ExecCfg {
     /// workers (down to none) when the measured workload would not pay
     /// for them. Results are bit-identical regardless of the value.
     pub threads: usize,
-    /// Message-loss probability (0.0 = reliable). Kept as the
-    /// historical shorthand for a uniform-drop plan: a nonzero value
-    /// overrides the drop probability of [`ExecCfg::faults`] (see
-    /// [`ExecCfg::effective_faults`]), and the drop decisions are
-    /// bit-identical to the pre-adversary loss path.
-    pub loss: f64,
-    /// The full adversary plan (drop, burst, delay, stall, crash,
-    /// CONGEST budget). [`FaultPlan::NONE`] by default.
+    /// The adversary plan (drop, burst, delay, stall, crash, CONGEST
+    /// budget) — the one fault-injection knob. [`FaultPlan::NONE`] by
+    /// default.
     pub faults: FaultPlan,
     /// Round scheduler (sparse wake list / dense sweep / judge-switched
     /// hybrid). Results are bit-identical regardless of the value.
@@ -386,7 +381,6 @@ impl ExecCfg {
     pub const fn sequential() -> Self {
         ExecCfg {
             threads: 1,
-            loss: 0.0,
             faults: FaultPlan::NONE,
             sched: SchedMode::Sparse,
             timing: false,
@@ -433,18 +427,6 @@ impl ExecCfg {
     pub const fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// The plan the network actually installs: [`ExecCfg::faults`],
-    /// with a nonzero legacy [`ExecCfg::loss`] overriding the drop
-    /// probability (the historical knob wins, so existing loss-seeded
-    /// configurations reproduce bit-for-bit).
-    pub fn effective_faults(&self) -> FaultPlan {
-        if self.loss > 0.0 {
-            self.faults.with_drop(self.loss)
-        } else {
-            self.faults
-        }
     }
 }
 
@@ -647,22 +629,6 @@ impl<P: Protocol> Network<P> {
         self
     }
 
-    /// Inject message loss: every message is independently dropped with
-    /// probability `p` **after** being charged to the statistics (the
-    /// sender paid for it). The paper's model is fault-free; this knob
-    /// exists for robustness testing — protocols are expected to keep
-    /// their *safety* properties but may lose liveness.
-    ///
-    /// Shorthand for [`Network::with_faults`] with
-    /// [`FaultPlan::drop`]`(p)` merged into the current plan. Like
-    /// every plan setter, `p` is clamped to `[0, 1]` (with a
-    /// `debug_assert` on out-of-range input) instead of being silently
-    /// accepted.
-    pub fn with_message_loss(self, p: f64) -> Self {
-        let plan = self.adversary.plan.with_drop(p);
-        self.with_faults(plan)
-    }
-
     /// Install an adversary plan (drop / burst / delay / stall / crash
     /// / CONGEST budget — see [`crate::adversary`]). A pre-run builder
     /// step: the plan's RNG streams, burst states, and pre-sampled
@@ -696,7 +662,7 @@ impl<P: Protocol> Network<P> {
     pub fn with_cfg(mut self, cfg: ExecCfg) -> Self {
         self.force_parallel = cfg.force_parallel;
         self.with_threads(cfg.threads)
-            .with_faults(cfg.effective_faults())
+            .with_faults(cfg.faults)
             .with_sched(cfg.sched)
             .with_timing(cfg.timing)
     }

@@ -621,7 +621,7 @@ fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, spars
 mod tests {
     use super::CostModel;
     use crate::network::SchedMode;
-    use crate::{Ctx, ExecCfg, Inbox, Network, Protocol, Topology};
+    use crate::{Ctx, ExecCfg, FaultPlan, Inbox, Network, Protocol, Topology};
 
     /// A protocol with both randomness and message traffic, to stress
     /// determinism: nodes gossip random tokens and keep a running hash.
@@ -706,10 +706,10 @@ mod tests {
         let topo = random_topo(48, 5);
         let mk = || (0..48).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
 
-        let mut seq = Network::new(topo.clone(), mk(), 23).with_message_loss(0.15);
+        let mut seq = Network::new(topo.clone(), mk(), 23).with_faults(FaultPlan::drop(0.15));
         seq.run_until_halt(100);
         let mut par = Network::new(topo.clone(), mk(), 23)
-            .with_message_loss(0.15)
+            .with_faults(FaultPlan::drop(0.15))
             .with_threads(4);
         par.run_until_halt(100);
         assert_eq!(seq.dropped(), par.dropped(), "loss RNG streams must align");

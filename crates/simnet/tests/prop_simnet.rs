@@ -6,7 +6,7 @@
 //! streams, so every run explores the same (deterministic) case set.
 
 use simnet::tree::{aggregate, AggOp};
-use simnet::{Ctx, Inbox, Network, Protocol, SplitMix64, Topology};
+use simnet::{Ctx, FaultPlan, Inbox, Network, Protocol, SplitMix64, Topology};
 
 /// Random connected topology: a path backbone plus random chords.
 fn random_connected(n: usize, chords: usize, seed: u64) -> Topology {
@@ -131,7 +131,7 @@ fn plane_gauges_are_steady_state_zero() {
         for threads in [1usize, 4] {
             let mut net = Network::new(topo.clone(), mk(), seed)
                 .with_threads(threads)
-                .with_message_loss(0.05);
+                .with_faults(FaultPlan::drop(0.05));
             net.run_until_halt(64);
             let s = net.stats();
             assert!(

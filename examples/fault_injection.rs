@@ -18,14 +18,14 @@ use distributed_matching::dgraph::blossom;
 use distributed_matching::dgraph::generators::random::gnp;
 use distributed_matching::dmatch::{Algorithm, Session};
 use distributed_matching::dobs::TraceSession;
-use distributed_matching::simnet::FaultPlan;
+use distributed_matching::simnet::{ExecCfg, FaultPlan};
 
 /// One adversarial session: the unified driver with `plan` installed.
 fn run(g: &distributed_matching::dgraph::Graph, seed: u64, plan: FaultPlan) -> (usize, u64) {
     let r = Session::on(g)
         .algorithm(Algorithm::IsraeliItai)
         .seed(seed)
-        .adversary(plan)
+        .exec(ExecCfg::default().with_faults(plan))
         .build()
         .run_to_completion();
     // Safety: whatever the adversary did, the agreed pairs validate.
@@ -108,6 +108,6 @@ fn main() {
          the matched fraction decays smoothly as faults intensify — and the\n\
          paper's fault-free guarantees (the session reference above) are\n\
          recovered under FaultPlan::NONE. All runs route through the same\n\
-         Session surface; the adversary plane is one .adversary(plan) away."
+         Session surface; the adversary plane is one ExecCfg::with_faults(plan) away."
     );
 }

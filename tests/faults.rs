@@ -3,12 +3,14 @@
 //! survive: no protocol may ever output conflicting matched pairs.
 //!
 //! These tests drive every `Algorithm` variant through the unified
-//! adversary plane (`Session::adversary(FaultPlan)`) and check that
+//! adversary plane (a `FaultPlan` in the session's `ExecCfg`) and check
+//! that
 //!
 //! * the output is a valid matching under message drop, bounded delay,
 //!   partial delivery, bursty links, and crash-stop node faults;
-//! * the deprecated `israeli_itai::lossy_matching` shim reproduces the
-//!   pre-adversary implementation bit-for-bit (golden values);
+//! * fixed-window lossy Israeli–Itai (`round_limit` under
+//!   `FaultPlan::drop`) reproduces the pre-adversary implementation
+//!   bit-for-bit (golden values);
 //! * strict CONGEST enforcement catches real over-budget algorithms,
 //!   while degrade mode completes the same configuration and accounts
 //!   the overflow in `NetStats::deferred_bits`.
@@ -16,22 +18,33 @@
 use distributed_matching::dgraph::generators::random::{bipartite_gnp, gnp};
 use distributed_matching::dgraph::generators::structured::complete;
 use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
-use distributed_matching::dgraph::Graph;
+use distributed_matching::dgraph::{Graph, Matching};
 use distributed_matching::dmatch::weighted::MwmBox;
-use distributed_matching::dmatch::{israeli_itai, Algorithm, RunReport, Session};
-use distributed_matching::simnet::{Budget, FaultPlan};
+use distributed_matching::dmatch::{Algorithm, RunReport, Session};
+use distributed_matching::simnet::{Budget, ExecCfg, FaultPlan};
 
 // ---------------------------------------------------------------------
-// Legacy lossy Israeli–Itai (now a shim over the adversary plane).
+// Fixed-window lossy Israeli–Itai.
 // ---------------------------------------------------------------------
 
-#[allow(deprecated)]
+/// Israeli–Itai cut off after `rounds` rounds under uniform message
+/// `loss`, keeping the agreed pairs: the matching and the drop count.
+fn lossy_matching(g: &Graph, seed: u64, rounds: u64, loss: f64) -> (Matching, u64) {
+    let report = Session::on(g)
+        .exec(ExecCfg::default().with_faults(FaultPlan::drop(loss)))
+        .round_limit(rounds)
+        .seed(seed)
+        .build()
+        .run_to_completion();
+    (report.matching, report.stats.dropped)
+}
+
 #[test]
 fn agreed_matching_is_valid_at_every_loss_rate() {
     for &loss in &[0.0, 0.05, 0.2, 0.5, 0.9] {
         for seed in 0..5u64 {
             let g = gnp(40, 0.12, seed);
-            let (m, dropped) = israeli_itai::lossy_matching(&g, seed, 60, loss);
+            let (m, dropped) = lossy_matching(&g, seed, 60, loss);
             assert!(m.validate(&g).is_ok(), "loss {loss} seed {seed}");
             if loss == 0.0 {
                 assert_eq!(dropped, 0);
@@ -40,20 +53,27 @@ fn agreed_matching_is_valid_at_every_loss_rate() {
     }
 }
 
-#[allow(deprecated)]
 #[test]
 fn zero_loss_agrees_with_reliable_truncation() {
     let g = gnp(30, 0.15, 7);
-    let (lossless, _) = israeli_itai::lossy_matching(&g, 3, 30, 0.0);
-    let (truncated, _) = israeli_itai::truncated_matching(&g, 3, 10);
-    assert_eq!(lossless.size(), truncated.size());
+    let run = |cfg: ExecCfg| {
+        Session::on(&g)
+            .exec(cfg)
+            .round_limit(30)
+            .seed(3)
+            .build()
+            .run_to_completion()
+    };
+    let lossless = run(ExecCfg::default().with_faults(FaultPlan::drop(0.0)));
+    let reliable = run(ExecCfg::default());
+    assert_eq!(lossless.matching, reliable.matching);
+    assert_eq!(lossless.stats, reliable.stats);
 }
 
-#[allow(deprecated)]
 #[test]
 fn heavy_loss_still_matches_something_on_dense_graphs() {
     let g = complete(24);
-    let (m, dropped) = israeli_itai::lossy_matching(&g, 11, 90, 0.3);
+    let (m, dropped) = lossy_matching(&g, 11, 90, 0.3);
     assert!(dropped > 0, "loss must actually trigger");
     assert!(
         m.size() >= 1,
@@ -61,7 +81,6 @@ fn heavy_loss_still_matches_something_on_dense_graphs() {
     );
 }
 
-#[allow(deprecated)]
 #[test]
 fn loss_only_shrinks_never_corrupts() {
     // Monotone safety: every agreed pair is a real edge and each node
@@ -73,7 +92,7 @@ fn loss_only_shrinks_never_corrupts() {
     for &loss in &[0.0, 0.3, 0.8] {
         let mut total = 0usize;
         for seed in 0..6u64 {
-            let (m, _) = israeli_itai::lossy_matching(&g, seed, 45, loss);
+            let (m, _) = lossy_matching(&g, seed, 45, loss);
             total += m.size();
         }
         sizes.push(total);
@@ -84,10 +103,10 @@ fn loss_only_shrinks_never_corrupts() {
     );
 }
 
-/// The shim must reproduce the retired bespoke implementation
-/// **bit-for-bit**: these matchings and drop counts were captured from
-/// the pre-adversary `lossy_matching` at the seeds this file uses.
-#[allow(deprecated)]
+/// The `lossy_matching` helper must reproduce the retired bespoke
+/// implementation **bit-for-bit**: these matchings and drop counts were
+/// captured from the pre-adversary lossy Israeli–Itai runner at the
+/// seeds this file uses.
 #[test]
 fn lossy_matching_shim_reproduces_legacy_golden_values() {
     struct Golden {
@@ -154,7 +173,7 @@ fn lossy_matching_shim_reproduces_legacy_golden_values() {
         },
     ];
     for case in &cases {
-        let (m, dropped) = israeli_itai::lossy_matching(&case.g, case.seed, case.rounds, case.loss);
+        let (m, dropped) = lossy_matching(&case.g, case.seed, case.rounds, case.loss);
         assert_eq!(
             m.edge_ids(&case.g),
             case.edges,
@@ -227,7 +246,10 @@ fn run_adversarial(
     seed: u64,
     plan: FaultPlan,
 ) -> RunReport {
-    let mut b = Session::on(g).algorithm(alg).seed(seed).adversary(plan);
+    let mut b = Session::on(g)
+        .algorithm(alg)
+        .seed(seed)
+        .exec(ExecCfg::default().with_faults(plan));
     if let Some(sides) = sides {
         b = b.sides(sides);
     }

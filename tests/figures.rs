@@ -4,6 +4,7 @@
 use distributed_matching::dgraph::{Graph, Matching};
 use distributed_matching::dmatch::bipartite::{count, SubgraphSpec};
 use distributed_matching::dmatch::weighted::{apply_wraps, derived_weight};
+use distributed_matching::simnet::ExecCfg;
 
 /// E2 / Figure 1: the counting BFS layer values on the fixed instance
 /// used by `exp_e2_figure1` must never change.
@@ -34,7 +35,7 @@ fn figure1_layer_counts() {
         ],
     );
     let spec = SubgraphSpec::full_bipartite(&g, &sides);
-    let pass = count::run(&g, &m, &spec, 5, 0);
+    let pass = count::run_cfg(&g, &m, &spec, 5, 0, ExecCfg::default());
 
     // Layers: free X {0,1} at d=0; Y {5,6,7} at d=1 with counts 1,2,2;
     // X {2,3} at d=2 with 2,2; Y {8,9} at d=3 with 2,4; X {4} at d=4.

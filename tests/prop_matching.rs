@@ -14,7 +14,7 @@ use distributed_matching::dgraph::generators::weights::{apply_weights, WeightMod
 use distributed_matching::dgraph::{
     bipartite, blossom, greedy, hopcroft_karp, hungarian, mwm_exact, Matching,
 };
-use distributed_matching::simnet::SplitMix64;
+use distributed_matching::simnet::{ExecCfg, SplitMix64};
 
 /// Deterministic bipartite case stream: (a, b, p, seed).
 fn bip_cases(tag: u64, count: usize, lo: usize, hi: usize) -> Vec<(usize, usize, f64, u64)> {
@@ -144,7 +144,14 @@ fn counting_distance_is_exact() {
         let ell = 7;
         let spec =
             distributed_matching::dmatch::bipartite::SubgraphSpec::full_bipartite(&g, &sides);
-        let pass = distributed_matching::dmatch::bipartite::count::run(&g, &m, &spec, ell, seed);
+        let pass = distributed_matching::dmatch::bipartite::count::run_cfg(
+            &g,
+            &m,
+            &spec,
+            ell,
+            seed,
+            ExecCfg::default(),
+        );
         let paths = enumerate_augmenting_paths(&g, &m, ell);
         for y in 0..g.n() as u32 {
             if !sides[y as usize] || !m.is_free(y) {

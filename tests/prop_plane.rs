@@ -375,10 +375,7 @@ fn dense_vs_sparse_bit_identical_under_loss() {
             };
             let sides_ref = sides.as_deref();
             let lossy = |dense: bool| {
-                let cfg = ExecCfg {
-                    loss: 0.1,
-                    ..ExecCfg::sequential()
-                };
+                let cfg = ExecCfg::sequential().with_faults(FaultPlan::drop(0.1));
                 if dense {
                     cfg.dense()
                 } else {
@@ -428,10 +425,7 @@ fn sequential_vs_parallel_bit_identical_under_loss() {
                 g0.clone()
             };
             let sides_ref = sides.as_deref();
-            let lossy = |threads| ExecCfg {
-                loss: 0.1,
-                ..ExecCfg::parallel(threads)
-            };
+            let lossy = |threads| ExecCfg::parallel(threads).with_faults(FaultPlan::drop(0.1));
             let seq = run_caught(&g, sides_ref, alg, 7, lossy(1));
             let par = run_caught(&g, sides_ref, alg, 7, lossy(8));
             outcomes.push((label.clone(), alg, seq, par));
@@ -539,50 +533,6 @@ fn adversary_plans_bit_identical_across_executors_and_schedulers() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// The legacy `ExecCfg::loss` knob and an explicit
-/// `FaultPlan::drop(p)` are the *same* plan (`effective_faults`
-/// resolves both to one drop probability on one RNG stream), so
-/// loss-seeded runs reproduce bit-for-bit through the adversary plane.
-#[test]
-fn legacy_loss_knob_is_bit_identical_to_adversary_drop_plan() {
-    let _serial = HOOK_LOCK.lock().unwrap();
-    let hook = HookGuard::silence();
-    let mut outcomes = Vec::new();
-    for (label, g0, sides) in topologies() {
-        for alg in algorithms() {
-            if !applicable(&alg, &sides) {
-                continue;
-            }
-            let g = if weighted_input(&alg) {
-                apply_weights(&g0, WeightModel::Uniform(0.5, 4.0), 11)
-            } else {
-                g0.clone()
-            };
-            let sides_ref = sides.as_deref();
-            let legacy = ExecCfg {
-                loss: 0.1,
-                ..ExecCfg::sequential()
-            };
-            let planned = ExecCfg::sequential().with_faults(FaultPlan::drop(0.1));
-            let a = run_caught(&g, sides_ref, alg, 13, legacy);
-            let b = run_caught(&g, sides_ref, alg, 13, planned);
-            outcomes.push((label.clone(), alg, a, b));
-        }
-    }
-    drop(hook);
-    for (label, alg, a, b) in outcomes {
-        assert_eq!(
-            a.is_ok(),
-            b.is_ok(),
-            "{label} / {alg:?}: legacy loss and drop plan disagreed on panicking"
-        );
-        if let (Ok(a), Ok(b)) = (a, b) {
-            assert_eq!(a.0, b.0, "{label} / {alg:?}: matchings diverged");
-            assert_eq!(a.1, b.1, "{label} / {alg:?}: NetStats diverged");
         }
     }
 }

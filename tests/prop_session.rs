@@ -1,24 +1,15 @@
-//! The `Session` contract suite.
-//!
-//! The unified driver re-implements every legacy entry point's loop
-//! over shared per-phase primitives; this suite pins the two surfaces
-//! together: for every `Algorithm` variant, the deprecated shim and the
-//! equivalent `Session` run must be **bit-identical** — the matching,
-//! the label, the oracle-check count, and the *full* `NetStats`
-//! (rounds, messages, bits, message sizes, plane gauges, and every
-//! per-round trace row). It also covers the observer plane (mid-run
-//! snapshots, convergence curves, round budgets), warm starts, rewire
-//! repair, and Honest termination across all variants.
-
-#![allow(deprecated)] // the whole point: shims vs. the session
+//! The `Session` contract suite: a golden table pinning every
+//! `Algorithm` variant's outputs in both termination modes, the
+//! observer plane (mid-run snapshots), Honest termination across all
+//! variants, executor independence of the ParClass box, and the
+//! `RunReport` optimum cache.
 
 use distributed_matching::dgraph::generators::random::{bipartite_gnp, gnp};
 use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
-use distributed_matching::dgraph::{Graph, Matching};
+use distributed_matching::dgraph::Graph;
 use distributed_matching::dmatch::weighted::MwmBox;
-use distributed_matching::dmatch::{
-    generic, israeli_itai, runner, Algorithm, Phase, RewirePatch, Session, TerminationMode,
-};
+use distributed_matching::dmatch::TerminationMode::{Honest, Oracle};
+use distributed_matching::dmatch::{Algorithm, Phase, Session, TerminationMode};
 use distributed_matching::simnet::ExecCfg;
 
 /// Every `Algorithm` variant (both termination-relevant `Weighted`
@@ -96,107 +87,77 @@ fn session_run(
     b.build().run_to_completion()
 }
 
-/// Shim vs. session: bit-identity of matching + full NetStats + name +
-/// oracle checks, for every algorithm variant, in both termination
-/// modes and under both executors.
+/// One golden row: `(algorithm label, termination, matched edge ids,
+/// rounds, messages, bits, max_msg_bits, oracle_checks)`.
+type Golden = (
+    &'static str,
+    TerminationMode,
+    &'static [u32],
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+);
+
+/// `Session` outputs at seed 3 on `case(alg, 3)`: one row per
+/// `all_algorithms()` variant × {Oracle, Honest}, in that order. Each
+/// driver arm is the only implementation of its algorithm's phase loop,
+/// so these recorded values are what catches a silent change to its
+/// matching, its accounting, or its seed derivations.
+#[rustfmt::skip]
+const GOLDEN: &[Golden] = &[
+    ("israeli-itai", Oracle, &[0, 13, 31, 8, 27, 25, 53, 18, 46, 51], 13, 118, 236, 2, 5),
+    ("israeli-itai", Honest, &[0, 13, 31, 8, 27, 25, 53, 18, 46, 51], 68, 1048, 16466, 67, 5),
+    ("generic(k=2)", Oracle, &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50], 19, 729, 729040, 2803, 3),
+    ("generic(k=2)", Honest, &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50], 52, 1287, 738778, 2803, 3),
+    ("generic(k=3)", Oracle, &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50], 35, 1156, 1185236, 2803, 3),
+    ("generic(k=3)", Honest, &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50], 68, 1714, 1194974, 2803, 3),
+    ("bipartite(k=2)", Oracle, &[0, 6, 11, 13, 18, 20, 22, 25, 28, 30], 16, 60, 1386, 98, 4),
+    ("bipartite(k=2)", Honest, &[0, 6, 11, 13, 18, 20, 22, 25, 28, 30], 84, 500, 12946, 98, 4),
+    ("general(k=2)", Oracle, &[3, 23, 22, 31, 8, 49, 21, 29, 40, 55], 88, 1377, 3609, 98, 11),
+    ("general(k=2)", Honest, &[3, 23, 22, 31, 8, 49, 21, 29, 40, 55], 209, 3423, 39315, 98, 11),
+    ("weighted(\u{3b5}=0.25, box=SeqClass)", Oracle, &[20, 4, 13, 44, 8, 25, 28, 32, 54, 52], 73, 1615, 95198, 64, 13),
+    ("weighted(\u{3b5}=0.25, box=SeqClass)", Honest, &[20, 4, 13, 44, 8, 25, 28, 32, 54, 52], 216, 4033, 137396, 67, 13),
+    ("weighted(\u{3b5}=0.25, box=ParClass)", Oracle, &[35, 4, 13, 44, 8, 25, 28, 32, 54, 50], 122, 3019, 183386, 64, 25),
+    ("weighted(\u{3b5}=0.25, box=ParClass)", Honest, &[35, 4, 13, 44, 8, 25, 28, 32, 54, 50], 397, 7669, 264536, 67, 25),
+    ("delta-mwm(LocalDominant)", Oracle, &[35, 4, 13, 44, 8, 25, 28, 32, 54, 50], 9, 121, 121, 1, 1),
+    ("delta-mwm(LocalDominant)", Honest, &[35, 4, 13, 44, 8, 25, 28, 32, 54, 50], 20, 307, 3367, 67, 1),
+];
+
+/// Every driver arm against the golden table: the matching, rounds,
+/// messages, bits, largest message, and oracle checks, in both
+/// termination modes.
 #[test]
-fn shim_and_session_are_bit_identical_for_every_algorithm() {
+fn session_outputs_match_golden_table() {
+    let mut golden = GOLDEN.iter();
     for alg in all_algorithms() {
-        for seed in [3u64, 17] {
-            let (g, sides) = case(&alg, seed);
-            let sides_ref = sides.as_deref();
-            for termination in [TerminationMode::Oracle, TerminationMode::Honest] {
-                for cfg in [ExecCfg::sequential(), ExecCfg::parallel(4)] {
-                    let shim = runner::run_cfg(&g, sides_ref, alg, seed, termination, cfg);
-                    let sess = session_run(&g, sides_ref, alg, seed, termination, cfg);
-                    assert_eq!(shim.name, sess.name, "{alg}: label diverged");
-                    assert_eq!(
-                        shim.matching, sess.matching,
-                        "{alg}/{termination}: matching diverged"
-                    );
-                    assert_eq!(
-                        shim.stats, sess.stats,
-                        "{alg}/{termination}: NetStats diverged (incl. per-round rows)"
-                    );
-                    assert_eq!(
-                        shim.oracle_checks, sess.oracle_checks,
-                        "{alg}/{termination}: oracle accounting diverged"
-                    );
-                }
-            }
+        let (g, sides) = case(&alg, 3);
+        for termination in [Oracle, Honest] {
+            let r = session_run(
+                &g,
+                sides.as_deref(),
+                alg,
+                3,
+                termination,
+                ExecCfg::default(),
+            );
+            let edges = r.matching.edge_ids(&g);
+            let got = (
+                r.name.as_str(),
+                termination,
+                &edges[..],
+                r.stats.rounds,
+                r.stats.messages,
+                r.stats.bits,
+                r.stats.max_msg_bits,
+                r.oracle_checks,
+            );
+            let want = *golden.next().expect("one golden row per variant and mode");
+            assert_eq!(got, want, "{alg}/{termination}: Session output drifted");
         }
     }
-}
-
-/// Warm starts route through the same code as the `_from` shims.
-#[test]
-fn warm_start_matches_from_shims() {
-    let g = gnp(26, 0.15, 5);
-    let init = distributed_matching::dgraph::greedy::greedy_maximal(&g);
-
-    let shim = generic::run_from_cfg(&g, &init, 2, 7, ExecCfg::sequential());
-    let sess = Session::on(&g)
-        .algorithm(Algorithm::Generic { k: 2 })
-        .warm_start(&init)
-        .seed(7)
-        .build()
-        .run_to_completion();
-    assert_eq!(shim.matching, sess.matching);
-    assert_eq!(shim.stats, sess.stats);
-
-    let (m_shim, s_shim) =
-        israeli_itai::maximal_matching_from_cfg(&g, &init, 7, ExecCfg::default());
-    let sess = Session::on(&g)
-        .algorithm(Algorithm::IsraeliItai)
-        .warm_start(&init)
-        .seed(7)
-        .build()
-        .run_to_completion();
-    assert_eq!(m_shim, sess.matching);
-    assert_eq!(s_shim, sess.stats);
-}
-
-/// `resume_after_rewire` reproduces the legacy damage-ball repair:
-/// same matching, same repair-phase statistics (the session's stats
-/// delta across the rewire equals the standalone `repair_cfg` run).
-#[test]
-fn rewire_repair_matches_repair_shim() {
-    for seed in [1u64, 8] {
-        let g = gnp(36, 0.09, 60 + seed);
-        let k = 2;
-        let mut sess = Session::on(&g)
-            .algorithm(Algorithm::Generic { k })
-            .seed(seed)
-            .build();
-        let boot = sess.run_to_completion();
-        let Some(&e) = boot.matching.edge_ids(&g).first() else {
-            continue;
-        };
-        let (a, b) = g.endpoints(e);
-        let (g2, _) = g.edge_subgraph(|x| x != e);
-        // Legacy path: surviving matching re-built by hand, repair_cfg.
-        let mut survived = Matching::new(g2.n());
-        for &eid in &boot.matching.edge_ids(&g) {
-            if eid != e {
-                let (u, v) = g.endpoints(eid);
-                survived.add(&g2, g2.edge_between(u, v).expect("surviving edge"));
-            }
-        }
-        // The engine convention: epoch 1 seeds as seed + 1.
-        let shim = generic::repair_cfg(&g2, &survived, &[a, b], k, seed + 1, ExecCfg::default());
-        // Session path: stats delta across the resumed epoch.
-        let before = sess.stats().clone();
-        sess.resume_after_rewire(RewirePatch::new(g2.clone(), vec![a, b]));
-        let after = sess.run_to_completion();
-        assert_eq!(shim.matching, after.matching, "seed {seed}");
-        assert_eq!(
-            shim.stats.rounds,
-            after.stats.rounds - before.rounds,
-            "seed {seed}: repair rounds diverged"
-        );
-        assert_eq!(shim.stats.messages, after.stats.messages - before.messages);
-        assert_eq!(shim.stats.bits, after.stats.bits - before.bits);
-    }
+    assert!(golden.next().is_none(), "golden rows without a variant");
 }
 
 /// Acceptance test: observer-driven mid-run snapshots show the
@@ -285,9 +246,9 @@ fn honest_mode_charges_every_algorithm() {
     }
 }
 
-/// Satellite: the ParClass box (ex `run_parallel{,_cfg}`) routes the
-/// caller's `ExecCfg` into every per-class network — results are
-/// bit-identical across worker-thread counts and scheduler modes.
+/// Satellite: the ParClass box routes the caller's `ExecCfg` into every
+/// per-class network — results are bit-identical across worker-thread
+/// counts and scheduler modes.
 #[test]
 fn parclass_box_threads_exec_cfg() {
     let g = apply_weights(&gnp(24, 0.2, 13), WeightModel::Exponential(1.5), 14);
@@ -308,15 +269,6 @@ fn parclass_box_threads_exec_cfg() {
         assert_eq!(base.stats.messages, other.stats.messages);
         assert_eq!(base.stats.rounds, other.stats.rounds);
     }
-    // And the deprecated free function is now a thin shim over the very
-    // same path the DeltaMwm session drives (seed = session epoch seed).
-    let (m, s) = distributed_matching::dmatch::weighted::classes::run_parallel_cfg(
-        &g,
-        6,
-        ExecCfg::sequential(),
-    );
-    assert_eq!(m, base.matching);
-    assert_eq!(s, base.stats);
 }
 
 /// The cached blossom optimum: repeated ratio queries agree, and the
