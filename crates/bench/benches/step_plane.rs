@@ -17,12 +17,12 @@
 //!
 //! The run also sweeps an n-ladder to locate the **sequential/parallel
 //! crossover**: the smallest network at which 8-thread stepping beats
-//! sequential. Below the crossover the executor's per-round cost model
-//! (measured ns/node EWMAs plus a spawn-cost floor; see
-//! `simnet::parallel`) keeps parallel runs on the sequential path, so
-//! "8 threads" is never slower than sequential — the earlier capture
-//! of this file measured a ~100x parallel *slowdown* at n=10 because
-//! every round paid thread-spawn latency for five node steps.
+//! sequential. Below the crossover the executor's fan-out floor (one
+//! worker per fixed number of expected node steps; see
+//! `simnet::parallel`) keeps parallel runs on the caller's thread, so
+//! "8 threads" runs the sequential code — the earlier capture of this
+//! file measured a ~100x parallel *slowdown* at n=10 because every
+//! round paid thread-spawn latency for five node steps.
 //!
 //! Knobs: `STEP_PLANE_N` (default 50000), `STEP_PLANE_ROUNDS`
 //! (default 10), `STEP_PLANE_RUNS` (default 5), `STEP_PLANE_THREADS`
@@ -319,8 +319,8 @@ fn main() {
             f2(ratio)
         );
         // First n where parallel wins by a margin beyond timer noise.
-        // A "win" in which the cost model never actually spawned a
-        // worker is two sequential runs plus noise, not a crossover.
+        // A "win" in which no round fanned out is two sequential runs
+        // plus noise, not a crossover.
         if crossover_n.is_none() && ratio > 1.05 && p.peak_workers() > 1 {
             crossover_n = Some(ln);
         }

@@ -4,19 +4,24 @@
 //! The paper's algorithms are round-synchronous, so a round is an
 //! embarrassingly parallel map over the active nodes. E19 sweeps a
 //! threads × n × activity ladder over the hybrid scheduler
-//! (`SchedMode::Hybrid` + the per-round cost model of
-//! `simnet::parallel`) and records, machine-readably:
+//! (`SchedMode::Hybrid` + the fan-out rule of `simnet::parallel`: one
+//! worker per fixed floor of expected node steps, capped by the
+//! requested threads and the host's cores) and records,
+//! machine-readably:
 //!
 //! * `par_speedup` per (n, activity, threads) cell — sequential time
-//!   over parallel time, so > 1 means parallel won;
+//!   over parallel time, so > 1 means parallel won — next to the
+//!   `workers` the measured rounds fanned out to. Cells with
+//!   `workers = 1` run the same code on both sides, so their spread
+//!   is the host's A/A′ noise;
 //! * the **crossover n**: the smallest network at which any thread
 //!   count beats sequential at 100% activity (null on boxes without
 //!   usable cores — which is why the header carries the host
 //!   fingerprint);
 //! * the **seq-fallback overhead**: how much a `threads = 8` config
-//!   pays over `threads = 1` on a workload the cost model (correctly)
-//!   refuses to fan out — the acceptance bound is < 5%, asserted here
-//!   whenever the model did keep everything sequential;
+//!   pays over `threads = 1` on a workload below the fan-out floor —
+//!   it must not fan out at all (asserted), and the acceptance bound
+//!   on its overhead is < 5%;
 //! * the hybrid-vs-sparse scheduler ratio at full activity (the wake
 //!   list's sort/push/dedup tax that the dense representation avoids);
 //! * a per-phase wall-clock breakdown (the `dobs` timing-histogram
@@ -37,6 +42,7 @@
 
 use bench_harness::{banner, env_or, f2, host, Table};
 use dgraph::generators::random::gnp;
+use dobs::{Event, TraceSession};
 use simnet::{Ctx, ExecCfg, Inbox, Network, NodeId, Protocol, Topology};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -79,7 +85,7 @@ fn mk(topo: &Topology, threshold: NodeId, seed: u64, cfg: ExecCfg) -> Network<Fr
 
 /// Best-of-`runs` time per steady-state round.
 fn time_rounds(net: &mut Network<FracGossip>, rounds: u64, runs: u32) -> Duration {
-    net.run_rounds(2); // warmup: sleepers park, cost model sees a round
+    net.run_rounds(2); // warmup: sleepers park, the frontier settles
     let mut best = Duration::MAX;
     for _ in 0..runs {
         let t0 = Instant::now();
@@ -88,6 +94,25 @@ fn time_rounds(net: &mut Network<FracGossip>, rounds: u64, runs: u32) -> Duratio
         black_box(net.nodes().len());
     }
     best / rounds as u32
+}
+
+/// Workers the steady-state rounds of `net` (past warmup) fan out to,
+/// read from the round spans of a short traced run. `peak_workers()`
+/// would also count round 0, in which every node starts awake, so a
+/// low-activity cell on a large network would report that one round
+/// instead of the rounds the timing measured.
+fn steady_workers(net: &mut Network<FracGossip>) -> usize {
+    let session = TraceSession::start(1 << 10);
+    net.run_rounds(4);
+    session
+        .finish()
+        .events()
+        .filter_map(|e| match *e {
+            Event::RoundSpan { workers, .. } => Some((workers as usize).max(1)),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(1)
 }
 
 /// Bit-identity gate: `cfg` must reproduce the sequential sparse
@@ -117,7 +142,7 @@ struct Cell {
     seq_ns: u128,
     par_ns: u128,
     speedup: f64,
-    peak_workers: usize,
+    workers: usize,
 }
 
 fn main() {
@@ -174,8 +199,8 @@ fn main() {
                 let mut net = mk(&topo, threshold, seed, cfg);
                 let par_ns = time_rounds(&mut net, rounds, runs).as_nanos();
                 let speedup = seq_ns as f64 / par_ns as f64;
-                let peak = net.peak_workers();
-                peak_overall = peak_overall.max(peak);
+                let workers = steady_workers(&mut net);
+                peak_overall = peak_overall.max(workers);
                 t.row(vec![
                     n.to_string(),
                     format!("{activity:.2}"),
@@ -183,7 +208,7 @@ fn main() {
                     format!("{}us", seq_ns / 1_000),
                     format!("{}us", par_ns / 1_000),
                     f2(speedup),
-                    peak.to_string(),
+                    workers.to_string(),
                 ]);
                 cells.push(Cell {
                     n,
@@ -192,7 +217,7 @@ fn main() {
                     seq_ns,
                     par_ns,
                     speedup,
-                    peak_workers: peak,
+                    workers,
                 });
             }
         }
@@ -200,17 +225,17 @@ fn main() {
     t.print();
 
     // Crossover: smallest n where some thread count wins at 100%
-    // activity by more than timer noise. `peak_workers > 1` keeps the
-    // claim honest: a "win" in which the cost model never actually
-    // spawned a worker is two sequential runs plus noise, not a
-    // parallel victory (observed on a 1-core container: 1.4x "speedup"
-    // between two identical sequential paths).
+    // activity by more than timer noise. `workers > 1` keeps the claim
+    // honest: a "win" in which no measured round fanned out is two
+    // sequential runs plus noise, not a parallel victory (observed on a
+    // 1-core container: 1.4x "speedup" between two identical sequential
+    // paths).
     let crossover_n = ns
         .iter()
         .find(|&&n| {
             cells
                 .iter()
-                .any(|c| c.n == n && c.activity == 1.0 && c.speedup > 1.05 && c.peak_workers > 1)
+                .any(|c| c.n == n && c.activity == 1.0 && c.speedup > 1.05 && c.workers > 1)
         })
         .copied();
     match crossover_n {
@@ -224,8 +249,8 @@ fn main() {
     }
 
     // Seq-fallback overhead: a tiny workload with a big thread request.
-    // The cost model must keep it sequential, and asking for threads
-    // must then cost (almost) nothing.
+    // It sits below the fan-out floor, so no round may fan out, and
+    // asking for threads must then cost (almost) nothing.
     let fallback_n = 1_000usize;
     let g = gnp(fallback_n, 8.0 / fallback_n as f64, 7);
     let topo = dmatch::topology_of(&g);
@@ -243,10 +268,14 @@ fn main() {
          {fb_peak} worker(s) spawned): {}%",
         f2(fallback_overhead_pct)
     );
-    if fb_peak == 1 && env_or("E19_ASSERT", 1) == 1 {
+    assert_eq!(
+        fb_peak, 1,
+        "n={fallback_n} is below the fan-out floor, yet a round fanned out"
+    );
+    if env_or("E19_ASSERT", 1) == 1 {
         assert!(
             fallback_overhead_pct < 5.0,
-            "cost-model fallback cost {fallback_overhead_pct:.1}% over sequential \
+            "fallback cost {fallback_overhead_pct:.1}% over sequential \
              (acceptance bound: < 5%)"
         );
     }
@@ -324,8 +353,8 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"n\": {}, \"activity\": {}, \"threads\": {}, \"seq_ns\": {}, \
-             \"par_ns\": {}, \"par_speedup\": {:.2}, \"peak_workers\": {}}}",
-            c.n, c.activity, c.threads, c.seq_ns, c.par_ns, c.speedup, c.peak_workers
+             \"par_ns\": {}, \"par_speedup\": {:.2}, \"workers\": {}}}",
+            c.n, c.activity, c.threads, c.seq_ns, c.par_ns, c.speedup, c.workers
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }

@@ -83,7 +83,7 @@ fn main() {
 
     // --- Part 1: traced run → exported artifacts → re-parse and check.
     // Two forced workers so the per-worker tracks exist even on a
-    // 1-core container (forced() bypasses the fan-out cost model; the
+    // 1-core container (forced() bypasses the fan-out floor; the
     // results stay bit-identical by the parallel plane's contract).
     let session = TraceSession::start(cap);
     let eng = churn_run(n, deg, epochs, ExecCfg::parallel(2).forced());

@@ -96,7 +96,7 @@ pub fn env_or(name: &str, default: u64) -> u64 {
 ///
 /// Every benchmark JSON embeds this next to the *requested* thread
 /// counts, so a `par_speedup ≈ 1.0` row or a `null` crossover is
-/// interpretable at a glance: on a 1-core CI container the cost model
+/// interpretable at a glance: on a 1-core CI container the fan-out rule
 /// is *supposed* to keep everything sequential, and without the
 /// `available_parallelism` field that outcome is indistinguishable
 /// from a parallel path that failed to win on real cores.

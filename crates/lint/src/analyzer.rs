@@ -795,7 +795,7 @@ fn check_ambient_env(toks: &[Tok]) -> Vec<Hit> {
             hits.push((
                 toks[i].line,
                 toks[i].col,
-                "available_parallelism outside the sanctioned knob modules / CostModel: \
+                "available_parallelism outside the sanctioned knob modules / fan-out cap: \
                  host shape must not steer a determinism-gated computation"
                     .to_string(),
             ));

@@ -17,7 +17,6 @@
 use crate::adversary::{Adversary, CongestMode, CrashKind, FaultPlan};
 use crate::mailbox::{Inbox, Slab, DEAD_STAMP};
 use crate::message::BitSize;
-use crate::parallel::CostModel;
 use crate::rng::SplitMix64;
 use crate::stats::{timing, NetStats};
 use crate::topology::{NodeId, Port, Topology, TopologyPatch};
@@ -134,7 +133,7 @@ pub struct Ctx<'a, M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Internal constructor used by the sequential and parallel executors.
+    /// Internal constructor used by the round executor's node kernel.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: NodeId,
@@ -342,9 +341,10 @@ pub(crate) const HYBRID_SPARSE_DIV: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecCfg {
     /// Worker threads for node stepping (1 = sequential). This is a
-    /// *ceiling*, not a demand: the per-round cost model spawns fewer
-    /// workers (down to none) when the measured workload would not pay
-    /// for them. Results are bit-identical regardless of the value.
+    /// *ceiling*, not a demand: a round uses at most one worker per
+    /// core, and one worker per fixed floor of expected node steps
+    /// (see [`crate::parallel`]), so small rounds run on the caller's
+    /// thread alone. Results are bit-identical regardless of the value.
     pub threads: usize,
     /// The adversary plan (drop, burst, delay, stall, crash, CONGEST
     /// budget) — the one fault-injection knob. [`FaultPlan::NONE`] by
@@ -361,11 +361,11 @@ pub struct ExecCfg {
     /// so identity suites leave this off or mask
     /// [`NetStats::timings`].
     pub timing: bool,
-    /// Test/bench escape hatch: bypass the cost model and spawn one
+    /// Test/bench escape hatch: bypass the fan-out floor and use one
     /// worker per requested thread regardless of machine or workload,
-    /// so the parallel partitioners run for real on any host. Never
+    /// so the chunk cuts and the merge run for real on any host. Never
     /// set this in production configs — on small workloads it
-    /// re-creates the thread-spawn pathology the cost model exists to
+    /// re-creates the thread-spawn pathology the floor exists to
     /// prevent.
     pub force_parallel: bool,
 }
@@ -416,7 +416,7 @@ impl ExecCfg {
         self
     }
 
-    /// The same configuration with the cost model bypassed (testing
+    /// The same configuration with the fan-out floor bypassed (testing
     /// only; see [`ExecCfg::force_parallel`]).
     pub const fn forced(mut self) -> Self {
         self.force_parallel = true;
@@ -430,9 +430,10 @@ impl ExecCfg {
     }
 }
 
-/// Per-worker scratch of the parallel executor: the sender buffer and
-/// the per-chunk counters, recorded contention-free per chunk and
-/// merged in chunk (= node) order after the join. Reused every round;
+/// Per-worker scratch of the round executor: the sender buffer and the
+/// per-chunk counters, recorded contention-free per chunk and merged in
+/// chunk (= node) order after the join. A one-chunk round swaps its
+/// sender buffer with the network's instead. Reused every round;
 /// deliberately not charged to the plane gauge so stats stay
 /// bit-identical across thread counts.
 ///
@@ -458,17 +459,18 @@ pub(crate) struct WorkerScratch {
     pub(crate) stepped: u64,
     /// Flight-recorder span bounds for this worker's section, in ns
     /// since the recorder epoch the main thread handed over. Written
-    /// by the worker only when tracing is enabled; the main thread
-    /// turns them into `WorkerSpan` events after the join (workers
-    /// never touch the thread-local recorder). Observation only —
-    /// never read by the algorithm.
+    /// by the worker of a multi-chunk round only when tracing is
+    /// enabled; the main thread turns them into `WorkerSpan` events
+    /// after the join (workers never touch the thread-local recorder).
+    /// Observation only — never read by the algorithm.
     pub(crate) span_t0_ns: u64,
     pub(crate) span_t1_ns: u64,
 }
 
 impl WorkerScratch {
     /// Ready the scratch for a new round: clear, and size the sender
-    /// buffer once so the step loop performs no reallocation.
+    /// buffer once so the step loop performs no reallocation. The span
+    /// bounds are left alone: they are stamped around this call.
     pub(crate) fn prepare(&mut self, chunk_nodes: usize) {
         self.touched.clear();
         self.touched.reserve(chunk_nodes);
@@ -476,8 +478,6 @@ impl WorkerScratch {
         self.wake_cap = 0;
         self.halts = 0;
         self.stepped = 0;
-        self.span_t0_ns = 0;
-        self.span_t1_ns = 0;
     }
 }
 
@@ -500,7 +500,7 @@ pub struct Network<P: Protocol> {
     /// Nodes that sent at least one message this round, in node order
     /// (delivery walks only these). Reused every round.
     pub(crate) touched: Vec<NodeId>,
-    /// Per-worker scratch for the parallel executor. Reused every round.
+    /// Per-worker scratch for the round executor. Reused every round.
     pub(crate) workers: Vec<WorkerScratch>,
     /// Sparse scheduler: nodes scheduled for the round about to
     /// execute, ascending once sorted at the top of `step`. An entry is
@@ -529,7 +529,7 @@ pub struct Network<P: Protocol> {
     pub(crate) round: u64,
     /// Number of worker threads for node stepping (1 = sequential).
     pub(crate) threads: usize,
-    /// Test-only: bypass the cost model so unit tests exercise real
+    /// Test-only: bypass the fan-out floor so unit tests exercise real
     /// multi-worker rounds on any machine and workload size (see
     /// [`ExecCfg::force_parallel`]).
     pub(crate) force_parallel: bool,
@@ -541,16 +541,12 @@ pub struct Network<P: Protocol> {
     /// dense, the wake list is not maintained (it lapses) and is
     /// rebuilt from the scheduler predicate on conversion back.
     pub(crate) frontier_dense: bool,
-    /// Judge input while the frontier is dense: the number of nodes the
-    /// previous round stepped (while sparse, the wake-list length is
-    /// the exact upcoming count, so this is not consulted).
+    /// Judge and fan-out input while the frontier is dense: the number
+    /// of nodes the previous round stepped (while sparse, the wake-list
+    /// length is the exact upcoming count, so this is not consulted).
     pub(crate) est_active: u64,
-    /// Per-round seq-vs-parallel cost model (measured ns/work-unit
-    /// EWMAs; purely a performance decision, results are bit-identical
-    /// whichever path it picks).
-    pub(crate) cost: CostModel,
-    /// Largest worker count any round actually spawned (1 = every
-    /// round ran sequentially). Bench/CI fingerprint material.
+    /// Largest worker count any round used (1 = every round ran as one
+    /// chunk). Bench/CI fingerprint material.
     pub(crate) peak_workers: usize,
     /// Collect the [`crate::stats::timing`] histograms (see
     /// [`ExecCfg::timing`]).
@@ -615,7 +611,6 @@ impl<P: Protocol> Network<P> {
             sched: SchedMode::default(),
             frontier_dense: false,
             est_active: n as u64,
-            cost: CostModel::new(),
             peak_workers: 1,
             timing: false,
             adversary: Adversary::new(seed),
@@ -769,9 +764,9 @@ impl<P: Protocol> Network<P> {
         delta
     }
 
-    /// Largest worker count any round actually spawned so far (1 =
-    /// everything ran sequentially — e.g. on a 1-core machine, or when
-    /// every round's workload sat below the cost model's threshold).
+    /// Largest worker count any round used so far (1 = every round ran
+    /// as one chunk on the caller's thread — e.g. on a 1-core machine,
+    /// or when no round expected two workers' worth of node steps).
     /// Benches record this next to the *requested* thread count so a
     /// `par_speedup ≈ 1.0` row is interpretable at a glance.
     pub fn peak_workers(&self) -> usize {
@@ -843,62 +838,48 @@ impl<P: Protocol> Network<P> {
     /// sent during the round.
     ///
     /// Dispatch order: the hybrid judge picks the frontier
-    /// representation, then the cost model picks sequential vs.
-    /// parallel execution for that representation's workload. Both
-    /// decisions are invisible in the results (bit-identity) — the
-    /// judge is additionally deterministic, so the `sched_overhead`
-    /// trace it shapes is reproducible too.
+    /// representation, then the fan-out rule picks the worker count
+    /// from the round's expected node steps — the wake-list length of
+    /// a sparse round, the previous round's stepped count of a dense
+    /// one. Both decisions are invisible in the results (bit-identity)
+    /// and read counts only, never the clock, so the `sched_overhead`
+    /// trace and the per-round worker counts reproduce too.
     pub fn step(&mut self) -> u64 {
         if self.adversary.has_crash_events() {
             self.apply_crash_events();
         }
         let dense = self.choose_representation();
-        let workload = if dense {
-            self.topo.len()
+        let expected = if dense {
+            self.est_active as usize
         } else {
             self.wake_cur.len()
         };
         let workers = if self.force_parallel {
-            self.threads.min(workload.max(1))
-        } else if self.threads > 1 {
-            self.cost.plan(
-                self.threads,
-                crate::parallel::hw_parallelism(),
-                workload,
-                dense,
-            )
+            self.threads.min(expected.max(1))
         } else {
-            1
+            crate::parallel::fan_out(self.threads, crate::parallel::hw_parallelism(), expected)
         };
         self.peak_workers = self.peak_workers.max(workers);
-        // The cost model learns from measured rounds; the timing gauges
-        // want the same clock. One read serves both.
-        let observe = self.threads > 1 && !self.force_parallel;
-        // dlint::allow(wall-clock, "cost-model/gauge observation only: measured durations never steer the round schedule; traced-vs-untraced bit-identity is property-tested")
-        let t0 = (observe || self.timing).then(Instant::now);
+        // dlint::allow(wall-clock, "timing gauge only: the round duration feeds the histogram, never steers execution")
+        let t0 = self.timing.then(Instant::now);
         // Flight-recorder span for the round (observation only; one
         // thread-local flag read when no recorder is installed).
         let traced = dobs::plane::enabled();
         let span_t0 = if traced { dobs::plane::now_ns() } else { 0 };
-        let sent = match (dense, workers > 1) {
-            (false, false) => self.step_sparse_seq(),
-            (true, false) => self.step_dense_seq(),
-            (false, true) => crate::parallel::step_parallel_sparse(self, workers),
-            (true, true) => crate::parallel::step_parallel_dense(self, workers),
+        let sent = if dense {
+            crate::parallel::step_dense(self, workers)
+        } else {
+            crate::parallel::step_sparse(self, workers)
         };
         if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            if observe {
-                self.cost.observe(dense, workers, workload, ns);
-            }
-            if self.timing {
-                let phase = if dense {
-                    timing::DENSE_UPDATE_NS
-                } else {
-                    timing::SPARSE_UPDATE_NS
-                };
-                self.stats.timings.record(phase, ns);
-            }
+            let phase = if dense {
+                timing::DENSE_UPDATE_NS
+            } else {
+                timing::SPARSE_UPDATE_NS
+            };
+            self.stats
+                .timings
+                .record(phase, t0.elapsed().as_nanos() as u64);
         }
         if traced {
             let stepped = self.stats.per_round.last().map_or(0, |t| t.active);
@@ -979,8 +960,8 @@ impl<P: Protocol> Network<P> {
     }
 
     /// Close out a round: delivery accounting, round counter, gauges.
-    /// Shared by both sequential executors (the parallel ones do the
-    /// same after their join).
+    /// The executor calls it once every chunk has been stepped and
+    /// settled.
     pub(crate) fn finish_round(&mut self, stepped: u64, sched_overhead: u64) -> u64 {
         let round = self.round;
         let schedule = self.uses_wake_list();
@@ -1012,120 +993,6 @@ impl<P: Protocol> Network<P> {
         self.stats
             .record_round_gauges(out.sent, out.peak_inbox, allocs, stepped, sched_overhead);
         out.sent
-    }
-
-    /// The dense fallback sweep: O(n) per round, honoring the same
-    /// halt/sleep/mail contract as the sparse scheduler.
-    pub(crate) fn step_dense_seq(&mut self) -> u64 {
-        let n = self.topo.len();
-        let round = self.round;
-        let (out_plane, in_plane) = split_planes(&mut self.planes, round);
-        out_plane.advance();
-        let out_gen = out_plane.gen;
-        self.touched.clear();
-        let mut stepped = 0u64;
-        for v in 0..n {
-            if self.halted[v] {
-                continue;
-            }
-            let count = if self.inbox_count_round[v] == round {
-                self.inbox_count[v]
-            } else {
-                0
-            };
-            if self.dozing[v] && count == 0 {
-                continue; // asleep and no mail: contract says skip
-            }
-            stepped += 1;
-            self.dozing[v] = false;
-            let vid = v as NodeId;
-            let inbox = Inbox::new(&self.topo, vid, in_plane, count);
-            let base = self.topo.port_base(vid);
-            let deg = self.topo.degree(vid);
-            let mut sent_any = false;
-            let mut ctx = Ctx::new(
-                vid,
-                round,
-                &self.topo,
-                &mut self.rngs[v],
-                &mut out_plane.stamp[base..base + deg],
-                &mut out_plane.msg[base..base + deg],
-                out_gen,
-                &mut sent_any,
-                &mut self.halted[v],
-                &mut self.dozing[v],
-            );
-            self.nodes[v].on_round(&mut ctx, inbox);
-            if self.halted[v] {
-                self.live -= 1;
-            }
-            if sent_any {
-                self.touched.push(vid);
-            }
-        }
-        self.finish_round(stepped, n as u64 - stepped)
-    }
-
-    /// The sparse activity-driven executor: drains the wake list, so
-    /// the round costs O(active), not O(n). Bit-identical to the dense
-    /// sweep (same stepped set, same delivery order).
-    pub(crate) fn step_sparse_seq(&mut self) -> u64 {
-        let round = self.round;
-        // Auto-reschedules arrive in node order but delivery wake-ups
-        // do not; one cheap mostly-sorted pass restores the ascending
-        // order delivery (and the loss RNG stream) depends on.
-        if !self.wake_cur.is_sorted() {
-            self.wake_cur.sort_unstable();
-        }
-        let scanned = self.wake_cur.len() as u64;
-        let (out_plane, in_plane) = split_planes(&mut self.planes, round);
-        out_plane.advance();
-        let out_gen = out_plane.gen;
-        self.touched.clear();
-        self.wake_next.clear();
-        let mut stepped = 0u64;
-        for i in 0..self.wake_cur.len() {
-            let vid = self.wake_cur[i];
-            let v = vid as usize;
-            if self.halted[v] || self.wake_stamp[v] != round {
-                continue; // stale entry (e.g. woken then halted)
-            }
-            stepped += 1;
-            self.dozing[v] = false;
-            let count = if self.inbox_count_round[v] == round {
-                self.inbox_count[v]
-            } else {
-                0
-            };
-            let inbox = Inbox::new(&self.topo, vid, in_plane, count);
-            let base = self.topo.port_base(vid);
-            let deg = self.topo.degree(vid);
-            let mut sent_any = false;
-            let mut ctx = Ctx::new(
-                vid,
-                round,
-                &self.topo,
-                &mut self.rngs[v],
-                &mut out_plane.stamp[base..base + deg],
-                &mut out_plane.msg[base..base + deg],
-                out_gen,
-                &mut sent_any,
-                &mut self.halted[v],
-                &mut self.dozing[v],
-            );
-            self.nodes[v].on_round(&mut ctx, inbox);
-            if self.halted[v] {
-                self.live -= 1;
-            } else if !self.dozing[v] {
-                // Staying awake is the default: reschedule for round+1.
-                self.wake_stamp[v] = round + 1;
-                self.wake_next.push(vid);
-            }
-            if sent_any {
-                self.touched.push(vid);
-            }
-        }
-        self.finish_round(stepped, scanned - stepped)
     }
 
     /// Run until every node halts, or `max_rounds` elapse. Panics if the

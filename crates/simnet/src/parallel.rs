@@ -1,32 +1,35 @@
-//! Parallel node stepping: cost-modelled fan-out over degree-weighted
-//! chunks.
+//! The round executor: one node kernel, stepped in chunks.
 //!
 //! Within one synchronous round, nodes are independent: each reads only
-//! its own inbox and state. This is embarrassingly parallel, so large
-//! networks are stepped by partitioning nodes across scoped worker
-//! threads. The message plane partitions with them: each worker's nodes
-//! span a contiguous node-id range, so it owns a contiguous slice of
-//! the outgoing slab (its nodes' port ranges) via `split_at_mut` — no
+//! its own inbox and state. A round is therefore one map over the
+//! scheduled nodes, and the executor runs it as one or more **chunks**:
+//! contiguous node-id ranges, each stepped by one worker. The message
+//! plane partitions with them: a chunk's nodes own a contiguous slice
+//! of the outgoing slab (their port ranges) via `split_at_mut` — no
 //! locks, no unsafe, no per-round allocation. The previous round's slab
-//! is read shared by all workers.
+//! is read shared by every chunk.
 //!
-//! Three decisions shape a parallel round; none of them may influence
-//! results (see *Determinism* below):
+//! A round with one worker is a single chunk spanning the network,
+//! stepped on the caller's thread: no thread scope, no cut search, and
+//! its sender list is swapped in rather than merged. A round with
+//! `k > 1` workers spawns `k - 1` scoped threads and steps chunk 0 on
+//! the caller's thread.
+//!
+//! Three decisions shape a round; none of them may influence results
+//! (see *Determinism* below):
 //!
 //! 1. **Representation** — the hybrid judge in
 //!    [`crate::Network::step`] picks the sparse wake list or the dense
 //!    flag sweep *before* execution strategy is considered (threshold
 //!    `active ≥ n / HYBRID_DENSE_DIV`, with hysteresis; see
 //!    [`crate::SchedMode::Hybrid`]).
-//! 2. **Fan-out** — the crate-private `CostModel` decides how many
-//!    workers (if
-//!    any) the round's workload pays for, from *measured* ns/work-unit
-//!    EWMAs of the sequential and parallel paths plus a spawn-cost
-//!    floor. A 1-core box, a tiny network, or a quiet tail never pays
-//!    thread-spawn latency — the pathology an early
-//!    `BENCH_step_plane.json` capture measured as a ~100x slowdown at
-//!    small `n`, previously patched with a hardcoded
-//!    `PAR_MIN_PER_THREAD` constant and now derived from the model.
+//! 2. **Fan-out** — a fixed floor of `MIN_STEPS_PER_WORKER` expected
+//!    node steps per worker: a round uses
+//!    `min(threads, cores, expected / MIN_STEPS_PER_WORKER)` workers,
+//!    and at least one. `expected` is the wake-list length of a sparse
+//!    round and the previous round's stepped count of a dense one. A
+//!    1-core box, a small network, or a quiet tail never pays
+//!    thread-spawn latency.
 //! 3. **Chunking** — the active list (sparse) or id space (dense) is
 //!    cut into chunks of roughly equal *incident-edge* weight
 //!    (`degree + NODE_COST` per node, prefix-summed), not equal node
@@ -34,37 +37,38 @@
 //!    (Chung–Lu / Barabási–Albert) graphs, where one chunk owns the
 //!    hub star and every other worker idles at the join barrier.
 //!
-//! Next-frontier collection is contention-free: each worker writes the
+//! Next-frontier collection is contention-free: each chunk writes the
 //! nodes it re-schedules into its own disjoint window of the shared,
 //! round-sized `wake_next` buffer (a local queue bounded by the chunk's
 //! active count — the bound is exact, so nothing ever spills), and
 //! stamps its own id range of `wake_stamp` (chunks own disjoint id
 //! ranges). After the join, the windows are compacted in chunk order,
-//! which *is* node order, so delivery sees exactly the sequence the
-//! sequential executor produces.
+//! which *is* node order, so delivery sees exactly the sequence a
+//! one-chunk round produces.
 //!
 //! # Determinism
 //!
-//! `step_parallel_*` produce bit-identical results to the sequential
-//! path in every scheduling mode — a property asserted by the tests
-//! below and by the workspace-level `prop_plane`/`conformance` suites —
-//! because
+//! A round's results are bit-identical for every worker count in every
+//! scheduling mode — asserted by the tests below and by the
+//! workspace-level `prop_plane`/`conformance` suites, which compare
+//! one-chunk rounds against k-chunk rounds — because
 //!
 //! 1. every node draws from its own RNG stream,
 //! 2. inbox order is positional (ports), independent of scheduling,
 //! 3. delivery accounting (and the fault-injection RNG stream) runs
 //!    sequentially after the join, walking senders in node order —
-//!    workers record senders per chunk and chunks are merged in node
-//!    order (chunks are id-sorted, so the merge is a concatenation),
-//!    and
-//! 4. the cost model and the hybrid judge only choose *how* the round
-//!    executes, never *what* it computes; the judge is furthermore a
-//!    pure function of node counts, so even the `sched_overhead` trace
-//!    (the one gauge allowed to differ between representations) is
-//!    reproducible run-to-run.
+//!    chunks record senders separately and are merged in node order
+//!    (chunks are id-sorted, so the merge is a concatenation), and
+//! 4. the fan-out rule and the hybrid judge only choose *how* the
+//!    round executes, never *what* it computes. Both are pure
+//!    functions of node counts (and, for fan-out, the host's core
+//!    count), so the `sched_overhead` trace (the one gauge allowed to
+//!    differ between representations), `peak_workers` and a trace's
+//!    worker tracks reproduce from run to run.
 
-use crate::mailbox::Inbox;
-use crate::network::{split_planes, Ctx, Network, Protocol};
+use crate::mailbox::{Inbox, Slab};
+use crate::network::{split_planes, Ctx, Network, Protocol, WorkerScratch};
+use crate::rng::SplitMix64;
 use crate::stats::timing;
 use crate::topology::{NodeId, Topology};
 use std::time::Instant;
@@ -76,159 +80,33 @@ use std::time::Instant;
 /// free) while hubs dominate, as they should.
 const NODE_COST: usize = 8;
 
-/// Prior estimate of thread spawn+join cost per worker, in ns. Scoped
-/// threads are created and joined every parallel round; a worker is
-/// only worth spawning when the work it carves off costs a multiple of
-/// this (see [`CostModel::min_work_per_worker`]).
-const SPAWN_COST_NS: f64 = 25_000.0;
-
-/// Safety margin on the spawn-cost floor: a chunk must be predicted to
-/// take at least `SPAWN_MARGIN · SPAWN_COST_NS` of sequential work
-/// before a thread is dedicated to it.
-const SPAWN_MARGIN: f64 = 2.0;
-
-/// Prior ns per unit of work (one scheduled node in sparse rounds, one
-/// id slot in dense rounds) before any round has been measured.
-/// Deliberately on the cheap side: underestimating per-unit cost makes
-/// the first fan-out *later* than optimal, which is the safe direction.
-const PRIOR_NS_PER_UNIT: f64 = 100.0;
-
-/// EWMA smoothing factor for the measured per-unit costs.
-const EWMA_ALPHA: f64 = 0.25;
-
-/// Every `PROBE_PERIOD`-th eligible decision re-runs the currently
-/// losing path once, so the model tracks workload drift (a protocol
-/// whose per-node work grows or shrinks over phases) instead of locking
-/// in a stale verdict.
-const PROBE_PERIOD: u64 = 256;
+/// Expected node steps a round must offer *per worker* before it fans
+/// out. Scoped threads are spawned and joined every parallel round, and
+/// a worker pays for its spawn only when it takes this many steps off
+/// the caller's thread. Set with E19 on a 2-core host: a full-activity
+/// round of `gnp(8000, d̄=8)` stays on one worker (split in two it
+/// lost), one of `gnp(32000, d̄=8)` is split in two.
+pub(crate) const MIN_STEPS_PER_WORKER: usize = 10_000;
 
 /// Machine parallelism, probed once (`available_parallelism` performs
 /// affinity/cgroup syscalls; the core count cannot change meaningfully
 /// mid-run).
 pub(crate) fn hw_parallelism() -> usize {
     static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    // dlint::allow(ambient-env, "the one sanctioned probe: CostModel's thread cap; results are bit-identical for every thread count by the parallel-equivalence suite")
+    // dlint::allow(ambient-env, "the one sanctioned probe: caps the fan-out rule's worker count; results are bit-identical for every worker count by the parallel-equivalence suite")
     *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
-/// Exponentially weighted moving average of ns per work unit.
-#[derive(Debug, Clone, Copy, Default)]
-struct Ewma {
-    value: f64,
-    samples: u64,
-}
-
-impl Ewma {
-    fn observe(&mut self, x: f64) {
-        self.samples += 1;
-        self.value = if self.samples == 1 {
-            x
-        } else {
-            EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * self.value
-        };
-    }
-
-    fn known(&self) -> bool {
-        self.samples > 0
-    }
-
-    fn or_prior(&self) -> f64 {
-        if self.known() {
-            self.value
-        } else {
-            PRIOR_NS_PER_UNIT
-        }
-    }
-}
-
-/// Per-round sequential-vs-parallel cost model.
-///
-/// Tracks measured ns per work unit for each (representation ×
-/// execution path) pair — work units are scheduled nodes in sparse
-/// rounds and id slots in dense rounds — and answers one question per
-/// round: *how many workers does this workload pay for?* The answer is
-/// purely a performance decision; both paths are bit-identical, so the
-/// model is free to be heuristic and even to learn from wall-clock
-/// noise without ever compromising reproducibility of results.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CostModel {
-    /// Measured sequential cost, indexed by `dense as usize`.
-    seq: [Ewma; 2],
-    /// Measured parallel cost (spawn/join amortized in), same indexing.
-    par: [Ewma; 2],
-    /// Eligible decisions taken, for the periodic re-probe.
-    decisions: u64,
-}
-
-impl CostModel {
-    pub(crate) fn new() -> Self {
-        CostModel::default()
-    }
-
-    /// The workload floor per worker, derived from the measured
-    /// sequential per-unit cost: a worker must carve off at least
-    /// `SPAWN_MARGIN · SPAWN_COST_NS` worth of predicted work. This is
-    /// what replaced the old hardcoded `PAR_MIN_PER_THREAD = 1024`:
-    /// cheap rounds (idle-heavy sweeps) raise the floor, expensive
-    /// protocol rounds lower it.
-    pub(crate) fn min_work_per_worker(&self, dense: bool) -> usize {
-        let seq_unit = self.seq[dense as usize].or_prior();
-        (((SPAWN_MARGIN * SPAWN_COST_NS) / seq_unit).ceil() as usize).max(1)
-    }
-
-    /// Workers worth spawning for `workload` units this round on a
-    /// machine with `hw` cores, requested ceiling `requested`.
-    /// Returns 1 for "run sequentially".
-    pub(crate) fn plan(
-        &mut self,
-        requested: usize,
-        hw: usize,
-        workload: usize,
-        dense: bool,
-    ) -> usize {
-        if requested <= 1 || hw <= 1 || workload == 0 {
-            return 1;
-        }
-        let cap = requested
-            .min(hw)
-            .min(workload / self.min_work_per_worker(dense));
-        if cap <= 1 {
-            return 1;
-        }
-        self.decisions += 1;
-        let i = dense as usize;
-        if !self.par[i].known() {
-            return cap; // explore: the model needs a parallel sample
-        }
-        if !self.seq[i].known() {
-            return 1; // symmetric: measure the sequential path once
-        }
-        let seq_pred = self.seq[i].value * workload as f64;
-        let par_pred = self.par[i].value * workload as f64;
-        let par_better = par_pred < seq_pred;
-        // Re-probe the losing path periodically so the verdict adapts;
-        // `par_better XOR probe` flips the choice on probe ticks.
-        let probe = self.decisions.is_multiple_of(PROBE_PERIOD);
-        if par_better != probe {
-            cap
-        } else {
-            1
-        }
-    }
-
-    /// Feed one measured round back into the model.
-    pub(crate) fn observe(&mut self, dense: bool, workers: usize, workload: usize, ns: u64) {
-        if workload == 0 {
-            return;
-        }
-        let per_unit = ns as f64 / workload as f64;
-        let i = dense as usize;
-        if workers > 1 {
-            self.par[i].observe(per_unit);
-        } else {
-            self.seq[i].observe(per_unit);
-        }
-    }
+/// The fan-out rule: how many workers a round that expects `expected`
+/// node steps uses, under a ceiling of `threads` on a host with `cores`
+/// cores. One worker per `MIN_STEPS_PER_WORKER` expected steps, and at
+/// least one, which means the round is a single chunk on the caller's
+/// thread.
+pub(crate) fn fan_out(threads: usize, cores: usize, expected: usize) -> usize {
+    threads
+        .min(cores)
+        .min(expected / MIN_STEPS_PER_WORKER)
+        .max(1)
 }
 
 /// Weight of node `v` for chunk balancing.
@@ -237,325 +115,390 @@ fn node_weight(topo: &Topology, v: NodeId) -> u64 {
     (topo.degree(v) + NODE_COST) as u64
 }
 
-/// Dense-mode parallel round: partition `0..n` into contiguous chunks
-/// of roughly equal `ports + NODE_COST·nodes` weight (cut points found
-/// by binary search over the CSR offsets — O(threads · log n), no
-/// prefix-sum array).
-pub(crate) fn step_parallel_dense<P: Protocol>(net: &mut Network<P>, threads: usize) -> u64 {
-    let n = net.topo.len();
-    debug_assert!(threads > 1);
-    let round = net.round;
-    while net.workers.len() < threads {
-        net.workers.push(crate::network::WorkerScratch::default());
+/// Slab offset of node `v`'s first port; `v = n` maps to the end of the
+/// slab, so a chunk ending before node `n` owns the slab's tail.
+fn port_start(topo: &Topology, v: usize) -> usize {
+    if v < topo.len() {
+        topo.port_base(v as NodeId)
+    } else {
+        topo.total_ports()
     }
+}
+
+/// What every chunk of a round reads shared: the topology, last round's
+/// slab, and the inbox counts delivery left for this round.
+struct RoundView<'a, M> {
+    topo: &'a Topology,
+    in_plane: &'a Slab<M>,
+    inbox_count: &'a [u32],
+    inbox_count_round: &'a [u64],
+    round: u64,
+    /// Generation this round's sends are stamped with.
+    out_gen: u64,
+}
+
+impl<M> RoundView<'_, M> {
+    /// Messages waiting for node `v` this round.
+    #[inline]
+    fn mail(&self, v: usize) -> u32 {
+        if self.inbox_count_round[v] == self.round {
+            self.inbox_count[v]
+        } else {
+            0
+        }
+    }
+}
+
+/// One worker's share of a round: nodes `first..first + nodes.len()`
+/// (every per-node slice is indexed chunk-locally) and their ports of
+/// the outgoing slab, which start at slab offset `port_base`.
+struct Chunk<'a, P: Protocol> {
+    first: usize,
+    port_base: usize,
+    nodes: &'a mut [P],
+    rngs: &'a mut [SplitMix64],
+    halted: &'a mut [bool],
+    dozing: &'a mut [bool],
+    wake_stamp: &'a mut [u64],
+    stamp: &'a mut [u64],
+    msg: &'a mut [Option<P::Msg>],
+}
+
+/// Detach and return the first `k` elements of `*s`, leaving the rest.
+fn split_front<'a, T>(s: &mut &'a mut [T], k: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(s).split_at_mut(k);
+    *s = tail;
+    head
+}
+
+impl<P: Protocol> Chunk<'_, P> {
+    /// Detach and return the nodes before `end` with their ports;
+    /// `self` keeps `end..`.
+    fn take_front(&mut self, topo: &Topology, end: usize) -> Self {
+        let port_end = port_start(topo, end);
+        let nodes = end - self.first;
+        let ports = port_end - self.port_base;
+        let head = Chunk {
+            first: self.first,
+            port_base: self.port_base,
+            nodes: split_front(&mut self.nodes, nodes),
+            rngs: split_front(&mut self.rngs, nodes),
+            halted: split_front(&mut self.halted, nodes),
+            dozing: split_front(&mut self.dozing, nodes),
+            wake_stamp: split_front(&mut self.wake_stamp, nodes),
+            stamp: split_front(&mut self.stamp, ports),
+            msg: split_front(&mut self.msg, ports),
+        };
+        self.first = end;
+        self.port_base = port_end;
+        head
+    }
+
+    /// The node kernel: step chunk-local node `i`, which has `count`
+    /// messages waiting, and record it in `scratch`. Returns whether
+    /// the node stays awake (called neither halt nor sleep). Always
+    /// inlined: both loops call it once per node step, and a call there
+    /// measurably slowed rounds that step only a few nodes.
+    #[inline(always)]
+    fn step_node(
+        &mut self,
+        view: &RoundView<'_, P::Msg>,
+        i: usize,
+        count: u32,
+        scratch: &mut WorkerScratch,
+    ) -> bool {
+        let v = (self.first + i) as NodeId;
+        scratch.stepped += 1;
+        self.dozing[i] = false;
+        let inbox = Inbox::new(view.topo, v, view.in_plane, count);
+        let base = view.topo.port_base(v) - self.port_base;
+        let ports = base..base + view.topo.degree(v);
+        let mut sent_any = false;
+        let mut ctx = Ctx::new(
+            v,
+            view.round,
+            view.topo,
+            &mut self.rngs[i],
+            &mut self.stamp[ports.clone()],
+            &mut self.msg[ports],
+            view.out_gen,
+            &mut sent_any,
+            &mut self.halted[i],
+            &mut self.dozing[i],
+        );
+        self.nodes[i].on_round(&mut ctx, inbox);
+        if sent_any {
+            scratch.touched.push(v);
+        }
+        if self.halted[i] {
+            scratch.halts += 1;
+            return false;
+        }
+        !self.dozing[i]
+    }
+
+    /// Dense sweep of the chunk: step every live node that is awake or
+    /// has mail.
+    #[inline]
+    fn run_dense(&mut self, view: &RoundView<'_, P::Msg>, scratch: &mut WorkerScratch) {
+        scratch.prepare(self.nodes.len());
+        for i in 0..self.nodes.len() {
+            if self.halted[i] {
+                continue;
+            }
+            let count = view.mail(self.first + i);
+            if self.dozing[i] && count == 0 {
+                continue; // asleep and no mail: contract says skip
+            }
+            self.step_node(view, i, count, scratch);
+        }
+    }
+
+    /// Sparse drain of `wake`, the chunk's segment of the wake list:
+    /// step every valid entry and write the nodes that stay awake into
+    /// `next`, the chunk's window of the next round's wake list.
+    #[inline]
+    fn run_sparse(
+        &mut self,
+        view: &RoundView<'_, P::Msg>,
+        wake: &[NodeId],
+        next: &mut [NodeId],
+        scratch: &mut WorkerScratch,
+    ) {
+        scratch.prepare(wake.len());
+        scratch.wake_cap = next.len();
+        let mut wrote = 0usize;
+        for &vid in wake {
+            let i = vid as usize - self.first;
+            if self.halted[i] || self.wake_stamp[i] != view.round {
+                continue; // stale entry (e.g. woken then halted)
+            }
+            if self.step_node(view, i, view.mail(vid as usize), scratch) {
+                // Staying awake is the default: stamp (this chunk owns
+                // the id range) and enqueue in the chunk's window.
+                self.wake_stamp[i] = view.round + 1;
+                next[wrote] = vid;
+                wrote += 1;
+            }
+        }
+        scratch.wake_len = wrote;
+    }
+}
+
+/// A round opened on a network: the shared view, the chunk spanning
+/// every node, the scratch of `workers` workers, and the wake lists.
+struct Round<'a, P: Protocol> {
+    view: RoundView<'a, P::Msg>,
+    whole: Chunk<'a, P>,
+    scratch: &'a mut [WorkerScratch],
+    wake_cur: &'a [NodeId],
+    wake_next: &'a mut [NodeId],
+}
+
+/// Advance this round's out slab and split `net` into a [`Round`].
+#[inline]
+fn open_round<P: Protocol>(net: &mut Network<P>, workers: usize) -> Round<'_, P> {
+    if net.workers.len() < workers {
+        net.workers.resize_with(workers, WorkerScratch::default);
+    }
+    let round = net.round;
     let (out_plane, in_plane) = split_planes(&mut net.planes, round);
     out_plane.advance();
-    let out_gen = out_plane.gen;
-    let topo = &net.topo;
-    let inbox_count = &net.inbox_count[..];
-    let inbox_count_round = &net.inbox_count_round[..];
+    Round {
+        view: RoundView {
+            topo: &net.topo,
+            in_plane,
+            inbox_count: &net.inbox_count,
+            inbox_count_round: &net.inbox_count_round,
+            round,
+            out_gen: out_plane.gen,
+        },
+        whole: Chunk {
+            first: 0,
+            port_base: 0,
+            nodes: &mut net.nodes,
+            rngs: &mut net.rngs,
+            halted: &mut net.halted,
+            dozing: &mut net.dozing,
+            wake_stamp: &mut net.wake_stamp,
+            stamp: &mut out_plane.stamp,
+            msg: &mut out_plane.msg,
+        },
+        scratch: &mut net.workers[..workers],
+        wake_cur: &net.wake_cur,
+        wake_next: &mut net.wake_next,
+    }
+}
 
-    // Weighted prefix position of node v: ports before v plus the
-    // fixed per-node cost. Monotone in v, so cuts binary-search it.
-    let wpos = |v: usize| -> u64 {
-        let ports = if v < n {
-            topo.port_base(v as NodeId)
-        } else {
-            topo.total_ports()
-        };
-        ports as u64 + (NODE_COST * v) as u64
-    };
-    let total_w = wpos(n);
-    let cut = |k: usize| -> usize {
-        if k >= threads {
-            return n;
-        }
-        let target = total_w * k as u64 / threads as u64;
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if wpos(mid) < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
-
-    // When a flight recorder is installed, workers stamp their span
-    // bounds into scratch against this shared clock base (they cannot
-    // reach the main thread's recorder); the merge emits the events.
+/// Step `chunks` (id-ascending, at most one per scratch): chunk 0 on
+/// the caller's thread, the rest on scoped threads. When a flight
+/// recorder is installed, each worker stamps its span bounds into its
+/// scratch against the recorder's clock base (workers cannot reach the
+/// caller's thread-local recorder); the merge emits the events.
+/// Returns the number of chunks stepped.
+fn run_chunks<T: Send>(
+    scratch: &mut [WorkerScratch],
+    chunks: impl Iterator<Item = T>,
+    step: impl Fn(T, &mut WorkerScratch) + Sync,
+) -> usize {
     let trace_epoch = dobs::plane::epoch();
-    let mut spawned = 0usize;
+    let work = |chunk: T, s: &mut WorkerScratch| {
+        if let Some(epoch) = trace_epoch {
+            s.span_t0_ns = epoch.elapsed().as_nanos() as u64;
+        }
+        step(chunk, s);
+        if let Some(epoch) = trace_epoch {
+            s.span_t1_ns = epoch.elapsed().as_nanos() as u64;
+        }
+    };
+    let mut stepped = 0usize;
     std::thread::scope(|scope| {
-        let mut nodes_rest = &mut net.nodes[..];
-        let mut rngs_rest = &mut net.rngs[..];
-        let mut halted_rest = &mut net.halted[..];
-        let mut dozing_rest = &mut net.dozing[..];
-        let mut stamp_rest = &mut out_plane.stamp[..];
-        let mut msg_rest = &mut out_plane.msg[..];
-        let mut scratch_rest = &mut net.workers[..threads];
-        let in_plane = &*in_plane;
-        let mut base = 0usize;
-        let mut port_base = 0usize;
-        for k in 1..=threads {
-            let end = cut(k);
-            if end <= base {
-                continue; // a hub swallowed this cut's weight share
-            }
-            let take = end - base;
-            let (nodes_c, nr) = nodes_rest.split_at_mut(take);
-            let (rngs_c, rr) = rngs_rest.split_at_mut(take);
-            let (halted_c, hr) = halted_rest.split_at_mut(take);
-            let (dozing_c, dr) = dozing_rest.split_at_mut(take);
-            // Contiguous nodes own a contiguous slab range.
-            let port_end = if end < n {
-                topo.port_base(end as NodeId)
+        let mut caller = None;
+        for (chunk, s) in chunks.zip(scratch.iter_mut()) {
+            stepped += 1;
+            if caller.is_none() {
+                caller = Some((chunk, s));
             } else {
-                topo.total_ports()
-            };
-            let (stamp_c, sr) = stamp_rest.split_at_mut(port_end - port_base);
-            let (msg_c, mr) = msg_rest.split_at_mut(port_end - port_base);
-            let (scratch_c, tr) = scratch_rest.split_at_mut(1);
-            nodes_rest = nr;
-            rngs_rest = rr;
-            halted_rest = hr;
-            dozing_rest = dr;
-            stamp_rest = sr;
-            msg_rest = mr;
-            scratch_rest = tr;
-            let first = base;
-            let chunk_port_base = port_base;
-            base = end;
-            port_base = port_end;
-            spawned += 1;
-            scope.spawn(move || {
-                let scratch = &mut scratch_c[0];
-                scratch.prepare(nodes_c.len());
-                if let Some(epoch) = trace_epoch {
-                    scratch.span_t0_ns = epoch.elapsed().as_nanos() as u64;
-                }
-                for i in 0..nodes_c.len() {
-                    if halted_c[i] {
-                        continue;
-                    }
-                    let v = (first + i) as NodeId;
-                    let count = if inbox_count_round[v as usize] == round {
-                        inbox_count[v as usize]
-                    } else {
-                        0
-                    };
-                    if dozing_c[i] && count == 0 {
-                        continue; // asleep and no mail: contract says skip
-                    }
-                    scratch.stepped += 1;
-                    dozing_c[i] = false;
-                    let inbox = Inbox::new(topo, v, in_plane, count);
-                    let nb = topo.port_base(v) - chunk_port_base;
-                    let deg = topo.degree(v);
-                    let mut sent_any = false;
-                    let mut ctx = Ctx::new(
-                        v,
-                        round,
-                        topo,
-                        &mut rngs_c[i],
-                        &mut stamp_c[nb..nb + deg],
-                        &mut msg_c[nb..nb + deg],
-                        out_gen,
-                        &mut sent_any,
-                        &mut halted_c[i],
-                        &mut dozing_c[i],
-                    );
-                    nodes_c[i].on_round(&mut ctx, inbox);
-                    if halted_c[i] {
-                        scratch.halts += 1;
-                    }
-                    if sent_any {
-                        scratch.touched.push(v);
-                    }
-                }
-                if let Some(epoch) = trace_epoch {
-                    scratch.span_t1_ns = epoch.elapsed().as_nanos() as u64;
-                }
-            });
+                let work = &work;
+                scope.spawn(move || work(chunk, s));
+            }
+        }
+        if let Some((chunk, s)) = caller {
+            work(chunk, s);
         }
     });
+    stepped
+}
 
-    let stepped = merge_worker_scratch(net, spawned, false);
+/// Dense round with `workers` chunks of the id space `0..n`, cut at
+/// roughly equal `ports + NODE_COST·nodes` weight (cut points found by
+/// binary search over the CSR offsets — O(workers · log n), no
+/// prefix-sum array).
+#[inline]
+pub(crate) fn step_dense<P: Protocol>(net: &mut Network<P>, workers: usize) -> u64 {
+    let n = net.topo.len();
+    let Round {
+        view,
+        mut whole,
+        scratch,
+        ..
+    } = open_round(net, workers);
+    let stepped = if workers == 1 {
+        whole.run_dense(&view, &mut scratch[0]);
+        settle_single_chunk(net, false)
+    } else {
+        let topo = view.topo;
+        // Weighted prefix position of node v: ports before v plus the
+        // fixed per-node cost. Monotone in v, so cuts binary-search it.
+        let wpos = |v: usize| (port_start(topo, v) + NODE_COST * v) as u64;
+        let total_w = wpos(n);
+        let cut = |k: usize| -> usize {
+            if k >= workers {
+                return n;
+            }
+            let target = total_w * k as u64 / workers as u64;
+            let (mut lo, mut hi) = (0usize, n);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if wpos(mid) < target {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        // A cut at or before the previous one yields no chunk (a hub
+        // swallowed that cut's weight share).
+        let chunks = (1..=workers).filter_map(|k| {
+            let end = cut(k);
+            (end > whole.first).then(|| whole.take_front(topo, end))
+        });
+        let spawned = run_chunks(scratch, chunks, |mut chunk, s| chunk.run_dense(&view, s));
+        merge_worker_scratch(net, spawned, false)
+    };
     net.finish_round(stepped, n as u64 - stepped)
 }
 
-/// Sparse-mode parallel round: partition the sorted **active list**
-/// into contiguous segments of roughly equal degree weight
+/// Sparse round with `workers` chunks: the sorted **active list** is
+/// cut into contiguous segments of roughly equal degree weight
 /// (`Σ degree + NODE_COST` per segment), so a Chung–Lu hub and its
 /// star do not land on one worker while the rest idle.
-pub(crate) fn step_parallel_sparse<P: Protocol>(net: &mut Network<P>, threads: usize) -> u64 {
-    let round = net.round;
-    debug_assert!(threads > 1);
+#[inline]
+pub(crate) fn step_sparse<P: Protocol>(net: &mut Network<P>, workers: usize) -> u64 {
+    // Auto-reschedules arrive in node order but delivery wake-ups do
+    // not; one cheap mostly-sorted pass restores the ascending order
+    // delivery (and the loss RNG stream) depends on.
     if !net.wake_cur.is_sorted() {
         net.wake_cur.sort_unstable();
     }
     let active = net.wake_cur.len();
-    let n = net.topo.len();
-    while net.workers.len() < threads {
-        net.workers.push(crate::network::WorkerScratch::default());
-    }
-    let (out_plane, in_plane) = split_planes(&mut net.planes, round);
-    out_plane.advance();
-    let out_gen = out_plane.gen;
-    // The shared next-frontier buffer: one slot per active node,
-    // windowed per chunk. Capacity n was reserved at construction, so
-    // this resize never allocates.
+    // The next-frontier buffer: one slot per active node, windowed per
+    // chunk. Capacity n was reserved at construction, so this resize
+    // never allocates.
     net.wake_next.clear();
     net.wake_next.resize(active, 0);
-    let topo = &net.topo;
-    let inbox_count = &net.inbox_count[..];
-    let inbox_count_round = &net.inbox_count_round[..];
-    let wake_cur = &net.wake_cur[..];
-
-    // Total degree weight of the active list (one O(active) pass);
-    // chunk k ends once the running weight crosses k/threads of it.
-    let total_w: u64 = wake_cur.iter().map(|&v| node_weight(topo, v)).sum();
-
-    // Shared clock base for worker span stamps (see the dense path).
-    let trace_epoch = dobs::plane::epoch();
-    let mut spawned = 0usize;
-    std::thread::scope(|scope| {
-        let mut nodes_rest = &mut net.nodes[..];
-        let mut rngs_rest = &mut net.rngs[..];
-        let mut halted_rest = &mut net.halted[..];
-        let mut dozing_rest = &mut net.dozing[..];
-        let mut stamp_rest = &mut out_plane.stamp[..];
-        let mut msg_rest = &mut out_plane.msg[..];
-        let mut wake_stamp_rest = &mut net.wake_stamp[..];
-        let mut wake_out_rest = &mut net.wake_next[..];
-        let mut scratch_rest = &mut net.workers[..threads];
-        let in_plane = &*in_plane;
-        // Nodes/ports consumed so far (everything before the current
-        // segment's first active node is skipped, not assigned).
-        let mut consumed = 0usize;
-        let mut port_consumed = 0usize;
-        let mut lo = 0usize;
-        let mut cum = 0u64;
-        let mut k = 0usize;
-        while lo < active {
+    let Round {
+        view,
+        mut whole,
+        scratch,
+        wake_cur,
+        mut wake_next,
+    } = open_round(net, workers);
+    let stepped = if workers == 1 {
+        whole.run_sparse(&view, wake_cur, wake_next, &mut scratch[0]);
+        settle_single_chunk(net, true)
+    } else {
+        let topo = view.topo;
+        // Total degree weight of the active list (one O(active) pass);
+        // segment k ends once the running weight crosses k/workers of
+        // it, and the last segment absorbs the remainder.
+        let total_w: u64 = wake_cur.iter().map(|&v| node_weight(topo, v)).sum();
+        let (mut lo, mut cum, mut k) = (0usize, 0u64, 0usize);
+        let chunks = std::iter::from_fn(|| {
+            if lo == active {
+                return None;
+            }
             k += 1;
-            let target = if k >= threads {
-                u64::MAX // the last chunk absorbs the remainder
+            let target = if k >= workers {
+                u64::MAX
             } else {
-                total_w * k as u64 / threads as u64
+                total_w * k as u64 / workers as u64
             };
             let mut hi = lo;
             while hi < active && (hi == lo || cum < target) {
                 cum += node_weight(topo, wake_cur[hi]);
                 hi += 1;
             }
-            // The wake list is sorted and duplicate-free, so segment
-            // id ranges are disjoint and ascending.
-            let first = wake_cur[lo] as usize;
-            let last = wake_cur[hi - 1] as usize;
-            let skip = first - consumed;
-            nodes_rest = nodes_rest.split_at_mut(skip).1;
-            rngs_rest = rngs_rest.split_at_mut(skip).1;
-            halted_rest = halted_rest.split_at_mut(skip).1;
-            dozing_rest = dozing_rest.split_at_mut(skip).1;
-            wake_stamp_rest = wake_stamp_rest.split_at_mut(skip).1;
-            let seg_port_base = topo.port_base(first as NodeId);
-            let port_skip = seg_port_base - port_consumed;
-            stamp_rest = stamp_rest.split_at_mut(port_skip).1;
-            msg_rest = msg_rest.split_at_mut(port_skip).1;
-            let take = last - first + 1;
-            let port_end = if last + 1 < n {
-                topo.port_base((last + 1) as NodeId)
-            } else {
-                topo.total_ports()
-            };
-            let (nodes_c, nr) = nodes_rest.split_at_mut(take);
-            let (rngs_c, rr) = rngs_rest.split_at_mut(take);
-            let (halted_c, hr) = halted_rest.split_at_mut(take);
-            let (dozing_c, dr) = dozing_rest.split_at_mut(take);
-            let (wake_stamp_c, wsr) = wake_stamp_rest.split_at_mut(take);
-            let (stamp_c, sr) = stamp_rest.split_at_mut(port_end - seg_port_base);
-            let (msg_c, mr) = msg_rest.split_at_mut(port_end - seg_port_base);
-            let (wake_out_c, wor) = wake_out_rest.split_at_mut(hi - lo);
-            let (scratch_c, tr) = scratch_rest.split_at_mut(1);
-            nodes_rest = nr;
-            rngs_rest = rr;
-            halted_rest = hr;
-            dozing_rest = dr;
-            wake_stamp_rest = wsr;
-            stamp_rest = sr;
-            msg_rest = mr;
-            wake_out_rest = wor;
-            scratch_rest = tr;
-            consumed = last + 1;
-            port_consumed = port_end;
-            let wake_slice = &wake_cur[lo..hi];
+            // The wake list is sorted and duplicate-free, so segment id
+            // ranges are disjoint and ascending: drop the unscheduled
+            // nodes before this segment, then take through its last.
+            whole.take_front(topo, wake_cur[lo] as usize);
+            let chunk = whole.take_front(topo, wake_cur[hi - 1] as usize + 1);
+            let segment = &wake_cur[lo..hi];
             lo = hi;
-            spawned += 1;
-            scope.spawn(move || {
-                let scratch = &mut scratch_c[0];
-                scratch.prepare(wake_slice.len());
-                if let Some(epoch) = trace_epoch {
-                    scratch.span_t0_ns = epoch.elapsed().as_nanos() as u64;
-                }
-                scratch.wake_cap = wake_out_c.len();
-                let mut wrote = 0usize;
-                for &vid in wake_slice {
-                    let v = vid as usize;
-                    let i = v - first;
-                    if halted_c[i] || wake_stamp_c[i] != round {
-                        continue; // stale entry (e.g. woken then halted)
-                    }
-                    scratch.stepped += 1;
-                    dozing_c[i] = false;
-                    let count = if inbox_count_round[v] == round {
-                        inbox_count[v]
-                    } else {
-                        0
-                    };
-                    let inbox = Inbox::new(topo, vid, in_plane, count);
-                    let nb = topo.port_base(vid) - seg_port_base;
-                    let deg = topo.degree(vid);
-                    let mut sent_any = false;
-                    let mut ctx = Ctx::new(
-                        vid,
-                        round,
-                        topo,
-                        &mut rngs_c[i],
-                        &mut stamp_c[nb..nb + deg],
-                        &mut msg_c[nb..nb + deg],
-                        out_gen,
-                        &mut sent_any,
-                        &mut halted_c[i],
-                        &mut dozing_c[i],
-                    );
-                    nodes_c[i].on_round(&mut ctx, inbox);
-                    if halted_c[i] {
-                        scratch.halts += 1;
-                    } else if !dozing_c[i] {
-                        // Staying awake is the default: stamp (this
-                        // chunk owns the id range) and enqueue in the
-                        // chunk-local window.
-                        wake_stamp_c[i] = round + 1;
-                        wake_out_c[wrote] = vid;
-                        wrote += 1;
-                    }
-                    if sent_any {
-                        scratch.touched.push(vid);
-                    }
-                }
-                scratch.wake_len = wrote;
-                if let Some(epoch) = trace_epoch {
-                    scratch.span_t1_ns = epoch.elapsed().as_nanos() as u64;
-                }
-            });
-        }
-    });
-
-    let stepped = merge_worker_scratch(net, spawned, true);
+            Some((chunk, segment, split_front(&mut wake_next, segment.len())))
+        });
+        let spawned = run_chunks(scratch, chunks, |(mut chunk, wake, next), s| {
+            chunk.run_sparse(&view, wake, next, s)
+        });
+        merge_worker_scratch(net, spawned, true)
+    };
     net.finish_round(stepped, active as u64 - stepped)
+}
+
+/// Settle a one-chunk round: its sender list is the round's, so it is
+/// swapped in rather than copied, and its wake window is the whole
+/// buffer.
+#[inline]
+fn settle_single_chunk<P: Protocol>(net: &mut Network<P>, sparse: bool) -> u64 {
+    let w = &mut net.workers[0];
+    std::mem::swap(&mut net.touched, &mut w.touched);
+    net.live -= w.halts as usize;
+    if sparse {
+        net.wake_next.truncate(w.wake_len);
+    }
+    w.stepped
 }
 
 /// Merge per-chunk sender buffers (concatenation — chunks are
@@ -619,7 +562,7 @@ fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, spars
 
 #[cfg(test)]
 mod tests {
-    use super::CostModel;
+    use super::{fan_out, hw_parallelism, MIN_STEPS_PER_WORKER};
     use crate::network::SchedMode;
     use crate::{Ctx, ExecCfg, FaultPlan, Inbox, Network, Protocol, Topology};
 
@@ -728,11 +671,11 @@ mod tests {
         assert!(net.all_halted());
     }
 
-    /// Force true multi-worker execution — the cost model would
-    /// otherwise route every test-sized (and every single-core-machine)
-    /// round through the sequential path, leaving the partitioners
-    /// untested. `force_parallel` spawns one worker per requested
-    /// thread regardless of machine or workload.
+    /// Force true multi-worker execution — the fan-out floor would
+    /// otherwise keep every test-sized (and every single-core-machine)
+    /// round on one chunk, leaving the cuts and the merge untested.
+    /// `force_parallel` uses one worker per requested thread regardless
+    /// of machine or workload; chunk 0 runs on the caller's thread.
     #[test]
     fn forced_workers_stay_identical_in_all_modes() {
         let n = 64;
@@ -878,88 +821,85 @@ mod tests {
         );
     }
 
-    // -- Cost model: the seq-vs-par decision, tested directly. --------
+    // -- The fan-out rule. ---------------------------------------------
 
     #[test]
-    fn cost_model_never_spawns_on_one_core() {
-        let mut m = CostModel::new();
-        assert_eq!(m.plan(8, 1, 1 << 20, false), 1);
-        assert_eq!(m.plan(8, 1, 1 << 20, true), 1);
-    }
-
-    #[test]
-    fn cost_model_holds_small_workloads_sequential() {
-        let mut m = CostModel::new();
-        // With the default prior, a handful of nodes never covers the
-        // spawn cost.
-        assert_eq!(m.plan(8, 8, 10, false), 1);
-        assert_eq!(m.plan(8, 8, 0, false), 1);
-        // A huge workload fans out up to the requested/core ceiling.
-        assert_eq!(m.plan(8, 8, 1 << 20, false), 8);
-        assert_eq!(m.plan(4, 16, 1 << 20, false), 4);
-        assert_eq!(m.plan(16, 4, 1 << 20, false), 4);
-    }
-
-    #[test]
-    fn workload_floor_derives_from_measured_cost() {
-        let mut m = CostModel::new();
-        let prior_floor = m.min_work_per_worker(false);
-        // Cheap measured rounds (5 ns/node: idle-skip sweeps) raise the
-        // floor — more nodes are needed to pay for one spawn…
-        for _ in 0..8 {
-            m.observe(false, 1, 100_000, 500_000); // 5 ns/unit
-        }
-        assert!(m.min_work_per_worker(false) > prior_floor);
-        // …and a workload that fanned out under the prior now stays
-        // sequential.
-        let w = prior_floor * 2;
-        assert_eq!(m.plan(2, 8, w, false), 1);
-        // Expensive rounds (10 µs/node) lower the floor instead.
-        let mut m = CostModel::new();
-        for _ in 0..8 {
-            m.observe(false, 1, 100, 1_000_000); // 10 µs/unit
-        }
-        assert!(m.min_work_per_worker(false) < prior_floor);
-    }
-
-    #[test]
-    fn cost_model_falls_back_when_parallel_measures_slower() {
-        let mut m = CostModel::new();
-        let w = 1 << 20;
-        // Parallel measured 2x slower per unit than sequential.
-        for _ in 0..8 {
-            m.observe(false, 1, w, 100 * w as u64);
-            m.observe(false, 8, w, 200 * w as u64);
-        }
-        // Decisions 1..=255 all pick sequential; 256 is a probe tick.
-        for _ in 0..100 {
-            assert_eq!(m.plan(8, 8, w, false), 1);
-        }
-        // And the reverse: parallel measured faster keeps fanning out.
-        let mut m = CostModel::new();
-        for _ in 0..8 {
-            m.observe(false, 1, w, 100 * w as u64);
-            m.observe(false, 8, w, 25 * w as u64);
-        }
-        for _ in 0..100 {
-            assert_eq!(m.plan(8, 8, w, false), 8);
+    fn fan_out_rule_table() {
+        let floor = MIN_STEPS_PER_WORKER;
+        // ((threads, cores, expected), workers)
+        let table = [
+            ((1, 8, 100 * floor), 1), // one thread requested
+            ((8, 1, 100 * floor), 1), // one core
+            ((8, 8, 0), 1),           // an empty round
+            ((8, 8, floor - 1), 1),   // below the floor
+            ((8, 8, 2 * floor - 1), 1),
+            ((8, 8, 2 * floor), 2),
+            ((8, 8, 5 * floor + 1), 5), // the floor caps the fan-out
+            ((8, 8, 100 * floor), 8),   // far above: min(threads, cores)
+            ((4, 16, 100 * floor), 4),
+            ((16, 4, 100 * floor), 4),
+        ];
+        for ((threads, cores, expected), workers) in table {
+            assert_eq!(
+                fan_out(threads, cores, expected),
+                workers,
+                "fan_out({threads}, {cores}, {expected})"
+            );
         }
     }
 
-    #[test]
-    fn cost_model_probes_the_losing_path_periodically() {
-        let mut m = CostModel::new();
-        let w = 1 << 20;
-        for _ in 0..8 {
-            m.observe(false, 1, w, 100 * w as u64);
-            m.observe(false, 8, w, 200 * w as u64); // par loses
+    /// `G(n, p)` by one coin flip per node pair.
+    fn gnp_topo(n: usize, p: f64, seed: u64) -> Topology {
+        let mut rng = crate::SplitMix64::new(seed);
+        let mut edges = Vec::new();
+        for u in 0..n as u32 {
+            for v in u + 1..n as u32 {
+                if rng.bernoulli(p) {
+                    edges.push((u, v));
+                }
+            }
         }
-        let plans: Vec<usize> = (0..600).map(|_| m.plan(8, 8, w, false)).collect();
-        let probes = plans.iter().filter(|&&p| p > 1).count();
-        assert!(
-            (2..=3).contains(&probes),
-            "expected ~2 probe fan-outs in 600 decisions, got {probes}"
-        );
+        Topology::from_edges(n, &edges)
+    }
+
+    /// Every round of a 3000-node network expects fewer steps than two
+    /// workers' floor, so a fresh network never spawns — not even once
+    /// to try a parallel round.
+    #[test]
+    fn fresh_network_below_the_floor_never_spawns() {
+        let n = 3000;
+        let nodes = (0..n).map(|_| Gossip { acc: 0 }).collect();
+        let mut net = Network::new(gnp_topo(n, 8.0 / n as f64, 7), nodes, 5)
+            .with_cfg(ExecCfg::parallel(2).hybrid());
+        net.run_until_halt(100);
+        assert_eq!(net.peak_workers(), 1);
+    }
+
+    /// Rounds that expect twice the floor fan out to two workers on any
+    /// host with two cores, in every scheduling mode, and stay
+    /// bit-identical to one-chunk rounds.
+    #[test]
+    fn above_the_floor_fans_out() {
+        let n = 2 * MIN_STEPS_PER_WORKER;
+        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|v| (v, v + 1)).collect();
+        let topo = Topology::from_edges(n, &edges);
+        let mk = || (0..n).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
+        let mut seq = Network::new(topo.clone(), mk(), 13);
+        seq.run_rounds(3);
+        for sched in all_scheds() {
+            let mut par = Network::new(topo.clone(), mk(), 13)
+                .with_threads(2)
+                .with_sched(sched);
+            par.run_rounds(3);
+            assert_eq!(par.peak_workers(), 2.min(hw_parallelism()), "{sched:?}");
+            assert!(seq
+                .nodes()
+                .iter()
+                .zip(par.nodes())
+                .all(|(a, b)| a.acc == b.acc));
+            assert_eq!(seq.stats().messages, par.stats().messages);
+            assert_eq!(seq.stats().node_steps, par.stats().node_steps);
+        }
     }
 
     /// End-to-end: a config that *requests* 8 threads on a tiny

@@ -60,17 +60,12 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Instantiate for an `n`-port switch.
-    pub fn build(self, n: usize, seed: u64) -> Box<dyn Scheduler> {
-        self.build_cfg(n, seed, ExecCfg::default())
-    }
-
-    /// Instantiate for an `n`-port switch under explicit execution
-    /// knobs: the distributed schedulers (Israeli–Itai and the paper's
-    /// LPS algorithms) run their per-cycle matching networks with
-    /// `exec`'s scheduler mode, thread count, and fault injection.
-    /// Centralized and hardware schedulers ignore it.
-    pub fn build_cfg(self, n: usize, seed: u64, exec: ExecCfg) -> Box<dyn Scheduler> {
+    /// Instantiate for an `n`-port switch under execution knobs
+    /// `exec`: the distributed schedulers (Israeli–Itai and the paper's
+    /// LPS algorithms) run their per-cycle matching networks with its
+    /// scheduler mode, thread count, and fault injection. Centralized
+    /// and hardware schedulers ignore it.
+    pub fn build(self, n: usize, seed: u64, exec: ExecCfg) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::Pim { iterations } => Box::new(Pim::new(n, iterations, seed)),
             SchedulerKind::Islip { iterations } => Box::new(Islip::new(n, iterations, seed)),
@@ -543,7 +538,7 @@ mod tests {
             SchedulerKind::MaxWeight,
             SchedulerKind::Ilqf { iterations: 2 },
         ] {
-            let mut s = kind.build(4, 7);
+            let mut s = kind.build(4, 7, ExecCfg::default());
             for _ in 0..5 {
                 let d = s.schedule(&occ);
                 assert!(is_valid_decision(&occ, &d), "{} invalid", s.name());

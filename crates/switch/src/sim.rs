@@ -157,7 +157,11 @@ impl Simulator {
         Simulator {
             voqs: Voqs::new(cfg.ports),
             traffic: TrafficGen::new(cfg.traffic, cfg.ports, cfg.seed),
-            sched: kind.build(cfg.ports, cfg.seed.wrapping_add(0x5C4ED)),
+            sched: kind.build(
+                cfg.ports,
+                cfg.seed.wrapping_add(0x5C4ED),
+                simnet::ExecCfg::default(),
+            ),
             kind,
             links: None,
             cfg,
@@ -165,15 +169,15 @@ impl Simulator {
     }
 
     /// Run the distributed schedulers' per-cycle matching networks
-    /// under explicit execution knobs (scheduler mode / threads /
-    /// loss); see [`SchedulerKind::build_cfg`]. Results are
+    /// under explicit execution knobs (scheduler mode / threads); see
+    /// [`SchedulerKind::build`]. Results are
     /// bit-identical across `exec.threads` and `exec.sched`. Must be
     /// applied before [`Simulator::run`] (it rebuilds the scheduler,
     /// so call it construction-style, like the other builders).
     pub fn with_exec(mut self, exec: simnet::ExecCfg) -> Self {
         self.sched = self
             .kind
-            .build_cfg(self.cfg.ports, self.cfg.seed.wrapping_add(0x5C4ED), exec);
+            .build(self.cfg.ports, self.cfg.seed.wrapping_add(0x5C4ED), exec);
         self
     }
 

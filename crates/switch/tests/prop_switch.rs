@@ -5,7 +5,7 @@
 //! Dependency-free: cases are enumerated from seeded `SplitMix64`
 //! streams, so every run explores the same (deterministic) case set.
 
-use simnet::SplitMix64;
+use simnet::{ExecCfg, SplitMix64};
 use switchsim::sched::{is_valid_decision, SchedulerKind};
 use switchsim::{SimConfig, Simulator, TrafficModel};
 
@@ -29,7 +29,7 @@ fn every_scheduler_emits_partial_permutations() {
             SchedulerKind::MaxCardinality,
             SchedulerKind::MaxWeight,
         ] {
-            let mut s = kind.build(5, seed);
+            let mut s = kind.build(5, seed, ExecCfg::default());
             for _ in 0..3 {
                 let d = s.schedule(&occ);
                 assert!(
@@ -50,7 +50,7 @@ fn maximal_schedulers_leave_no_free_pair() {
     for case in 0..32 {
         let occ = random_occ(5, &mut rng);
         let seed = rng.next();
-        let mut s = SchedulerKind::DistMaximal.build(5, seed);
+        let mut s = SchedulerKind::DistMaximal.build(5, seed, ExecCfg::default());
         let d = s.schedule(&occ);
         let mut out_used = [false; 5];
         for o in d.iter().flatten() {

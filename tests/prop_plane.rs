@@ -247,7 +247,7 @@ fn chung_lu_hub_scheduler_matrix_bit_identical() {
     ];
     // {seq, 2, 8 threads} × {sparse, dense, hybrid}; threaded runs are
     // forced so the partitioners really fan out on a 40-node fixture
-    // (the cost model would otherwise route them sequentially).
+    // (the fan-out floor would otherwise keep them on one chunk).
     type SchedFn = fn(ExecCfg) -> ExecCfg;
     let execs = |sched_of: SchedFn| {
         [
