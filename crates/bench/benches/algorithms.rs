@@ -106,7 +106,7 @@ fn bench_exact_solvers() {
 
 fn bench_parallel_stepping() {
     // Ablation: sequential vs parallel node stepping in the simulator.
-    use simnet::{Inbox, Network, Protocol};
+    use simnet::{ExecCfg, Inbox, Network, Protocol};
     struct Spin(u64);
     impl Protocol for Spin {
         type Msg = u64;
@@ -134,7 +134,7 @@ fn bench_parallel_stepping() {
     for &threads in &[1usize, 4] {
         report("simnet_stepping", &format!("threads/{threads}"), 10, || {
             let nodes = (0..n as u64).map(Spin).collect();
-            let mut net = Network::new(topo.clone(), nodes, 3).with_threads(threads);
+            let mut net = Network::new(topo.clone(), nodes, 3).with_cfg(ExecCfg::parallel(threads));
             net.run_until_halt(64);
             black_box(net.stats().messages);
         });

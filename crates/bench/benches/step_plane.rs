@@ -35,7 +35,7 @@
 
 use bench_harness::{env_or, f2, Table};
 use dgraph::generators::random::gnp;
-use simnet::{Ctx, Inbox, Network, NodeId, Port, Protocol, SplitMix64, Topology};
+use simnet::{Ctx, ExecCfg, Inbox, Network, NodeId, Port, Protocol, SplitMix64, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,7 +223,7 @@ fn main() {
     }
     let mk = |threads: usize| {
         let nodes = (0..n).map(|_| GossipNode { acc: 0 }).collect();
-        Network::new(topo.clone(), nodes, seed).with_threads(threads)
+        Network::new(topo.clone(), nodes, seed).with_cfg(ExecCfg::parallel(threads))
     };
     let mut seq = mk(1);
     seq.run_rounds(check_rounds);
@@ -299,7 +299,7 @@ fn main() {
         let ltopo = dmatch::topology_of(&lg);
         let mk = |threads: usize| {
             let nodes = (0..ln).map(|_| GossipNode { acc: 0 }).collect();
-            Network::new(ltopo.clone(), nodes, seed).with_threads(threads)
+            Network::new(ltopo.clone(), nodes, seed).with_cfg(ExecCfg::parallel(threads))
         };
         let mut s = mk(1);
         let m_s = measure(rounds, runs, || {

@@ -7,27 +7,27 @@
 //!
 //! **Part A — activity-fraction sweep.** A gossip workload in which
 //! only a fraction `f` of nodes is ever active; the rest have nothing
-//! to do. Three executions of the *same* workload:
+//! to do. Two executions of the *same* workload, both under the one
+//! round scheduler (its judge picks the dense sweep or the sparse wake
+//! list every round):
 //!
-//! * `dense, no sleep` — idle nodes are stepped every round and return
+//! * `no sleep` — idle nodes are stepped every round and return
 //!   immediately: the pre-sparse behavior, where every round cost O(n)
 //!   regardless of activity;
-//! * `dense sweep` — idle nodes `Ctx::sleep`, the dense fallback skips
-//!   them but still scans all n slots per round;
-//! * `sparse` — the activity-driven wake list: idle nodes cost nothing.
+//! * `sleep` — idle nodes `Ctx::sleep`, so once activity is low the
+//!   rounds drain the wake list and idle nodes cost nothing.
 //!
-//! All three must agree bit-for-bit on final states and message
-//! counts (asserted), the sparse run must keep `plane_allocs` at zero
-//! per steady-state round (asserted — the CI perf-smoke contract),
-//! and at ≤10% activity the sparse plane must beat `dense, no sleep`
-//! by ≥ `E17_MIN_SPEEDUP` (default 3, asserted unless `E17_ASSERT=0`).
+//! Both must agree bit-for-bit on final states and message counts
+//! (asserted), the sleeping run must keep `plane_allocs` at zero per
+//! steady-state round (asserted — the CI perf-smoke contract), and at
+//! 10% activity it must beat `no sleep` by ≥ `E17_MIN_SPEEDUP`
+//! (default 3, asserted unless `E17_ASSERT=0`).
 //!
 //! **Part B — repair-epoch cost vs n at fixed damage.** A ring of
 //! `dchurn::RepairNode`s; each epoch churns away exactly one matched
 //! edge and runs a fixed budget of repair rounds. The damage is O(1),
-//! so the sparse plane's timed round cost stays flat as n grows while
-//! the dense sweep's grows linearly — `node_steps` per epoch (identical
-//! in both modes) shows the active set staying near the damage.
+//! so the timed round cost stays flat as n grows — `node_steps` per
+//! epoch shows the active set staying near the damage.
 //!
 //! Knobs: `E17_N` (default 120000), `E17_ROUNDS` (default 60),
 //! `E17_RUNS` (default 3), `E17_REPAIR_LADDER` (default
@@ -39,7 +39,7 @@
 
 use bench_harness::{banner, env_or, f2, Table};
 use dgraph::generators::random::gnp;
-use simnet::{Ctx, Inbox, Network, NodeId, Protocol, SchedMode, Topology};
+use simnet::{Ctx, Inbox, Network, NodeId, Protocol, Topology};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -102,9 +102,8 @@ fn measure_rounds(net: &mut Network<FracGossip>, rounds: u64, runs: u32) -> Meas
 struct FractionRow {
     fraction: f64,
     avg_active: f64,
-    dense_busy_ns: u128,
-    dense_ns: u128,
-    sparse_ns: u128,
+    no_sleep_ns: u128,
+    sleep_ns: u128,
     speedup: f64,
 }
 
@@ -118,7 +117,7 @@ fn sweep_fraction(
     seed: u64,
 ) -> FractionRow {
     let threshold = (n as f64 * fraction).round() as NodeId;
-    let mk = |sleepy: bool, sched: SchedMode| {
+    let mk = |sleepy: bool| {
         let nodes = (0..n)
             .map(|_| FracGossip {
                 threshold,
@@ -126,58 +125,44 @@ fn sweep_fraction(
                 acc: 0,
             })
             .collect();
-        Network::new(topo.clone(), nodes, seed).with_sched(sched)
+        Network::new(topo.clone(), nodes, seed)
     };
 
-    // Correctness gate: all three executions agree bit-for-bit.
+    // Correctness gate: both executions agree bit-for-bit.
     let gate_rounds = 5;
-    let mut gate_busy = mk(false, SchedMode::Dense);
-    let mut gate_dense = mk(true, SchedMode::Dense);
-    let mut gate_sparse = mk(true, SchedMode::Sparse);
+    let mut gate_busy = mk(false);
+    let mut gate_sleepy = mk(true);
     gate_busy.run_rounds(gate_rounds);
-    gate_dense.run_rounds(gate_rounds);
-    gate_sparse.run_rounds(gate_rounds);
+    gate_sleepy.run_rounds(gate_rounds);
     assert!(
         gate_busy
             .nodes()
             .iter()
-            .zip(gate_sparse.nodes())
+            .zip(gate_sleepy.nodes())
             .all(|(a, b)| a.acc == b.acc),
-        "sparse diverged from the busy-idle baseline"
+        "the sleeping workload diverged from the busy-idle baseline"
     );
-    assert!(
-        gate_dense
-            .nodes()
-            .iter()
-            .zip(gate_sparse.nodes())
-            .all(|(a, b)| a.acc == b.acc),
-        "sparse diverged from the dense sweep"
-    );
-    assert_eq!(gate_busy.stats().messages, gate_sparse.stats().messages);
-    assert_eq!(gate_dense.stats().messages, gate_sparse.stats().messages);
+    assert_eq!(gate_busy.stats().messages, gate_sleepy.stats().messages);
 
-    let mut busy = mk(false, SchedMode::Dense);
+    let mut busy = mk(false);
     let m_busy = measure_rounds(&mut busy, rounds, runs);
-    let mut dense = mk(true, SchedMode::Dense);
-    let m_dense = measure_rounds(&mut dense, rounds, runs);
-    let mut sparse = mk(true, SchedMode::Sparse);
-    let m_sparse = measure_rounds(&mut sparse, rounds, runs);
+    let mut sleepy = mk(true);
+    let m_sleepy = measure_rounds(&mut sleepy, rounds, runs);
 
-    // The CI perf-smoke contract: the sparse plane allocates nothing
-    // per steady-state round.
-    let s = sparse.stats();
+    // The CI perf-smoke contract: the plane allocates nothing per
+    // steady-state round.
+    let s = sleepy.stats();
     assert!(
         s.per_round[1..].iter().all(|r| r.plane_allocs == 0),
-        "sparse plane allocated mid-run"
+        "the message plane allocated mid-run"
     );
 
     FractionRow {
         fraction,
-        avg_active: m_sparse.avg_active,
-        dense_busy_ns: m_busy.per_round.as_nanos(),
-        dense_ns: m_dense.per_round.as_nanos(),
-        sparse_ns: m_sparse.per_round.as_nanos(),
-        speedup: m_busy.per_round.as_secs_f64() / m_sparse.per_round.as_secs_f64(),
+        avg_active: m_sleepy.avg_active,
+        no_sleep_ns: m_busy.per_round.as_nanos(),
+        sleep_ns: m_sleepy.per_round.as_nanos(),
+        speedup: m_busy.per_round.as_secs_f64() / m_sleepy.per_round.as_secs_f64(),
     }
 }
 
@@ -185,8 +170,7 @@ fn sweep_fraction(
 
 struct RepairRow {
     n: usize,
-    dense_ms: f64,
-    sparse_ms: f64,
+    ms: f64,
     steps_per_epoch: f64,
 }
 
@@ -198,14 +182,14 @@ const REPAIR_ROUNDS: u64 = 1 + 3 * 10 + 1;
 /// epoch churn away one matched edge (untimed rewire — inherently
 /// O(n)) and run the fixed repair-round budget (timed). Returns the
 /// mean timed cost per epoch.
-fn repair_epochs(n: usize, sched: SchedMode, epochs: u64, seed: u64) -> (f64, f64) {
+fn repair_epochs(n: usize, epochs: u64, seed: u64) -> (f64, f64) {
     use dchurn::RepairNode;
     let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
     let topo = Topology::from_edges(n, &edges);
     let nodes: Vec<RepairNode> = (0..n as u32)
         .map(|v| RepairNode::new(topo.degree(v)))
         .collect();
-    let mut net = Network::new(topo, nodes, seed).with_sched(sched);
+    let mut net = Network::new(topo, nodes, seed);
     // Bootstrap: run iterations until the ring is maximally matched.
     let mates = |net: &Network<RepairNode>| -> Vec<Option<u32>> {
         net.nodes()
@@ -235,7 +219,6 @@ fn repair_epochs(n: usize, sched: SchedMode, epochs: u64, seed: u64) -> (f64, f6
 
     let mut timed = Duration::ZERO;
     let steps0 = net.stats().node_steps;
-    let rounds0 = net.stats().rounds;
     for e in 0..epochs {
         // Damage: one matched edge, rotated around the ring so epochs
         // do not compound in one place.
@@ -256,7 +239,6 @@ fn repair_epochs(n: usize, sched: SchedMode, epochs: u64, seed: u64) -> (f64, f6
     let m = mates(&net);
     assert!(is_maximal_ring(&m, &net), "repair budget was insufficient");
     let steps = (net.stats().node_steps - steps0) as f64 / epochs as f64;
-    let _ = rounds0;
     (timed.as_secs_f64() * 1e3 / epochs as f64, steps)
 }
 
@@ -282,9 +264,8 @@ fn main() {
     let mut t = Table::new(vec![
         "active",
         "avg active/round",
-        "dense no-sleep/round",
-        "dense sweep/round",
-        "sparse/round",
+        "no-sleep/round",
+        "sleep/round",
         "speedup vs no-sleep",
     ]);
     for fraction in [1.0, 0.5, 0.1, 0.01] {
@@ -292,9 +273,8 @@ fn main() {
         t.row(vec![
             format!("{:.0}%", fraction * 100.0),
             format!("{:.0}", row.avg_active),
-            format!("{}ns", row.dense_busy_ns),
-            format!("{}ns", row.dense_ns),
-            format!("{}ns", row.sparse_ns),
+            format!("{}ns", row.no_sleep_ns),
+            format!("{}ns", row.sleep_ns),
             format!("{}x", f2(row.speedup)),
         ]);
         rows.push(row);
@@ -311,7 +291,7 @@ fn main() {
     if do_assert {
         assert!(
             at_10pct.speedup >= min_speedup,
-            "sparse plane speedup {:.2}x at 10% activity is below the {min_speedup}x floor",
+            "sleeping speedup {:.2}x at 10% activity is below the {min_speedup}x floor",
             at_10pct.speedup
         );
     }
@@ -324,25 +304,17 @@ fn main() {
         .collect();
     let epochs = 5u64;
     let mut repair_rows = Vec::new();
-    let mut t = Table::new(vec![
-        "n",
-        "dense ms/epoch",
-        "sparse ms/epoch",
-        "node steps/epoch",
-    ]);
+    let mut t = Table::new(vec!["n", "ms/epoch", "node steps/epoch"]);
     for &rn in &ladder {
-        let (dense_ms, _) = repair_epochs(rn, SchedMode::Dense, epochs, 3);
-        let (sparse_ms, steps) = repair_epochs(rn, SchedMode::Sparse, epochs, 3);
+        let (ms, steps) = repair_epochs(rn, epochs, 3);
         t.row(vec![
             rn.to_string(),
-            format!("{:.3}", dense_ms),
-            format!("{:.3}", sparse_ms),
+            format!("{ms:.3}"),
             format!("{steps:.0}"),
         ]);
         repair_rows.push(RepairRow {
             n: rn,
-            dense_ms,
-            sparse_ms,
+            ms,
             steps_per_epoch: steps,
         });
     }
@@ -351,10 +323,9 @@ fn main() {
         let first = &repair_rows[0];
         let last = &repair_rows[repair_rows.len() - 1];
         println!(
-            "\n  n grew {:.1}x: dense repair rounds {:.1}x slower, sparse {:.1}x, active set {:.1}x",
+            "\n  n grew {:.1}x: repair rounds {:.1}x slower, active set {:.1}x",
             last.n as f64 / first.n as f64,
-            last.dense_ms / first.dense_ms,
-            last.sparse_ms / first.sparse_ms,
+            last.ms / first.ms,
             last.steps_per_epoch / first.steps_per_epoch,
         );
     }
@@ -377,8 +348,8 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"fraction\": {}, \"avg_active\": {:.0}, \"dense_no_sleep_ns\": {}, \"dense_sweep_ns\": {}, \"sparse_ns\": {}, \"speedup\": {:.2}}}",
-            r.fraction, r.avg_active, r.dense_busy_ns, r.dense_ns, r.sparse_ns, r.speedup
+            "    {{\"fraction\": {}, \"avg_active\": {:.0}, \"no_sleep_ns\": {}, \"sleep_ns\": {}, \"speedup\": {:.2}}}",
+            r.fraction, r.avg_active, r.no_sleep_ns, r.sleep_ns, r.speedup
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -389,8 +360,8 @@ fn main() {
     for (i, r) in repair_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"n\": {}, \"dense_ms_per_epoch\": {:.3}, \"sparse_ms_per_epoch\": {:.3}, \"node_steps_per_epoch\": {:.0}}}",
-            r.n, r.dense_ms, r.sparse_ms, r.steps_per_epoch
+            "    {{\"n\": {}, \"ms_per_epoch\": {:.3}, \"node_steps_per_epoch\": {:.0}}}",
+            r.n, r.ms, r.steps_per_epoch
         );
         json.push_str(if i + 1 < repair_rows.len() {
             ",\n"

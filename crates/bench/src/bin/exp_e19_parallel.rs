@@ -1,13 +1,13 @@
-//! E19 — hybrid sparse/dense **parallel frontier**: does multi-threaded
+//! E19 — the sparse/dense **parallel frontier**: does multi-threaded
 //! stepping actually win, and does it ever lose?
 //!
 //! The paper's algorithms are round-synchronous, so a round is an
 //! embarrassingly parallel map over the active nodes. E19 sweeps a
-//! threads × n × activity ladder over the hybrid scheduler
-//! (`SchedMode::Hybrid` + the fan-out rule of `simnet::parallel`: one
-//! worker per fixed floor of expected node steps, capped by the
-//! requested threads and the host's cores) and records,
-//! machine-readably:
+//! threads × n × activity ladder over the round scheduler (its judge
+//! picks the dense sweep or the sparse wake list every round) and the
+//! fan-out rule of `simnet::parallel` (one worker per fixed floor of
+//! expected node steps, capped by the requested threads and the host's
+//! cores), and records, machine-readably:
 //!
 //! * `par_speedup` per (n, activity, threads) cell — sequential time
 //!   over parallel time, so > 1 means parallel won — next to the
@@ -22,16 +22,14 @@
 //!   pays over `threads = 1` on a workload below the fan-out floor —
 //!   it must not fan out at all (asserted), and the acceptance bound
 //!   on its overhead is < 5%;
-//! * the hybrid-vs-sparse scheduler ratio at full activity (the wake
-//!   list's sort/push/dedup tax that the dense representation avoids);
 //! * a per-phase wall-clock breakdown (the `dobs` timing-histogram
-//!   registry behind `ExecCfg::timing`) of one
-//!   low-activity hybrid run, showing where rounds actually go
-//!   (sparse vs. dense stepping, representation conversion, merge).
+//!   registry behind `ExecCfg::timing`) of one low-activity run,
+//!   showing where rounds actually go (sparse vs. dense stepping,
+//!   representation conversion, merge).
 //!
 //! Correctness is not sampled here, it is gated: every measured
 //! configuration first re-runs a short prefix against the sequential
-//! sparse reference and must agree bit-for-bit.
+//! reference and must agree bit-for-bit.
 //!
 //! Knobs: `E19_NMAX` (default 131072) caps the n-ladder, `E19_THREADS`
 //! (default 8) caps the thread ladder, `E19_ROUNDS` (default 30)
@@ -115,8 +113,9 @@ fn steady_workers(net: &mut Network<FracGossip>) -> usize {
         .unwrap_or(1)
 }
 
-/// Bit-identity gate: `cfg` must reproduce the sequential sparse
-/// reference exactly (accumulators and message count) on a short run.
+/// Bit-identity gate: `cfg` must reproduce the sequential reference
+/// exactly (accumulators, message count and the full stats) on a short
+/// run.
 fn gate(topo: &Topology, threshold: NodeId, seed: u64, cfg: ExecCfg) {
     let gate_rounds = 6;
     let mut reference = mk(topo, threshold, seed, ExecCfg::sequential());
@@ -131,8 +130,7 @@ fn gate(topo: &Topology, threshold: NodeId, seed: u64, cfg: ExecCfg) {
             .all(|(a, b)| a.acc == b.acc),
         "{cfg:?} diverged from the sequential reference"
     );
-    assert_eq!(reference.stats().messages, candidate.stats().messages);
-    assert_eq!(reference.stats().node_steps, candidate.stats().node_steps);
+    assert_eq!(reference.stats(), candidate.stats());
 }
 
 struct Cell {
@@ -148,7 +146,7 @@ struct Cell {
 fn main() {
     banner(
         "E19",
-        "hybrid parallel frontier: threads x n x activity",
+        "parallel frontier: threads x n x activity",
         "round-synchronous model; rounds are parallel maps over active nodes",
     );
     let fp = host::fingerprint();
@@ -190,11 +188,11 @@ fn main() {
         for &activity in &activities {
             let threshold = (n as f64 * activity).round() as NodeId;
             let seq_ns = {
-                let mut net = mk(&topo, threshold, seed, ExecCfg::sequential().hybrid());
+                let mut net = mk(&topo, threshold, seed, ExecCfg::sequential());
                 time_rounds(&mut net, rounds, runs).as_nanos()
             };
             for &threads in &thread_ladder {
-                let cfg = ExecCfg::parallel(threads).hybrid();
+                let cfg = ExecCfg::parallel(threads);
                 gate(&topo, threshold, seed, cfg);
                 let mut net = mk(&topo, threshold, seed, cfg);
                 let par_ns = time_rounds(&mut net, rounds, runs).as_nanos();
@@ -280,26 +278,7 @@ fn main() {
         );
     }
 
-    // Scheduler tax at full activity, sequentially: hybrid (which goes
-    // dense) against pure sparse (which pays sort/push/dedup per round).
-    let tax_n = ns.last().copied().unwrap_or(2_000);
-    let g = gnp(tax_n, 8.0 / tax_n as f64, 7);
-    let topo = dmatch::topology_of(&g);
-    let sparse_ns = {
-        let mut net = mk(&topo, tax_n as NodeId, seed, ExecCfg::sequential());
-        time_rounds(&mut net, rounds, runs).as_nanos()
-    };
-    let hybrid_ns = {
-        let mut net = mk(&topo, tax_n as NodeId, seed, ExecCfg::sequential().hybrid());
-        time_rounds(&mut net, rounds, runs).as_nanos()
-    };
-    let hybrid_speedup_full_activity = sparse_ns as f64 / hybrid_ns as f64;
-    println!(
-        "  hybrid vs sparse at 100% activity (n={tax_n}, seq): {}x",
-        f2(hybrid_speedup_full_activity)
-    );
-
-    // Phase breakdown of one low-activity hybrid run: round 0 schedules
+    // Phase breakdown of one low-activity run: round 0 schedules
     // everyone (dense), then activity drops to 5% and the judge
     // converts back to sparse — all three phases show up.
     let pb_n = ns.last().copied().unwrap_or(2_000);
@@ -309,7 +288,7 @@ fn main() {
         &topo,
         (pb_n / 20) as NodeId,
         seed,
-        ExecCfg::parallel(t_max).hybrid().timed(),
+        ExecCfg::parallel(t_max).timed(),
     );
     pb_net.run_rounds(rounds);
     // The timing registry holds per-round histograms; `sum()` is the
@@ -368,10 +347,6 @@ fn main() {
         json,
         "  \"seq_fallback\": {{\"n\": {fallback_n}, \"threads_requested\": {t_max}, \
          \"peak_workers\": {fb_peak}, \"overhead_pct\": {fallback_overhead_pct:.2}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"hybrid_over_sparse_full_activity\": {hybrid_speedup_full_activity:.2},"
     );
     let _ = writeln!(
         json,

@@ -6,7 +6,7 @@ use crate::repair::RepairNode;
 use dgraph::{Graph, Matching, NodeId, UNMATCHED};
 use dmatch::session::{RewirePatch, Session};
 use dmatch::Algorithm;
-use simnet::{ExecCfg, NetStats, Network, SchedMode};
+use simnet::{ExecCfg, NetStats, Network};
 use std::collections::{BTreeSet, HashSet};
 
 /// Which incremental algorithm repairs the matching each epoch.
@@ -95,25 +95,13 @@ impl DynEngine {
 
     /// [`DynEngine::new`] under explicit execution knobs. Repair is
     /// bit-identical across `cfg.threads`.
-    ///
-    /// A requested [`SchedMode::Hybrid`] is pinned down to
-    /// [`SchedMode::Sparse`] here: repair traffic after the bootstrap is
-    /// damage-local by design (the damage-locality gauges in
-    /// [`EpochReport`] measure exactly that), so epochs live far below
-    /// the hybrid judge's dense threshold and the dual-representation
-    /// machinery would only add judge checks to every quiet round. The
-    /// pin is sound because the modes are bit-identical by contract —
-    /// it changes cost, never results.
     pub fn with_cfg(
         g: Graph,
         model: ChurnModel,
         algo: RepairAlgo,
         seed: u64,
-        mut cfg: ExecCfg,
+        cfg: ExecCfg,
     ) -> Self {
-        if cfg.sched == SchedMode::Hybrid {
-            cfg.sched = SchedMode::Sparse;
-        }
         let n = g.n();
         DynEngine {
             m: Matching::new(n),

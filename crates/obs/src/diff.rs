@@ -3,11 +3,14 @@
 //! Two `BENCH_*.json` records are flattened to dotted numeric paths
 //! and compared pairwise. Every path is classified:
 //!
-//! - **perf** — wall-clock and derived-from-wall-clock quantities
-//!   (`*_ns`, `*_ms`, `*speedup*`, `*latency*`, …). Only comparable
-//!   when both records carry the *same host fingerprint* (the `host`
-//!   object the harness embeds); across differing hosts the diff
-//!   reports the ratios but refuses to call any of them a regression.
+//! - **perf** — wall-clock and derived-from-wall-clock quantities: a
+//!   time unit (`ns`, `us`, `ms`, `s`) on the leaf key or on any
+//!   ancestor key (`*_ns`, `*_ms_per_epoch`, `phase_breakdown_ns.*`,
+//!   `timings.merge_ns.p99`), `*speedup*`, `*latency*`, …. Only
+//!   comparable when both records carry the *same host fingerprint*
+//!   (the `host` object the harness embeds); across differing hosts the
+//!   diff reports the ratios but refuses to call any of them a
+//!   regression.
 //! - **counter** — deterministic quantities (rounds, messages, bits,
 //!   node steps, ratios). Host-independent, always gated.
 //! - **meta** — identity fields (the host object itself, thread
@@ -87,7 +90,15 @@ pub struct DiffReport {
     pub regressions: usize,
 }
 
-/// Classify a flattened path by its final key segment.
+/// Time units that make a path wall-clock when they appear as a whole
+/// token of any of its keys (tokens are delimited by `_`, `.` and the
+/// key boundaries).
+const TIME_UNITS: [&str; 4] = ["ns", "us", "ms", "s"];
+
+/// Classify a flattened path. The identity rules look at the leaf key
+/// (and the `host` object); a time unit anywhere on the path — the leaf
+/// key, the middle of a key, or an ancestor key — makes it wall-clock,
+/// except a histogram's `count` leaf, which counts samples.
 pub fn classify(path: &str) -> Class {
     let key = path.rsplit('.').next().unwrap_or(path).to_ascii_lowercase();
     let full = path.to_ascii_lowercase();
@@ -106,10 +117,10 @@ pub fn classify(path: &str) -> Class {
         return Class::Meta;
     }
     // Wall-clock and derived-from-wall-clock quantities.
-    if key.ends_with("_ns")
-        || key.ends_with("_ms")
-        || key.ends_with("_us")
-        || key.ends_with("_s")
+    let timed = full
+        .split(['.', '_'])
+        .any(|token| TIME_UNITS.contains(&token));
+    if (timed && key != "count")
         || key.contains("time")
         || key.contains("latency")
         || key.contains("speedup")
@@ -294,6 +305,37 @@ mod tests {
         assert_eq!(classify("par_speedup"), Class::Perf);
         assert_eq!(classify("rounds"), Class::Counter);
         assert_eq!(classify("messages"), Class::Counter);
+        // A time unit on an ancestor key, or inside a key, is wall-clock
+        // too (E19's phase breakdown and timing histograms, E17's repair
+        // ladder) — but a histogram's sample count is not.
+        for path in [
+            "phase_breakdown_ns.sparse_update",
+            "phase_breakdown_ns.dense_update",
+            "phase_breakdown_ns.conversion",
+            "phase_breakdown_ns.merge",
+            "timings.sparse_update_ns.sum",
+            "timings.dense_update_ns.min",
+            "timings.conversion_ns.p50",
+            "timings.merge_ns.p90",
+            "timings.merge_ns.p99",
+            "timings.merge_ns.max",
+            "repair_ladder.0.ms_per_epoch",
+            "repair_ladder.3.dense_ms_per_epoch",
+            "repair_ladder.3.sparse_ms_per_epoch",
+        ] {
+            assert_eq!(classify(path), Class::Perf, "{path}");
+        }
+        assert_eq!(classify("timings.merge_ns.count"), Class::Counter);
+        // Whole tokens only: a unit-like run of letters inside a word
+        // is not a unit.
+        assert_eq!(
+            classify("repair_ladder.0.node_steps_per_epoch"),
+            Class::Counter
+        );
+        assert_eq!(classify("msgs.sent"), Class::Counter);
+        assert_eq!(classify("bus_load"), Class::Counter);
+        // The identity rules still run first.
+        assert_eq!(classify("seq_fallback.threads_requested"), Class::Meta);
         assert_eq!(classify("host.available_parallelism"), Class::Meta);
         assert_eq!(classify("threads_used_peak"), Class::Meta);
         assert!(higher_is_better("par_speedup"));

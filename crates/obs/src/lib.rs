@@ -12,10 +12,11 @@
 //!   sections) recorded into a bounded ring-buffer
 //!   [`FlightRecorder`]. Installation is thread-local and scoped
 //!   ([`TraceSession`]); when nothing is installed — the default —
-//!   every hook costs one flag read and an untaken branch. Like
-//!   `NetStats::sched_overhead`, anything captured here is *excluded
-//!   from the bit-identity contract*: tracing observes runs, it never
-//!   steers them, and `tests/prop_plane.rs` holds the line.
+//!   every hook costs one flag read and an untaken branch. Like the
+//!   wall-clock `NetStats::timings` registry, anything captured here
+//!   is *excluded from the bit-identity contract*: tracing observes
+//!   runs, it never steers them, and `tests/prop_plane.rs` holds the
+//!   line.
 //! - [`metrics`] — a named [`Registry`] of counters, gauges, and
 //!   log-bucketed percentile [`Histogram`]s (p50/p90/p99/max), the
 //!   home for quantities that used to live in loose scalar fields.

@@ -8,8 +8,8 @@
 //! thread — the default — every hook is one thread-local flag read and
 //! a predicted-not-taken branch: no allocation, no clock read, no
 //! formatting. Installing a recorder affects *observation only*; by
-//! the same contract as `NetStats::sched_overhead`, nothing recorded
-//! here may feed back into algorithm behaviour, and the
+//! the same contract as the wall-clock `NetStats::timings` registry,
+//! nothing recorded here may feed back into algorithm behaviour, and the
 //! traced-vs-untraced bit-identity test in `tests/prop_plane.rs`
 //! enforces it.
 //!

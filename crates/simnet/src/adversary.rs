@@ -3,7 +3,7 @@
 //! Every delivery in a [`crate::Network`] passes through one
 //! `Adversary` (crate-internal), configured by a single composable
 //! [`FaultPlan`] — the workspace's one way to inject faults, installed
-//! through `ExecCfg::faults` (or [`crate::Network::with_faults`]). The
+//! through `ExecCfg::faults` (see [`crate::Network::with_cfg`]). The
 //! plan covers uniform Bernoulli drop, two-state Markov link flaps (the
 //! model of `switchsim::FailurePlan`), bounded per-message delay,
 //! per-round partial delivery, crash-stop node faults with optional
@@ -12,9 +12,9 @@
 //! ## Determinism contract
 //!
 //! Same seed + same `FaultPlan` ⇒ **bit-identical** runs (matchings,
-//! RNG streams, `NetStats` minus the documented scheduler-overhead and
-//! timing exemptions) across every executor ({seq, 2, 8 threads}) and
-//! every scheduler ({sparse, dense, hybrid}). The contract holds
+//! RNG streams, `NetStats` minus the wall-clock timing registry) across
+//! every executor ({seq, 2, 8 threads}) and both frontier
+//! representations. The contract holds
 //! because every adversary decision is made on the **main thread**, in
 //! a fixed order, from RNG streams that are independent of the node
 //! streams:

@@ -72,45 +72,34 @@
 //!
 //! ## The activity-driven scheduler
 //!
-//! [`Network::step`] does not sweep `0..n`: by default it drains a
-//! sparse, epoch-stamped **wake list**, so a round costs time
+//! [`Network::step`] need not sweep `0..n`: while activity is low it
+//! drains a sparse, epoch-stamped **wake list**, so a round costs time
 //! proportional to the number of *active* nodes, not the network
-//! size. The scheduler contract — when a node is guaranteed to be
-//! stepped in round `r` — is:
+//! size. Which nodes a round steps is fixed by the scheduler contract
+//! documented on [`Network`]: everyone starts awake, and a node stays
+//! scheduled until it calls [`Ctx::halt`] or [`Ctx::sleep`]; mail
+//! (kept for a sleeper, unlike a halted node's) and external wake-ups
+//! ([`Network::wake`], a rewire's dirty set) reschedule a sleeper until
+//! its next step. Halting is terminal and tracked by a maintained
+//! counter, so [`Network::all_halted`] is O(1).
 //!
-//! 1. `r` is the network's first round (everyone starts awake), or
-//! 2. the node was stepped in round `r-1` and called neither
-//!    [`Ctx::halt`] nor [`Ctx::sleep`] (staying awake is the
-//!    default — protocols that never sleep run exactly as they always
-//!    did), or
-//! 3. a message was delivered to it for round `r` (mail always wakes
-//!    a sleeping node; unlike a halted node's mail, it is kept), or
-//! 4. it was woken externally since its last step —
-//!    [`Network::wake`], or the dirty set of a [`Network::rewire`].
-//!
-//! [`Ctx::sleep`] lasts until the next step: a woken node that still
-//! has nothing to do must re-assert it. Halting is terminal and
-//! tracked by a maintained counter, so [`Network::all_halted`] is
-//! O(1).
-//!
-//! The dense `0..n` sweep survives as [`SchedMode::Dense`] (a
-//! fallback and reference), and [`SchedMode::Hybrid`] switches
-//! between the two representations per round with a deterministic,
-//! counter-driven judge (see [`parallel`] for the thresholds and the
-//! determinism contract). All schedulers step the same node set by
-//! construction, at any thread count ([`ExecCfg::parallel`]), so
-//! results — matchings, RNG streams, `NetStats` traces — are
-//! bit-identical, with the exception of the
-//! [`stats::RoundTrace::sched_overhead`] gauge, which records the
-//! slots each scheduler examined without stepping (the dense scan's
-//! skipped nodes vs. the sparse drain's stale entries), and the
-//! opt-in [`ExecCfg::timing`] phase histograms recorded into the
-//! [`NetStats::timings`] registry under the [`stats::timing`] names
-//! (a [`dobs::Registry`] of log-bucketed nanosecond distributions).
-//! The `dobs` flight-recorder hooks in the round loop (round spans,
-//! mode switches, wakes, rewires, worker sections) carry the same
-//! exemption: they observe runs, they never steer them.
-//! Per-round [`stats::RoundTrace::active`] and cumulative
+//! There is no scheduler mode: the wake list is one of two frontier
+//! representations of a single scheduler. A deterministic,
+//! counter-driven judge runs a round as a dense `0..n` flag sweep
+//! once activity is high and drains the wake list again once it
+//! falls (see [`Network`] for the thresholds and [`parallel`] for the
+//! executor). Both representations step the same node set by
+//! construction, at any thread count ([`ExecCfg::parallel`]), and the
+//! judge reads node counts only, so results — matchings, RNG streams,
+//! `NetStats` traces including the [`stats::RoundTrace::sched_overhead`]
+//! gauge (the slots a round examined without stepping) — are a pure
+//! function of inputs and seed. The one exemption is the opt-in
+//! [`ExecCfg::timing`] wall-clock breakdown recorded into the
+//! [`NetStats::timings`] registry under the [`stats::timing`] names (a
+//! [`dobs::Registry`] of log-bucketed nanosecond distributions). The
+//! `dobs` flight-recorder hooks in the round loop (round spans, mode
+//! switches, wakes, rewires, worker sections) observe runs and never
+//! steer them. Per-round [`stats::RoundTrace::active`] and cumulative
 //! [`NetStats::node_steps`] expose the activity the sparse plane's
 //! cost is proportional to.
 //!
@@ -156,7 +145,7 @@ pub use adversary::{Budget, CongestMode, CrashEvent, CrashKind, FaultPlan, Marko
 pub use mailbox::{Inbox, InboxIter, Received};
 pub use message::BitSize;
 pub use micro::MicroNet;
-pub use network::{Ctx, ExecCfg, Network, Protocol, Rewire, RewireCtx, RunOutcome, SchedMode};
+pub use network::{Ctx, ExecCfg, Network, Protocol, Rewire, RewireCtx, RunOutcome};
 pub use rng::SplitMix64;
 pub use stats::{NetStats, RoundTrace};
 pub use topology::{NodeId, Port, Topology, TopologyPatch, SLOT_GONE};

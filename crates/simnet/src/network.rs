@@ -246,11 +246,10 @@ impl<'a, M> Ctx<'a, M> {
     /// its arrival is exactly what wakes the node.
     ///
     /// Sleep lasts until the next step: a woken node that still has
-    /// nothing to do must call `sleep` again. Under the dense fallback
-    /// scheduler the same contract holds (the sweep skips sleeping
-    /// nodes without mail), so sleeping protocols remain bit-identical
-    /// across [`SchedMode`]s; under [`SchedMode::Sparse`] a sleeping
-    /// node additionally costs the round loop *nothing*.
+    /// nothing to do must call `sleep` again. Both frontier
+    /// representations honour the same contract (the dense sweep skips
+    /// sleeping nodes without mail), and while the round runs from the
+    /// sparse wake list a sleeping node costs it *nothing*.
     ///
     /// Messages sent this round are still delivered, and a node may
     /// both send and sleep (the replies will wake it).
@@ -272,62 +271,13 @@ pub struct RunOutcome {
     pub quiescent: bool,
 }
 
-/// Which round scheduler drives [`Network::step`].
-///
-/// All modes step exactly the same set of nodes each round (the
-/// scheduler contract below), so results are **bit-identical**; they
-/// differ only in how that set is found:
-///
-/// * [`SchedMode::Sparse`] (the default) drains an epoch-stamped wake
-///   list — round cost is proportional to the number of *active*
-///   nodes, not `n`. This is the activity-driven plane: protocols that
-///   halt or [`Ctx::sleep`] drop out of the per-round cost entirely.
-/// * [`SchedMode::Dense`] sweeps `0..n` every round, skipping halted
-///   and sleeping nodes — the classical executor, kept as a fallback
-///   and as the reference the property suites compare against.
-/// * [`SchedMode::Hybrid`] keeps **both frontier representations** and
-///   switches per round with a deterministic `judge()` threshold, the
-///   direction-optimizing pattern of parlay's LDD: high-activity
-///   rounds run as a dense sweep (no wake-list sort, push, or
-///   delivery-stamp dedup), low-activity rounds drain the sparse wake
-///   list. Sparse→dense conversion is free (the halt/doze/mail flags
-///   the dense sweep reads are maintained in every mode); dense→sparse
-///   pays one O(n) wake-list rebuild from the scheduler predicate. The
-///   judge never inspects wall-clock or thread counts, so a hybrid
-///   run's representation sequence — and hence its `sched_overhead`
-///   trace — is reproducible; everything else is bit-identical to the
-///   other two modes.
-///
-/// **Scheduler contract** — a node `v` is stepped in round `r` iff it
-/// is not halted and at least one of:
-///
-/// 1. `r` is the first round after construction (everyone starts
-///    awake),
-/// 2. `v` was stepped in round `r-1` and called neither [`Ctx::halt`]
-///    nor [`Ctx::sleep`] (staying awake is the default),
-/// 3. a message was delivered to `v` for round `r` (mail always wakes
-///    a sleeping node), or
-/// 4. `v` was woken externally since its last step ([`Network::wake`],
-///    or the dirty set of a [`Network::rewire`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Activity-driven wake list: round cost ∝ active nodes.
-    #[default]
-    Sparse,
-    /// Dense `0..n` sweep: round cost ∝ `n` (fallback / reference).
-    Dense,
-    /// Judge-switched dual representation: dense sweep above the
-    /// activity threshold, sparse wake list below it.
-    Hybrid,
-}
-
-/// Hybrid judge, upswitch: a round whose (upper-bound) scheduled count
+/// The judge's upswitch: a round whose (upper-bound) scheduled count
 /// is at least `n / HYBRID_DENSE_DIV` runs as a dense sweep. At that
 /// activity the wake list's sort + per-node push + per-delivery stamp
 /// dedup cost more than scanning the `n - active` idle flag slots.
 pub(crate) const HYBRID_DENSE_DIV: usize = 8;
 
-/// Hybrid judge, downswitch: a dense round whose *previous* round
+/// The judge's downswitch: a dense round whose *previous* round
 /// stepped fewer than `n / HYBRID_SPARSE_DIV` nodes converts back to
 /// the sparse representation (one O(n) wake-list rebuild). The gap to
 /// [`HYBRID_DENSE_DIV`] is hysteresis so activity hovering near the
@@ -335,9 +285,10 @@ pub(crate) const HYBRID_DENSE_DIV: usize = 8;
 pub(crate) const HYBRID_SPARSE_DIV: usize = 16;
 
 /// Execution knobs shared by every layer that builds a [`Network`]:
-/// worker-thread count, fault injection, and the round scheduler.
-/// Algorithms that compose several network phases thread one `ExecCfg`
-/// through all of them.
+/// worker-thread count, fault injection, and phase timing. How a round
+/// finds its active nodes is not a knob: the network's judge decides
+/// it every round (see [`Network`]). Algorithms that compose several
+/// network phases thread one `ExecCfg` through all of them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecCfg {
     /// Worker threads for node stepping (1 = sequential). This is a
@@ -350,16 +301,12 @@ pub struct ExecCfg {
     /// budget) — the one fault-injection knob. [`FaultPlan::NONE`] by
     /// default.
     pub faults: FaultPlan,
-    /// Round scheduler (sparse wake list / dense sweep / judge-switched
-    /// hybrid). Results are bit-identical regardless of the value.
-    pub sched: SchedMode,
     /// Collect the per-phase wall-clock breakdown into the
     /// [`NetStats::timings`] histogram registry (see
     /// [`crate::stats::timing`] for the names). Off by default: the
-    /// samples cost a few clock reads per round and — like
-    /// `sched_overhead` — are excluded from the bit-identity contract,
-    /// so identity suites leave this off or mask
-    /// [`NetStats::timings`].
+    /// samples cost a few clock reads per round, and the registry is
+    /// the one `NetStats` field outside the bit-identity contract, so
+    /// identity suites leave this off.
     pub timing: bool,
     /// Test/bench escape hatch: bypass the fan-out floor and use one
     /// worker per requested thread regardless of machine or workload,
@@ -382,7 +329,6 @@ impl ExecCfg {
         ExecCfg {
             threads: 1,
             faults: FaultPlan::NONE,
-            sched: SchedMode::Sparse,
             timing: false,
             force_parallel: false,
         }
@@ -397,16 +343,13 @@ impl ExecCfg {
         }
     }
 
-    /// The same configuration under the dense fallback scheduler.
-    pub const fn dense(mut self) -> Self {
-        self.sched = SchedMode::Dense;
-        self
-    }
-
-    /// The same configuration under the judge-switched hybrid
-    /// scheduler.
-    pub const fn hybrid(mut self) -> Self {
-        self.sched = SchedMode::Hybrid;
+    /// The same configuration, unchanged. This once selected the
+    /// judge-switched scheduler, which is now the only one. It stays
+    /// only because `perfbench/src/sessions.rs` calls it, and the
+    /// benchmark crate changes only together with `BENCHMARK.json`; no
+    /// workspace code may call it. The next change to the benchmark
+    /// drops that call, and then this method.
+    pub const fn hybrid(self) -> Self {
         self
     }
 
@@ -482,6 +425,44 @@ impl WorkerScratch {
 }
 
 /// A synchronous network: topology + per-node protocol state.
+///
+/// # The round scheduler
+///
+/// Every round steps exactly the nodes the contract below names. How
+/// the round finds them is an internal detail, decided per round by a
+/// deterministic judge — the direction-optimizing pattern of parlay's
+/// LDD. The network keeps **two frontier representations**:
+///
+/// * the sparse, epoch-stamped **wake list**, whose round cost is
+///   proportional to the number of *active* nodes, not `n` —
+///   protocols that halt or [`Ctx::sleep`] drop out of the per-round
+///   cost entirely;
+/// * the dense **flag sweep** over `0..n`, which skips halted and
+///   sleeping nodes and pays no wake-list sort, push, or
+///   delivery-stamp dedup.
+///
+/// A round runs as a dense sweep once the wake list reaches `n / 8`
+/// nodes, and goes back to the wake list once the previous round
+/// stepped fewer than `n / 16` nodes; in between it keeps the current
+/// representation. Sparse→dense conversion is free (the halt/doze/mail
+/// flags the sweep reads are always maintained); dense→sparse pays one
+/// O(n) wake-list rebuild from the scheduler predicate. The judge reads
+/// node counts only, never wall-clock or thread counts, so a run's
+/// representation sequence — and with it the per-round
+/// [`RoundTrace::sched_overhead`](crate::RoundTrace::sched_overhead)
+/// gauge — is a pure function of inputs and seed.
+///
+/// **Scheduler contract** — a node `v` is stepped in round `r` iff it
+/// is not halted and at least one of:
+///
+/// 1. `r` is the first round after construction (everyone starts
+///    awake),
+/// 2. `v` was stepped in round `r-1` and called neither [`Ctx::halt`]
+///    nor [`Ctx::sleep`] (staying awake is the default),
+/// 3. a message was delivered to `v` for round `r` (mail always wakes
+///    a sleeping node), or
+/// 4. `v` was woken externally since its last step ([`Network::wake`],
+///    or the dirty set of a [`Network::rewire`]).
 pub struct Network<P: Protocol> {
     pub(crate) topo: Topology,
     pub(crate) nodes: Vec<P>,
@@ -490,7 +471,7 @@ pub struct Network<P: Protocol> {
     /// [`Network::all_halted`] is O(1) instead of an O(n) scan.
     pub(crate) live: usize,
     /// `dozing[v]` = `v` called [`Ctx::sleep`] the last time it was
-    /// stepped (cleared on every step; see the [`SchedMode`] contract).
+    /// stepped (cleared on every step; see the scheduler contract).
     pub(crate) dozing: Vec<bool>,
     pub(crate) rngs: Vec<SplitMix64>,
     /// The double-buffered message plane: the slab indexed by the
@@ -533,14 +514,17 @@ pub struct Network<P: Protocol> {
     /// multi-worker rounds on any machine and workload size (see
     /// [`ExecCfg::force_parallel`]).
     pub(crate) force_parallel: bool,
-    /// Round scheduler (sparse wake list / dense sweep / hybrid).
-    pub(crate) sched: SchedMode,
     /// The representation the *next* round will run in: `true` = dense
-    /// flag sweep, `false` = sparse wake list. Fixed for the pure
-    /// modes; flipped by the judge under [`SchedMode::Hybrid`]. While
-    /// dense, the wake list is not maintained (it lapses) and is
+    /// flag sweep, `false` = sparse wake list. Flipped by the judge.
+    /// While dense, the wake list is not maintained (it lapses) and is
     /// rebuilt from the scheduler predicate on conversion back.
     pub(crate) frontier_dense: bool,
+    /// Unit tests only: `Some(dense)` holds every round in one
+    /// representation instead of asking the judge, so tests can hold
+    /// the wake list against the dense sweep, its test oracle. Set by
+    /// [`Network::pinned`]; non-test builds have no override.
+    #[cfg(test)]
+    pub(crate) pin: Option<bool>,
     /// Judge and fan-out input while the frontier is dense: the number
     /// of nodes the previous round stepped (while sparse, the wake-list
     /// length is the exact upcoming count, so this is not consulted).
@@ -582,8 +566,8 @@ impl<P: Protocol> Network<P> {
         // touched + inbox_count + inbox_count_round + dozing +
         // wake_cur + wake_next + wake_stamp — all preallocated here
         // (wake lists at full capacity: a node appears at most once per
-        // round, so they never grow), charged identically in both
-        // scheduling modes.
+        // round, so they never grow), charged whichever representation
+        // the rounds run in.
         alloc_events += 7;
         Network {
             topo,
@@ -608,8 +592,9 @@ impl<P: Protocol> Network<P> {
             round: 0,
             threads: 1,
             force_parallel: false,
-            sched: SchedMode::default(),
             frontier_dense: false,
+            #[cfg(test)]
+            pin: None,
             est_active: n as u64,
             peak_workers: 1,
             timing: false,
@@ -617,49 +602,31 @@ impl<P: Protocol> Network<P> {
         }
     }
 
-    /// Use `threads` worker threads to step nodes (results are identical
-    /// to sequential execution; see `parallel.rs`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Install an adversary plan (drop / burst / delay / stall / crash
-    /// / CONGEST budget — see [`crate::adversary`]). A pre-run builder
-    /// step: the plan's RNG streams, burst states, and pre-sampled
-    /// crash schedule are (re)derived from the construction seed and
-    /// the topology, so installation is idempotent and same seed +
-    /// same plan ⇒ bit-identical runs at any thread count and under
-    /// any scheduler.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.adversary.install(plan, &self.topo);
-        self
-    }
-
-    /// Select the round scheduler (construction-time knob; results are
-    /// bit-identical across modes).
-    pub fn with_sched(mut self, sched: SchedMode) -> Self {
-        self.sched = sched;
-        // Pure Dense runs dense from round 0; Sparse and Hybrid start
-        // sparse (round 0 schedules everyone, so a hybrid judge
-        // converts — for free — before the first step).
-        self.frontier_dense = sched == SchedMode::Dense;
-        self
-    }
-
-    /// Enable the per-phase timing gauges (see [`ExecCfg::timing`]).
-    pub fn with_timing(mut self, timing: bool) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Apply all execution knobs of an [`ExecCfg`] at once.
+    /// Apply the execution knobs of an [`ExecCfg`]: the worker-thread
+    /// ceiling, the phase-timing switch, and the adversary plan (drop /
+    /// burst / delay / stall / crash / CONGEST budget — see
+    /// [`crate::adversary`]). A pre-run builder step: the plan's RNG
+    /// streams, burst states, and pre-sampled crash schedule are
+    /// (re)derived from the construction seed and the topology, so
+    /// installation is idempotent and same seed + same plan ⇒
+    /// bit-identical runs at any thread count.
     pub fn with_cfg(mut self, cfg: ExecCfg) -> Self {
+        self.threads = cfg.threads.max(1);
         self.force_parallel = cfg.force_parallel;
-        self.with_threads(cfg.threads)
-            .with_faults(cfg.faults)
-            .with_sched(cfg.sched)
-            .with_timing(cfg.timing)
+        self.timing = cfg.timing;
+        self.adversary.install(cfg.faults, &self.topo);
+        self
+    }
+
+    /// Hold every round in one representation (`Some(true)` = dense
+    /// sweep, `Some(false)` = sparse wake list) instead of asking the
+    /// judge; `None` restores the judge. Call before the first round.
+    #[cfg(test)]
+    pub(crate) fn pinned(mut self, pin: Option<bool>) -> Self {
+        debug_assert_eq!(self.round, 0, "pin the representation before round 0");
+        self.pin = pin;
+        self.frontier_dense = pin.unwrap_or(false);
+        self
     }
 
     /// Messages dropped by fault injection (Bernoulli + burst drops).
@@ -698,7 +665,7 @@ impl<P: Protocol> Network<P> {
     }
 
     /// True when every node has halted. O(1): halt bookkeeping is a
-    /// maintained counter, not a scan (in both scheduling modes).
+    /// maintained counter, not a scan (in both representations).
     pub fn all_halted(&self) -> bool {
         self.live == 0
     }
@@ -709,9 +676,9 @@ impl<P: Protocol> Network<P> {
     }
 
     /// True while the upcoming round schedules from the wake list
-    /// (sparse representation). Dense rounds — pure [`SchedMode::Dense`]
-    /// or a hybrid round above the judge threshold — derive scheduling
-    /// from the halt/doze/mail flags and let the list lapse.
+    /// (sparse representation). Dense rounds — those the judge put above
+    /// its threshold — derive scheduling from the halt/doze/mail flags
+    /// and let the list lapse.
     #[inline]
     pub(crate) fn uses_wake_list(&self) -> bool {
         !self.frontier_dense
@@ -744,7 +711,7 @@ impl<P: Protocol> Network<P> {
         // The wake list is live only in the sparse representation; a
         // dense round derives scheduling from the flags above, and
         // pushing here would grow a list the dense sweep never drains
-        // (a hybrid dense→sparse conversion rebuilds it instead).
+        // (a dense→sparse conversion rebuilds it instead).
         if self.uses_wake_list() && self.wake_stamp[vi] != self.round {
             self.wake_stamp[vi] = self.round;
             self.wake_cur.push(v);
@@ -773,15 +740,15 @@ impl<P: Protocol> Network<P> {
         self.peak_workers
     }
 
-    /// The hybrid judge: pick the representation for the round about to
+    /// The judge: pick the representation for the round about to
     /// execute and perform any conversion. Deterministic — inputs are
-    /// node counts only, never wall-clock — so a hybrid run's
-    /// representation sequence is reproducible.
+    /// node counts only, never wall-clock — so a run's representation
+    /// sequence is reproducible.
     ///
     /// Upswitch (sparse→dense) triggers on the wake-list length (an
     /// exact upper bound on the upcoming scheduled count, stale entries
     /// included) and is free: the flags the dense sweep reads are
-    /// maintained in every mode, the list simply lapses. Downswitch
+    /// always maintained, the list simply lapses. Downswitch
     /// (dense→sparse) triggers on the previous round's stepped count
     /// and pays one O(n) wake-list rebuild from the scheduler
     /// predicate — charged to the `conversion_ns` timing histogram
@@ -794,31 +761,29 @@ impl<P: Protocol> Network<P> {
     ///
     /// [`ModeSwitch`]: dobs::Event::ModeSwitch
     fn choose_representation(&mut self) -> bool {
-        match self.sched {
-            SchedMode::Sparse => false,
-            SchedMode::Dense => true,
-            SchedMode::Hybrid => {
-                let n = self.topo.len();
-                if !self.frontier_dense {
-                    if n > 0 && self.wake_cur.len() * HYBRID_DENSE_DIV >= n {
-                        self.frontier_dense = true; // conversion is free
-                        self.trace_mode_switch(true);
-                    }
-                } else if (self.est_active as usize) * HYBRID_SPARSE_DIV < n {
-                    // dlint::allow(wall-clock, "timing gauge only: feeds the histogram, never steers execution; traced-vs-untraced bit-identity is property-tested")
-                    let t0 = self.timing.then(Instant::now);
-                    self.rebuild_wake_list();
-                    self.frontier_dense = false;
-                    if let Some(t0) = t0 {
-                        self.stats
-                            .timings
-                            .record(timing::CONVERSION_NS, t0.elapsed().as_nanos() as u64);
-                    }
-                    self.trace_mode_switch(false);
-                }
-                self.frontier_dense
-            }
+        #[cfg(test)]
+        if let Some(dense) = self.pin {
+            return dense;
         }
+        let n = self.topo.len();
+        if !self.frontier_dense {
+            if n > 0 && self.wake_cur.len() * HYBRID_DENSE_DIV >= n {
+                self.frontier_dense = true; // conversion is free
+                self.trace_mode_switch(true);
+            }
+        } else if (self.est_active as usize) * HYBRID_SPARSE_DIV < n {
+            // dlint::allow(wall-clock, "timing gauge only: feeds the histogram, never steers execution; traced-vs-untraced bit-identity is property-tested")
+            let t0 = self.timing.then(Instant::now);
+            self.rebuild_wake_list();
+            self.frontier_dense = false;
+            if let Some(t0) = t0 {
+                self.stats
+                    .timings
+                    .record(timing::CONVERSION_NS, t0.elapsed().as_nanos() as u64);
+            }
+            self.trace_mode_switch(false);
+        }
+        self.frontier_dense
     }
 
     /// Record a scheduler representation switch into the installed
@@ -837,8 +802,8 @@ impl<P: Protocol> Network<P> {
     /// Execute one synchronous round. Returns the number of messages
     /// sent during the round.
     ///
-    /// Dispatch order: the hybrid judge picks the frontier
-    /// representation, then the fan-out rule picks the worker count
+    /// Dispatch order: the judge picks the frontier representation,
+    /// then the fan-out rule picks the worker count
     /// from the round's expected node steps — the wake-list length of
     /// a sparse round, the previous round's stepped count of a dense
     /// one. Both decisions are invisible in the results (bit-identity)
@@ -899,7 +864,7 @@ impl<P: Protocol> Network<P> {
     /// Apply the pre-sampled crash/rejoin events due at the top of the
     /// current round, before any node is stepped. Main-thread only and
     /// purely schedule-driven, so crash faults are bit-identical across
-    /// executors and schedulers.
+    /// executors and representations.
     fn apply_crash_events(&mut self) {
         let traced = dobs::plane::enabled();
         while let Some(ev) = self.adversary.next_crash(self.round) {
@@ -1174,7 +1139,7 @@ impl<P: Protocol> Network<P> {
             self.rebuild_wake_list();
         }
         // A rewire typically wakes a whole damage ball; refresh the
-        // dense-side judge input so a hybrid run re-evaluates from the
+        // dense-side judge input so the judge re-evaluates from the
         // post-rewire schedule size rather than a pre-churn count.
         self.est_active = self.est_active.max(patch.dirty().len() as u64);
     }
@@ -1764,7 +1729,7 @@ mod tests {
     fn rewire_keeps_thread_count_bit_identity() {
         let run = |threads: usize| {
             let mut net = echo_net(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-                .with_threads(threads);
+                .with_cfg(ExecCfg::parallel(threads).forced());
             net.run_rounds(3);
             let patch = net.topology().rewired(&[(2, 3), (5, 0)], &[(0, 3), (1, 4)]);
             net.rewire(&patch);
@@ -1810,7 +1775,7 @@ mod tests {
 
     #[test]
     fn mail_wakes_a_sleeping_node_in_both_modes() {
-        let run = |sched: SchedMode| {
+        let run = |dense: bool| {
             let topo = Topology::from_edges(2, &[(0, 1)]);
             // Node 1 is a Sleeper reached through node 0's port 0.
             struct Pair;
@@ -1835,7 +1800,7 @@ mod tests {
                     stepped_at: Vec::new(),
                 }),
             ];
-            let mut net = Network::new(topo, nodes, 1).with_sched(sched);
+            let mut net = Network::new(topo, nodes, 1).pinned(Some(dense));
             net.run_rounds(12);
             let log = match &net.nodes()[1] {
                 N::S(s) => s.stepped_at.clone(),
@@ -1843,8 +1808,8 @@ mod tests {
             };
             (log, net.stats().clone())
         };
-        let (log_s, stats_s) = run(SchedMode::Sparse);
-        let (log_d, stats_d) = run(SchedMode::Dense);
+        let (log_s, stats_s) = run(false);
+        let (log_d, stats_d) = run(true);
         // The sleeper runs in round 0, then when mail arrives (one
         // round after each ping), plus one more round each time to
         // re-assert sleep (it only calls `sleep` on an empty inbox).
@@ -1891,6 +1856,73 @@ mod tests {
         net.run_rounds(2);
         assert_eq!(net.nodes()[1].stepped_at, vec![0, 3]);
         assert_eq!(net.nodes()[0].stepped_at, vec![0], "others stay asleep");
+    }
+
+    /// The judge's policy, one row per round on a 64-node network of
+    /// sleepers, so `n / HYBRID_DENSE_DIV` = 8 and `n / HYBRID_SPARSE_DIV`
+    /// = 4. Before each round the harness wakes `woken` nodes, which
+    /// are exactly the nodes the round steps. The representation each
+    /// round ran in is read from the flight recorder's `ModeSwitch`
+    /// instants, and cross-checked against the `sched_overhead` gauge:
+    /// a dense round charges the `n - woken` slots it skipped, a sparse
+    /// round over a clean wake list nothing.
+    #[test]
+    fn judge_policy_table() {
+        let n = 64;
+        assert_eq!((n / HYBRID_DENSE_DIV, n / HYBRID_SPARSE_DIV), (8, 4));
+        // (nodes woken before the round, the round runs dense, why)
+        let table = [
+            (n, true, "round 0: everyone starts awake"),
+            (3, true, "last round stepped n"),
+            (3, false, "last round stepped 3 < n/16"),
+            (7, false, "wake list 7 < n/8: stay sparse"),
+            (8, true, "wake list reaches n/8"),
+            (4, true, "last round stepped 8"),
+            (7, true, "last round stepped n/16, not fewer"),
+            (3, true, "last round stepped 7: stay dense"),
+            (20, false, "last round stepped 3, not the wake-ups"),
+            (20, true, "wake list 20 ≥ n/8"),
+            (2, true, "last round stepped 20"),
+            (6, false, "last round stepped 2 < n/16"),
+            (6, false, "wake list 6 < n/8: stay sparse"),
+        ];
+        let topo = Topology::from_edges(
+            n,
+            &(0..n as u32 - 1).map(|i| (i, i + 1)).collect::<Vec<_>>(),
+        );
+        let nodes = (0..n)
+            .map(|_| Sleeper {
+                stepped_at: Vec::new(),
+            })
+            .collect();
+        let mut net = Network::new(topo, nodes, 4);
+        let session = dobs::TraceSession::start(1 << 10);
+        for &(woken, _, _) in &table {
+            (0..woken as NodeId).for_each(|v| net.wake(v));
+            net.step();
+        }
+        let switches: Vec<(u64, bool)> = session
+            .finish()
+            .events()
+            .filter_map(|e| match *e {
+                dobs::Event::ModeSwitch {
+                    round, to_dense, ..
+                } => Some((round, to_dense)),
+                _ => None,
+            })
+            .collect();
+        let mut dense = false;
+        for (r, &(woken, want_dense, why)) in table.iter().enumerate() {
+            for &(_, to_dense) in switches.iter().filter(|&&(at, _)| at == r as u64) {
+                dense = to_dense;
+            }
+            assert_eq!(dense, want_dense, "round {r}: {why}");
+            let stepped = woken as u64;
+            let trace = &net.stats().per_round[r];
+            assert_eq!(trace.active, stepped, "round {r}: stepped set");
+            let skipped = if want_dense { n as u64 - stepped } else { 0 };
+            assert_eq!(trace.sched_overhead, skipped, "round {r}: {why}");
+        }
     }
 
     #[test]

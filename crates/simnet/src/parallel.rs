@@ -18,11 +18,11 @@
 //! Three decisions shape a round; none of them may influence results
 //! (see *Determinism* below):
 //!
-//! 1. **Representation** — the hybrid judge in
-//!    [`crate::Network::step`] picks the sparse wake list or the dense
-//!    flag sweep *before* execution strategy is considered (threshold
+//! 1. **Representation** — the judge in [`crate::Network::step`]
+//!    picks the sparse wake list or the dense flag sweep *before*
+//!    execution strategy is considered (threshold
 //!    `active ≥ n / HYBRID_DENSE_DIV`, with hysteresis; see
-//!    [`crate::SchedMode::Hybrid`]).
+//!    [`crate::Network`]).
 //! 2. **Fan-out** — a fixed floor of `MIN_STEPS_PER_WORKER` expected
 //!    node steps per worker: a round uses
 //!    `min(threads, cores, expected / MIN_STEPS_PER_WORKER)` workers,
@@ -48,10 +48,11 @@
 //!
 //! # Determinism
 //!
-//! A round's results are bit-identical for every worker count in every
-//! scheduling mode — asserted by the tests below and by the
-//! workspace-level `prop_plane`/`conformance` suites, which compare
-//! one-chunk rounds against k-chunk rounds — because
+//! A round's results are bit-identical for every worker count in both
+//! representations — asserted by the tests below, which also pin each
+//! representation in turn, and by the workspace-level identity suites,
+//! which compare one-chunk rounds against forced k-chunk rounds —
+//! because
 //!
 //! 1. every node draws from its own RNG stream,
 //! 2. inbox order is positional (ports), independent of scheduling,
@@ -59,12 +60,13 @@
 //!    sequentially after the join, walking senders in node order —
 //!    chunks record senders separately and are merged in node order
 //!    (chunks are id-sorted, so the merge is a concatenation), and
-//! 4. the fan-out rule and the hybrid judge only choose *how* the
-//!    round executes, never *what* it computes. Both are pure
-//!    functions of node counts (and, for fan-out, the host's core
-//!    count), so the `sched_overhead` trace (the one gauge allowed to
-//!    differ between representations), `peak_workers` and a trace's
-//!    worker tracks reproduce from run to run.
+//! 4. the fan-out rule and the judge only choose *how* the round
+//!    executes, never *what* it computes. Both are pure functions of
+//!    node counts (and, for fan-out, the host's core count), so the
+//!    representation sequence and with it the `sched_overhead` trace
+//!    (the one gauge that depends on the representation) reproduce at
+//!    every worker count, and `peak_workers` and a trace's worker
+//!    tracks reproduce from run to run.
 
 use crate::mailbox::{Inbox, Slab};
 use crate::network::{split_planes, Ctx, Network, Protocol, WorkerScratch};
@@ -563,7 +565,6 @@ fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, spars
 #[cfg(test)]
 mod tests {
     use super::{fan_out, hw_parallelism, MIN_STEPS_PER_WORKER};
-    use crate::network::SchedMode;
     use crate::{Ctx, ExecCfg, FaultPlan, Inbox, Network, Protocol, Topology};
 
     /// A protocol with both randomness and message traffic, to stress
@@ -615,8 +616,14 @@ mod tests {
         Topology::from_edges(n, &edges)
     }
 
-    fn all_scheds() -> [SchedMode; 3] {
-        [SchedMode::Sparse, SchedMode::Dense, SchedMode::Hybrid]
+    /// The judge, and each representation pinned for every round (the
+    /// dense sweep is the wake list's test oracle).
+    fn all_scheds() -> [(&'static str, Option<bool>); 3] {
+        [
+            ("judge", None),
+            ("sparse", Some(false)),
+            ("dense", Some(true)),
+        ]
     }
 
     #[test]
@@ -627,14 +634,14 @@ mod tests {
         let mut seq = Network::new(topo.clone(), mk(), 17);
         seq.run_until_halt(100);
 
-        for sched in all_scheds() {
+        for (sched, pin) in all_scheds() {
             for threads in [2, 3, 8] {
                 let mut par = Network::new(topo.clone(), mk(), 17)
-                    .with_threads(threads)
-                    .with_sched(sched);
+                    .with_cfg(ExecCfg::parallel(threads))
+                    .pinned(pin);
                 par.run_until_halt(100);
                 for (a, b) in seq.nodes().iter().zip(par.nodes()) {
-                    assert_eq!(a.acc, b.acc, "divergence with {threads} threads {sched:?}");
+                    assert_eq!(a.acc, b.acc, "divergence with {threads} threads ({sched})");
                 }
                 assert_eq!(seq.stats().messages, par.stats().messages);
                 assert_eq!(seq.stats().bits, par.stats().bits);
@@ -649,11 +656,11 @@ mod tests {
         let topo = random_topo(48, 5);
         let mk = || (0..48).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
 
-        let mut seq = Network::new(topo.clone(), mk(), 23).with_faults(FaultPlan::drop(0.15));
+        let lossy = |cfg: ExecCfg| cfg.with_faults(FaultPlan::drop(0.15));
+        let mut seq = Network::new(topo.clone(), mk(), 23).with_cfg(lossy(ExecCfg::sequential()));
         seq.run_until_halt(100);
-        let mut par = Network::new(topo.clone(), mk(), 23)
-            .with_faults(FaultPlan::drop(0.15))
-            .with_threads(4);
+        let mut par =
+            Network::new(topo.clone(), mk(), 23).with_cfg(lossy(ExecCfg::parallel(4).forced()));
         par.run_until_halt(100);
         assert_eq!(seq.dropped(), par.dropped(), "loss RNG streams must align");
         for (a, b) in seq.nodes().iter().zip(par.nodes()) {
@@ -666,7 +673,7 @@ mod tests {
     fn more_threads_than_nodes() {
         let topo = Topology::from_edges(3, &[(0, 1), (1, 2)]);
         let nodes = vec![Gossip { acc: 0 }, Gossip { acc: 0 }, Gossip { acc: 0 }];
-        let mut net = Network::new(topo, nodes, 9).with_threads(64);
+        let mut net = Network::new(topo, nodes, 9).with_cfg(ExecCfg::parallel(64).forced());
         net.run_until_halt(100);
         assert!(net.all_halted());
     }
@@ -674,7 +681,7 @@ mod tests {
     /// Force true multi-worker execution — the fan-out floor would
     /// otherwise keep every test-sized (and every single-core-machine)
     /// round on one chunk, leaving the cuts and the merge untested.
-    /// `force_parallel` uses one worker per requested thread regardless
+    /// `ExecCfg::forced` uses one worker per requested thread regardless
     /// of machine or workload; chunk 0 runs on the caller's thread.
     #[test]
     fn forced_workers_stay_identical_in_all_modes() {
@@ -683,19 +690,18 @@ mod tests {
         let mk = || (0..n).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
         let mut seq = Network::new(topo.clone(), mk(), 29);
         seq.run_until_halt(100);
-        for sched in all_scheds() {
+        for (sched, pin) in all_scheds() {
             for threads in [2, 3, 7] {
                 let mut par = Network::new(topo.clone(), mk(), 29)
-                    .with_threads(threads)
-                    .with_sched(sched);
-                par.force_parallel = true;
+                    .with_cfg(ExecCfg::parallel(threads).forced())
+                    .pinned(pin);
                 par.run_until_halt(100);
                 assert!(
                     seq.nodes()
                         .iter()
                         .zip(par.nodes())
                         .all(|(a, b)| a.acc == b.acc),
-                    "forced {threads}-worker {sched:?} diverged"
+                    "forced {threads}-worker {sched} diverged"
                 );
                 assert_eq!(seq.stats().messages, par.stats().messages);
                 assert_eq!(seq.stats().node_steps, par.stats().node_steps);
@@ -708,7 +714,7 @@ mod tests {
     /// The degree-weighted chunker on the degenerate hub topology: the
     /// star's center owns ~all ports, so weighted cuts collapse most
     /// workers onto tiny id ranges around it. Results must still be
-    /// bit-identical, in every scheduling mode.
+    /// bit-identical, in both representations and under the judge.
     #[test]
     fn forced_workers_balance_a_star() {
         let n = 65;
@@ -716,19 +722,18 @@ mod tests {
         let mk = || (0..n).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
         let mut seq = Network::new(topo.clone(), mk(), 41);
         seq.run_until_halt(100);
-        for sched in all_scheds() {
+        for (sched, pin) in all_scheds() {
             for threads in [2, 4, 8] {
                 let mut par = Network::new(topo.clone(), mk(), 41)
-                    .with_threads(threads)
-                    .with_sched(sched);
-                par.force_parallel = true;
+                    .with_cfg(ExecCfg::parallel(threads).forced())
+                    .pinned(pin);
                 par.run_until_halt(100);
                 assert!(
                     seq.nodes()
                         .iter()
                         .zip(par.nodes())
                         .all(|(a, b)| a.acc == b.acc),
-                    "star with {threads} workers {sched:?} diverged"
+                    "star with {threads} workers ({sched}) diverged"
                 );
                 assert_eq!(seq.stats().messages, par.stats().messages);
                 assert_eq!(seq.stats().node_steps, par.stats().node_steps);
@@ -740,7 +745,8 @@ mod tests {
     /// are non-contiguous once nodes sleep or halt. Mix sleepers (every
     /// third node parks between pings) and early-halting nodes into the
     /// gossip so forced multi-worker rounds must split the slab around
-    /// real gaps, and compare against sequential execution.
+    /// real gaps, and compare the full stats against one-chunk execution
+    /// in the same representation.
     #[derive(Clone)]
     struct Patchy {
         acc: u64,
@@ -774,33 +780,26 @@ mod tests {
         let n = 97; // odd size: uneven chunks + a trailing partial segment
         let topo = random_topo(n, 13);
         let mk = || (0..n).map(|_| Patchy { acc: 0 }).collect::<Vec<_>>();
-        let mut seq = Network::new(topo.clone(), mk(), 31);
-        seq.run_rounds(30);
-        for sched in [SchedMode::Sparse, SchedMode::Hybrid] {
+        for (sched, pin) in [("judge", None), ("sparse", Some(false))] {
+            let mut seq = Network::new(topo.clone(), mk(), 31).pinned(pin);
+            seq.run_rounds(30);
             for threads in [2, 5, 8] {
                 let mut par = Network::new(topo.clone(), mk(), 31)
-                    .with_threads(threads)
-                    .with_sched(sched);
-                par.force_parallel = true;
+                    .with_cfg(ExecCfg::parallel(threads).forced())
+                    .pinned(pin);
                 par.run_rounds(30);
                 assert!(
                     seq.nodes()
                         .iter()
                         .zip(par.nodes())
                         .all(|(a, b)| a.acc == b.acc),
-                    "{threads} forced workers ({sched:?}) diverged on a gappy active list"
+                    "{threads} forced workers ({sched}) diverged on a gappy active list"
                 );
-                if sched == SchedMode::Sparse {
-                    assert_eq!(
-                        seq.stats(),
-                        par.stats(),
-                        "{threads} workers: stats diverged"
-                    );
-                } else {
-                    // Hybrid may charge different sched_overhead.
-                    assert_eq!(seq.stats().messages, par.stats().messages);
-                    assert_eq!(seq.stats().node_steps, par.stats().node_steps);
-                }
+                assert_eq!(
+                    seq.stats(),
+                    par.stats(),
+                    "{threads} workers ({sched}): stats diverged"
+                );
             }
         }
     }
@@ -809,7 +808,7 @@ mod tests {
     fn dense_mode_wake_does_not_grow_the_wake_list() {
         let topo = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let nodes = (0..4).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
-        let mut net = Network::new(topo, nodes, 5).with_sched(SchedMode::Dense);
+        let mut net = Network::new(topo, nodes, 5).pinned(Some(true));
         let baseline = net.wake_cur.len();
         for _ in 0..50 {
             net.wake(2);
@@ -869,15 +868,15 @@ mod tests {
     fn fresh_network_below_the_floor_never_spawns() {
         let n = 3000;
         let nodes = (0..n).map(|_| Gossip { acc: 0 }).collect();
-        let mut net = Network::new(gnp_topo(n, 8.0 / n as f64, 7), nodes, 5)
-            .with_cfg(ExecCfg::parallel(2).hybrid());
+        let mut net =
+            Network::new(gnp_topo(n, 8.0 / n as f64, 7), nodes, 5).with_cfg(ExecCfg::parallel(2));
         net.run_until_halt(100);
         assert_eq!(net.peak_workers(), 1);
     }
 
     /// Rounds that expect twice the floor fan out to two workers on any
-    /// host with two cores, in every scheduling mode, and stay
-    /// bit-identical to one-chunk rounds.
+    /// host with two cores, in both representations and under the
+    /// judge, and stay bit-identical to one-chunk rounds.
     #[test]
     fn above_the_floor_fans_out() {
         let n = 2 * MIN_STEPS_PER_WORKER;
@@ -886,12 +885,12 @@ mod tests {
         let mk = || (0..n).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
         let mut seq = Network::new(topo.clone(), mk(), 13);
         seq.run_rounds(3);
-        for sched in all_scheds() {
+        for (sched, pin) in all_scheds() {
             let mut par = Network::new(topo.clone(), mk(), 13)
-                .with_threads(2)
-                .with_sched(sched);
+                .with_cfg(ExecCfg::parallel(2))
+                .pinned(pin);
             par.run_rounds(3);
-            assert_eq!(par.peak_workers(), 2.min(hw_parallelism()), "{sched:?}");
+            assert_eq!(par.peak_workers(), 2.min(hw_parallelism()), "{sched}");
             assert!(seq
                 .nodes()
                 .iter()

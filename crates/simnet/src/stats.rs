@@ -19,21 +19,22 @@ pub struct RoundTrace {
     /// here and can be regressed against.
     pub plane_allocs: u64,
     /// Nodes actually stepped this round. Identical between the dense
-    /// and sparse schedulers (they step the same set by contract); the
-    /// sparse plane's round cost is proportional to this, not to `n`.
+    /// and sparse representations (they step the same set by contract);
+    /// the sparse plane's round cost is proportional to this, not to `n`.
     pub active: u64,
     /// Scheduler slots examined that did *not* result in a step: the
     /// dense sweep charges `n - active` here (the cost the sparse plane
     /// removes), the sparse drain charges its stale wake-list entries
-    /// (normally 0). The one gauge that legitimately differs between
-    /// scheduling modes.
+    /// (normally 0). The only gauge that depends on the representation,
+    /// which the judge picks from node counts alone, so it reproduces
+    /// like every other field.
     pub sched_overhead: u64,
 }
 
 /// Histogram names of the per-phase wall-clock breakdown recorded
 /// into [`NetStats::timings`] when [`crate::ExecCfg::timing`] is set,
 /// in the style of parlay's LDD `BREAKDOWN` timers: where does a round
-/// actually spend its time once the scheduler is hybrid?
+/// actually spend its time once the judge switches representations?
 ///
 /// One sample is recorded per round (or per conversion/merge), so
 /// each histogram carries the *distribution* — `sum()` recovers the
@@ -75,8 +76,8 @@ pub struct NetStats {
     /// Total message-plane allocations (construction + growth; a
     /// constant per network in steady state).
     pub plane_allocs: u64,
-    /// Total node steps executed (sum of [`RoundTrace::active`]). With
-    /// the sparse scheduler this is the quantity round cost is
+    /// Total node steps executed (sum of [`RoundTrace::active`]). In the
+    /// sparse representation this is the quantity round cost is
     /// proportional to; `node_steps ≪ rounds · n` is the asymptotic
     /// win the activity-driven plane delivers.
     pub node_steps: u64,
@@ -97,9 +98,9 @@ pub struct NetStats {
     pub crashed: u64,
     /// Per-phase wall-clock breakdown: a [`dobs::Registry`] of
     /// nanosecond histograms under the [`timing`] names (empty unless
-    /// [`crate::ExecCfg::timing`] is set; excluded from bit-identity
-    /// comparisons like [`NetStats::sched_overhead`] — identity suites
-    /// reset it with `Default::default()`).
+    /// [`crate::ExecCfg::timing`] is set). The one field outside the
+    /// bit-identity contract: identity suites leave timing off, so it
+    /// stays empty.
     pub timings: dobs::Registry,
     /// Messages per round, in order.
     pub per_round: Vec<RoundTrace>,
@@ -191,7 +192,7 @@ impl NetStats {
         }
     }
 
-    /// Mean nodes stepped per round — the sparse scheduler's cost
+    /// Mean nodes stepped per round — the sparse wake list's cost
     /// metric (the dense sweep pays `n` per round regardless).
     pub fn avg_active_per_round(&self) -> f64 {
         if self.rounds == 0 {

@@ -6,7 +6,7 @@
 //! streams, so every run explores the same (deterministic) case set.
 
 use simnet::tree::{aggregate, AggOp};
-use simnet::{Ctx, FaultPlan, Inbox, Network, Protocol, SplitMix64, Topology};
+use simnet::{Ctx, ExecCfg, FaultPlan, Inbox, Network, Protocol, SplitMix64, Topology};
 
 /// Random connected topology: a path backbone plus random chords.
 fn random_connected(n: usize, chords: usize, seed: u64) -> Topology {
@@ -78,7 +78,7 @@ fn parallel_stepping_is_bit_identical() {
         let mk = || (0..n).map(|_| Echo { acc: 0, ttl: 12 }).collect::<Vec<_>>();
         let mut seq = Network::new(topo.clone(), mk(), seed);
         seq.run_until_halt(64);
-        let mut par = Network::new(topo, mk(), seed).with_threads(threads);
+        let mut par = Network::new(topo, mk(), seed).with_cfg(ExecCfg::parallel(threads).forced());
         par.run_until_halt(64);
         for (a, b) in seq.nodes().iter().zip(par.nodes()) {
             assert_eq!(a.acc, b.acc);
@@ -129,9 +129,9 @@ fn plane_gauges_are_steady_state_zero() {
         let topo = random_connected(n, chords, seed);
         let mk = || (0..n).map(|_| Echo { acc: 0, ttl: 10 }).collect::<Vec<_>>();
         for threads in [1usize, 4] {
+            let cfg = ExecCfg::parallel(threads).forced();
             let mut net = Network::new(topo.clone(), mk(), seed)
-                .with_threads(threads)
-                .with_faults(FaultPlan::drop(0.05));
+                .with_cfg(cfg.with_faults(FaultPlan::drop(0.05)));
             net.run_until_halt(64);
             let s = net.stats();
             assert!(

@@ -63,7 +63,7 @@ impl SchedulerKind {
     /// Instantiate for an `n`-port switch under execution knobs
     /// `exec`: the distributed schedulers (Israeli–Itai and the paper's
     /// LPS algorithms) run their per-cycle matching networks with its
-    /// scheduler mode, thread count, and fault injection. Centralized
+    /// thread count and fault injection. Centralized
     /// and hardware schedulers ignore it.
     pub fn build(self, n: usize, seed: u64, exec: ExecCfg) -> Box<dyn Scheduler> {
         match self {

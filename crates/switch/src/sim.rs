@@ -169,9 +169,9 @@ impl Simulator {
     }
 
     /// Run the distributed schedulers' per-cycle matching networks
-    /// under explicit execution knobs (scheduler mode / threads); see
+    /// under explicit execution knobs (threads / faults); see
     /// [`SchedulerKind::build`]. Results are
-    /// bit-identical across `exec.threads` and `exec.sched`. Must be
+    /// bit-identical across `exec.threads`. Must be
     /// applied before [`Simulator::run`] (it rebuilds the scheduler,
     /// so call it construction-style, like the other builders).
     pub fn with_exec(mut self, exec: simnet::ExecCfg) -> Self {
@@ -404,6 +404,10 @@ mod tests {
         assert!(failing.link_downtime > 0.5);
     }
 
+    /// The per-cycle matching networks give the same switch results and
+    /// the same simulated traffic, round by round, at any thread count.
+    /// The traffic is read from the flight recorder's round spans: the
+    /// switch results alone can hide a lost message count.
     #[test]
     fn exec_knobs_are_unobservable_for_distributed_schedulers() {
         use simnet::ExecCfg;
@@ -412,7 +416,8 @@ mod tests {
             SchedulerKind::LpsBipartite { k: 2 },
         ] {
             let mk = |exec: ExecCfg| {
-                Simulator::new(
+                let session = dobs::TraceSession::start(1 << 18);
+                let result = Simulator::new(
                     SimConfig {
                         ports: 4,
                         cycles: 300,
@@ -423,16 +428,39 @@ mod tests {
                     kind,
                 )
                 .with_exec(exec)
-                .run()
+                .run();
+                let rounds: Vec<(u64, u64, u64, bool)> = session
+                    .finish()
+                    .events()
+                    .filter_map(|e| match *e {
+                        dobs::Event::RoundSpan {
+                            round,
+                            stepped,
+                            sent,
+                            dense,
+                            ..
+                        } => Some((round, stepped, sent, dense)),
+                        _ => None,
+                    })
+                    .collect();
+                (result, rounds)
             };
-            let sparse = mk(ExecCfg::sequential());
-            let dense = mk(ExecCfg::sequential().dense());
-            let par = mk(ExecCfg::parallel(4));
-            for other in [&dense, &par] {
-                assert_eq!(sparse.delivered, other.delivered, "{}", sparse.scheduler);
-                assert_eq!(sparse.sched_rounds, other.sched_rounds);
-                assert_eq!(sparse.final_backlog, other.final_backlog);
-            }
+            // Forced, so the 4-port networks really run in k chunks.
+            let (seq, seq_rounds) = mk(ExecCfg::sequential());
+            let (par, par_rounds) = mk(ExecCfg::parallel(3).forced());
+            assert_eq!(seq.delivered, par.delivered, "{}", seq.scheduler);
+            assert_eq!(seq.sched_rounds, par.sched_rounds);
+            assert_eq!(seq.final_backlog, par.final_backlog);
+            assert_eq!(
+                seq_rounds.len() as u64,
+                seq.sched_rounds,
+                "recorder overflowed"
+            );
+            assert_eq!(
+                seq_rounds, par_rounds,
+                "{}: per-round traffic",
+                seq.scheduler
+            );
         }
     }
 

@@ -1,12 +1,13 @@
 //! Property suite for the dynamic-network engine (`dchurn`): after
 //! every epoch the repaired matching is valid and meets its
 //! algorithm's stated bound on the *current* graph, repair is
-//! bit-identical sequential vs. 8-thread **and** dense vs. sparse
-//! scheduling (the repair protocol sleeps through quiet rounds — churn
-//! rewires and message arrivals are its only wake-ups, so this suite
-//! exercises every wake path: rewire dirty sets, mail, and re-asserted
-//! sleep), and repair beats full recompute at low churn (the E15
-//! claim, asserted at test scale).
+//! bit-identical between one-chunk and forced k-chunk rounds (the
+//! repair protocol sleeps through quiet rounds — churn rewires and
+//! message arrivals are its only wake-ups, so this suite exercises
+//! every wake path: rewire dirty sets, mail, and re-asserted sleep,
+//! under the judge that switches the frontier representation), and
+//! repair beats full recompute at low churn (the E15 claim, asserted
+//! at test scale).
 
 use distributed_matching::dchurn::{ChurnModel, DynEngine, MutationBatch, RepairAlgo};
 use distributed_matching::dgraph::generators::random::gnp;
@@ -78,7 +79,7 @@ fn generic_repair_meets_its_bound_on_the_current_graph() {
 }
 
 #[test]
-fn repair_is_bit_identical_across_executors_and_schedulers() {
+fn repair_is_bit_identical_across_executors() {
     let run = |cfg: ExecCfg| {
         let g = gnp(260, 7.0 / 260.0, 12);
         let mut eng = DynEngine::with_cfg(
@@ -100,16 +101,14 @@ fn repair_is_bit_identical_across_executors_and_schedulers() {
             .collect();
         (mates, costs)
     };
+    // Forced: repair rounds are damage-local, so the fan-out floor
+    // would run every one of them as a single chunk.
     let (m1, c1) = run(ExecCfg::sequential());
-    let (m8, c8) = run(ExecCfg::parallel(8));
-    let (md, cd) = run(ExecCfg::sequential().dense());
-    let (md8, cd8) = run(ExecCfg::parallel(8).dense());
-    assert_eq!(m1, m8, "matchings diverged across thread counts");
-    assert_eq!(c1, c8, "per-epoch costs diverged across thread counts");
-    assert_eq!(m1, md, "matchings diverged across schedulers");
-    assert_eq!(c1, cd, "per-epoch costs diverged across schedulers");
-    assert_eq!(m1, md8, "matchings diverged (dense, 8 threads)");
-    assert_eq!(c1, cd8, "per-epoch costs diverged (dense, 8 threads)");
+    for threads in [2, 8] {
+        let (m, c) = run(ExecCfg::parallel(threads).forced());
+        assert_eq!(m1, m, "matchings diverged at {threads} threads");
+        assert_eq!(c1, c, "per-epoch costs diverged at {threads} threads");
+    }
 }
 
 #[test]

@@ -1,45 +1,31 @@
-//! Message-plane equivalence suite: sequential and 8-thread execution,
-//! and the dense and sparse round schedulers, must produce
-//! **bit-identical** matchings and `NetStats` (including the per-round
-//! traces and plane gauges) for every algorithm of the paper, across
-//! random topology families, with and without fault injection.
+//! Message-plane equivalence suite: one-chunk and k-chunk execution
+//! must produce **bit-identical** matchings and full `NetStats`
+//! (including the per-round traces, the scheduler and plane gauges)
+//! for every algorithm of the paper, across random topology families,
+//! with and without fault injection.
 //!
 //! This is the contract the double-buffered plane was built around:
-//! the executor (thread count) and the scheduler (wake list vs. dense
-//! sweep) are unobservable, and the fault-injection RNG stream is
-//! consumed in a fixed delivery order. The sole sanctioned difference
-//! between scheduling modes is the `sched_overhead` gauge (the dense
-//! sweep charges its skipped-node scan there), which the comparisons
-//! below mask out.
+//! the executor (how many chunks a round is cut into) is unobservable,
+//! the round scheduler's judge picks each round's representation from
+//! node counts alone, and the fault-injection RNG stream is consumed
+//! in a fixed delivery order. Every comparison below is `==` on the
+//! whole `NetStats`: no run enables `ExecCfg::timing`, so the
+//! wall-clock `timings` registry, the one field outside the contract,
+//! stays empty. Threaded configs are `forced()`: the fan-out floor
+//! would otherwise run every round of these test-sized graphs as one
+//! chunk, and the comparison would be vacuous.
 
 use distributed_matching::dgraph::generators::random::{bipartite_gnp, gnp, random_tree};
 use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
 use distributed_matching::dgraph::Graph;
 use distributed_matching::dmatch::weighted::MwmBox;
 use distributed_matching::dmatch::{Algorithm, RunReport, Session};
-use distributed_matching::simnet::{Budget, ExecCfg, FaultPlan, NetStats};
+use distributed_matching::simnet::{Budget, ExecCfg, FaultPlan};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// A `NetStats` with the scheduler-overhead gauge masked out — every
-/// other field (rounds, messages, bits, message sizes, inbox peaks,
-/// plane allocations, node steps, full per-round traces) must agree
-/// bit-for-bit between the dense and sparse schedulers.
-fn masked(stats: &NetStats) -> NetStats {
-    let mut s = stats.clone();
-    s.sched_overhead = 0;
-    // Wall-clock phase gauges are likewise exempt (all-zero here unless
-    // a run enables `ExecCfg::timing`, but the mask keeps the suite
-    // honest about what the contract covers).
-    s.timings = Default::default();
-    for r in &mut s.per_round {
-        r.sched_overhead = 0;
-    }
-    s
-}
-
-/// Serializes the two tests below: the lossy test swaps the *global*
-/// panic hook, which would otherwise silence diagnostics of the sibling
+/// Serializes the tests that take it: the lossy test swaps the *global*
+/// panic hook, which would otherwise silence diagnostics of a sibling
 /// test running on another thread.
 static HOOK_LOCK: Mutex<()> = Mutex::new(());
 
@@ -168,7 +154,7 @@ fn sequential_vs_parallel_bit_identical_all_algorithms() {
             };
             let sides_ref = sides.as_deref();
             let seq = session_run(&g, sides_ref, alg, 99, ExecCfg::sequential());
-            let par = session_run(&g, sides_ref, alg, 99, ExecCfg::parallel(8));
+            let par = session_run(&g, sides_ref, alg, 99, ExecCfg::parallel(8).forced());
             assert_eq!(
                 seq.matching, par.matching,
                 "{label} / {}: matchings diverged between executors",
@@ -184,50 +170,13 @@ fn sequential_vs_parallel_bit_identical_all_algorithms() {
     }
 }
 
-#[test]
-fn dense_vs_sparse_bit_identical_all_algorithms() {
-    let _serial = HOOK_LOCK.lock().unwrap();
-    for (label, g0, sides) in topologies() {
-        for alg in algorithms() {
-            if !applicable(&alg, &sides) {
-                continue;
-            }
-            let g = if weighted_input(&alg) {
-                apply_weights(&g0, WeightModel::Uniform(0.5, 4.0), 11)
-            } else {
-                g0.clone()
-            };
-            let sides_ref = sides.as_deref();
-            let sparse = session_run(&g, sides_ref, alg, 31, ExecCfg::sequential());
-            let dense = session_run(&g, sides_ref, alg, 31, ExecCfg::sequential().dense());
-            // 8-thread sparse against 8-thread dense as well: the
-            // active-list partitioner must agree with the dense chunks.
-            let dense_par = session_run(&g, sides_ref, alg, 31, ExecCfg::parallel(8).dense());
-            assert_eq!(
-                sparse.matching, dense.matching,
-                "{label} / {}: matchings diverged between schedulers",
-                sparse.name
-            );
-            assert_eq!(
-                masked(&sparse.stats),
-                masked(&dense.stats),
-                "{label} / {}: NetStats diverged between schedulers",
-                sparse.name
-            );
-            assert_eq!(sparse.matching, dense_par.matching, "{label}");
-            assert_eq!(masked(&sparse.stats), masked(&dense_par.stats), "{label}");
-        }
-    }
-}
-
-/// The hub fixture: the scheduler/executor matrix on a Chung–Lu
-/// power-law graph, whose node 0 is a heavy hub. This is the workload
-/// the degree-weighted chunker exists for — contiguous equal-count
-/// chunks would put the hub's whole port range in one worker — and the
-/// matrix asserts that chunking, the hybrid judge, and forced
-/// multi-worker execution all stay bit-identical to the sequential
-/// sparse reference: same matching, same `NetStats` minus the
-/// sched_overhead/timings exemptions.
+/// The hub fixture: the executor matrix on a Chung–Lu power-law graph,
+/// whose node 0 is a heavy hub. This is the workload the
+/// degree-weighted chunker exists for — contiguous equal-count chunks
+/// would put the hub's whole port range in one worker — and the matrix
+/// asserts that chunking and forced multi-worker execution under the
+/// judge stay bit-identical to the sequential reference: same matching,
+/// same full `NetStats`.
 #[test]
 fn chung_lu_hub_scheduler_matrix_bit_identical() {
     let _serial = HOOK_LOCK.lock().unwrap();
@@ -245,22 +194,8 @@ fn chung_lu_hub_scheduler_matrix_bit_identical() {
             mwm_box: MwmBox::LocalDominant,
         },
     ];
-    // {seq, 2, 8 threads} × {sparse, dense, hybrid}; threaded runs are
-    // forced so the partitioners really fan out on a 40-node fixture
-    // (the fan-out floor would otherwise keep them on one chunk).
-    type SchedFn = fn(ExecCfg) -> ExecCfg;
-    let execs = |sched_of: SchedFn| {
-        [
-            sched_of(ExecCfg::sequential()),
-            sched_of(ExecCfg::parallel(2)).forced(),
-            sched_of(ExecCfg::parallel(8)).forced(),
-        ]
-    };
-    let scheds: [(&str, SchedFn); 3] = [
-        ("sparse", |c| c),
-        ("dense", ExecCfg::dense),
-        ("hybrid", ExecCfg::hybrid),
-    ];
+    // {2, 3, 8} forced threads, so the partitioners really fan out on a
+    // 40-node fixture.
     for alg in algs {
         let g = if weighted_input(&alg) {
             apply_weights(&g0, WeightModel::Uniform(0.5, 4.0), 11)
@@ -273,32 +208,20 @@ fn chung_lu_hub_scheduler_matrix_bit_identical() {
             "{}",
             reference.name
         );
-        for (sched_label, sched_of) in scheds {
-            for (ti, cfg) in execs(sched_of).into_iter().enumerate() {
-                let r = session_run(&g, None, alg, 77, cfg);
-                let label = format!(
-                    "chung-lu hub / {} / {sched_label} / exec {ti}",
-                    reference.name
-                );
-                assert_eq!(reference.matching, r.matching, "{label}: matching diverged");
-                assert_eq!(
-                    masked(&reference.stats),
-                    masked(&r.stats),
-                    "{label}: NetStats diverged"
-                );
-            }
+        for threads in [2, 3, 8] {
+            let r = session_run(&g, None, alg, 77, ExecCfg::parallel(threads).forced());
+            let label = format!("chung-lu hub / {} / {threads} threads", reference.name);
+            assert_eq!(reference.matching, r.matching, "{label}: matching diverged");
+            assert_eq!(reference.stats, r.stats, "{label}: NetStats diverged");
         }
     }
 }
 
 /// The flight recorder observes, never steers: running with a `dobs`
 /// trace session installed must be bit-identical to running without
-/// one — the *full* `NetStats` (no masking at all: both runs use the
-/// same `ExecCfg`, so even the documented observability exemptions,
-/// `sched_overhead` and the `timings` registry, must agree) and the
-/// matching — across {sequential, 8 forced threads} × {sparse, dense,
-/// hybrid}. The traced runs must also actually record events, so the
-/// equality is not vacuous.
+/// one — the full `NetStats` and the matching — at {sequential, 8
+/// forced threads}. The traced runs must also actually record events,
+/// so the equality is not vacuous.
 #[test]
 fn traced_vs_untraced_bit_identical() {
     let _serial = HOOK_LOCK.lock().unwrap();
@@ -311,12 +234,6 @@ fn traced_vs_untraced_bit_identical() {
             mwm_box: MwmBox::LocalDominant,
         },
     ];
-    type SchedFn = fn(ExecCfg) -> ExecCfg;
-    let scheds: [(&str, SchedFn); 3] = [
-        ("sparse", |c| c),
-        ("dense", ExecCfg::dense),
-        ("hybrid", ExecCfg::hybrid),
-    ];
     let mut events_total = 0u64;
     for alg in algs {
         let g = if weighted_input(&alg) {
@@ -324,85 +241,28 @@ fn traced_vs_untraced_bit_identical() {
         } else {
             g0.clone()
         };
-        for (sched_label, sched_of) in scheds {
-            for cfg in [
-                sched_of(ExecCfg::sequential()),
-                sched_of(ExecCfg::parallel(8)).forced(),
-            ] {
-                let plain = session_run(&g, None, alg, 55, cfg);
-                let session = distributed_matching::dobs::TraceSession::start(1 << 16);
-                let traced = session_run(&g, None, alg, 55, cfg);
-                let rec = session.finish();
-                events_total += rec.recorded();
-                let label = format!(
-                    "{} / {sched_label} / {} threads{}",
-                    plain.name,
-                    cfg.threads,
-                    if cfg.force_parallel { " (forced)" } else { "" }
-                );
-                assert_eq!(
-                    plain.matching, traced.matching,
-                    "{label}: tracing changed the matching"
-                );
-                assert_eq!(
-                    plain.stats, traced.stats,
-                    "{label}: tracing changed the NetStats"
-                );
-                assert!(
-                    rec.recorded() > 0,
-                    "{label}: traced run recorded nothing — the identity check is vacuous"
-                );
-            }
-        }
-    }
-    assert!(events_total > 0);
-}
-
-#[test]
-fn dense_vs_sparse_bit_identical_under_loss() {
-    let _serial = HOOK_LOCK.lock().unwrap();
-    let hook = HookGuard::silence();
-    let mut outcomes = Vec::new();
-    for (label, g0, sides) in topologies() {
-        for alg in algorithms() {
-            if !applicable(&alg, &sides) {
-                continue;
-            }
-            let g = if weighted_input(&alg) {
-                apply_weights(&g0, WeightModel::Uniform(0.5, 4.0), 11)
-            } else {
-                g0.clone()
-            };
-            let sides_ref = sides.as_deref();
-            let lossy = |dense: bool| {
-                let cfg = ExecCfg::sequential().with_faults(FaultPlan::drop(0.1));
-                if dense {
-                    cfg.dense()
-                } else {
-                    cfg
-                }
-            };
-            let sparse = run_caught(&g, sides_ref, alg, 13, lossy(false));
-            let dense = run_caught(&g, sides_ref, alg, 13, lossy(true));
-            outcomes.push((label.clone(), alg, sparse, dense));
-        }
-    }
-    drop(hook);
-    for (label, alg, sparse, dense) in outcomes {
-        assert_eq!(
-            sparse.is_ok(),
-            dense.is_ok(),
-            "{label} / {alg:?}: one scheduler panicked, the other did not"
-        );
-        if let (Ok(s), Ok(d)) = (sparse, dense) {
-            assert_eq!(s.0, d.0, "{label} / {alg:?}: lossy matchings diverged");
+        for cfg in [ExecCfg::sequential(), ExecCfg::parallel(8).forced()] {
+            let plain = session_run(&g, None, alg, 55, cfg);
+            let session = distributed_matching::dobs::TraceSession::start(1 << 16);
+            let traced = session_run(&g, None, alg, 55, cfg);
+            let rec = session.finish();
+            events_total += rec.recorded();
+            let label = format!("{} / {} threads", plain.name, cfg.threads);
             assert_eq!(
-                masked(&s.1),
-                masked(&d.1),
-                "{label} / {alg:?}: lossy NetStats diverged"
+                plain.matching, traced.matching,
+                "{label}: tracing changed the matching"
+            );
+            assert_eq!(
+                plain.stats, traced.stats,
+                "{label}: tracing changed the NetStats"
+            );
+            assert!(
+                rec.recorded() > 0,
+                "{label}: traced run recorded nothing — the identity check is vacuous"
             );
         }
     }
+    assert!(events_total > 0);
 }
 
 #[test]
@@ -425,9 +285,13 @@ fn sequential_vs_parallel_bit_identical_under_loss() {
                 g0.clone()
             };
             let sides_ref = sides.as_deref();
-            let lossy = |threads| ExecCfg::parallel(threads).with_faults(FaultPlan::drop(0.1));
+            let lossy = |threads| {
+                ExecCfg::parallel(threads)
+                    .forced()
+                    .with_faults(FaultPlan::drop(0.1))
+            };
             let seq = run_caught(&g, sides_ref, alg, 7, lossy(1));
-            let par = run_caught(&g, sides_ref, alg, 7, lossy(8));
+            let par = run_caught(&g, sides_ref, alg, 7, lossy(2));
             outcomes.push((label.clone(), alg, seq, par));
         }
     }
@@ -451,14 +315,13 @@ fn sequential_vs_parallel_bit_identical_under_loss() {
 }
 
 /// The adversary-plane determinism gate: same seed + same `FaultPlan`
-/// ⇒ bit-identical matchings and (masked) `NetStats` across every
-/// executor ({seq, 2, 8 threads}) × every scheduler ({sparse, dense,
-/// hybrid}), for representative algorithms and for every fault class —
-/// drop, delay+stall, and crash+burst+budget. None of these plans may
-/// panic: the per-algorithm bounded-run extraction is part of the
-/// contract.
+/// ⇒ bit-identical matchings and full `NetStats` between sequential and
+/// forced 3-chunk execution, for representative algorithms and for
+/// every fault class — drop, delay+stall, and crash+burst+budget. None
+/// of these plans may panic: the per-algorithm bounded-run extraction
+/// is part of the contract.
 #[test]
-fn adversary_plans_bit_identical_across_executors_and_schedulers() {
+fn adversary_plans_bit_identical_across_executors() {
     let plans: Vec<(&str, FaultPlan)> = vec![
         ("drop-0.2", FaultPlan::drop(0.2)),
         (
@@ -504,35 +367,18 @@ fn adversary_plans_bit_identical_across_executors_and_schedulers() {
     ];
     for (plan_label, plan) in &plans {
         for (label, g, sides, alg) in &cases {
-            let mk = |threads: usize, sched: usize| {
-                let cfg = ExecCfg::parallel(threads).with_faults(*plan);
-                match sched {
-                    0 => cfg,
-                    1 => cfg.dense(),
-                    _ => cfg.hybrid(),
-                }
-            };
-            let base = session_run(g, sides.as_deref(), *alg, 29, mk(1, 0));
-            let base_edges = base.matching.edge_ids(g);
-            let base_stats = masked(&base.stats);
-            for threads in [1usize, 2, 8] {
-                for sched in [0usize, 1, 2] {
-                    if (threads, sched) == (1, 0) {
-                        continue;
-                    }
-                    let r = session_run(g, sides.as_deref(), *alg, 29, mk(threads, sched));
-                    assert_eq!(
-                        r.matching.edge_ids(g),
-                        base_edges,
-                        "{label} / {plan_label} / {threads}t sched{sched}: matching diverged"
-                    );
-                    assert_eq!(
-                        masked(&r.stats),
-                        base_stats,
-                        "{label} / {plan_label} / {threads}t sched{sched}: NetStats diverged"
-                    );
-                }
-            }
+            let mk = |threads: usize| ExecCfg::parallel(threads).forced().with_faults(*plan);
+            let base = session_run(g, sides.as_deref(), *alg, 29, mk(1));
+            let r = session_run(g, sides.as_deref(), *alg, 29, mk(3));
+            assert_eq!(
+                r.matching.edge_ids(g),
+                base.matching.edge_ids(g),
+                "{label} / {plan_label}: matching diverged"
+            );
+            assert_eq!(
+                r.stats, base.stats,
+                "{label} / {plan_label}: NetStats diverged"
+            );
         }
     }
 }

@@ -42,7 +42,7 @@ fn bipartite_theorem_38_at_scale() {
 #[test]
 #[ignore = "large"]
 fn parallel_stepping_agrees_at_scale() {
-    use simnet::{Ctx, Inbox, Network, Protocol};
+    use simnet::{Ctx, ExecCfg, Inbox, Network, Protocol};
     struct Gossip(u64);
     impl Protocol for Gossip {
         type Msg = u64;
@@ -64,7 +64,7 @@ fn parallel_stepping_agrees_at_scale() {
     let mk = || (0..n as u64).map(Gossip).collect::<Vec<_>>();
     let mut seq = Network::new(topo.clone(), mk(), 9);
     seq.run_until_halt(64);
-    let mut par = Network::new(topo, mk(), 9).with_threads(8);
+    let mut par = Network::new(topo, mk(), 9).with_cfg(ExecCfg::parallel(8));
     par.run_until_halt(64);
     for (a, b) in seq.nodes().iter().zip(par.nodes()) {
         assert_eq!(a.0, b.0);
