@@ -2,13 +2,17 @@
 //!
 //! Phases `ℓ = 1, 3, …, 2k-1`. In phase `ℓ`:
 //!
-//! 1. **Ball gathering (Algorithm 2, real messages).** For `2ℓ+1`
+//! 1. **Ball gathering (Algorithm 2, simulated rounds).** For `2ℓ+1`
 //!    rounds every node floods the *delta* of its local view (edges
 //!    with matched flags, free-vertex flags). After the phase, node `v`
 //!    knows its distance-`2ℓ` ball — enough to see every augmenting
 //!    path through `v` *and* every path conflicting with one of those.
-//!    Message sizes are the real encoded view deltas, exactly the
-//!    `O(|V|+|E|)`-bit messages Theorem 3.1 allows.
+//!    Fault-free, the delta a node sends in round `r` is exactly its
+//!    distance-`r` shell, so the network carries *sized tokens*: one
+//!    message per port and round, whose bit size is the encoded size of
+//!    that shell — the `O(|V|+|E|)`-bit messages Theorem 3.1 allows.
+//!    Under an active adversary plan, which decides what arrives, the
+//!    nodes flood their real view deltas instead.
 //! 2. **Conflict-graph MIS (Step 5, emulated).** The paper runs Luby's
 //!    MIS on the conflict graph `C_M(ℓ)`, each conflict-graph round
 //!    costing `O(ℓ)` routing rounds in `G` (Lemma 3.3). We execute the
@@ -32,9 +36,16 @@ use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol, SplitMix
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// Wire size of a [`ViewItem::Edge`]: tag, two ids, matched flag.
+const EDGE_ITEM_BITS: u64 = 1 + 32 + 32 + 1;
+/// Wire size of a [`ViewItem::Free`]: tag and id.
+const FREE_ITEM_BITS: u64 = 1 + 32;
+/// Length prefix of every delta message.
+const DELTA_HEADER_BITS: u64 = 64;
+
 /// One knowledge item of the flooded view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ViewItem {
+pub(crate) enum ViewItem {
     /// An edge and whether it is currently matched.
     Edge(NodeId, NodeId, bool),
     /// A vertex known to be free.
@@ -44,8 +55,8 @@ pub enum ViewItem {
 impl BitSize for ViewItem {
     fn bit_size(&self) -> u64 {
         match self {
-            ViewItem::Edge(..) => 1 + 32 + 32 + 1,
-            ViewItem::Free(_) => 1 + 32,
+            ViewItem::Edge(..) => EDGE_ITEM_BITS,
+            ViewItem::Free(_) => FREE_ITEM_BITS,
         }
     }
 }
@@ -53,15 +64,15 @@ impl BitSize for ViewItem {
 /// A delta message: the items learned in the previous round, shared via
 /// `Arc` so that sending to all neighbors does not copy the payload.
 #[derive(Debug, Clone)]
-pub struct DeltaMsg(pub Arc<Vec<ViewItem>>);
+pub(crate) struct DeltaMsg(pub(crate) Arc<Vec<ViewItem>>);
 
 impl BitSize for DeltaMsg {
     fn bit_size(&self) -> u64 {
-        64 + self.0.iter().map(BitSize::bit_size).sum::<u64>()
+        DELTA_HEADER_BITS + self.0.iter().map(BitSize::bit_size).sum::<u64>()
     }
 }
 
-/// Ball-gathering protocol node (Algorithm 2).
+/// Ball-gathering protocol node (Algorithm 2), flooding real views.
 struct GatherNode {
     // Ordered set: the first-round flood serializes the whole view
     // into a message, so its iteration order must not depend on hash
@@ -112,13 +123,105 @@ impl Protocol for GatherNode {
     }
 }
 
-/// Run the ball-gathering phase (Algorithm 2): afterwards node `v`'s
-/// view holds every edge/free flag whose origin is within distance
-/// `radius`. With a `region`, node `v` takes part only where
-/// `region[v]` is true (elsewhere its knowledge stays local and does
-/// not propagate); incremental repair uses this to keep gathering
-/// traffic inside the damage neighborhood.
-pub(crate) fn gather_balls_region(
+/// The size of a [`DeltaMsg`] without its items: every count a
+/// fault-free gather produces depends on message sizes alone.
+#[derive(Debug, Clone, Copy)]
+struct SizedDelta(u64);
+
+impl BitSize for SizedDelta {
+    fn bit_size(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`GatherNode`]'s schedule with each payload replaced by its size:
+/// in round `r` a participant sends the delta it would have flooded,
+/// shell `r` of its ball, as a [`SizedDelta`].
+struct ShellNode<'a> {
+    /// Item bits of the node's distance-`r` shell, `r < radius`: its
+    /// row of [`shell_table`].
+    shells: &'a [u64],
+    /// As in [`GatherNode`]: a non-participant halts in round 0.
+    participating: bool,
+}
+
+impl Protocol for ShellNode<'_> {
+    type Msg = SizedDelta;
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, SizedDelta>, _inbox: Inbox<'_, SizedDelta>) {
+        match self.shells.get(ctx.round() as usize) {
+            Some(&bits) if self.participating => {
+                if bits > 0 {
+                    ctx.send_all(SizedDelta(DELTA_HEADER_BITS + bits));
+                }
+            }
+            _ => ctx.halt(),
+        }
+    }
+}
+
+/// The flood's delta sizes, computed instead of sent: row `v` (entries
+/// `v·radius .. (v+1)·radius`) holds, for each round `r < radius`, the
+/// item bits participant `v` learns in round `r − 1` (its initial view
+/// for `r = 0`) and floods in round `r`.
+///
+/// Distances run over participating nodes only, since nothing else
+/// forwards. A free node's flag lies at the node's distance. An edge
+/// lies at the smaller distance of its endpoints, a non-participating
+/// or unreached endpoint counting as infinitely far, and it is one
+/// item however many endpoints share that distance. Items at distance
+/// `≥ radius` are never sent, so one BFS per participant to depth
+/// `radius − 1` fills its row; the scratch is shared across sources.
+fn shell_table(g: &Graph, m: &Matching, radius: usize, region: Option<&[bool]>) -> Vec<u64> {
+    let n = g.n();
+    let mut table = vec![0u64; n * radius];
+    if radius == 0 {
+        return table;
+    }
+    let participating = |v: NodeId| region.is_none_or(|r| r[v as usize]);
+    // `seen_by[x] == s` marks `dist[x]` as valid for source `s`.
+    let mut seen_by = vec![usize::MAX; n];
+    let mut dist = vec![0usize; n];
+    let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+    for (s, row) in table.chunks_exact_mut(radius).enumerate() {
+        if !participating(s as NodeId) {
+            continue;
+        }
+        seen_by[s] = s;
+        dist[s] = 0;
+        queue.clear();
+        queue.push(s as NodeId);
+        let mut head = 0;
+        while let Some(&x) = queue.get(head) {
+            head += 1;
+            let dx = dist[x as usize];
+            if m.is_free(x) {
+                row[dx] += FREE_ITEM_BITS;
+            }
+            for &(y, _) in g.incident(x) {
+                let y = y as usize;
+                if seen_by[y] != s {
+                    // Unreached so far: farther than `x`, or never.
+                    row[dx] += EDGE_ITEM_BITS;
+                    if dx + 1 < radius && participating(y as NodeId) {
+                        seen_by[y] = s;
+                        dist[y] = dx + 1;
+                        queue.push(y as NodeId);
+                    }
+                } else if dist[y] > dx || (dist[y] == dx && (x as usize) < y) {
+                    row[dx] += EDGE_ITEM_BITS;
+                }
+            }
+        }
+    }
+    table
+}
+
+/// The initial views of [`GatherNode`]s and the real flood over them:
+/// afterwards node `v`'s view holds every edge/free flag whose origin
+/// is within distance `radius`. The reference model of the sized path,
+/// and the gather itself whenever an adversary plan is active.
+fn flood_views(
     g: &Graph,
     m: &Matching,
     radius: usize,
@@ -155,6 +258,40 @@ pub(crate) fn gather_balls_region(
     }
     let (nodes, stats) = net.into_parts();
     (nodes.into_iter().map(|n| n.view).collect(), stats)
+}
+
+/// Run the ball-gathering phase (Algorithm 2) over `radius` hops and
+/// return its traffic. With a `region`, node `v` takes part only where
+/// `region[v]` is true (elsewhere its knowledge stays local and does
+/// not propagate); incremental repair uses this to keep gathering
+/// traffic inside the damage neighborhood.
+///
+/// Fault-free, the nodes send [`SizedDelta`] tokens sized from the
+/// [`shell_table`], on the same ports in the same rounds as the flood,
+/// so every `NetStats` field is the flood's. Under an active adversary
+/// plan (CONGEST budgets included) the adversary decides what arrives,
+/// and the nodes flood their real views.
+pub(crate) fn gather_balls_region(
+    g: &Graph,
+    m: &Matching,
+    radius: usize,
+    seed: u64,
+    cfg: ExecCfg,
+    region: Option<&[bool]>,
+) -> NetStats {
+    if cfg.faults.is_active() {
+        return flood_views(g, m, radius, seed, cfg, region).1;
+    }
+    let shells = shell_table(g, m, radius, region);
+    let nodes: Vec<ShellNode> = (0..g.n())
+        .map(|v| ShellNode {
+            shells: &shells[v * radius..(v + 1) * radius],
+            participating: region.is_none_or(|r| r[v]),
+        })
+        .collect();
+    let mut net = Network::new(crate::state::topology_of(g), nodes, seed).with_cfg(cfg);
+    net.run_until_halt(radius as u64 + 3);
+    net.into_parts().1
 }
 
 /// Result of the central Luby emulation on the conflict graph.
@@ -359,10 +496,15 @@ pub(crate) fn phase_step(
 ) -> PhaseLog {
     let ell = 2 * phase_idx + 1;
     let id_bits = simnet::id_bits(g.n());
-    // Step 4 (Algorithm 2): gather distance-2ℓ balls, real messages.
-    let (views, gstats) =
-        gather_balls_region(g, m, 2 * ell, seed.wrapping_add(ell as u64), cfg, region);
-    stats.absorb(&gstats);
+    // Step 4 (Algorithm 2): gather distance-2ℓ balls.
+    stats.absorb(&gather_balls_region(
+        g,
+        m,
+        2 * ell,
+        seed.wrapping_add(ell as u64),
+        cfg,
+        region,
+    ));
 
     // Enumerate the conflict-graph nodes. (Each node could do this
     // from its view — the tests verify that every path and its
@@ -387,21 +529,6 @@ pub(crate) fn phase_step(
     debug_assert!(
         paths.iter().all(|p| p.len() == ell + 1),
         "phase {ell}: all augmenting paths must have length exactly ℓ (Lemma 3.4 invariant)"
-    );
-    // View completeness only holds on a fault-free plane: the
-    // adversary can eat or delay exactly the delta that would have
-    // carried a path into some node's ball. Safety is unaffected (path
-    // enumeration is global); the gathered traffic just degrades.
-    debug_assert!(
-        cfg.faults.is_active()
-            || paths.iter().all(|p| p.iter().all(|&v| {
-                p.windows(2).all(|w| {
-                    let e = g.edge_between(w[0], w[1]).unwrap();
-                    let (a, b) = g.endpoints(e);
-                    views[v as usize].contains(&ViewItem::Edge(a, b, m.contains(g, e)))
-                })
-            })),
-        "phase {ell}: some node cannot see a path through it in its gathered ball"
     );
 
     // Step 5: MIS on C_M(ℓ) via Luby, charged per Lemma 3.3.
@@ -439,8 +566,9 @@ pub(crate) fn phase_step(
 mod tests {
     use super::*;
     use crate::{Algorithm, RewirePatch, RunReport, Session};
-    use dgraph::generators::random::{bipartite_gnp, gnp};
+    use dgraph::generators::random::{barabasi_albert, bipartite_gnp, gnp};
     use dgraph::generators::structured::{cycle, p4_chain, path};
+    use dgraph::generators::zoo::{chung_lu, d_regular, random_geometric, zipf_bipartite};
 
     fn run(g: &Graph, k: usize, seed: u64) -> RunReport {
         let s = Session::on(g)
@@ -657,5 +785,107 @@ mod tests {
                 cold.stats.messages
             );
         }
+    }
+
+    /// Random geometric graph on `n` points with expected degree about
+    /// `deg` away from the boundary.
+    fn geometric(n: usize, deg: f64, seed: u64) -> Graph {
+        random_geometric(n, (deg / (std::f64::consts::PI * n as f64)).sqrt(), seed)
+    }
+
+    /// The sized tokens carry the flood's traffic exactly: every
+    /// `NetStats` field, `per_round` included, on every zoo family,
+    /// with and without a repair region, on both executors.
+    #[test]
+    fn sized_gather_equals_the_flood() {
+        let n = 40;
+        let zoo = [
+            gnp(n, 8.0 / n as f64, 1),
+            barabasi_albert(n, 4, 2),
+            chung_lu(n, 2.5, 8.0, 3),
+            geometric(n, 8.0, 4),
+            d_regular(n, 8, 5),
+            zipf_bipartite(2 * n / 5, n - 2 * n / 5, 4 * n, 1.1, 6).0,
+        ];
+        for (family, g) in zoo.iter().enumerate() {
+            let seed = family as u64;
+            let region = ball(g, &[0, n as NodeId / 2], 2);
+            for m in [Matching::new(n), dgraph::greedy::greedy_maximal(g)] {
+                for radius in [0, 1, 2, 6] {
+                    for region in [None, Some(&region[..])] {
+                        for cfg in [ExecCfg::sequential(), ExecCfg::parallel(3).forced()] {
+                            let sized = gather_balls_region(g, &m, radius, seed, cfg, region);
+                            let (_, flood) = flood_views(g, &m, radius, seed, cfg, region);
+                            assert_eq!(
+                                sized,
+                                flood,
+                                "family {family}, matching size {}, radius {radius}, \
+                                 region {}, threads {}",
+                                m.size(),
+                                region.is_some(),
+                                cfg.threads
+                            );
+                            assert_eq!(radius == 0, flood.messages == 0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Does `view` show `q` as an augmenting path: its edges with their
+    /// matched flags, and both endpoints free?
+    fn sees(g: &Graph, m: &Matching, view: &BTreeSet<ViewItem>, q: &[NodeId]) -> bool {
+        let free_ends = [q[0], q[q.len() - 1]].map(ViewItem::Free);
+        free_ends.iter().all(|item| view.contains(item))
+            && q.windows(2).all(|w| {
+                let e = g.edge_between(w[0], w[1]).unwrap();
+                let (a, b) = g.endpoints(e);
+                view.contains(&ViewItem::Edge(a, b, m.contains(g, e)))
+            })
+    }
+
+    /// Algorithm 2's premise: after the phase-`ℓ` gather over radius
+    /// `2ℓ`, every node of an augmenting path of length `ℓ` sees that
+    /// path, and every path conflicting with it, in its view. Each
+    /// phase starts from the matching the earlier phases left.
+    #[test]
+    fn gathered_views_hold_every_path_and_its_conflicts() {
+        let cfg = ExecCfg::sequential();
+        let graphs = [
+            gnp(80, 0.04, 11),
+            d_regular(80, 3, 12),
+            geometric(80, 4.0, 13),
+        ];
+        let mut found = [0usize; 3];
+        for g in graphs {
+            let (mut m, mut stats) = (Matching::new(g.n()), NetStats::default());
+            for (phase_idx, found) in found.iter_mut().enumerate() {
+                let ell = 2 * phase_idx + 1;
+                let (views, _) = flood_views(&g, &m, 2 * ell, 0, cfg, None);
+                let paths = enumerate_augmenting_paths(&g, &m, ell);
+                *found += paths.len();
+                let mut through = vec![Vec::new(); g.n()];
+                for (i, p) in paths.iter().enumerate() {
+                    for &v in p {
+                        through[v as usize].push(i);
+                    }
+                }
+                for p in &paths {
+                    for &v in p {
+                        // `p` itself and every path sharing a vertex with it.
+                        for &j in p.iter().flat_map(|&u| &through[u as usize]) {
+                            assert!(
+                                sees(&g, &m, &views[v as usize], &paths[j]),
+                                "phase {ell}: node {v} cannot see path {:?}",
+                                paths[j]
+                            );
+                        }
+                    }
+                }
+                phase_step(&g, &mut m, phase_idx, 7, cfg, None, &mut stats);
+            }
+        }
+        assert!(found.iter().all(|&f| f > 0), "vacuous phase: {found:?}");
     }
 }

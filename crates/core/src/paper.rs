@@ -11,7 +11,7 @@
 //! | 1 | `M ← ∅` | `Matching::new(g.n())` |
 //! | 2 | `k ← ⌈1/ε⌉` | caller picks `k` |
 //! | 3 | `for ℓ ← 1,3,…,2k-1` | one `Session::step` per phase, running `generic::phase_step` |
-//! | 4 | construct `C_M(ℓ)` | `dgraph::augmenting::enumerate_augmenting_paths`, run *globally* on `G`; the gathered views feed only a debug-build check that every path is visible in its nodes' balls |
+//! | 4 | construct `C_M(ℓ)` | `dgraph::augmenting::enumerate_augmenting_paths`, run *globally* on `G`; a unit test checks, on the real flood, that every path and its conflicts are visible in the gathered ball of each of its nodes |
 //! | 5 | MIS of `C_M(ℓ)` | `conflict_graph_mis` (Luby process, charged per Lemma 3.3) |
 //! | 6–7 | `M ← M ⊕ P` | `Matching::augment_path` per chosen path |
 //!
@@ -19,8 +19,8 @@
 //!
 //! | Step | Paper | Code |
 //! |---|---|---|
-//! | 1 | send distance-(i-1) neighborhood each round | `GatherNode::on_round` (delta flooding, `Arc`-shared payloads) |
-//! | 2 | `P_v(ℓ)`, `P_v(2ℓ)` | not built per node: the gathering traffic is real, but the paths are enumerated globally (Algorithm 1, line 4) |
+//! | 1 | send distance-(i-1) neighborhood each round | fault-free: `ShellNode::on_round` sends, in the 0-based round `r`, a token as large as the node's distance-`r` shell (`shell_table`); under an active adversary plan: `GatherNode::on_round` (delta flooding, `Arc`-shared payloads) |
+//! | 2 | `P_v(ℓ)`, `P_v(2ℓ)` | not built per node: the gathering rounds and message sizes are simulated, but the paths are enumerated globally (Algorithm 1, line 4) |
 //! | 3 | `leader(P)` = smaller-id endpoint | canonical path direction in the enumerator |
 //! | 4 | leaders announce paths | charged in the MIS token accounting |
 //!

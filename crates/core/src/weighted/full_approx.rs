@@ -54,7 +54,7 @@ pub fn iteration_bound(k: usize, delta: f64) -> u64 {
 /// slack `δ`, the result has weight at least `(1-δ)·k/(k+1)·w(M*)`.
 /// Stops early once no positive-gain augmentation remains (then the
 /// matching is a true `k/(k+1)`-MWM by Lemma 4.2).
-pub fn run(g: &Graph, k: usize, delta: f64, _seed: u64) -> FullApproxRun {
+pub fn run(g: &Graph, k: usize, delta: f64, seed: u64) -> FullApproxRun {
     assert!(k >= 1);
     let budget = iteration_bound(k, delta);
     let ell = 2 * k + 1; // max augmentation diameter in edges
@@ -65,17 +65,17 @@ pub fn run(g: &Graph, k: usize, delta: f64, _seed: u64) -> FullApproxRun {
     let mut iterations = 0u64;
     for it in 0..budget {
         // The Algorithm-2 ball gathering that makes every augmentation
-        // (and its conflicts) locally visible — executed with real
-        // messages, exactly like Theorem 3.1's phases.
-        let (_views, gstats) = crate::generic::gather_balls_region(
+        // (and its conflicts) locally visible — simulated round by
+        // round with shell-sized messages, exactly like Theorem 3.1's
+        // phases.
+        stats.absorb(&crate::generic::gather_balls_region(
             g,
             &m,
             2 * ell,
-            _seed.wrapping_add(it),
+            seed.wrapping_add(it),
             ExecCfg::default(),
             None,
-        );
-        stats.absorb(&gstats);
+        ));
         let augs = waug::enumerate_augmentations(g, &m, k);
         if augs.is_empty() {
             break;
