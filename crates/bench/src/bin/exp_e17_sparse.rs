@@ -23,11 +23,20 @@
 //! 10% activity it must beat `no sleep` by ≥ `E17_MIN_SPEEDUP`
 //! (default 3, asserted unless `E17_ASSERT=0`).
 //!
-//! **Part B — repair-epoch cost vs n at fixed damage.** A ring of
-//! `dchurn::RepairNode`s; each epoch churns away exactly one matched
-//! edge and runs a fixed budget of repair rounds. The damage is O(1),
-//! so the timed round cost stays flat as n grows — `node_steps` per
-//! epoch shows the active set staying near the damage.
+//! **Part B — repair-epoch cost vs n at fixed damage.** Two columns
+//! over one n-ladder:
+//!
+//! * the simulated rounds: a ring of `dchurn::RepairNode`s; each epoch
+//!   churns away exactly one matched edge and runs a fixed budget of
+//!   repair rounds. The damage is O(1), so the timed round cost stays
+//!   flat as n grows — `node_steps` per epoch shows the active set
+//!   staying near the damage;
+//! * the whole epoch: the mean `DynEngine::step_with` time on
+//!   gnp(n, d̄ = 8) with about 20 edges swapped per epoch (batches
+//!   drawn outside the timed call): the topology and graph patches,
+//!   the slab migration, the repair rounds and the damage-local
+//!   bookkeeping. The patches copy every untouched row once per epoch,
+//!   so this column grows linearly with n.
 //!
 //! Knobs: `E17_N` (default 120000), `E17_ROUNDS` (default 60),
 //! `E17_RUNS` (default 3), `E17_REPAIR_LADDER` (default
@@ -38,6 +47,7 @@
 //! tables) for the CI artifact trail.
 
 use bench_harness::{banner, env_or, f2, Table};
+use dchurn::{ChurnGen, ChurnModel, DynEngine, RepairAlgo};
 use dgraph::generators::random::gnp;
 use simnet::{Ctx, Inbox, Network, NodeId, Protocol, Topology};
 use std::fmt::Write as _;
@@ -172,6 +182,7 @@ struct RepairRow {
     n: usize,
     ms: f64,
     steps_per_epoch: f64,
+    epoch_ms: f64,
 }
 
 /// Fixed round budget per repair epoch: one sync round, ten 3-round
@@ -179,9 +190,9 @@ struct RepairRow {
 const REPAIR_ROUNDS: u64 = 1 + 3 * 10 + 1;
 
 /// Ring of RepairNodes: bootstrap to maximality (untimed), then per
-/// epoch churn away one matched edge (untimed rewire — inherently
-/// O(n)) and run the fixed repair-round budget (timed). Returns the
-/// mean timed cost per epoch.
+/// epoch churn away one matched edge (untimed rewire) and run the
+/// fixed repair-round budget (timed). Returns the mean timed cost per
+/// epoch.
 fn repair_epochs(n: usize, epochs: u64, seed: u64) -> (f64, f64) {
     use dchurn::RepairNode;
     let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
@@ -229,8 +240,7 @@ fn repair_epochs(n: usize, epochs: u64, seed: u64) -> (f64, f64) {
             .find(|&v| m[v as usize] == Some((v + 1) % n as u32))
             .expect("a matched ring edge");
         let v = (u + 1) % n as u32;
-        let patch = net.topology().rewired(&[(u, v)], &[]);
-        net.rewire(&patch); // untimed: inherently O(n)
+        net.rewire(&[(u, v)], &[]);
         let t0 = Instant::now();
         net.run_rounds(REPAIR_ROUNDS);
         timed += t0.elapsed();
@@ -240,6 +250,35 @@ fn repair_epochs(n: usize, epochs: u64, seed: u64) -> (f64, f64) {
     assert!(is_maximal_ring(&m, &net), "repair budget was insufficient");
     let steps = (net.stats().node_steps - steps0) as f64 / epochs as f64;
     (timed.as_secs_f64() * 1e3 / epochs as f64, steps)
+}
+
+/// Edges removed (and as many inserted) per end-to-end epoch.
+const EPOCH_SWAP: f64 = 20.0;
+
+/// Epochs averaged per end-to-end cell.
+const ENGINE_EPOCHS: u32 = 30;
+
+/// `DynEngine` (IncrementalMaximal) on gnp(n, d̄ = 8): bootstrap
+/// (untimed), then per epoch draw an edge-churn batch of about
+/// `EPOCH_SWAP` swaps (untimed) and time the whole `step_with`.
+/// Returns the mean end-to-end milliseconds per epoch.
+fn engine_epochs(n: usize, seed: u64) -> f64 {
+    let g = gnp(n, 8.0 / n as f64, seed);
+    let model = ChurnModel::EdgeChurn {
+        rate: EPOCH_SWAP / g.m() as f64,
+    };
+    let mut load = ChurnGen::new(model, seed);
+    let mut engine = DynEngine::new(g, ChurnModel::Trace, RepairAlgo::IncrementalMaximal, seed);
+    engine.bootstrap();
+    let mut timed = Duration::ZERO;
+    for _ in 0..ENGINE_EPOCHS {
+        let batch = load.next_batch(engine.graph());
+        let t0 = Instant::now();
+        let report = engine.step_with(batch);
+        timed += t0.elapsed();
+        assert!(report.maximal, "repair must end maximal");
+    }
+    timed.as_secs_f64() * 1e3 / ENGINE_EPOCHS as f64
 }
 
 fn main() {
@@ -296,7 +335,10 @@ fn main() {
         );
     }
 
-    println!("\nPart B: repair-epoch round cost vs n, one churned edge per epoch ({REPAIR_ROUNDS} repair rounds timed)");
+    println!(
+        "\nPart B: repair-epoch cost vs n: {REPAIR_ROUNDS} repair rounds after one churned ring edge, \
+         and whole DynEngine epochs on gnp(n, d̄=8) swapping ~{EPOCH_SWAP} edges (mean of {ENGINE_EPOCHS})"
+    );
     let ladder: Vec<usize> = std::env::var("E17_REPAIR_LADDER")
         .unwrap_or_else(|_| "10000,20000,40000,80000".into())
         .split(',')
@@ -304,18 +346,26 @@ fn main() {
         .collect();
     let epochs = 5u64;
     let mut repair_rows = Vec::new();
-    let mut t = Table::new(vec!["n", "ms/epoch", "node steps/epoch"]);
+    let mut t = Table::new(vec![
+        "n",
+        "rounds ms/epoch",
+        "node steps/epoch",
+        "whole epoch ms",
+    ]);
     for &rn in &ladder {
         let (ms, steps) = repair_epochs(rn, epochs, 3);
+        let epoch_ms = engine_epochs(rn, 3);
         t.row(vec![
             rn.to_string(),
             format!("{ms:.3}"),
             format!("{steps:.0}"),
+            format!("{epoch_ms:.2}"),
         ]);
         repair_rows.push(RepairRow {
             n: rn,
             ms,
             steps_per_epoch: steps,
+            epoch_ms,
         });
     }
     t.print();
@@ -323,10 +373,11 @@ fn main() {
         let first = &repair_rows[0];
         let last = &repair_rows[repair_rows.len() - 1];
         println!(
-            "\n  n grew {:.1}x: repair rounds {:.1}x slower, active set {:.1}x",
+            "\n  n grew {:.1}x: repair rounds {:.1}x slower, active set {:.1}x, whole epoch {:.1}x slower",
             last.n as f64 / first.n as f64,
             last.ms / first.ms,
             last.steps_per_epoch / first.steps_per_epoch,
+            last.epoch_ms / first.epoch_ms,
         );
     }
 
@@ -360,8 +411,8 @@ fn main() {
     for (i, r) in repair_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"n\": {}, \"ms_per_epoch\": {:.3}, \"node_steps_per_epoch\": {:.0}}}",
-            r.n, r.ms, r.steps_per_epoch
+            "    {{\"n\": {}, \"ms_per_epoch\": {:.3}, \"node_steps_per_epoch\": {:.0}, \"epoch_ms\": {:.3}}}",
+            r.n, r.ms, r.steps_per_epoch, r.epoch_ms
         );
         json.push_str(if i + 1 < repair_rows.len() {
             ",\n"

@@ -88,7 +88,7 @@ fn main() {
     println!(
         "\nExpected shape: each */logn column roughly flat as n doubles (logarithmic\n\
          round complexity); the weighted column is normalized by log²n because our\n\
-         sequential-class δ-MWM box spends O(log n) maximal matchings (see DESIGN.md —\n\
-         the original [18] box would make it O(log n))."
+         sequential-class δ-MWM box spends O(log n) maximal matchings (see\n\
+         dmatch::weighted::classes — the original [18] box would make it O(log n))."
     );
 }

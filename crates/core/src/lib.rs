@@ -16,8 +16,8 @@
 //!
 //! All protocols exchange real messages with accounted bit sizes; see
 //! each module's docs for where (and how) the implementation deviates
-//! from the paper's telegraphic description, and `DESIGN.md` at the
-//! workspace root for the substitution table.
+//! from the paper's telegraphic description, and [`paper`] for the
+//! line-by-line map from the paper's pseudocode to the code.
 //!
 //! ## The `Session` driver
 //!

@@ -46,7 +46,7 @@
 //! | tokens meet ⇒ max survives | `best` fold over `TokMsg::Token` arrivals |
 //! | arrival only at a single round | staggered launch `ℓ - d(y)`, asserted |
 //! | trace back & augment | `TokMsg::Flip` retrace |
-//! | chunked pipelining (Lemma 3.7) | *not simulated*; values charged their exact bits (see DESIGN.md) |
+//! | chunked pipelining (Lemma 3.7) | *not simulated*; values charged their exact bits (see [`crate::bipartite::count`]) |
 //!
 //! ## Algorithm 4 (red/blue sampling) → the `General` arm of [`crate::session::Session`]
 //!

@@ -13,8 +13,9 @@
 //!
 //! After `(3/2δ)·ln(2/ε)` iterations, `w(M) ≥ (½-ε)·w(M*)` (Lemmas
 //! 4.2–4.3). The paper instantiates the box with the `(¼-ε)`-MWM of
-//! \[18\] at `δ = 1/5`; we provide three substitutes (see `DESIGN.md`):
-//! the sequential and parallel class algorithms ([`classes`]) and the
+//! \[18\] at `δ = 1/5`; we provide three substitutes, each module's
+//! docs giving its round cost: the sequential and parallel class
+//! algorithms ([`classes`], which compares itself with \[18\]) and the
 //! deterministic local-dominant ½-MWM ([`local_dominant`]).
 //!
 //! Per-iteration distributed cost: one round in which every matched

@@ -7,7 +7,6 @@ use dgraph::{Graph, Matching, NodeId, UNMATCHED};
 use dmatch::session::{RewirePatch, Session};
 use dmatch::Algorithm;
 use simnet::{ExecCfg, NetStats, Network};
-use std::collections::{BTreeSet, HashSet};
 
 /// Which incremental algorithm repairs the matching each epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +33,11 @@ pub struct EpochReport {
     pub removed: usize,
     /// Matched edges destroyed by the batch (each frees two nodes).
     pub invalidated: usize,
-    /// Nodes whose incident edge set changed.
+    /// Size of the damage set repair starts from: the distinct
+    /// endpoints of inserted edges and of destroyed matched edges
+    /// (every node on the bootstrap epoch). An endpoint of a removed
+    /// unmatched edge keeps its mate and is not damage. Both repair
+    /// algorithms report the same set.
     pub damage: usize,
     /// Repair cost: synchronous rounds this epoch.
     pub rounds: u64,
@@ -61,6 +64,9 @@ pub struct EpochReport {
 /// the persistent repair machinery.
 pub struct DynEngine {
     g: Graph,
+    /// The graph the previous epoch retired; the next batch is patched
+    /// into its buffers.
+    spare: Graph,
     m: Matching,
     churn: ChurnGen,
     algo: RepairAlgo,
@@ -85,6 +91,91 @@ pub struct DynEngine {
     /// `e` cost"; this registry answers "what does an epoch cost",
     /// p50/p99/max included.
     metrics: dobs::Registry,
+    /// Per-node bookkeeping of the [`RepairAlgo::IncrementalMaximal`]
+    /// epochs, kept across epochs.
+    scratch: EpochScratch,
+}
+
+/// Per-node scratch the maximal arm's epoch bookkeeping reuses across
+/// epochs. Each flag array is reset through the list of the nodes it
+/// marked, so no step costs more than the nodes it touches.
+#[derive(Default)]
+struct EpochScratch {
+    /// Nodes that sent a message this epoch, in first-send order.
+    woken: Vec<NodeId>,
+    /// `is_woken[v]` iff `v` is in `woken`.
+    is_woken: Vec<bool>,
+    /// The radius BFS's visit order, level by level.
+    seen: Vec<NodeId>,
+    /// `is_seen[v]` iff `v` is in `seen` (false between searches).
+    is_seen: Vec<bool>,
+}
+
+impl EpochScratch {
+    /// Scratch for `n` nodes.
+    fn new(n: usize) -> Self {
+        EpochScratch {
+            is_woken: vec![false; n],
+            is_seen: vec![false; n],
+            ..EpochScratch::default()
+        }
+    }
+
+    /// Forget the previous epoch's woken set.
+    fn start_epoch(&mut self) {
+        for &v in &self.woken {
+            self.is_woken[v as usize] = false;
+        }
+        self.woken.clear();
+    }
+
+    /// Add this round's senders to the epoch's woken set.
+    fn note_senders(&mut self, senders: &[NodeId]) {
+        for &v in senders {
+            if !self.is_woken[v as usize] {
+                self.is_woken[v as usize] = true;
+                self.woken.push(v);
+            }
+        }
+    }
+
+    /// Max BFS distance (over the current graph) from the damage set to
+    /// any node that spoke this epoch; `None` when there was no damage
+    /// or a speaker is unreachable from it. The BFS runs level by level
+    /// from the (distinct) damage nodes and stops at the level that
+    /// reaches the last speaker, so it explores only the ball the
+    /// repair spoke in.
+    fn locality_radius(&mut self, g: &Graph, damage: &[NodeId]) -> Option<usize> {
+        if damage.is_empty() || self.woken.is_empty() {
+            return None;
+        }
+        let mut left = self.woken.len();
+        self.seen.clear();
+        for &d in damage {
+            self.is_seen[d as usize] = true;
+            self.seen.push(d);
+            left -= usize::from(self.is_woken[d as usize]);
+        }
+        let (mut level, mut start) = (0, 0);
+        while left > 0 && start < self.seen.len() {
+            let end = self.seen.len();
+            level += 1;
+            for i in start..end {
+                for &(u, _) in g.incident(self.seen[i]) {
+                    if !self.is_seen[u as usize] {
+                        self.is_seen[u as usize] = true;
+                        self.seen.push(u);
+                        left -= usize::from(self.is_woken[u as usize]);
+                    }
+                }
+            }
+            start = end;
+        }
+        for &v in &self.seen {
+            self.is_seen[v as usize] = false;
+        }
+        (left == 0).then_some(level)
+    }
 }
 
 impl DynEngine {
@@ -106,6 +197,7 @@ impl DynEngine {
         DynEngine {
             m: Matching::new(n),
             g,
+            spare: Graph::new(0, Vec::new()),
             churn: ChurnGen::new(model, seed ^ 0xD15EA5E),
             algo,
             cfg,
@@ -115,6 +207,7 @@ impl DynEngine {
             session: None,
             reports: Vec::new(),
             metrics: dobs::Registry::new(),
+            scratch: EpochScratch::default(),
         }
     }
 
@@ -196,7 +289,9 @@ impl DynEngine {
                     .collect();
                 let net = Network::new(topo, nodes, self.seed).with_cfg(self.cfg);
                 self.net = Some(net);
-                self.run_maximal_epoch(MutationBatch::empty(), 0, None, 0)
+                self.scratch = EpochScratch::new(self.g.n());
+                let everyone: Vec<NodeId> = (0..self.g.n() as NodeId).collect();
+                self.run_maximal_epoch(MutationBatch::empty(), 0, &everyone, 0)
             }
             RepairAlgo::IncrementalGeneric { k } => {
                 let session = Session::on(&self.g)
@@ -231,40 +326,30 @@ impl DynEngine {
 
     fn apply_batch(&mut self, batch: MutationBatch) -> &EpochReport {
         // Invalidate matched edges the batch destroys; their endpoints
-        // are part of the damage.
+        // are part of the damage, with the endpoints of inserted edges.
         let mut invalidated = 0usize;
-        // Ordered set: the damage set is iterated into the wake-up
-        // schedule, so its order must come from node ids, not hash
-        // state.
-        let mut damage: BTreeSet<NodeId> = BTreeSet::new();
+        let mut damage: Vec<NodeId> = Vec::with_capacity(2 * batch.len());
         for &(u, v) in &batch.removed {
             if self.m.mate(u) == Some(v) {
                 let e = self.g.edge_between(u, v).expect("removed edge must exist");
                 self.m.remove(&self.g, e);
                 invalidated += 1;
-                damage.insert(u);
-                damage.insert(v);
+                damage.extend([u, v]);
             }
         }
         for &(u, v) in &batch.added {
-            damage.insert(u);
-            damage.insert(v);
+            damage.extend([u, v]);
         }
-        // BTreeSet iterates in ascending id order, so the Vec is
-        // already sorted.
-        let damage: Vec<NodeId> = damage.into_iter().collect();
-        // New graph (dgraph level; the simnet level is patched in
-        // place below, slabs and all).
-        let gone: HashSet<(NodeId, NodeId)> = batch.removed.iter().copied().collect();
-        let mut edges: Vec<(NodeId, NodeId)> = self
-            .g
-            .edge_list()
-            .iter()
-            .copied()
-            .filter(|e| !gone.contains(e))
-            .collect();
-        edges.extend_from_slice(&batch.added);
-        self.g = Graph::new(self.g.n(), edges);
+        // Ascending and distinct: the damage set is iterated into the
+        // wake-up schedule, so its order must come from node ids.
+        damage.sort_unstable();
+        damage.dedup();
+        // The new graph is patched into the buffers of the one the last
+        // epoch retired (the simnet level is patched in place below,
+        // slabs and all).
+        self.g
+            .patch_into(&batch.removed, &batch.added, &mut self.spare);
+        std::mem::swap(&mut self.g, &mut self.spare);
         debug_assert!(
             self.m.validate(&self.g).is_ok(),
             "surviving matching must stay valid on the new graph"
@@ -274,14 +359,11 @@ impl DynEngine {
         self.epoch += 1;
         let report = match self.algo {
             RepairAlgo::IncrementalMaximal => {
-                let patch = self
-                    .net
-                    .as_ref()
+                self.net
+                    .as_mut()
                     .expect("bootstrap created the network")
-                    .topology()
-                    .rewired(&batch.removed, &batch.added);
-                self.net.as_mut().expect("checked").rewire(&patch);
-                self.run_maximal_epoch(batch, epoch, Some(&damage), invalidated)
+                    .rewire(&batch.removed, &batch.added);
+                self.run_maximal_epoch(batch, epoch, &damage, invalidated)
             }
             RepairAlgo::IncrementalGeneric { .. } => {
                 let patch = RewirePatch::new(self.g.clone(), damage);
@@ -297,28 +379,48 @@ impl DynEngine {
     /// maximal on the current graph: one sync round, then 3-round
     /// iterations, then one drain round that absorbs the in-flight
     /// announcements (so liveness knowledge is exact at the boundary).
-    /// Termination is an oracle check (the paper's convention).
+    ///
+    /// Termination is an oracle check (the paper's convention), made
+    /// where maximality can break. The matching was maximal before the
+    /// batch; the batch frees only damage nodes and inserts edges only
+    /// between damage nodes; and a [`RepairNode`] never unmatches (only
+    /// a rewire clears `mate_port`). So every free–free edge has an
+    /// endpoint in the damage set, and the epoch is done when no damage
+    /// node is free with a free neighbor. The bootstrap epoch starts
+    /// from the empty matching with every node as damage.
+    ///
+    /// Every node whose mate changed sent a message this epoch (the
+    /// proposer `Propose`, the acceptor `Accept`), so the engine's
+    /// matching is updated from the woken nodes alone.
     fn run_maximal_epoch(
         &mut self,
         batch: MutationBatch,
         epoch: u64,
-        damage: Option<&[NodeId]>,
+        damage: &[NodeId],
         invalidated: usize,
     ) -> EpochReport {
         let net = self.net.as_mut().expect("bootstrap created the network");
+        let scratch = &mut self.scratch;
         let stats0 = snapshot(net.stats());
-        let mut woken: BTreeSet<NodeId> = BTreeSet::new();
-        let step = |net: &mut Network<RepairNode>, woken: &mut BTreeSet<NodeId>| {
+        scratch.start_epoch();
+        let step = |net: &mut Network<RepairNode>, scratch: &mut EpochScratch| {
             net.step();
-            woken.extend(net.last_senders().iter().copied());
+            scratch.note_senders(net.last_senders());
         };
-        step(net, &mut woken); // sync round
+        step(net, scratch); // sync round
         let budget = 200 + 60 * simnet::id_bits(self.g.n().max(2));
         let mut iterations = 0u64;
         loop {
-            let m = extract_matching(net, &self.g);
-            if m.is_maximal(&self.g) {
-                self.m = m;
+            let unsettled = free_edge_at(net, damage);
+            // Unit tests hold the damage-local test against the global
+            // one after every iteration.
+            #[cfg(test)]
+            assert_eq!(
+                unsettled,
+                !extract_matching(net, &self.g).is_maximal(&self.g),
+                "the damage-local termination test disagrees with the global one"
+            );
+            if !unsettled {
                 break;
             }
             assert!(
@@ -326,25 +428,43 @@ impl DynEngine {
                 "repair did not reach maximality within {budget} iterations"
             );
             for _ in 0..3 {
-                step(net, &mut woken);
+                step(net, scratch);
             }
             iterations += 1;
         }
-        step(net, &mut woken); // drain round
+        step(net, scratch); // drain round
         let stats1 = snapshot(net.stats());
-        let locality_radius = damage.and_then(|d| locality_radius(&self.g, d, &woken));
+        let topo = net.topology();
+        for &v in &scratch.woken {
+            if let (Some(p), true) = (net.nodes()[v as usize].mate_port, self.m.is_free(v)) {
+                let e = self.g.edge_between(v, topo.neighbor(v, p));
+                self.m.add(&self.g, e.expect("mates are adjacent"));
+            }
+        }
+        // Everything is damage at bootstrap: no radius to report.
+        let locality_radius = if epoch == 0 {
+            None
+        } else {
+            scratch.locality_radius(&self.g, damage)
+        };
+        debug_assert_eq!(
+            self.m,
+            extract_matching(net, &self.g),
+            "the matching missed a new match"
+        );
+        debug_assert!(self.m.is_maximal(&self.g), "repair stopped short");
         debug_assert!(self.check_liveness_invariant(), "stale liveness knowledge");
         EpochReport {
             epoch,
             added: batch.added.len(),
             removed: batch.removed.len(),
             invalidated,
-            damage: damage.map_or(self.g.n(), <[NodeId]>::len),
+            damage: damage.len(),
             rounds: stats1.0 - stats0.0,
             messages: stats1.1 - stats0.1,
             bits: stats1.2 - stats0.2,
             iterations,
-            woken: woken.len(),
+            woken: self.scratch.woken.len(),
             locality_radius,
             matching_size: self.m.size(),
             maximal: true, // the loop exits only on maximality
@@ -368,6 +488,7 @@ impl DynEngine {
             .expect("bootstrap created the session");
         let before = snapshot(session.stats());
         let phases_before = session.phase_log().len();
+        let damage = patch.as_ref().map_or(self.g.n(), |p| p.damage.len());
         if let Some(patch) = patch {
             session.resume_after_rewire(patch);
         }
@@ -375,11 +496,6 @@ impl DynEngine {
         self.m = session.matching().clone();
         let after = snapshot(session.stats());
         debug_assert_eq!(session.epoch(), epoch, "session epochs track engine epochs");
-        let damage = if epoch == 0 {
-            self.g.n()
-        } else {
-            2 * batch.len()
-        };
         EpochReport {
             epoch,
             added: batch.added.len(),
@@ -459,34 +575,15 @@ fn extract_matching(net: &Network<RepairNode>, g: &Graph) -> Matching {
     m
 }
 
-/// Max BFS distance (over the current graph) from the damage set to
-/// any node that spoke; `None` when there was no damage or a speaker
-/// is unreachable from it.
-fn locality_radius(g: &Graph, damage: &[NodeId], woken: &BTreeSet<NodeId>) -> Option<usize> {
-    if damage.is_empty() || woken.is_empty() {
-        return None;
-    }
-    let mut dist = vec![usize::MAX; g.n()];
-    let mut queue = std::collections::VecDeque::new();
-    for &s in damage {
-        if dist[s as usize] == usize::MAX {
-            dist[s as usize] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        for &(u, _) in g.incident(v) {
-            if dist[u as usize] == usize::MAX {
-                dist[u as usize] = dist[v as usize] + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    woken
+/// Is some node of `damage` free with a free neighbor? After a churn
+/// batch hits a maximal matching, that is the only place a free–free
+/// edge can be (see `DynEngine::run_maximal_epoch`).
+fn free_edge_at(net: &Network<RepairNode>, damage: &[NodeId]) -> bool {
+    let (topo, nodes) = (net.topology(), net.nodes());
+    let free = |v: NodeId| nodes[v as usize].mate_port.is_none();
+    damage
         .iter()
-        .map(|&v| dist[v as usize])
-        .max()
-        .filter(|&d| d != usize::MAX)
+        .any(|&d| free(d) && topo.neighbors(d).iter().any(|&u| free(u)))
 }
 
 #[cfg(test)]
@@ -626,6 +723,80 @@ mod tests {
                 eng.matching().size() as f64 / opt as f64
             );
         }
+    }
+
+    /// The damage-local bookkeeping against its global oracles under
+    /// all five churn models: the termination test after every 3-round
+    /// iteration (asserted inside the epoch loop in test builds), and
+    /// after every epoch the incrementally updated matching against the
+    /// one extracted from every node.
+    #[test]
+    fn damage_local_bookkeeping_matches_the_global_oracles() {
+        let models = [
+            ChurnModel::EdgeChurn { rate: 0.08 },
+            ChurnModel::NodeChurn {
+                rate: 0.06,
+                degree: 4,
+            },
+            ChurnModel::HubChurn {
+                rate: 0.03,
+                degree: 4,
+            },
+            ChurnModel::Rewire { rate: 0.1 },
+            ChurnModel::Crash {
+                plan: simnet::FaultPlan::NONE.with_crash(0.06, 3),
+                rounds_per_epoch: 2,
+            },
+        ];
+        for (i, model) in models.into_iter().enumerate() {
+            let g = gnp(140, 0.05, 20 + i as u64);
+            let mut eng = DynEngine::new(g, model, RepairAlgo::IncrementalMaximal, 3 + i as u64);
+            eng.bootstrap();
+            let mut iterations = 0;
+            for epoch in 0..10 {
+                iterations += eng.step_epoch().iterations;
+                let net = eng.net.as_ref().expect("maximal arm");
+                assert_eq!(
+                    *eng.matching(),
+                    extract_matching(net, eng.graph()),
+                    "{model:?}, epoch {epoch}: incremental matching drifted"
+                );
+                assert!(eng.matching().is_maximal(eng.graph()));
+            }
+            assert!(iterations > 0, "{model:?}: no epoch needed repair");
+        }
+    }
+
+    #[test]
+    fn both_arms_report_the_same_damage() {
+        // Four isolated edges: every arm matches all of them, so one
+        // trace drives both arms through the same matched edges.
+        let g = Graph::new(8, vec![(0, 1), (2, 3), (4, 5), (6, 7)]);
+        let trace = [
+            // Inserted edges only: their endpoints are the damage.
+            MutationBatch {
+                added: vec![(0, 2), (1, 3)],
+                removed: vec![],
+            },
+            // A destroyed matched edge (0,1), two removed unmatched
+            // edges sharing its endpoints, and an insertion sharing
+            // one: the damage is {0, 1, 4}, not 2·|batch|.
+            MutationBatch {
+                added: vec![(1, 4)],
+                removed: vec![(0, 1), (0, 2), (1, 3)],
+            },
+        ];
+        let damage = |algo: RepairAlgo| {
+            let mut eng = DynEngine::new(g.clone(), ChurnModel::Trace, algo, 2);
+            eng.bootstrap();
+            assert_eq!(eng.matching().size(), 4, "{algo:?} matches every edge");
+            trace
+                .iter()
+                .map(|b| eng.step_with(b.clone()).damage)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(damage(RepairAlgo::IncrementalMaximal), vec![4, 3]);
+        assert_eq!(damage(RepairAlgo::IncrementalGeneric { k: 2 }), vec![4, 3]);
     }
 
     #[test]

@@ -15,17 +15,22 @@
 //! 1. a deterministic churn generator ([`ChurnGen`]) produces a
 //!    [`MutationBatch`] — seeded edge insert/delete batches, node
 //!    join/leave, degree-preserving rewiring, or trace replay;
-//! 2. the engine applies the batch: [`simnet::Topology::rewired`]
-//!    patches the CSR and [`simnet::Network::rewire`] remaps the
-//!    port-indexed message-plane slabs (surviving directed-edge slots
-//!    keep their in-flight payloads; only new edges get fresh slots),
-//!    while per-node protocol state crosses the boundary through the
+//! 2. the engine applies the batch: [`dgraph::Graph::patch_into`]
+//!    patches the graph and [`simnet::Network::rewire`] patches the
+//!    network's CSR and migrates the port-indexed message-plane slabs
+//!    in place (surviving directed-edge slots keep their in-flight
+//!    payloads; only new edges get fresh slots), while per-node
+//!    protocol state crosses the boundary through the
 //!    [`simnet::Rewire`] trait (old-port → new-port remap, invalidation
-//!    of matched edges that vanished);
+//!    of matched edges that vanished). Both patches copy untouched rows
+//!    in runs and merge only the rows the batch touches;
 //! 3. a bounded number of **repair rounds** runs; only nodes in the
 //!    neighborhood of the damage ever send, which the engine verifies
 //!    by measuring the *locality radius* — the maximum BFS distance
-//!    from the damage of any node that spoke.
+//!    from the damage of any node that spoke. The engine's own
+//!    bookkeeping stays at the damage too: it tests maximality only at
+//!    the damage nodes, updates its matching from the nodes that spoke,
+//!    and stops the radius BFS once it has reached all of them.
 //!
 //! Two repair algorithms are provided: an incremental Israeli–Itai
 //! ([`repair::RepairNode`], maximal ⇒ ½-MCM after every epoch) and the

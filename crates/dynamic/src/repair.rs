@@ -222,13 +222,15 @@ impl RepairNode {
 
 impl Rewire for RepairNode {
     fn on_rewire(&mut self, ctx: &RewireCtx<'_>) {
-        let mut active = vec![true; ctx.new_degree()]; // born ports start optimistic
-        for (p, &a) in self.active.iter().enumerate() {
-            if let Some(np) = ctx.new_port(p) {
-                active[np] = a;
+        if !ctx.ports_unchanged() {
+            let mut active = vec![true; ctx.new_degree()]; // born ports start optimistic
+            for (p, &a) in self.active.iter().enumerate() {
+                if let Some(np) = ctx.new_port(p) {
+                    active[np] = a;
+                }
             }
+            self.active = active;
         }
-        self.active = active;
         self.mate_port = match self.mate_port {
             Some(mp) => match ctx.new_port(mp) {
                 Some(np) => Some(np),
@@ -241,11 +243,10 @@ impl Rewire for RepairNode {
             },
             None => None,
         };
-        self.born_announce = if self.mate_port.is_some() {
-            ctx.born_ports().to_vec()
-        } else {
-            Vec::new()
-        };
+        self.born_announce.clear();
+        if self.mate_port.is_some() {
+            self.born_announce.extend_from_slice(ctx.born_ports());
+        }
         self.epoch_start = ctx.round();
         self.male = false;
         self.proposed_to = None;
@@ -314,8 +315,7 @@ mod tests {
         let mut net = net_of(4, &[(0, 1)], 5);
         run_iterations(&mut net, 30);
         assert_eq!(mates(&net)[0], Some(1));
-        let patch = net.topology().rewired(&[(0, 1)], &[(0, 2), (1, 3)]);
-        net.rewire(&patch);
+        net.rewire(&[(0, 1)], &[(0, 2), (1, 3)]);
         run_iterations(&mut net, 40);
         let m = mates(&net);
         assert_eq!(m[0], Some(2));
@@ -334,8 +334,7 @@ mod tests {
         assert_eq!(m[2], Some(3), "seeded run must match (2,3) first");
         assert_eq!(m[4], None);
         assert!(!net.nodes()[4].active[0], "4 learned its port is dead");
-        let patch = net.topology().rewired(&[(2, 3)], &[]);
-        net.rewire(&patch);
+        net.rewire(&[(2, 3)], &[]);
         run_iterations(&mut net, 40);
         let m = mates(&net);
         assert_eq!(m[3], Some(4), "Freed must revive the (3,4) edge");

@@ -547,9 +547,9 @@ impl<M> Adversary<M> {
     /// Migrate adversary state across a topology change: burst states
     /// follow their surviving slots, parked payloads on removed edges
     /// are dropped (matching the slab remap's rule for in-flight mail).
-    pub(crate) fn on_rewire(&mut self, patch: &TopologyPatch, new_topo: &Topology) {
+    pub(crate) fn on_rewire(&mut self, patch: &TopologyPatch) {
         if self.plan.burst.is_some() {
-            let mut down = vec![false; new_topo.total_ports()];
+            let mut down = vec![false; patch.topo.total_ports()];
             for (old, was_down) in self.burst_down.iter().enumerate() {
                 if *was_down {
                     if let Some(new) = patch.new_slot(old) {

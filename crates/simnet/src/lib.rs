@@ -107,21 +107,23 @@
 //!
 //! A [`Topology`] value is immutable, but a [`Network`] is not married
 //! to one: dynamic networks evolve in **epochs**. At an epoch boundary
-//! the harness applies a churn batch with [`Topology::rewired`], which
-//! returns a [`TopologyPatch`] — the new CSR plus an old-slot →
-//! new-slot remap over the directed-edge slots — and then calls
+//! the harness hands a churn batch (removed and added edges) to
 //! [`Network::rewire`]:
 //!
-//! * the message-plane slabs are **remapped, not rebuilt**: in-flight
-//!   messages on surviving edges keep travelling (payloads are moved,
-//!   never cloned; removed edges drop theirs), and the migration costs
-//!   O(ports) plus a constant number of buffer allocations, never one
-//!   per edge;
+//! * the topology is **patched, not rebuilt**: rows of untouched nodes
+//!   are copied in runs and only the rows the batch touches are
+//!   merged, into the buffers of the topology the previous rewire
+//!   retired. The row walk lives in [`csr`], which `dgraph`'s graph
+//!   patch shares;
+//! * the message-plane slabs migrate in place: in-flight messages on
+//!   surviving edges keep travelling (payloads are moved, never
+//!   cloned; removed edges drop theirs), and only live slots move;
 //! * per-node protocol state crosses the boundary through the
-//!   [`Rewire`] trait: each node receives a [`RewireCtx`] with its
-//!   old-port → new-port map and its born ports, remaps port-indexed
-//!   state, and invalidates anything whose edge vanished (e.g. a
-//!   matched edge);
+//!   [`Rewire`] trait: each node the batch touched receives a
+//!   [`RewireCtx`] with its old-port → new-port map and its born
+//!   ports, remaps port-indexed state, and invalidates anything whose
+//!   edge vanished (e.g. a matched edge); every other node gets an
+//!   identity context;
 //! * nodes incident to the damage are woken; rounds, statistics, and
 //!   RNG streams continue, so rewired runs stay bit-identical across
 //!   thread counts.
@@ -131,6 +133,7 @@
 //! this API.
 
 pub mod adversary;
+pub mod csr;
 pub mod mailbox;
 pub mod message;
 pub mod micro;
@@ -148,7 +151,7 @@ pub use micro::MicroNet;
 pub use network::{Ctx, ExecCfg, Network, Protocol, Rewire, RewireCtx, RunOutcome};
 pub use rng::SplitMix64;
 pub use stats::{NetStats, RoundTrace};
-pub use topology::{NodeId, Port, Topology, TopologyPatch, SLOT_GONE};
+pub use topology::{NodeId, Port, Topology};
 
 /// The number of bits needed to write ids in a network of `n` nodes,
 /// i.e. `ceil(log2 n)` (at least 1). This is the CONGEST yardstick: a

@@ -22,7 +22,7 @@
 //! keeps its (dead) payload until round `r + 2` overwrites it, bounding
 //! residency at one extra round, exactly like a NIC ring buffer.
 
-use crate::topology::{NodeId, Port, Topology};
+use crate::topology::{NodeId, Port, Topology, SLOT_GONE};
 
 /// Stamp marking a slot that must never read as live (initial state and
 /// messages killed by fault injection). Generations start at 0 and only
@@ -61,27 +61,82 @@ impl<M> Slab<M> {
         self.gen += 1;
     }
 
-    /// Migrate the slab across a topology change ([`crate::Network::rewire`]).
+    /// Migrate the slab in place across a topology change
+    /// ([`crate::Network::rewire`]).
     ///
     /// `slot_map[old] = new` relocates each surviving directed-edge
-    /// slot; [`crate::topology::SLOT_GONE`] entries (removed edges)
-    /// drop their payloads. Live payloads are *moved*, never cloned, so
-    /// the cost is O(ports) plus exactly two buffer allocations
-    /// (counted in `alloc_events`) — independent of how many edges
-    /// changed.
-    pub(crate) fn remap(&mut self, slot_map: &[usize], new_total: usize, alloc_events: &mut u64) {
+    /// slot; [`SLOT_GONE`] entries (removed edges) drop their payloads.
+    /// One flat pass over the stamps finds the live slots and leaves
+    /// their old indices, ascending, in `live`; only those move.
+    /// Payloads are *moved*, never cloned, and the buffers are resized
+    /// in place: a rewire allocates only when the new topology has more
+    /// ports than the buffers hold, and counts those allocations in
+    /// `alloc_events`. Dead slots keep whatever stale payload they held
+    /// until a send overwrites it, as between rounds.
+    pub(crate) fn remap(
+        &mut self,
+        slot_map: &[usize],
+        new_total: usize,
+        live: &mut Vec<usize>,
+        alloc_events: &mut u64,
+    ) {
         debug_assert_eq!(slot_map.len(), self.stamp.len());
-        *alloc_events += 2; // replacement stamp + msg buffers
-        let mut stamp = vec![DEAD_STAMP; new_total];
-        let mut msg: Vec<Option<M>> = (0..new_total).map(|_| None).collect();
-        for (old, &new) in slot_map.iter().enumerate() {
-            if new != crate::topology::SLOT_GONE && self.stamp[old] == self.gen {
-                stamp[new] = self.gen;
-                msg[new] = self.msg[old].take();
+        let gen = self.gen;
+        live.clear();
+        live.extend(
+            self.stamp
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s == gen)
+                .map(|(i, _)| i),
+        );
+        if new_total > self.stamp.len() {
+            self.resize(new_total, alloc_events);
+        }
+        // Surviving slots keep their relative order, so slots moving
+        // down are placed in ascending order and slots moving up in
+        // descending order: no slot is overwritten before it has moved.
+        for &old in live.iter() {
+            match slot_map[old] {
+                SLOT_GONE => {
+                    self.stamp[old] = DEAD_STAMP;
+                    self.msg[old] = None;
+                }
+                new if new < old => self.relocate(old, new),
+                _ => {}
             }
         }
-        self.stamp = stamp;
-        self.msg = msg;
+        for &old in live.iter().rev() {
+            let new = slot_map[old];
+            if new != SLOT_GONE && new > old {
+                self.relocate(old, new);
+            }
+        }
+        self.resize(new_total, alloc_events);
+    }
+
+    /// Resize to `new_total` slots in place, new slots dead. Growing
+    /// past the buffers' capacity allocates, counted in `alloc_events`.
+    /// On its own this keeps no slot where its edge went, so a rewire
+    /// uses it alone only on the slab the next round writes: that
+    /// round's [`Slab::advance`] kills every slot it holds anyway.
+    pub(crate) fn resize(&mut self, new_total: usize, alloc_events: &mut u64) {
+        if new_total > self.stamp.len() {
+            *alloc_events += u64::from(new_total > self.stamp.capacity())
+                + u64::from(new_total > self.msg.capacity());
+            self.stamp.reserve_exact(new_total - self.stamp.len());
+            self.msg.reserve_exact(new_total - self.msg.len());
+        }
+        self.stamp.resize(new_total, DEAD_STAMP);
+        self.msg.resize_with(new_total, || None);
+    }
+
+    /// Move the live payload in slot `from` to slot `to`.
+    #[inline]
+    fn relocate(&mut self, from: usize, to: usize) {
+        self.stamp[to] = self.gen;
+        self.msg[to] = self.msg[from].take();
+        self.stamp[from] = DEAD_STAMP;
     }
 }
 
@@ -234,5 +289,63 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, Some(self.degree - self.port))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::SplitMix64;
+
+    /// The in-place remap against the copy it replaces: fresh buffers
+    /// holding exactly the live surviving payloads at their new slots.
+    #[test]
+    fn remap_in_place_equals_a_fresh_copy() {
+        let mut rng = SplitMix64::new(5);
+        let mut live = Vec::new();
+        for _ in 0..500 {
+            let old_total = rng.below(40) as usize;
+            let gen = 7;
+            let mut slab: Slab<u32> = Slab::new(old_total, &mut 0);
+            slab.gen = gen;
+            for i in 0..old_total {
+                // Live, stale from an older round, or never written;
+                // every slot holds some payload.
+                slab.stamp[i] = [gen, gen - 1, DEAD_STAMP][rng.below(3) as usize];
+                slab.msg[i] = Some(i as u32);
+            }
+            // A slot map that keeps the survivors' order, with removed
+            // slots and born gaps, growing or shrinking the slab.
+            let mut next = rng.below(3) as usize;
+            let slot_map: Vec<usize> = (0..old_total)
+                .map(|_| {
+                    if rng.bernoulli(0.25) {
+                        SLOT_GONE
+                    } else {
+                        next += 1 + rng.below(2) as usize;
+                        next - 1
+                    }
+                })
+                .collect();
+            let new_total = next + rng.below(3) as usize;
+            let mut want = vec![None; new_total];
+            for (old, &new) in slot_map.iter().enumerate() {
+                if new != SLOT_GONE && slab.stamp[old] == gen {
+                    want[new] = Some(old as u32);
+                }
+            }
+            let was_live: Vec<usize> = (0..old_total).filter(|&i| slab.stamp[i] == gen).collect();
+            let mut allocs = 0;
+            slab.remap(&slot_map, new_total, &mut live, &mut allocs);
+            assert_eq!(live, was_live, "live slots, ascending");
+            assert_eq!(slab.stamp.len(), new_total);
+            assert_eq!(slab.msg.len(), new_total);
+            let got: Vec<Option<u32>> = (0..new_total)
+                .map(|s| {
+                    (slab.stamp[s] == gen).then(|| slab.msg[s].expect("live slot holds a message"))
+                })
+                .collect();
+            assert_eq!(got, want, "slot map {slot_map:?}");
+        }
     }
 }

@@ -19,7 +19,7 @@ use crate::mailbox::{Inbox, Slab, DEAD_STAMP};
 use crate::message::BitSize;
 use crate::rng::SplitMix64;
 use crate::stats::{timing, NetStats};
-use crate::topology::{NodeId, Port, Topology, TopologyPatch};
+use crate::topology::{NodeId, Port, Topology, TopologyPatch, SLOT_GONE};
 use std::time::Instant;
 
 /// A distributed algorithm, from the point of view of a single node.
@@ -45,7 +45,9 @@ pub trait Protocol: Send {
 pub struct RewireCtx<'a> {
     node: NodeId,
     topo: &'a Topology,
-    port_map: &'a [Option<Port>],
+    /// Old port → new port, or `None` when the batch did not touch this
+    /// node: its ports map to themselves.
+    port_map: Option<&'a [Option<Port>]>,
     born: &'a [Port],
     round: u64,
 }
@@ -68,10 +70,19 @@ impl RewireCtx<'_> {
         self.round
     }
 
+    /// True when the batch did not touch this node: same degree, every
+    /// port maps to itself, no born ports. Port-indexed state can stay
+    /// as it is.
+    #[inline]
+    pub fn ports_unchanged(&self) -> bool {
+        self.port_map.is_none()
+    }
+
     /// The node's degree before the rewire.
     #[inline]
     pub fn old_degree(&self) -> usize {
-        self.port_map.len()
+        self.port_map
+            .map_or_else(|| self.new_degree(), <[Option<Port>]>::len)
     }
 
     /// The node's degree after the rewire.
@@ -83,7 +94,13 @@ impl RewireCtx<'_> {
     /// Where old port `p` lives now, or `None` when its edge vanished.
     #[inline]
     pub fn new_port(&self, p: Port) -> Option<Port> {
-        self.port_map[p]
+        match self.port_map {
+            Some(map) => map[p],
+            None => {
+                assert!(p < self.new_degree(), "rewire lookup of invalid port {p}");
+                Some(p)
+            }
+        }
     }
 
     /// Ports of the new topology whose edge was just inserted,
@@ -508,6 +525,12 @@ pub struct Network<P: Protocol> {
     pub(crate) alloc_mark: u64,
     pub(crate) stats: NetStats,
     pub(crate) round: u64,
+    /// The last rewire's patch. Its topology is the one that rewire
+    /// retired, and the next rewire builds the new topology and slot
+    /// map into these buffers.
+    pub(crate) patch: TopologyPatch,
+    /// Rewire scratch: the old indices of the inbound slab's live slots.
+    pub(crate) live_slots: Vec<usize>,
     /// Number of worker threads for node stepping (1 = sequential).
     pub(crate) threads: usize,
     /// Test-only: bypass the fan-out floor so unit tests exercise real
@@ -590,6 +613,8 @@ impl<P: Protocol> Network<P> {
             alloc_mark: 0,
             stats: NetStats::default(),
             round: 0,
+            patch: TopologyPatch::default(),
+            live_slots: Vec::new(),
             threads: 1,
             force_parallel: false,
             frontier_dense: false,
@@ -1040,86 +1065,103 @@ impl<P: Protocol> Network<P> {
         &self.touched
     }
 
-    /// Install the new topology of `patch` at an epoch boundary,
-    /// carrying the network across:
+    /// Apply a churn batch at an epoch boundary — edge deletions
+    /// `removed`, then insertions `added` — and carry the network
+    /// across:
     ///
-    /// * both message-plane slabs are remapped (`Slab::remap`):
-    ///   in-flight messages on surviving directed edges keep their
-    ///   slots (and are delivered next round as usual); messages on
-    ///   removed edges are dropped; the whole migration moves payloads
-    ///   in O(ports) with a constant number of buffer allocations,
-    ///   never cloning a payload and never allocating per edge;
+    /// * the topology is patched: rows of nodes the batch does not
+    ///   touch are copied in runs and only the touched ("dirty") rows
+    ///   are merged, into the buffers of the topology the previous
+    ///   rewire retired;
+    /// * the message plane migrates in place: in-flight messages on
+    ///   surviving directed edges move to their new slots (and are
+    ///   delivered next round as usual), messages on removed edges are
+    ///   dropped, and payloads are moved, never cloned. Only the slab
+    ///   read next round holds such mail; the other one is resized;
     /// * every node's protocol state is migrated through
-    ///   [`Rewire::on_rewire`] with its old-port → new-port map and its
-    ///   born ports;
-    /// * nodes whose incident edges changed ([`TopologyPatch::dirty`])
-    ///   are woken (un-halted) so they can take part in repair;
-    /// * inbox accounting is recomputed for the surviving in-flight
-    ///   mail (mail addressed to nodes still halted after the wake-up
+    ///   [`Rewire::on_rewire`]; a dirty node gets its old-port →
+    ///   new-port map and its born ports, a clean node an identity
+    ///   context ([`RewireCtx::ports_unchanged`]);
+    /// * dirty nodes are woken (un-halted) so they can take part in
+    ///   repair;
+    /// * inbox accounting is recomputed from the inbound slab's live
+    ///   slots (mail addressed to nodes still halted after the wake-up
     ///   is dropped, matching the delivery rule).
     ///
-    /// The node population is fixed (`patch` must describe the same
-    /// number of nodes); node churn is modelled by edge batches.
+    /// The node population is fixed; node churn is modelled by edge
+    /// batches. Panics on removing a non-edge, inserting an existing
+    /// edge, or self-loops — all modelling errors in a churn batch. An
+    /// edge may appear in both lists (removed, then re-inserted): its
+    /// in-flight mail is dropped and its new ports count as born.
     /// Rounds, statistics, and per-node RNG streams continue across the
     /// boundary, so a rewired run remains bit-identical across thread
     /// counts.
-    pub fn rewire(&mut self, patch: &TopologyPatch)
+    pub fn rewire(&mut self, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)])
     where
         P: Rewire,
     {
-        let new_topo = patch.topo();
-        assert_eq!(
-            new_topo.len(),
-            self.topo.len(),
-            "rewire preserves the node population"
-        );
+        let mut patch = std::mem::take(&mut self.patch);
+        self.topo.rewired(removed, added, &mut patch);
         if dobs::plane::enabled() {
-            // Each added edge contributes one born port at both (dirty)
-            // endpoints; the removed count follows from the edge delta.
-            let born: usize = patch
-                .dirty()
-                .iter()
-                .map(|&v| patch.born_ports(v).len())
-                .sum();
-            let added = (born / 2) as u64;
-            let removed =
-                (self.topo.num_edges() as u64 + added).saturating_sub(new_topo.num_edges() as u64);
             dobs::plane::record(dobs::Event::Rewire {
                 t_ns: dobs::plane::now_ns(),
                 round: self.round,
-                added,
-                removed,
-                dirty: patch.dirty().len() as u64,
+                added: added.len() as u64,
+                removed: removed.len() as u64,
+                dirty: patch.dirty.len() as u64,
             });
         }
-        let new_total = new_topo.total_ports();
-        for plane in &mut self.planes {
-            plane.remap(patch.slot_map(), new_total, &mut self.alloc_events);
+        // Only the inbound slab (read next round) holds mail anyone
+        // will read; the other one is next round's outbound slab, whose
+        // advance kills every slot, so it is only resized. The inbound
+        // slab's live slots stay in `live_slots` for the recount. Mail
+        // it held may have been counted for receivers whose edge is now
+        // gone: forget those counts.
+        let inbound = ((self.round + 1) % 2) as usize;
+        let new_total = patch.topo.total_ports();
+        self.planes[1 - inbound].resize(new_total, &mut self.alloc_events);
+        self.planes[inbound].remap(
+            &patch.slot_map,
+            new_total,
+            &mut self.live_slots,
+            &mut self.alloc_events,
+        );
+        for &s in &self.live_slots {
+            self.inbox_count_round[self.topo.slot_neighbor(s) as usize] = u64::MAX;
         }
         // Adversary state follows the slot remap: burst link states
         // move with their surviving slots, parked payloads on removed
         // edges are dropped (same rule as the slabs' in-flight mail).
-        self.adversary.on_rewire(patch, new_topo);
-        let mut port_map: Vec<Option<Port>> = Vec::new(); // scratch, reused per node
+        self.adversary.on_rewire(&patch);
+        let mut map_scratch: Vec<Option<Port>> = Vec::new(); // reused per dirty node
+        let mut next_dirty = 0usize;
         for v in 0..self.topo.len() {
             let vid = v as NodeId;
-            let old_base = self.topo.port_base(vid);
-            let new_base = new_topo.port_base(vid);
-            port_map.clear();
-            port_map.extend(
-                (0..self.topo.degree(vid))
-                    .map(|p| patch.new_slot(old_base + p).map(|s| s - new_base)),
-            );
-            let ctx = RewireCtx {
-                node: vid,
-                topo: new_topo,
-                port_map: &port_map,
-                born: patch.born_ports(vid),
-                round: self.round,
+            let (port_map, born) = if patch.dirty.get(next_dirty) == Some(&vid) {
+                let old_base = self.topo.port_base(vid);
+                let new_base = patch.topo.port_base(vid);
+                map_scratch.clear();
+                map_scratch.extend(
+                    (0..self.topo.degree(vid))
+                        .map(|p| patch.new_slot(old_base + p).map(|s| s - new_base)),
+                );
+                next_dirty += 1;
+                (
+                    Some(map_scratch.as_slice()),
+                    patch.born_ports_of_dirty(next_dirty - 1),
+                )
+            } else {
+                (None, &[][..])
             };
-            self.nodes[v].on_rewire(&ctx);
+            self.nodes[v].on_rewire(&RewireCtx {
+                node: vid,
+                topo: &patch.topo,
+                port_map,
+                born,
+                round: self.round,
+            });
         }
-        for &v in patch.dirty() {
+        for &v in &patch.dirty {
             let vi = v as usize;
             // Crashed nodes stay down through a rewire: resurrecting
             // them via the dirty set would undo the fault (and corrupt
@@ -1133,42 +1175,40 @@ impl<P: Protocol> Network<P> {
             }
             self.dozing[vi] = false;
         }
-        self.topo = new_topo.clone();
-        self.recount_inboxes();
+        std::mem::swap(&mut self.topo, &mut patch.topo);
+        self.recount_inboxes(&patch.slot_map);
         if self.uses_wake_list() {
             self.rebuild_wake_list();
         }
         // A rewire typically wakes a whole damage ball; refresh the
         // dense-side judge input so the judge re-evaluates from the
         // post-rewire schedule size rather than a pre-churn count.
-        self.est_active = self.est_active.max(patch.dirty().len() as u64);
+        self.est_active = self.est_active.max(patch.dirty.len() as u64);
+        self.patch = patch;
     }
 
-    /// Rebuild `inbox_count` / `in_flight` from the plane that will be
-    /// read next round (after a rewire invalidated the delivery-time
-    /// accounting).
-    fn recount_inboxes(&mut self) {
+    /// Recount `inbox_count` / `in_flight` after a rewire from the
+    /// inbound slab's live slots (`live_slots`, old indices, mapped
+    /// through `slot_map`): the delivery-time counts may include mail
+    /// the rewire dropped.
+    fn recount_inboxes(&mut self, slot_map: &[usize]) {
         let round = self.round;
-        let in_plane = &self.planes[((round + 1) % 2) as usize];
-        let gen = in_plane.gen;
         let mut in_flight = 0u64;
-        for v in 0..self.topo.len() {
-            self.inbox_count[v] = 0;
-            self.inbox_count_round[v] = round;
-        }
-        for v in 0..self.topo.len() as NodeId {
-            let base = self.topo.port_base(v);
-            for p in 0..self.topo.degree(v) {
-                if in_plane.stamp[base + p] != gen {
-                    continue;
-                }
-                let to = self.topo.neighbor(v, p) as usize;
-                if self.halted[to] {
-                    continue;
-                }
-                self.inbox_count[to] += 1;
-                in_flight += 1;
+        for &old in &self.live_slots {
+            let slot = slot_map[old];
+            if slot == SLOT_GONE {
+                continue;
             }
+            let to = self.topo.slot_neighbor(slot) as usize;
+            if self.halted[to] {
+                continue;
+            }
+            if self.inbox_count_round[to] != round {
+                self.inbox_count_round[to] = round;
+                self.inbox_count[to] = 0;
+            }
+            self.inbox_count[to] += 1;
+            in_flight += 1;
         }
         self.in_flight = in_flight;
     }
@@ -1177,9 +1217,9 @@ impl<P: Protocol> Network<P> {
     /// principles (the dense sweep's predicate): scheduled iff live
     /// and (awake, or has mail). A rewire can both wake nodes (dirty
     /// set) and kill scheduled mail (remapped slabs drop removed
-    /// edges' payloads), so patching the list incrementally would
-    /// leak stale entries — rebuilding keeps the sparse schedule
-    /// exactly equal to the dense one. O(n), like the rewire itself.
+    /// edges' payloads), so entries on the list may no longer be due.
+    /// One linear pass over the flag arrays keeps the sparse schedule
+    /// exactly equal to the dense one.
     fn rebuild_wake_list(&mut self) {
         let round = self.round;
         self.wake_cur.clear();
@@ -1698,8 +1738,7 @@ mod tests {
         let mut net = echo_net(3, &[(0, 1), (1, 2)]);
         net.step();
         assert_eq!(net.in_flight(), 4);
-        let patch = net.topology().rewired(&[(1, 2)], &[(0, 2)]);
-        net.rewire(&patch);
+        net.rewire(&[(1, 2)], &[(0, 2)]);
         assert_eq!(net.in_flight(), 2, "only the surviving edge's mail remains");
         net.step();
         // Node 0: received 1's round-0 send on port 0 (edge kept).
@@ -1717,12 +1756,28 @@ mod tests {
     fn rewire_wakes_dirty_nodes_and_traffic_flows_on_new_edges() {
         let mut net = echo_net(4, &[(0, 1), (2, 3)]);
         net.run_rounds(2);
-        let patch = net.topology().rewired(&[], &[(1, 2)]);
-        net.rewire(&patch);
+        net.rewire(&[], &[(1, 2)]);
         net.run_rounds(2);
         // Node 1 now hears node 2 on its new port 1.
         assert!(net.nodes()[1].per_port[1] > 0, "new edge must carry mail");
         assert_eq!(net.topology().num_edges(), 3);
+    }
+
+    #[test]
+    fn rewire_allocates_only_when_a_slab_grows() {
+        let mut net = echo_net(4, &[(0, 1), (1, 2), (2, 3)]);
+        net.run_rounds(2);
+        let base = net.stats().plane_allocs;
+        net.rewire(&[(0, 1)], &[(0, 2)]);
+        net.step();
+        assert_eq!(net.stats().plane_allocs, base, "same port count: in place");
+        net.rewire(&[], &[(0, 3)]);
+        net.step();
+        assert_eq!(
+            net.stats().plane_allocs,
+            base + 4,
+            "growing both slabs allocates each of their two buffers once"
+        );
     }
 
     #[test]
@@ -1731,8 +1786,7 @@ mod tests {
             let mut net = echo_net(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
                 .with_cfg(ExecCfg::parallel(threads).forced());
             net.run_rounds(3);
-            let patch = net.topology().rewired(&[(2, 3), (5, 0)], &[(0, 3), (1, 4)]);
-            net.rewire(&patch);
+            net.rewire(&[(2, 3), (5, 0)], &[(0, 3), (1, 4)]);
             net.run_rounds(3);
             let states: Vec<Vec<u64>> = net.nodes().iter().map(|n| n.per_port.clone()).collect();
             (states, net.stats().clone())

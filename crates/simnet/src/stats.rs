@@ -14,9 +14,11 @@ pub struct RoundTrace {
     pub peak_inbox: u64,
     /// Heap allocations performed by the message plane during this
     /// round. The plane preallocates everything at network construction
-    /// (charged to the first round), so the steady-state value is 0 —
-    /// future changes that reintroduce per-round allocation show up
-    /// here and can be regressed against.
+    /// (charged to the first round), and a rewire migrates the slabs in
+    /// place (charged to the next round only when it grows a slab past
+    /// its capacity), so the steady-state value is 0 — future changes
+    /// that reintroduce per-round allocation show up here and can be
+    /// regressed against.
     pub plane_allocs: u64,
     /// Nodes actually stepped this round. Identical between the dense
     /// and sparse representations (they step the same set by contract);
@@ -73,8 +75,9 @@ pub struct NetStats {
     pub max_msg_bits: u64,
     /// Largest single inbox observed in any round.
     pub peak_inbox: u64,
-    /// Total message-plane allocations (construction + growth; a
-    /// constant per network in steady state).
+    /// Total message-plane allocations (construction, plus rewires
+    /// that grow a slab past its capacity; a constant per network in
+    /// steady state).
     pub plane_allocs: u64,
     /// Total node steps executed (sum of [`RoundTrace::active`]). In the
     /// sparse representation this is the quantity round cost is

@@ -5,12 +5,18 @@
 //! to the corresponding port at `v` so that message delivery is O(1)
 //! and inbox ordering is deterministic.
 //!
-//! Dynamic networks evolve by *replacing* the topology atomically at an
-//! epoch boundary: [`Topology::rewired`] applies a batch of edge
-//! insertions/deletions and returns a [`TopologyPatch`] — the new CSR
-//! plus the old-slot → new-slot remap that lets a [`crate::Network`]
-//! carry its message plane and per-node protocol state across the
-//! boundary (see [`crate::Network::rewire`]).
+//! Dynamic networks evolve by *replacing* the topology at an epoch
+//! boundary ([`crate::Network::rewire`]). The patch that does it copies
+//! the rows of untouched nodes in runs, with shifted offsets and slots,
+//! and merges only the rows a batch touches (the row walk of
+//! [`crate::csr`], which `dgraph`'s graph patch shares); reverse ports are
+//! recomputed only for edges with a touched endpoint. It writes into
+//! the buffers of the topology the previous rewire retired, and also
+//! yields the old-slot → new-slot remap that lets the network carry its
+//! message plane and per-node protocol state across the boundary.
+
+use crate::csr::{RowChanges, RowEdit, RowSpan};
+use std::ops::Range;
 
 /// Node identifier. `u32` keeps per-edge bookkeeping compact (see the
 /// type-size guidance of the Rust Performance Book); networks of up to
@@ -52,8 +58,7 @@ impl Topology {
     }
 
     /// Build from per-node neighbor lists (sorted and de-duplicated
-    /// here). Shared by [`Topology::from_edges`] and
-    /// [`Topology::rewired`].
+    /// here).
     fn from_adjacency(mut adj: Vec<Vec<NodeId>>) -> Self {
         let n = adj.len();
         for (v, list) in adj.iter_mut().enumerate() {
@@ -160,10 +165,22 @@ impl Topology {
         self.offsets[v as usize]
     }
 
+    /// The neighbor at flat slot `slot` (= `port_base(v) + p`).
+    #[inline]
+    pub(crate) fn slot_neighbor(&self, slot: usize) -> NodeId {
+        self.neighbors[slot]
+    }
+
     /// Apply a mutation batch (edge deletions, then insertions) and
-    /// return the new topology plus the slot remap that carries
+    /// write the new topology, plus the slot remap that carries
     /// CSR-aligned state (message-plane slabs, per-port protocol
-    /// arrays) across the epoch boundary.
+    /// arrays) across the epoch boundary, into `patch`, reusing its
+    /// buffers.
+    ///
+    /// Rows of nodes the batch does not touch are copied in runs, their
+    /// offsets and slots shifted by the run's displacement; only the
+    /// touched ("dirty") rows are merged. Reverse ports are copied with
+    /// the runs and recomputed only for edges with a dirty endpoint.
     ///
     /// The node population is fixed: node join/leave is modelled as a
     /// node gaining its first / losing its last edges. Panics on
@@ -171,7 +188,102 @@ impl Topology {
     /// all modelling errors in a churn batch. An edge may appear in
     /// both lists (removed, then re-inserted): its old slots are
     /// treated as dead and its new slots as born.
-    pub fn rewired(
+    pub(crate) fn rewired(
+        &self,
+        removed: &[(NodeId, NodeId)],
+        added: &[(NodeId, NodeId)],
+        patch: &mut TopologyPatch,
+    ) {
+        let n = self.len();
+        let TopologyPatch {
+            topo,
+            slot_map,
+            born_ports,
+            born_offsets,
+            dirty,
+            changes,
+        } = patch;
+        changes.load(n, removed, added);
+
+        topo.offsets.clear();
+        topo.neighbors.clear();
+        topo.rev_port.clear();
+        slot_map.clear();
+        born_ports.clear();
+        born_offsets.clear();
+        dirty.clear();
+        // Exact reservations: the buffers stay the size of the largest
+        // topology seen instead of doubling past it.
+        let ports = self.total_ports() + 2 * added.len();
+        topo.offsets.reserve_exact(n + 1);
+        topo.neighbors.reserve_exact(ports);
+        topo.rev_port.reserve_exact(ports);
+        slot_map.reserve_exact(self.total_ports());
+        topo.offsets.push(0);
+        born_offsets.push(0);
+        for span in changes.spans() {
+            match span {
+                RowSpan::Clean(rows) => self.copy_rows(rows, topo, slot_map),
+                RowSpan::Dirty(r) => {
+                    let row_start = topo.neighbors.len();
+                    r.merge(
+                        self.neighbors(r.row as NodeId),
+                        |nb| nb,
+                        |edit| match edit {
+                            RowEdit::Keep(nb) => {
+                                slot_map.push(topo.neighbors.len());
+                                topo.neighbors.push(nb);
+                            }
+                            RowEdit::Drop(_) => slot_map.push(SLOT_GONE),
+                            RowEdit::Insert { neighbor, .. } => {
+                                born_ports.push(topo.neighbors.len() - row_start);
+                                topo.neighbors.push(neighbor);
+                            }
+                        },
+                    );
+                    // Placeholders, filled in once every row is in place.
+                    topo.rev_port.resize(topo.neighbors.len(), 0);
+                    topo.offsets.push(topo.neighbors.len());
+                    dirty.push(r.row as NodeId);
+                    born_offsets.push(born_ports.len());
+                }
+            }
+        }
+        // Reverse ports: the runs' copies are right wherever both ends
+        // are clean; every port of a dirty row, and its partner, is
+        // looked up again.
+        for &d in dirty.iter() {
+            let base = topo.port_base(d);
+            for q in 0..topo.degree(d) {
+                let u = topo.neighbors[base + q];
+                let p = topo.port_to(u, d).expect("asymmetric adjacency");
+                topo.rev_port[base + q] = p;
+                let partner = topo.port_base(u) + p;
+                topo.rev_port[partner] = q;
+            }
+        }
+    }
+
+    /// Append `rows`, none of which the batch touches, to `out`:
+    /// neighbors and reverse ports copied as one run, offsets and slots
+    /// shifted to where the run lands.
+    fn copy_rows(&self, rows: Range<usize>, out: &mut Topology, slot_map: &mut Vec<usize>) {
+        let (from, to) = (rows.start, rows.end);
+        let (a, b) = (self.offsets[from], self.offsets[to]);
+        let base = out.neighbors.len();
+        debug_assert_eq!(slot_map.len(), a, "slots are mapped in old order");
+        out.neighbors.extend_from_slice(&self.neighbors[a..b]);
+        out.rev_port.extend_from_slice(&self.rev_port[a..b]);
+        out.offsets
+            .extend(self.offsets[from + 1..=to].iter().map(|&o| o - a + base));
+        slot_map.extend(base..base + (b - a));
+    }
+
+    /// Today's whole-graph rebuild, kept as the test oracle of
+    /// [`Topology::rewired`]: per-node neighbor vectors, hashed slot
+    /// lookups and a fresh CSR.
+    #[cfg(test)]
+    pub(crate) fn rewired_reference(
         &self,
         removed: &[(NodeId, NodeId)],
         added: &[(NodeId, NodeId)],
@@ -233,11 +345,11 @@ impl Topology {
                 slot_map[old_base + p] = topo.port_base(v) + np;
             }
         }
-        // Born ports, flattened per node in CSR order.
+        // Born ports, flattened per dirty node in CSR order.
+        let dirty: Vec<NodeId> = (0..n as NodeId).filter(|&v| dirty[v as usize]).collect();
         let mut born_ports = Vec::with_capacity(2 * born.len());
-        let mut born_offsets = Vec::with_capacity(n + 1);
-        born_offsets.push(0usize);
-        for v in 0..n as NodeId {
+        let mut born_offsets = vec![0usize];
+        for &v in &dirty {
             for (p, &u) in topo.neighbors(v).iter().enumerate() {
                 if born.contains(&canon(v, u)) {
                     born_ports.push(p);
@@ -245,69 +357,77 @@ impl Topology {
             }
             born_offsets.push(born_ports.len());
         }
-        let dirty = (0..n as NodeId).filter(|&v| dirty[v as usize]).collect();
         TopologyPatch {
             topo,
             slot_map,
             born_ports,
             born_offsets,
             dirty,
+            changes: RowChanges::default(),
         }
     }
 }
 
-/// Sentinel in [`TopologyPatch::slot_map`] for a directed-edge slot
+/// Sentinel in [`TopologyPatch`]'s slot map for a directed-edge slot
 /// whose edge was removed.
-pub const SLOT_GONE: usize = usize::MAX;
+pub(crate) const SLOT_GONE: usize = usize::MAX;
 
 /// The output of [`Topology::rewired`]: the new topology plus
 /// everything needed to migrate CSR-aligned state across the epoch
-/// boundary.
+/// boundary. A [`crate::Network`] keeps one across rewires, so each
+/// patch is built into the buffers of the topology the last one
+/// retired.
 #[derive(Debug, Clone)]
-pub struct TopologyPatch {
-    topo: Topology,
+pub(crate) struct TopologyPatch {
+    pub(crate) topo: Topology,
     /// Old directed-edge slot → new slot ([`SLOT_GONE`] when removed).
-    slot_map: Vec<usize>,
+    pub(crate) slot_map: Vec<usize>,
     /// Ports of the new topology whose edge was inserted by this patch,
-    /// flattened per node (`born_offsets[v]..born_offsets[v+1]`).
+    /// flattened per dirty node: `dirty[i]`'s are
+    /// `born_offsets[i]..born_offsets[i+1]`.
     born_ports: Vec<Port>,
     born_offsets: Vec<usize>,
     /// Nodes whose incident edge set changed, ascending.
-    dirty: Vec<NodeId>,
+    pub(crate) dirty: Vec<NodeId>,
+    /// Scratch: the batch's row changes.
+    changes: RowChanges,
+}
+
+impl Default for TopologyPatch {
+    fn default() -> Self {
+        TopologyPatch {
+            topo: Topology::from_edges(0, &[]),
+            slot_map: Vec::new(),
+            born_ports: Vec::new(),
+            born_offsets: Vec::new(),
+            dirty: Vec::new(),
+            changes: RowChanges::default(),
+        }
+    }
 }
 
 impl TopologyPatch {
-    /// The new topology.
-    #[inline]
-    pub fn topo(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Old slot → new slot map over the *old* topology's directed-edge
-    /// slots; [`SLOT_GONE`] marks removed edges.
-    #[inline]
-    pub fn slot_map(&self) -> &[usize] {
-        &self.slot_map
-    }
-
     /// New slot for an old slot, `None` when the edge was removed.
     #[inline]
-    pub fn new_slot(&self, old_slot: usize) -> Option<usize> {
+    pub(crate) fn new_slot(&self, old_slot: usize) -> Option<usize> {
         let s = self.slot_map[old_slot];
         (s != SLOT_GONE).then_some(s)
     }
 
-    /// Ports of `v` (in the new topology) whose edge was inserted by
-    /// this patch, ascending.
+    /// Born ports of `dirty[i]` (ports of the new topology whose edge
+    /// this patch inserted), ascending.
     #[inline]
-    pub fn born_ports(&self, v: NodeId) -> &[Port] {
-        &self.born_ports[self.born_offsets[v as usize]..self.born_offsets[v as usize + 1]]
+    pub(crate) fn born_ports_of_dirty(&self, i: usize) -> &[Port] {
+        &self.born_ports[self.born_offsets[i]..self.born_offsets[i + 1]]
     }
 
-    /// Nodes whose incident edge set changed, ascending.
-    #[inline]
-    pub fn dirty(&self) -> &[NodeId] {
-        &self.dirty
+    /// Born ports of any node `v`, ascending (empty for clean nodes).
+    #[cfg(test)]
+    pub(crate) fn born_ports(&self, v: NodeId) -> &[Port] {
+        match self.dirty.binary_search(&v) {
+            Ok(i) => self.born_ports_of_dirty(i),
+            Err(_) => &[],
+        }
     }
 }
 
@@ -369,11 +489,34 @@ mod tests {
         assert_eq!(t.max_degree(), 0);
     }
 
+    /// Run the fast patch into a used buffer and hold it against the
+    /// reference rebuild, field by field; returns the fast patch.
+    fn patched(
+        t: &Topology,
+        removed: &[(NodeId, NodeId)],
+        added: &[(NodeId, NodeId)],
+    ) -> TopologyPatch {
+        let want = t.rewired_reference(removed, added);
+        let mut got = TopologyPatch::default();
+        // A used buffer, so stale contents would show.
+        triangle().rewired(&[(0, 1)], &[], &mut got);
+        t.rewired(removed, added, &mut got);
+        assert_eq!(got.topo.offsets, want.topo.offsets, "offsets");
+        assert_eq!(got.topo.neighbors, want.topo.neighbors, "neighbors");
+        assert_eq!(got.topo.rev_port, want.topo.rev_port, "reverse ports");
+        assert_eq!(got.slot_map, want.slot_map, "slot map");
+        assert_eq!(got.dirty, want.dirty, "dirty list");
+        for v in 0..t.len() as NodeId {
+            assert_eq!(got.born_ports(v), want.born_ports(v), "born ports of {v}");
+        }
+        got
+    }
+
     #[test]
     fn rewired_applies_batch_and_maps_slots() {
         let t = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let patch = t.rewired(&[(1, 2)], &[(0, 3), (0, 2)]);
-        let nt = patch.topo();
+        let patch = patched(&t, &[(1, 2)], &[(0, 3), (0, 2)]);
+        let nt = &patch.topo;
         assert_eq!(nt.num_edges(), 4);
         assert_eq!(nt.neighbors(0), &[1, 2, 3]);
         assert_eq!(nt.neighbors(1), &[0]);
@@ -398,14 +541,14 @@ mod tests {
         assert_eq!(patch.born_ports(0), &[1, 2]); // 0->2, 0->3
         assert_eq!(patch.born_ports(3), &[0]); // 3->0
         assert_eq!(patch.born_ports(1), &[] as &[usize]);
-        assert_eq!(patch.dirty(), &[0, 1, 2, 3]);
+        assert_eq!(patch.dirty, &[0, 1, 2, 3]);
     }
 
     #[test]
     fn rewired_remove_and_reinsert_is_born() {
         let t = Topology::from_edges(2, &[(0, 1)]);
-        let patch = t.rewired(&[(0, 1)], &[(1, 0)]);
-        assert_eq!(patch.topo().num_edges(), 1);
+        let patch = patched(&t, &[(0, 1)], &[(1, 0)]);
+        assert_eq!(patch.topo.num_edges(), 1);
         // The edge came back, but its old slots are dead and the new
         // ports count as born: any in-flight payload is dropped.
         assert_eq!(patch.new_slot(0), None);
@@ -416,22 +559,105 @@ mod tests {
     #[test]
     fn rewired_empty_batch_is_identity() {
         let t = Topology::from_edges(3, &[(0, 1), (1, 2)]);
-        let patch = t.rewired(&[], &[]);
-        assert!(patch.dirty().is_empty());
+        let patch = patched(&t, &[], &[]);
+        assert!(patch.dirty.is_empty());
         for s in 0..t.total_ports() {
             assert_eq!(patch.new_slot(s), Some(s));
+        }
+    }
+
+    /// The fast patch equals the reference rebuild on random batches
+    /// over all six zoo generators, and on the edge cases: an empty
+    /// batch, a node losing its last edge, an isolated node gaining
+    /// its first, an edge removed and re-inserted in one call, and
+    /// batches touching nodes 0 and n-1.
+    #[test]
+    fn rewired_equals_the_reference_on_the_zoo() {
+        use dgraph::generators::{
+            barabasi_albert, chung_lu, d_regular, gnp, random_geometric, zipf_bipartite,
+        };
+        use dgraph::rng::Rng64;
+        let n = 50;
+        let zoo = [
+            gnp(n, 0.1, 1),
+            barabasi_albert(n, 3, 2),
+            chung_lu(n, 2.5, 6.0, 3),
+            random_geometric(n, 0.25, 4),
+            d_regular(n, 4, 5),
+            zipf_bipartite(20, 30, 120, 1.1, 6).0,
+        ];
+        let mut rng = Rng64::new(11);
+        for g in &zoo {
+            let mut t = Topology::from_edges(g.n(), g.edge_list());
+            let last = g.n() as NodeId - 1;
+            patched(&t, &[], &[]);
+            // A chain of random epochs, each patch applied to the last.
+            for _ in 0..12 {
+                let edges: Vec<(NodeId, NodeId)> = (0..t.len() as NodeId)
+                    .flat_map(|v| {
+                        t.neighbors(v)
+                            .iter()
+                            .filter(move |&&u| v < u)
+                            .map(move |&u| (v, u))
+                    })
+                    .collect();
+                let mut picked: Vec<(NodeId, NodeId)> = Vec::new();
+                for _ in 0..rng.index(6) {
+                    let e = edges[rng.index(edges.len())];
+                    if !picked.contains(&e) {
+                        picked.push(e);
+                    }
+                }
+                // Either orientation is a valid removal.
+                let removed: Vec<(NodeId, NodeId)> = picked
+                    .iter()
+                    .map(|&(u, v)| if rng.index(2) == 0 { (u, v) } else { (v, u) })
+                    .collect();
+                let mut added: Vec<(NodeId, NodeId)> = Vec::new();
+                for _ in 0..rng.index(6) {
+                    let (u, v) = (rng.index(t.len()) as NodeId, rng.index(t.len()) as NodeId);
+                    let e = (u.min(v), u.max(v));
+                    if u != v && t.port_to(u, v).is_none() && !added.contains(&e) {
+                        added.push(if rng.index(2) == 0 { e } else { (e.1, e.0) });
+                    }
+                }
+                t = patched(&t, &removed, &added).topo;
+            }
+            // Both ends of the id range, and an edge removed and
+            // re-inserted in the same call.
+            let lo = (0..=last).find(|&v| t.degree(v) > 0).unwrap();
+            let hi = (0..=last).rev().find(|&v| t.degree(v) > 0).unwrap();
+            let e_lo = (lo, t.neighbor(lo, 0));
+            let e_hi = (t.neighbor(hi, 0), hi);
+            let corner: Vec<(NodeId, NodeId)> = if t.port_to(0, last).is_none() {
+                vec![(last, 0)]
+            } else {
+                vec![]
+            };
+            if e_lo.0.min(e_lo.1) != e_hi.0.min(e_hi.1) || e_lo.0.max(e_lo.1) != e_hi.0.max(e_hi.1)
+            {
+                patched(&t, &[e_lo, e_hi], &corner);
+            }
+            patched(&t, &[e_lo], &[e_lo]);
+            // A node losing its last edge, then gaining its first.
+            let star: Vec<(NodeId, NodeId)> = t.neighbors(lo).iter().map(|&u| (lo, u)).collect();
+            let bare = patched(&t, &star, &[]).topo;
+            assert_eq!(bare.degree(lo), 0);
+            patched(&bare, &[], &[(star[0].1, lo)]);
         }
     }
 
     #[test]
     #[should_panic(expected = "non-edge")]
     fn rewired_rejects_removing_non_edges() {
-        Topology::from_edges(3, &[(0, 1)]).rewired(&[(1, 2)], &[]);
+        let mut patch = TopologyPatch::default();
+        Topology::from_edges(3, &[(0, 1)]).rewired(&[(1, 2)], &[], &mut patch);
     }
 
     #[test]
     #[should_panic(expected = "existing edge")]
     fn rewired_rejects_duplicate_insert() {
-        Topology::from_edges(3, &[(0, 1)]).rewired(&[], &[(1, 0)]);
+        let mut patch = TopologyPatch::default();
+        Topology::from_edges(3, &[(0, 1)]).rewired(&[], &[(1, 0)], &mut patch);
     }
 }

@@ -7,7 +7,9 @@
 //! every wake path: rewire dirty sets, mail, and re-asserted sleep,
 //! under the judge that switches the frontier representation), and
 //! repair beats full recompute at low churn (the E15 claim, asserted
-//! at test scale).
+//! at test scale). A golden table pins every epoch's cost, damage,
+//! locality and matching size, and the final matching, under every
+//! churn model.
 
 use distributed_matching::dchurn::{ChurnModel, DynEngine, MutationBatch, RepairAlgo};
 use distributed_matching::dgraph::generators::random::gnp;
@@ -266,6 +268,150 @@ fn empty_and_degenerate_graphs_survive_epochs() {
             let rep = eng.step_epoch().clone();
             assert!(rep.maximal);
             assert_eq!(eng.graph().n(), n);
+        }
+    }
+}
+
+/// One epoch of the golden table: rounds, messages, bits, iterations,
+/// damage (`None` where the table does not pin it), woken nodes,
+/// locality radius, matching size.
+type GoldenRow = (
+    u64,
+    u64,
+    u64,
+    u64,
+    Option<usize>,
+    usize,
+    Option<usize>,
+    usize,
+);
+
+/// FNV-1a over the mate array: pins the final matching itself, not
+/// just its size.
+fn mate_hash(mates: &[u32]) -> u64 {
+    mates.iter().fold(0xcbf2_9ce4_8422_2325, |h, &m| {
+        (h ^ u64::from(m)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Run one golden case for 6 churn epochs after the bootstrap.
+fn golden_run(
+    g: Graph,
+    model: ChurnModel,
+    algo: RepairAlgo,
+    seed: u64,
+    cfg: ExecCfg,
+) -> (Vec<GoldenRow>, u64) {
+    let pin_damage = algo == RepairAlgo::IncrementalMaximal;
+    let mut eng = DynEngine::with_cfg(g, model, algo, seed, cfg);
+    eng.bootstrap();
+    for _ in 0..6 {
+        eng.step_epoch();
+    }
+    let rows = eng
+        .reports
+        .iter()
+        .map(|r| {
+            (
+                r.rounds,
+                r.messages,
+                r.bits,
+                r.iterations,
+                pin_damage.then_some(r.damage),
+                r.woken,
+                r.locality_radius,
+                r.matching_size,
+            )
+        })
+        .collect();
+    (rows, mate_hash(eng.matching().mates()))
+}
+
+/// The golden table: every case's per-epoch rows (bootstrap first) and
+/// the hash of its final mate array. The host-side epoch bookkeeping
+/// (graph and topology patches, slab migration, termination test,
+/// matching update, radius search) must leave it unchanged under both
+/// executors.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, u64, &[GoldenRow])] = &[
+    ("gnp/edge", 0x14a248c33b03acad, &[(26, 895, 1790, 8, Some(150), 148, None, 66), (2, 38, 76, 0, Some(39), 35, Some(0), 66), (11, 65, 130, 3, Some(43), 37, Some(1), 65), (8, 196, 392, 2, Some(47), 49, Some(1), 64), (17, 78, 156, 5, Some(42), 39, Some(1), 64), (8, 124, 248, 2, Some(41), 43, Some(1), 64), (14, 79, 158, 4, Some(43), 39, Some(1), 63)]),
+    ("ba/edge", 0x57eb3d7f73306767, &[(29, 868, 1736, 9, Some(150), 142, None, 61), (17, 149, 298, 5, Some(44), 43, Some(1), 63), (5, 94, 188, 1, Some(42), 37, Some(0), 64), (8, 152, 304, 2, Some(46), 48, Some(1), 63), (8, 155, 310, 2, Some(48), 46, Some(1), 62), (17, 126, 252, 5, Some(42), 44, Some(1), 65), (11, 166, 332, 3, Some(45), 48, Some(1), 65)]),
+    ("gnp/node", 0x2c50f243d0ef5f80, &[(17, 864, 1728, 5, Some(150), 144, None, 65), (14, 39, 78, 4, Some(12), 7, Some(1), 61), (8, 121, 242, 2, Some(46), 36, Some(1), 59), (29, 139, 278, 9, Some(44), 41, Some(1), 61), (17, 142, 284, 5, Some(47), 42, Some(1), 62), (20, 140, 280, 6, Some(47), 39, Some(1), 62), (20, 138, 276, 6, Some(47), 41, Some(1), 62)]),
+    ("ba/node", 0x90c2ca167d0d9c00, &[(23, 902, 1804, 7, Some(150), 138, None, 61), (5, 62, 124, 1, Some(10), 9, Some(1), 60), (11, 265, 530, 3, Some(46), 42, Some(1), 61), (26, 157, 314, 8, Some(45), 40, Some(1), 63), (8, 66, 132, 2, Some(45), 35, Some(1), 60), (20, 102, 204, 6, Some(43), 38, Some(1), 61), (17, 105, 210, 5, Some(44), 37, Some(1), 62)]),
+    ("gnp/hub", 0x9a3900022d7d02b5, &[(23, 887, 1774, 7, Some(150), 148, None, 66), (5, 19, 38, 1, Some(6), 4, Some(1), 64), (26, 37, 74, 8, Some(21), 16, Some(0), 62), (8, 55, 110, 2, Some(21), 18, Some(1), 62), (14, 55, 110, 4, Some(20), 16, Some(1), 61), (11, 49, 98, 3, Some(21), 18, Some(1), 61), (14, 52, 104, 4, Some(20), 19, Some(1), 61)]),
+    ("ba/hub", 0x168063ef959d5d0, &[(20, 865, 1730, 6, Some(150), 140, None, 58), (17, 39, 78, 5, Some(6), 6, Some(1), 58), (20, 64, 128, 6, Some(21), 21, Some(1), 61), (8, 44, 88, 2, Some(20), 16, Some(0), 60), (5, 33, 66, 1, Some(20), 16, Some(0), 60), (17, 36, 72, 5, Some(21), 17, Some(0), 59), (8, 48, 96, 2, Some(21), 19, Some(1), 60)]),
+    ("gnp/rewire", 0x6714bccdd16025bb, &[(23, 902, 1804, 7, Some(150), 148, None, 69), (14, 305, 610, 4, Some(58), 63, Some(1), 69), (8, 120, 240, 2, Some(56), 55, Some(1), 68), (17, 160, 320, 5, Some(57), 57, Some(1), 69), (11, 184, 368, 3, Some(53), 54, Some(1), 67), (26, 188, 376, 8, Some(49), 50, Some(1), 69), (11, 153, 306, 3, Some(58), 56, Some(0), 69)]),
+    ("ba/rewire", 0x8438c038e09b9b76, &[(29, 874, 1748, 9, Some(150), 140, None, 58), (8, 147, 294, 2, Some(55), 49, Some(1), 59), (14, 209, 418, 4, Some(57), 57, Some(1), 61), (11, 128, 256, 3, Some(51), 46, Some(1), 60), (23, 143, 286, 7, Some(59), 55, Some(1), 63), (8, 154, 308, 2, Some(58), 60, Some(1), 64), (11, 124, 248, 3, Some(58), 52, Some(1), 64)]),
+    ("gnp/crash", 0x8389c5bf008f1c2c, &[(20, 855, 1710, 6, Some(150), 143, None, 64), (17, 101, 202, 5, Some(24), 15, Some(1), 57), (8, 109, 218, 2, Some(53), 43, Some(1), 55), (20, 191, 382, 6, Some(79), 61, Some(0), 57), (14, 158, 316, 4, Some(68), 54, Some(1), 55), (17, 150, 300, 5, Some(52), 45, Some(1), 57), (14, 234, 468, 4, Some(69), 59, Some(0), 59)]),
+    ("ba/crash", 0xe926edfc71149ac7, &[(26, 859, 1718, 8, Some(150), 142, None, 57), (8, 138, 276, 2, Some(18), 19, Some(1), 56), (29, 233, 466, 9, Some(74), 60, Some(1), 53), (11, 162, 324, 3, Some(76), 58, Some(1), 50), (17, 275, 550, 5, Some(82), 67, Some(1), 51), (14, 242, 484, 4, Some(73), 67, Some(1), 55), (8, 118, 236, 2, Some(62), 53, Some(0), 57)]),
+    ("gnp/edge/generic", 0x4648c51cd8d93385, &[(20, 1991, 3069392, 2, None, 0, None, 27), (17, 1840, 2975803, 2, None, 0, None, 27), (18, 1821, 2998848, 2, None, 0, None, 28), (15, 1801, 2983696, 2, None, 0, None, 27), (14, 1781, 2979209, 2, None, 0, None, 27), (21, 1914, 3060594, 2, None, 0, None, 28), (18, 1837, 2989783, 2, None, 0, None, 28)]),
+];
+
+#[test]
+fn churn_golden_table() {
+    use distributed_matching::dgraph::generators::random::barabasi_albert;
+    use simnet::FaultPlan;
+    let crash = ChurnModel::Crash {
+        plan: FaultPlan::NONE.with_crash(0.05, 3),
+        rounds_per_epoch: 2,
+    };
+    let models = [
+        ("edge", ChurnModel::EdgeChurn { rate: 0.05 }),
+        (
+            "node",
+            ChurnModel::NodeChurn {
+                rate: 0.05,
+                degree: 4,
+            },
+        ),
+        (
+            "hub",
+            ChurnModel::HubChurn {
+                rate: 0.02,
+                degree: 4,
+            },
+        ),
+        ("rewire", ChurnModel::Rewire { rate: 0.08 }),
+        ("crash", crash),
+    ];
+    let mut cases: Vec<(String, Graph, ChurnModel, RepairAlgo)> = Vec::new();
+    for (name, model) in models {
+        let maximal = RepairAlgo::IncrementalMaximal;
+        cases.push((
+            format!("gnp/{name}"),
+            gnp(150, 6.0 / 150.0, 3),
+            model,
+            maximal,
+        ));
+        cases.push((
+            format!("ba/{name}"),
+            barabasi_albert(150, 3, 4),
+            model,
+            maximal,
+        ));
+    }
+    cases.push((
+        "gnp/edge/generic".into(),
+        gnp(60, 0.08, 5),
+        ChurnModel::EdgeChurn { rate: 0.06 },
+        RepairAlgo::IncrementalGeneric { k: 2 },
+    ));
+    assert_eq!(cases.len(), GOLDEN.len());
+    for (i, ((name, g, model, algo), &(want_name, want_hash, want_rows))) in
+        cases.into_iter().zip(GOLDEN).enumerate()
+    {
+        assert_eq!(name, want_name);
+        let seed = 40 + i as u64;
+        for cfg in [ExecCfg::sequential(), ExecCfg::parallel(3).forced()] {
+            let (rows, hash) = golden_run(g.clone(), model, algo, seed, cfg);
+            assert_eq!(
+                rows, want_rows,
+                "{name} under {cfg:?}: per-epoch rows moved"
+            );
+            assert_eq!(
+                hash, want_hash,
+                "{name} under {cfg:?}: final matching moved"
+            );
         }
     }
 }
