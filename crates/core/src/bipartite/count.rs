@@ -16,10 +16,10 @@
 //! `O(log Δ)`-bit chunks (Lemma 3.7), which changes round constants but
 //! not message *volume* — see EXPERIMENTS.md E10.
 
-use super::{Role, SubgraphSpec};
+use super::{AugNets, Role, SubgraphSpec};
 use crate::state;
 use dgraph::{Graph, Matching, NodeId};
-use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol};
+use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Protocol};
 
 /// A path-count message.
 #[derive(Debug, Clone, Copy)]
@@ -48,14 +48,33 @@ pub struct CountPass {
     pub stats: NetStats,
 }
 
-struct CountNode {
-    role: Role,
-    mate_port: Option<usize>,
+/// A node of the counting pass; the token pass reads its results.
+#[derive(Default, Clone)]
+pub(super) struct CountNode {
+    pub(super) role: Role,
+    pub(super) mate_port: Option<usize>,
     active: Vec<bool>,
-    ell: u64,
-    dist: Option<u64>,
-    counts: Vec<u128>,
-    total: u128,
+    pub(super) ell: u64,
+    pub(super) dist: Option<u64>,
+    pub(super) counts: Vec<u128>,
+    pub(super) total: u128,
+}
+
+impl CountNode {
+    /// Overwrite every field for a pass; the vectors keep their capacity.
+    fn arm(&mut self, g: &Graph, m: &Matching, spec: &SubgraphSpec, v: NodeId, ell: usize) {
+        let inc = g.incident(v);
+        self.role = spec.role[v as usize];
+        self.mate_port = state::mate_port(g, m, v);
+        self.active.clear();
+        self.active
+            .extend(inc.iter().map(|&(_, e)| spec.active[e as usize]));
+        self.ell = ell as u64;
+        self.dist = None;
+        self.counts.clear();
+        self.counts.resize(inc.len(), 0);
+        self.total = 0;
+    }
 }
 
 impl Protocol for CountNode {
@@ -125,7 +144,30 @@ impl Protocol for CountNode {
     }
 }
 
-/// Execute one counting pass of `ell + 1` rounds on the subgraph.
+/// Execute one counting pass of `ell + 1` rounds on the substrate's
+/// count network. Returns the number of leaders and the statistics.
+pub(super) fn run_on(
+    nets: &mut AugNets,
+    g: &Graph,
+    m: &Matching,
+    spec: &SubgraphSpec,
+    ell: usize,
+    seed: u64,
+    cfg: ExecCfg,
+) -> (usize, NetStats) {
+    let net = &mut nets.nets(g, cfg).count;
+    net.rearm(seed);
+    for (v, node) in net.nodes_mut().iter_mut().enumerate() {
+        node.arm(g, m, spec, v as NodeId, ell);
+    }
+    net.run_rounds(ell as u64 + 1);
+    // Free X sources carry dist 0 but are not leaders.
+    let leader = |n: &&CountNode| n.role == Role::Y && n.mate_port.is_none() && n.dist.is_some();
+    (net.nodes().iter().filter(leader).count(), net.take_stats())
+}
+
+/// Execute one counting pass of `ell + 1` rounds on the subgraph, on a
+/// substrate of its own, and copy its per-node results out.
 pub fn run_cfg(
     g: &Graph,
     m: &Matching,
@@ -134,28 +176,9 @@ pub fn run_cfg(
     seed: u64,
     cfg: ExecCfg,
 ) -> CountPass {
-    let mate_ports = super::mate_ports(g, m);
-    let nodes: Vec<CountNode> = (0..g.n() as NodeId)
-        .map(|v| CountNode {
-            role: spec.role[v as usize],
-            mate_port: mate_ports[v as usize],
-            active: spec.active_ports(g, v),
-            ell: ell as u64,
-            dist: None,
-            counts: vec![0; g.degree(v)],
-            total: 0,
-        })
-        .collect();
-    let mut net = Network::new(state::topology_of(g), nodes, seed).with_cfg(cfg);
-    net.run_rounds(ell as u64 + 1);
-    let (nodes, stats) = net.into_parts();
-    let mut leaders = 0usize;
-    for n in &nodes {
-        if n.role == Role::Y && n.mate_port.is_none() && n.dist.is_some() {
-            leaders += 1;
-        }
-    }
-    // Free X sources carry dist 0 but are not leaders.
+    let mut nets = AugNets::default();
+    let (leaders, stats) = run_on(&mut nets, g, m, spec, ell, seed, cfg);
+    let nodes = nets.nets(g, cfg).count.nodes();
     CountPass {
         dist: nodes.iter().map(|n| n.dist).collect(),
         counts: nodes.iter().map(|n| n.counts.clone()).collect(),

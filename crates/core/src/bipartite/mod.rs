@@ -23,8 +23,12 @@
 //!
 //! [`aug_until_maximal_cfg`] repeats iterations until no augmenting
 //! path of length ≤ ℓ remains, which is the postcondition `Aug(H, M, ℓ)`
-//! needs; the `Session` driver runs the phase schedule
-//! `ℓ = 1, 3, …, 2k-1` of Theorem 3.8 over it:
+//! needs. Every pass runs on an [`AugNets`] substrate, a count and a token
+//! network over the graph's topology: a pass re-arms its network and
+//! overwrites each node's state in place, and the token pass reads the
+//! count results from the count network's nodes. A `Session` keeps one
+//! substrate for all the passes of its run. It runs the phase schedule
+//! `ℓ = 1, 3, …, 2k-1` of Theorem 3.8 over the loop:
 //!
 //! ```
 //! use dgraph::generators::random::bipartite_gnp;
@@ -44,17 +48,20 @@ pub mod count;
 pub mod token;
 
 use crate::state;
+use count::CountNode;
 use dgraph::{EdgeId, Graph, Matching, NodeId};
-use simnet::{ExecCfg, NetStats};
+use simnet::{ExecCfg, NetStats, Network};
+use token::TokenNode;
 
 /// Role of a node within the (sub)graph the pass operates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Role {
     /// X side (BFS sources when free).
     X,
     /// Y side (path endpoints when free).
     Y,
     /// Not participating (outside `V̂`).
+    #[default]
     Out,
 }
 
@@ -115,15 +122,6 @@ impl SubgraphSpec {
             .collect();
         SubgraphSpec { role, active }
     }
-
-    /// Per-port activity for node `v`: a port is usable iff its edge is
-    /// active (which implies the far endpoint participates).
-    pub fn active_ports(&self, g: &Graph, v: NodeId) -> Vec<bool> {
-        g.incident(v)
-            .iter()
-            .map(|&(_, e)| self.active[e as usize])
-            .collect()
-    }
 }
 
 /// Outcome of one `Aug`-style maximality loop.
@@ -139,15 +137,110 @@ pub struct AugOutcome {
     pub stats: NetStats,
 }
 
-/// Repeat count+token iterations until no augmenting path of length
-/// ≤ `ell` remains in the subgraph — the contract of `Aug(H, M, ℓ)`
-/// used by Algorithms 1 (bipartite instantiation) and 4.
-///
-/// Termination is detected with the simulator oracle (are there any
-/// reached free Y nodes after a counting pass?); the paper, as usual,
-/// does not charge for termination detection. The loop is capped at
-/// `4·n` iterations, far beyond the whp `O(log n)` bound — reaching the
-/// cap would indicate a bug and panics.
+/// The augmentation substrate of one graph under one [`ExecCfg`]: a
+/// count network and a token network over its topology, built by the
+/// first pass and re-armed ([`Network::rearm`]) by every later one.
+#[derive(Default)]
+pub struct AugNets {
+    nets: Option<Nets>,
+    /// Test reference: construct every pass's networks afresh.
+    #[cfg(test)]
+    pub(crate) fresh_each_pass: bool,
+}
+
+struct Nets {
+    count: Network<CountNode>,
+    token: Network<TokenNode>,
+}
+
+impl AugNets {
+    /// The two networks for `g` (always the same graph), built on
+    /// first use.
+    fn nets(&mut self, g: &Graph, cfg: ExecCfg) -> &mut Nets {
+        let nets = self.nets.get_or_insert_with(|| {
+            let (topo, n) = (state::topology_of(g), g.n());
+            Nets {
+                count: Network::new(topo.clone(), vec![CountNode::default(); n], 0).with_cfg(cfg),
+                token: Network::new(topo, vec![TokenNode::default(); n], 0).with_cfg(cfg),
+            }
+        });
+        debug_assert_eq!(nets.count.topology().total_ports(), 2 * g.m());
+        nets
+    }
+
+    /// Repeat count+token iterations on this substrate until no
+    /// augmenting path of length ≤ `ell` remains in the subgraph — the
+    /// contract of `Aug(H, M, ℓ)` used by Algorithms 1 (bipartite
+    /// instantiation) and 4.
+    ///
+    /// Termination is detected with the simulator oracle (are there
+    /// any reached free Y nodes after a counting pass?); the paper, as
+    /// usual, does not charge for termination detection. The loop is
+    /// capped at `4·n` iterations, far beyond the whp `O(log n)` bound
+    /// — reaching the cap would indicate a bug and panics.
+    pub fn aug_until_maximal(
+        &mut self,
+        g: &Graph,
+        m0: &Matching,
+        spec: &SubgraphSpec,
+        ell: usize,
+        seed: u64,
+        cfg: ExecCfg,
+    ) -> AugOutcome {
+        assert!(ell % 2 == 1, "augmenting path lengths are odd");
+        let faulty = cfg.faults.is_active();
+        let mut m = m0.clone();
+        let mut stats = NetStats::default();
+        let mut applied = 0usize;
+        let mut iterations = 0u64;
+        let cap = 4 * g.n() as u64 + 16;
+        loop {
+            #[cfg(test)]
+            if self.fresh_each_pass {
+                self.nets = None;
+            }
+            let pass_seed = seed.wrapping_add(iterations * 2);
+            let (leaders, pass_stats) = count::run_on(self, g, &m, spec, ell, pass_seed, cfg);
+            stats.absorb(&pass_stats);
+            if leaders == 0 {
+                break; // no augmenting path of length ≤ ℓ remains
+            }
+            let tok = token::run_cfg(self, g, ell, seed.wrapping_add(iterations * 2 + 1), cfg);
+            stats.absorb(&tok.stats);
+            // Fault-free, a reached leader always yields an
+            // augmentation and the loop converges whp. Under an active
+            // fault plan the adversary can eat every token of an
+            // iteration, or keep the counting pass seeing paths the
+            // token pass cannot complete: stop making progress instead
+            // of panicking — the matching so far is valid, liveness
+            // just degrades.
+            if faulty && tok.applied == 0 {
+                m = tok.matching;
+                break;
+            }
+            assert!(
+                tok.applied > 0,
+                "a reached leader must yield at least one augmentation"
+            );
+            applied += tok.applied;
+            m = tok.matching;
+            iterations += 1;
+            if faulty && iterations >= cap {
+                break;
+            }
+            assert!(iterations < cap, "augmentation loop failed to converge");
+        }
+        AugOutcome {
+            matching: m,
+            applied,
+            iterations,
+            stats,
+        }
+    }
+}
+
+/// [`AugNets::aug_until_maximal`] on a substrate that lives for this
+/// one call.
 pub fn aug_until_maximal_cfg(
     g: &Graph,
     m0: &Matching,
@@ -156,116 +249,43 @@ pub fn aug_until_maximal_cfg(
     seed: u64,
     cfg: ExecCfg,
 ) -> AugOutcome {
-    assert!(ell % 2 == 1, "augmenting path lengths are odd");
-    let faulty = cfg.faults.is_active();
-    let mut m = m0.clone();
-    let mut stats = NetStats::default();
-    let mut applied = 0usize;
-    let mut iterations = 0u64;
-    let cap = 4 * g.n() as u64 + 16;
-    loop {
-        let pass = count::run_cfg(g, &m, spec, ell, seed.wrapping_add(iterations * 2), cfg);
-        stats.absorb(&pass.stats);
-        if pass.leaders == 0 {
-            break; // no augmenting path of length ≤ ℓ remains
-        }
-        let tok = token::run_cfg(
-            g,
-            &m,
-            spec,
-            ell,
-            &pass,
-            seed.wrapping_add(iterations * 2 + 1),
-            cfg,
-        );
-        stats.absorb(&tok.stats);
-        // Fault-free, a reached leader always yields an augmentation
-        // and the loop converges whp. Under an active fault plan the
-        // adversary can eat every token of an iteration, or keep the
-        // counting pass seeing paths the token pass cannot complete:
-        // stop making progress instead of panicking — the matching so
-        // far is valid, liveness just degrades.
-        if faulty && tok.applied == 0 {
-            m = tok.matching;
-            break;
-        }
-        assert!(
-            tok.applied > 0,
-            "a reached leader must yield at least one augmentation"
-        );
-        applied += tok.applied;
-        m = tok.matching;
-        iterations += 1;
-        if faulty && iterations >= cap {
-            break;
-        }
-        assert!(iterations < cap, "augmentation loop failed to converge");
-    }
-    AugOutcome {
-        matching: m,
-        applied,
-        iterations,
-        stats,
-    }
-}
-
-/// Run phases with growing `ℓ` until **no augmenting path of any
-/// length remains** — an exact distributed maximum matching (the
-/// distributed analogue of full Hopcroft–Karp; `O(√opt)` phases by
-/// Lemma 3.5's standard corollary). Used as a self-check and for the
-/// exact-scheduler ablations; the paper's point is that stopping at
-/// `ℓ = 2k-1` is much cheaper.
-pub fn run_to_optimal(g: &Graph, sides: &[bool], seed: u64) -> AugOutcome {
-    let spec = SubgraphSpec::full_bipartite(g, sides);
-    let mut m = Matching::new(g.n());
-    let mut stats = NetStats::default();
-    let mut applied = 0;
-    let mut iterations = 0;
-    let mut ell = 1usize;
-    loop {
-        let out = aug_until_maximal_cfg(
-            g,
-            &m,
-            &spec,
-            ell,
-            seed.wrapping_add(0x2000 * ell as u64),
-            ExecCfg::default(),
-        );
-        m = out.matching;
-        stats.absorb(&out.stats);
-        applied += out.applied;
-        iterations += out.iterations;
-        match dgraph::augmenting::shortest_augmenting_path_len_bipartite(g, sides, &m) {
-            None => break,
-            Some(l) => {
-                debug_assert!(l > ell, "phase ℓ={ell} left a shorter path {l}");
-                ell = l;
-            }
-        }
-    }
-    AugOutcome {
-        matching: m,
-        applied,
-        iterations,
-        stats,
-    }
-}
-
-/// Fresh mate-port view of a matching (shared by the pass protocols).
-pub(crate) fn mate_ports(g: &Graph, m: &Matching) -> Vec<Option<usize>> {
-    state::node_inits(g, m)
-        .into_iter()
-        .map(|i| i.mate_port)
-        .collect()
+    AugNets::default().aug_until_maximal(g, m0, spec, ell, seed, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Algorithm, RunReport, Session};
-    use dgraph::generators::random::{bipartite_gnp, bipartite_regular};
+    use dgraph::generators::random::{bipartite_gnp, bipartite_regular, gnp};
     use dgraph::generators::structured::{complete_bipartite, path};
+    use dgraph::generators::zoo::{chung_lu, d_regular, random_geometric, zipf_bipartite};
     use dgraph::hopcroft_karp;
+    use simnet::FaultPlan;
+
+    /// Run phases with growing `ℓ` until **no augmenting path of any
+    /// length remains** — an exact distributed maximum matching (the
+    /// distributed analogue of full Hopcroft–Karp; `O(√opt)` phases by
+    /// Lemma 3.5's standard corollary): a self-check of the loop, whose
+    /// paper schedule stops at `ℓ = 2k-1` instead.
+    fn run_to_optimal(g: &Graph, sides: &[bool], seed: u64) -> Matching {
+        let spec = SubgraphSpec::full_bipartite(g, sides);
+        let mut nets = AugNets::default();
+        let mut m = Matching::new(g.n());
+        let mut ell = 1usize;
+        loop {
+            let seed = seed.wrapping_add(0x2000 * ell as u64);
+            m = nets
+                .aug_until_maximal(g, &m, &spec, ell, seed, ExecCfg::default())
+                .matching;
+            match dgraph::augmenting::shortest_augmenting_path_len_bipartite(g, sides, &m) {
+                None => return m,
+                Some(l) => {
+                    debug_assert!(l > ell, "phase ℓ={ell} left a shorter path {l}");
+                    ell = l;
+                }
+            }
+        }
+    }
 
     fn run(g: &Graph, sides: &[bool], k: usize, seed: u64) -> RunReport {
         let s = Session::on(g)
@@ -381,10 +401,10 @@ mod tests {
     fn run_to_optimal_matches_hopcroft_karp() {
         for seed in 0..6 {
             let (g, sides) = bipartite_gnp(15, 18, 0.18, seed);
-            let out = run_to_optimal(&g, &sides, seed);
+            let m = run_to_optimal(&g, &sides, seed);
             let opt = hopcroft_karp::max_matching(&g, &sides).size();
-            assert_eq!(out.matching.size(), opt, "seed {seed}");
-            assert!(out.matching.validate(&g).is_ok());
+            assert_eq!(m.size(), opt, "seed {seed}");
+            assert!(m.validate(&g).is_ok());
         }
     }
 
@@ -432,6 +452,83 @@ mod tests {
                 sl.is_none_or(|l| l > ell),
                 "phase ℓ={ell} left a path of length {sl:?}"
             );
+        }
+    }
+
+    /// Whole `General` (k ∈ {2, 3}) and `Bipartite` (k ∈ {2, 3}) runs
+    /// on small zoo graphs, each on one kept substrate and on networks
+    /// constructed afresh for every pass: the matchings, the phase logs
+    /// and every statistic but the plane-allocation gauge must agree.
+    /// Returns the kept runs' statistics and the fresh runs'
+    /// `plane_allocs`.
+    fn kept_substrate_matches_fresh(cfg: ExecCfg) -> Vec<(NetStats, u64)> {
+        let general = |k| Algorithm::General {
+            k,
+            early_stop: Some(6),
+        };
+        let mut cases: Vec<(Graph, Option<Vec<bool>>, Algorithm)> = Vec::new();
+        for k in [2, 3] {
+            cases.push((gnp(60, 0.08, k as u64), None, general(k)));
+            cases.push((chung_lu(60, 2.5, 4.0, k as u64), None, general(k)));
+            cases.push((d_regular(60, 3, k as u64), None, general(k)));
+            cases.push((random_geometric(60, 0.2, k as u64), None, general(k)));
+            let (g, sides) = zipf_bipartite(30, 30, 90, 1.2, k as u64);
+            cases.push((g, Some(sides), Algorithm::Bipartite { k }));
+            let (g, sides) = bipartite_gnp(30, 30, 0.08, k as u64);
+            cases.push((g, Some(sides), Algorithm::Bipartite { k }));
+        }
+        let blank_allocs = |mut s: NetStats| {
+            s.plane_allocs = 0;
+            s.per_round.iter_mut().for_each(|r| r.plane_allocs = 0);
+            s
+        };
+        let phases = |s: &Session| {
+            s.phase_log()
+                .iter()
+                .map(|p| (p.applied, p.iterations, p.rounds, p.matching_size))
+                .collect::<Vec<_>>()
+        };
+        let mut runs = Vec::new();
+        for (i, (g, sides, alg)) in cases.iter().enumerate() {
+            let build = || {
+                let b = Session::on(g).algorithm(*alg).seed(31 + i as u64).exec(cfg);
+                match sides {
+                    Some(sides) => b.sides(sides).build(),
+                    None => b.build(),
+                }
+            };
+            let mut kept = build();
+            let mut fresh = build().fresh_substrate_each_pass();
+            let (a, b) = (kept.run_to_completion(), fresh.run_to_completion());
+            let what = format!("case {i}: {alg} under {cfg:?}");
+            assert_eq!(a.matching, b.matching, "{what}");
+            assert_eq!(a.oracle_checks, b.oracle_checks, "{what}");
+            assert_eq!(phases(&kept), phases(&fresh), "{what}");
+            runs.push((a.stats.clone(), b.stats.plane_allocs));
+            assert_eq!(blank_allocs(a.stats), blank_allocs(b.stats), "{what}");
+        }
+        runs
+    }
+
+    #[test]
+    fn kept_substrate_equals_fresh_per_pass() {
+        for cfg in [ExecCfg::sequential(), ExecCfg::parallel(3).forced()] {
+            for (kept, fresh) in kept_substrate_matches_fresh(cfg) {
+                // Two constructions (2 slabs × 2 buffers + 7 frontier
+                // arrays each), however many passes re-armed them.
+                assert_eq!(kept.plane_allocs, 2 * 11);
+                assert!(fresh > 2 * 11, "every run takes more than one iteration");
+            }
+        }
+    }
+
+    #[test]
+    fn kept_substrate_equals_fresh_per_pass_under_faults() {
+        let plan = FaultPlan::drop(0.05).with_delay(2).with_crash(0.01, 3);
+        for cfg in [ExecCfg::sequential(), ExecCfg::parallel(3).forced()] {
+            let runs = kept_substrate_matches_fresh(cfg.with_faults(plan));
+            let hit = |f: fn(&NetStats) -> u64| runs.iter().map(|(s, _)| f(s)).sum::<u64>() > 0;
+            assert!(hit(|s| s.dropped) && hit(|s| s.delayed) && hit(|s| s.crashed));
         }
     }
 }

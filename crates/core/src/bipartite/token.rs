@@ -20,11 +20,11 @@
 //! Tokens carry 64-bit priorities plus the leader id (ties broken by
 //! id); the paper's `w_y ∈ [1, N⁴]` serves the same union bound.
 
-use super::count::CountPass;
-use super::{Role, SubgraphSpec};
+use super::count::CountNode;
+use super::{AugNets, Nets, Role};
 use crate::state;
 use dgraph::{Graph, Matching, NodeId};
-use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol, SplitMix64};
+use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Protocol, SplitMix64};
 
 /// Wire messages of the token pass.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +55,9 @@ pub struct TokenOutcome {
     pub stats: NetStats,
 }
 
-struct TokenNode {
+/// A node of the token pass, re-initialised in place by every pass.
+#[derive(Default, Clone)]
+pub(super) struct TokenNode {
     role: Role,
     mate_port: Option<usize>,
     ell: u64,
@@ -74,6 +76,21 @@ struct TokenNode {
 }
 
 impl TokenNode {
+    /// Overwrite every field from the node's state after the counting
+    /// pass, whose spent per-port counts are swapped in, not copied.
+    fn arm(&mut self, count: &mut CountNode) {
+        self.role = count.role;
+        self.mate_port = count.mate_port;
+        self.ell = count.ell;
+        self.dist = count.dist;
+        std::mem::swap(&mut self.counts, &mut count.counts);
+        self.total = count.total;
+        self.arrival_port = None;
+        self.forward_port = None;
+        self.new_mate_port = count.mate_port;
+        self.initiated = false;
+    }
+
     fn is_leader(&self) -> bool {
         self.role == Role::Y && self.mate_port.is_none() && self.dist.is_some() && self.total > 0
     }
@@ -107,9 +124,9 @@ impl Protocol for TokenNode {
         // surface rounds late on a node that never forwarded a token
         // this pass. Only honour a Flip retracing our own forward
         // port — anything else is stale traffic to ignore.
-        if inbox
-            .iter()
-            .any(|e| matches!(e.msg, TokMsg::Flip) && Some(e.port) == self.forward_port)
+        if self
+            .forward_port
+            .is_some_and(|p| matches!(inbox.get(p), Some(TokMsg::Flip)))
         {
             match self.role {
                 Role::Y => {
@@ -131,6 +148,16 @@ impl Protocol for TokenNode {
             return;
         }
 
+        // Tokens visit a node, and a leader launches, only in the
+        // node's designated round ℓ - d(v) (the paper's invariant). A
+        // delayed token arriving outside it — or at a node the faulty
+        // counting pass never reached — is stale: processing it would
+        // double-walk the node, so it is dropped unread. On a
+        // fault-free plane no token arrives outside it.
+        if Some(ctx.round()) != self.dist.map(|d| self.ell - d) {
+            return;
+        }
+
         // --- Token arrivals: keep the max, forward or complete. ---
         let mut best: Option<(u64, NodeId, usize)> = None;
         for env in inbox.iter() {
@@ -141,15 +168,6 @@ impl Protocol for TokenNode {
             }
         }
         if let Some((w, leader, port)) = best {
-            // Tokens visit a node only in its designated round ℓ - d(v)
-            // (the paper's invariant). A delayed token arriving outside
-            // it — or at a node the faulty counting pass never reached —
-            // is stale: processing it would double-walk the node, so
-            // drop it instead. On a fault-free plane this guard never
-            // fires.
-            if Some(ctx.round()) != self.dist.map(|d| self.ell - d) {
-                return;
-            }
             self.arrival_port = Some(port);
             match (self.role, self.mate_port) {
                 (Role::X, None) => {
@@ -177,7 +195,7 @@ impl Protocol for TokenNode {
         }
 
         // --- Leader launch at round ℓ - d(y). ---
-        if self.is_leader() && ctx.round() == self.ell - self.dist.expect("leader has dist") {
+        if self.is_leader() {
             let w = ctx.rng().next();
             let p = self.sample_port(ctx.rng());
             self.forward_port = Some(p);
@@ -186,55 +204,36 @@ impl Protocol for TokenNode {
     }
 }
 
-/// Execute one token pass (2ℓ+1 rounds) given the counting results, and
-/// apply all surviving augmenting paths.
-pub fn run_cfg(
-    g: &Graph,
-    m: &Matching,
-    spec: &SubgraphSpec,
-    ell: usize,
-    pass: &CountPass,
-    seed: u64,
-    cfg: ExecCfg,
-) -> TokenOutcome {
-    let mate_ports = super::mate_ports(g, m);
-    let nodes: Vec<TokenNode> = (0..g.n() as NodeId)
-        .map(|v| TokenNode {
-            role: spec.role[v as usize],
-            mate_port: mate_ports[v as usize],
-            ell: ell as u64,
-            dist: pass.dist[v as usize],
-            counts: pass.counts[v as usize].clone(),
-            total: pass.total[v as usize],
-            arrival_port: None,
-            forward_port: None,
-            new_mate_port: mate_ports[v as usize],
-            initiated: false,
-        })
-        .collect();
-    let mut net = Network::new(state::topology_of(g), nodes, seed).with_cfg(cfg);
+/// Execute one token pass (2ℓ+1 rounds) on the substrate's token
+/// network, from the counting pass last run on `nets`, and apply all
+/// surviving augmenting paths.
+pub fn run_cfg(nets: &mut AugNets, g: &Graph, ell: usize, seed: u64, cfg: ExecCfg) -> TokenOutcome {
+    let Nets { count, token: net } = nets.nets(g, cfg);
+    net.rearm(seed);
+    for (node, c) in net.nodes_mut().iter_mut().zip(count.nodes_mut()) {
+        node.arm(c);
+    }
     net.run_rounds(2 * ell as u64 + 1);
-    let (nodes, stats) = net.into_parts();
-    let applied = nodes.iter().filter(|n| n.initiated).count();
+    let applied = net.nodes().iter().filter(|n| n.initiated).count();
     // A Flip lost or parked mid-retrace leaves one-sided mate claims;
     // under an active fault plan keep only the pairs both endpoints
     // agree on (always a valid matching).
     let matching = state::matching_from_ports(
         g,
-        nodes.iter().map(|n| n.new_mate_port),
+        net.nodes().iter().map(|n| n.new_mate_port),
         cfg.faults.is_active(),
     );
     TokenOutcome {
         matching,
         applied,
-        stats,
+        stats: net.take_stats(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bipartite::count;
+    use crate::bipartite::{count, SubgraphSpec};
     use dgraph::generators::random::bipartite_gnp;
     use dgraph::generators::structured::{complete_bipartite, path};
 
@@ -245,8 +244,9 @@ mod tests {
         ell: usize,
         seed: u64,
     ) -> TokenOutcome {
-        let pass = count::run_cfg(g, m, spec, ell, seed, ExecCfg::default());
-        run_cfg(g, m, spec, ell, &pass, seed + 1, ExecCfg::default())
+        let mut nets = AugNets::default();
+        count::run_on(&mut nets, g, m, spec, ell, seed, ExecCfg::default());
+        run_cfg(&mut nets, g, ell, seed + 1, ExecCfg::default())
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! assert!(2 * r.matching.size() >= dgraph::blossom::max_matching(&g).size());
 //! ```
 
-use crate::bipartite::{self, SubgraphSpec};
+use crate::bipartite::{AugNets, SubgraphSpec};
 use dgraph::{Graph, Matching};
 use simnet::rng::streams;
 use simnet::{ExecCfg, NetStats, SplitMix64};
@@ -46,8 +46,8 @@ pub(crate) fn color_rng(seed: u64) -> SplitMix64 {
 }
 
 /// One sampling iteration of Algorithm 4 (Lines 3–6): color, build `Ĝ`,
-/// `Aug`, apply — the unit the `dmatch::session` General driver steps.
-/// Returns the number of augmenting paths applied.
+/// `Aug` on the session's `nets`, apply — the unit the `dmatch::session`
+/// General driver steps. Returns the number of augmenting paths applied.
 #[allow(clippy::too_many_arguments)] // the phase contract: graph, state, schedule, knobs
 pub(crate) fn sample_iteration(
     g: &Graph,
@@ -58,6 +58,7 @@ pub(crate) fn sample_iteration(
     cfg: ExecCfg,
     rng: &mut SplitMix64,
     stats: &mut NetStats,
+    nets: &mut AugNets,
 ) -> usize {
     // Line 3: random red/blue coloring. Each node draws one bit and
     // tells its neighbors — one round of 1-bit messages.
@@ -67,8 +68,7 @@ pub(crate) fn sample_iteration(
 
     // Line 4: Ĝ. Line 5: Aug(Ĝ, M, 2k-1). Line 6: M ← M ⊕ P.
     let spec = SubgraphSpec::from_coloring(g, m, &colors);
-    let out =
-        bipartite::aug_until_maximal_cfg(g, m, &spec, ell, seed ^ (it.wrapping_mul(0x9E37)), cfg);
+    let out = nets.aug_until_maximal(g, m, &spec, ell, seed ^ (it.wrapping_mul(0x9E37)), cfg);
     stats.absorb(&out.stats);
     *m = out.matching;
     out.applied

@@ -27,8 +27,8 @@
 //! assert!(r.stats.max_msg_bits <= 2); // constant-size messages
 //! ```
 
-use crate::state::{self, NodeInit};
-use dgraph::{Graph, Matching};
+use crate::state;
+use dgraph::{Graph, Matching, NodeId};
 use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol};
 
 /// Wire messages (2 bits each).
@@ -62,24 +62,13 @@ pub struct IINode {
 }
 
 impl IINode {
-    /// A cold node of the given degree: unmatched, all ports live. The
-    /// oracle's micro-executor builds fresh-session ball nodes from the
-    /// induced degree alone — bit-identical to `new` on a `NodeInit`
-    /// with no warm mate, which reads only `mate_port` and the degree.
-    pub(crate) fn cold(degree: usize) -> Self {
+    /// A node of the given degree, all ports live, matched on
+    /// `mate_port` (a warm start) or free: all the input it reads, so the
+    /// oracle's micro-executor builds ball nodes from the degree alone.
+    pub(crate) fn new(mate_port: Option<usize>, degree: usize) -> Self {
         IINode {
-            mate_port: None,
+            mate_port,
             active_port: vec![true; degree],
-            male: false,
-            proposed_to: None,
-            announced: false,
-        }
-    }
-
-    fn new(init: &NodeInit) -> Self {
-        IINode {
-            mate_port: init.mate_port,
-            active_port: vec![true; init.edge_ids.len()],
             male: false,
             proposed_to: None,
             announced: false, // pre-matched nodes announce in their first round
@@ -214,8 +203,9 @@ pub fn run(
     cfg: ExecCfg,
     round_limit: Option<u64>,
 ) -> (Matching, NetStats) {
-    let inits = state::node_inits(g, initial);
-    let nodes: Vec<IINode> = inits.iter().map(IINode::new).collect();
+    let nodes: Vec<IINode> = (0..g.n() as NodeId)
+        .map(|v| IINode::new(state::mate_port(g, initial, v), g.degree(v)))
+        .collect();
     let mut net = Network::new(state::topology_of(g), nodes, seed).with_cfg(cfg);
     let bounded = round_limit.is_some() || cfg.faults.is_active();
     if bounded {

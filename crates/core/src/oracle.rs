@@ -247,7 +247,7 @@ impl<'g> MatchingOracle<'g> {
         let edges = view.local_edges();
         let topo = Topology::from_edges(n_local, &edges);
         let nodes: Vec<israeli_itai::IINode> = (0..n_local)
-            .map(|l| israeli_itai::IINode::cold(topo.degree(l as NodeId)))
+            .map(|l| israeli_itai::IINode::new(None, topo.degree(l as NodeId)))
             .collect();
         let streams: Vec<u64> = view.vertices().iter().map(|&gv| gv as u64).collect();
         let mut micro = MicroNet::new(topo, nodes, self.seed, &streams);

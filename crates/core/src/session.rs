@@ -441,6 +441,7 @@ impl<'a> SessionBuilder<'a> {
                     k,
                     spec: bipartite::SubgraphSpec::full_bipartite(&g, sides),
                     next: 0,
+                    aug: bipartite::AugNets::default(),
                 }
             }
             Algorithm::General { k, early_stop } => {
@@ -455,6 +456,7 @@ impl<'a> SessionBuilder<'a> {
                     it: 0,
                     idle_streak: 0,
                     stopped: false,
+                    aug: bipartite::AugNets::default(),
                 }
             }
             Algorithm::Weighted { epsilon, mwm_box } => Driver::Weighted {
@@ -518,6 +520,7 @@ enum Driver {
         k: usize,
         spec: bipartite::SubgraphSpec,
         next: usize,
+        aug: bipartite::AugNets,
     },
     General {
         ell: usize,
@@ -527,6 +530,7 @@ enum Driver {
         it: u64,
         idle_streak: u64,
         stopped: bool,
+        aug: bipartite::AugNets,
     },
     Weighted {
         mwm_box: MwmBox,
@@ -712,12 +716,12 @@ impl Session {
                     })
                 }
             }
-            Driver::Bipartite { k, spec, next } => {
+            Driver::Bipartite { k, spec, next, aug } => {
                 if *next >= *k {
                     None
                 } else {
                     let ell = 2 * *next + 1;
-                    let out = bipartite::aug_until_maximal_cfg(
+                    let out = aug.aug_until_maximal(
                         &self.g,
                         &self.m,
                         spec,
@@ -748,6 +752,7 @@ impl Session {
                 it,
                 idle_streak,
                 stopped,
+                aug,
             } => {
                 if *stopped || *it >= *budget {
                     None
@@ -761,6 +766,7 @@ impl Session {
                         self.cfg,
                         rng,
                         &mut self.stats,
+                        aug,
                     );
                     *it += 1;
                     self.oracle_checks += 1;
@@ -1054,6 +1060,20 @@ impl Session {
 mod tests {
     use super::*;
     use dgraph::generators::random::{bipartite_gnp, gnp};
+
+    impl Session {
+        /// Make a `Bipartite` or `General` session construct every pass's
+        /// networks afresh: the reference its kept substrate must equal.
+        pub(crate) fn fresh_substrate_each_pass(mut self) -> Self {
+            match &mut self.driver {
+                Driver::Bipartite { aug, .. } | Driver::General { aug, .. } => {
+                    aug.fresh_each_pass = true;
+                }
+                _ => panic!("only Bipartite and General sessions hold a substrate"),
+            }
+            self
+        }
+    }
 
     #[test]
     fn builder_defaults_run_israeli_itai() {

@@ -1,14 +1,15 @@
 //! Shared node-state plumbing for all protocols.
 //!
-//! Protocols run in *phases*: each phase constructs a fresh
-//! [`simnet::Network`] whose node states are built from the graph and
-//! the current matching, runs to completion, and hands the (possibly
-//! updated) matching plus accumulated statistics to the next phase.
-//! This mirrors how the paper composes its algorithms (Algorithm 1
-//! iterates phases; Algorithm 4 calls `Aug` per sampling iteration;
-//! Algorithm 5 calls a δ-MWM black box per iteration).
+//! Protocols run in *phases*: each phase runs a [`simnet::Network`]
+//! (its own, or for `Aug`'s passes a re-armed one of a kept
+//! [`crate::bipartite::AugNets`]) on node states set from the graph and
+//! the current matching, and hands the (possibly updated) matching plus
+//! statistics to the next phase. This mirrors how the paper composes
+//! its algorithms (Algorithm 1 iterates phases; Algorithm 4 calls `Aug`
+//! per sampling iteration; Algorithm 5 calls a δ-MWM black box per
+//! iteration).
 
-use dgraph::{EdgeId, Graph, Matching, NodeId, UNMATCHED};
+use dgraph::{Graph, Matching, NodeId, UNMATCHED};
 use simnet::Topology;
 
 /// Convert a [`Graph`] into a [`Topology`] (the communication graph is
@@ -17,41 +18,14 @@ pub fn topology_of(g: &Graph) -> Topology {
     Topology::from_edges(g.n(), g.edge_list())
 }
 
-/// Static per-node inputs every protocol needs: the incident edge ids,
-/// their weights, and (port-indexed) everything required to act without
-/// touching global state.
-#[derive(Debug, Clone)]
-pub struct NodeInit {
-    /// This node's id.
-    pub id: NodeId,
-    /// `edge_ids[p]` is the edge id on port `p` (ports are sorted by
-    /// neighbor id, matching both `Graph::incident` and
-    /// `Topology::neighbors` order).
-    pub edge_ids: Vec<EdgeId>,
-    /// `weights[p]` is the weight of the edge on port `p`.
-    pub weights: Vec<f64>,
-    /// Port to this node's mate, or `None` when free.
-    pub mate_port: Option<usize>,
-}
-
-/// Build the per-node inputs for all nodes under matching `m`.
-pub fn node_inits(g: &Graph, m: &Matching) -> Vec<NodeInit> {
-    (0..g.n() as NodeId)
-        .map(|v| {
-            let inc = g.incident(v);
-            let mate = m.mate(v);
-            let mate_port = mate.map(|mv| {
-                inc.binary_search_by_key(&mv, |&(nb, _)| nb)
-                    .expect("mate must be a neighbor")
-            });
-            NodeInit {
-                id: v,
-                edge_ids: inc.iter().map(|&(_, e)| e).collect(),
-                weights: inc.iter().map(|&(_, e)| g.weight(e)).collect(),
-                mate_port,
-            }
-        })
-        .collect()
+/// Port of `v`'s mate under `m` (an index into `g.incident(v)`, which
+/// is also the port order of [`topology_of`]), or `None` when free.
+pub(crate) fn mate_port(g: &Graph, m: &Matching, v: NodeId) -> Option<usize> {
+    m.mate(v).map(|w| {
+        g.incident(v)
+            .binary_search_by_key(&w, |&(u, _)| u)
+            .expect("mate must be a neighbor")
+    })
 }
 
 /// Extract the matching a protocol run left behind from its per-node
@@ -111,22 +85,21 @@ mod tests {
     }
 
     #[test]
-    fn node_inits_align_ports() {
+    fn mate_ports_align_with_topology_ports() {
         let g = path(4);
         let m = Matching::from_edges(&g, &[1]); // edge (1,2)
-        let inits = node_inits(&g, &m);
-        assert_eq!(inits[0].mate_port, None);
+        assert_eq!(mate_port(&g, &m, 0), None);
         // Node 1 neighbors sorted: [0, 2]; mate 2 is port 1.
-        assert_eq!(inits[1].mate_port, Some(1));
-        assert_eq!(inits[2].mate_port, Some(0));
-        assert_eq!(inits[1].edge_ids.len(), 2);
+        assert_eq!(mate_port(&g, &m, 1), Some(1));
+        assert_eq!(mate_port(&g, &m, 2), Some(0));
+        assert_eq!(topology_of(&g).neighbors(1)[1], 2);
     }
 
     #[test]
     fn roundtrip_mates() {
         let g = path(4);
         let m = Matching::from_edges(&g, &[0, 2]);
-        let ports = node_inits(&g, &m).into_iter().map(|i| i.mate_port);
+        let ports = (0..4).map(|v| mate_port(&g, &m, v));
         assert_eq!(matching_from_ports(&g, ports.clone(), false), m);
         assert_eq!(matching_from_ports(&g, ports, true), m);
         // One-sided claims: 1 → 2 is not reciprocated (2 claims 3, and

@@ -61,17 +61,20 @@ pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
     }
     let wmax = g.weight_list().iter().cloned().fold(0.0f64, f64::max);
     let classes = class_count(g.n());
+    let of = |&w: &f64| class_of(w, wmax, classes);
+    let class: Vec<_> = g.weight_list().iter().map(of).collect();
     for j in 0..classes {
         // Edges of class j whose endpoints are still free.
-        let (sub, back) = g.edge_subgraph(|e| {
-            class_of(g.weight(e), wmax, classes) == Some(j) && {
+        let candidate = |e: EdgeId| {
+            class[e as usize] == Some(j) && {
                 let (u, v) = g.endpoints(e);
                 m.is_free(u) && m.is_free(v)
             }
-        });
-        if sub.m() == 0 {
+        };
+        if !(0..g.m() as EdgeId).any(candidate) {
             continue;
         }
+        let (sub, back) = g.edge_subgraph(candidate);
         let seed_j = seed.wrapping_add(j as u64);
         let (cm, cstats) = israeli_itai::run(&sub, &Matching::new(sub.n()), seed_j, cfg, None);
         stats.absorb(&cstats);
@@ -102,6 +105,8 @@ pub(crate) fn run_parallel_inner(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matchin
     }
     let wmax = g.weight_list().iter().cloned().fold(0.0f64, f64::max);
     let classes = class_count(g.n());
+    let of = |&w: &f64| class_of(w, wmax, classes);
+    let class: Vec<_> = g.weight_list().iter().map(of).collect();
     // Run the per-class matchings on disjoint edge sets. We execute the
     // class networks one after another *in the simulator* but charge
     // rounds as if concurrent (the max round count across classes) and
@@ -109,10 +114,11 @@ pub(crate) fn run_parallel_inner(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matchin
     let mut per_class: Vec<Matching> = Vec::new();
     let mut max_rounds = 0u64;
     for j in 0..classes {
-        let (sub, _back) = g.edge_subgraph(|e| class_of(g.weight(e), wmax, classes) == Some(j));
-        if sub.m() == 0 {
+        let in_class = |e: EdgeId| class[e as usize] == Some(j);
+        if !(0..g.m() as EdgeId).any(in_class) {
             continue;
         }
+        let (sub, _back) = g.edge_subgraph(in_class);
         let seed_j = seed.wrapping_add(999 + j as u64);
         let (cm, cstats) = israeli_itai::run(&sub, &Matching::new(sub.n()), seed_j, cfg, None);
         max_rounds = max_rounds.max(cstats.rounds);

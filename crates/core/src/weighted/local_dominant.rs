@@ -9,8 +9,8 @@
 //!
 //! One iteration spans two rounds: point, then resolve-and-announce.
 
-use crate::state::{self, NodeInit};
-use dgraph::{Graph, Matching};
+use crate::state;
+use dgraph::{Graph, Matching, NodeId};
 use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol};
 
 /// Wire messages.
@@ -38,12 +38,13 @@ struct LdNode {
 }
 
 impl LdNode {
-    fn new(init: &NodeInit) -> Self {
+    fn new(g: &Graph, v: NodeId) -> Self {
+        let inc = g.incident(v);
         LdNode {
-            mate_port: init.mate_port,
-            active: vec![true; init.edge_ids.len()],
-            weights: init.weights.clone(),
-            edge_ids: init.edge_ids.clone(),
+            mate_port: None,
+            active: vec![true; inc.len()],
+            weights: inc.iter().map(|&(_, e)| g.weight(e)).collect(),
+            edge_ids: inc.iter().map(|&(_, e)| e).collect(),
             pointed: None,
             announced: false,
         }
@@ -135,8 +136,7 @@ pub fn round_budget(n: usize) -> u64 {
 /// Run local-dominant matching under `cfg`. Returns a maximal-by-weight
 /// ½-MWM.
 pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
-    let inits = state::node_inits(g, &Matching::new(g.n()));
-    let nodes: Vec<LdNode> = inits.iter().map(LdNode::new).collect();
+    let nodes: Vec<LdNode> = (0..g.n() as NodeId).map(|v| LdNode::new(g, v)).collect();
     let mut net = Network::new(state::topology_of(g), nodes, seed).with_cfg(cfg);
     // Any active fault plan can break the mutual-pointing handshake: a
     // dropped `Point` matches one endpoint but not the other, and a

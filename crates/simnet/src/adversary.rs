@@ -455,21 +455,27 @@ impl<M> Adversary<M> {
         self.burst_rng = SplitMix64::for_node(self.seed, STREAM_BURST);
         self.delay_rng = SplitMix64::for_node(self.seed, STREAM_DELAY);
         self.stall_rng = SplitMix64::for_node(self.seed, STREAM_STALL);
-        self.burst_down = if plan.burst.is_some() {
-            vec![false; topo.total_ports()]
-        } else {
-            Vec::new()
-        };
+        self.burst_down.clear();
+        if plan.burst.is_some() {
+            self.burst_down.resize(topo.total_ports(), false);
+        }
         self.parked.clear();
         self.parked_seq = 0;
         self.crash_events = plan.crash_schedule(self.seed, topo.len());
         self.crash_next = 0;
-        self.crashed = if plan.crash_p > 0.0 {
-            vec![false; topo.len()]
-        } else {
-            Vec::new()
-        };
+        self.crashed.clear();
+        if plan.crash_p > 0.0 {
+            self.crashed.resize(topo.len(), false);
+        }
         self.budget_bits = plan.budget.effective_bits(topo.len());
+    }
+
+    /// Re-derive all state from `seed` under the installed plan, as a
+    /// fresh adversary of that seed would after the same `install`
+    /// ([`crate::Network::rearm`]).
+    pub(crate) fn rearm(&mut self, seed: u64, topo: &Topology) {
+        self.seed = seed;
+        self.install(self.plan, topo);
     }
 
     /// Is any fault class live (fast-path check for the delivery sweep)?

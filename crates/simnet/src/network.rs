@@ -472,8 +472,8 @@ impl WorkerScratch {
 /// **Scheduler contract** — a node `v` is stepped in round `r` iff it
 /// is not halted and at least one of:
 ///
-/// 1. `r` is the first round after construction (everyone starts
-///    awake),
+/// 1. `r` is the first round after construction or a
+///    [`Network::rearm`] (everyone starts awake),
 /// 2. `v` was stepped in round `r-1` and called neither [`Ctx::halt`]
 ///    nor [`Ctx::sleep`] (staying awake is the default),
 /// 3. a message was delivered to `v` for round `r` (mail always wakes
@@ -573,14 +573,12 @@ impl<P: Protocol> Network<P> {
     /// All message-plane buffers are allocated here, sized by the
     /// topology (one slot per directed edge, twice for the double
     /// buffer); steady-state stepping performs no further heap
-    /// allocation.
+    /// allocation. The initial state is then written by
+    /// [`Network::rearm`], the one place that defines it.
     pub fn new(topo: Topology, nodes: Vec<P>, seed: u64) -> Self {
         assert_eq!(topo.len(), nodes.len(), "one protocol state per node");
         let n = topo.len();
         let total = topo.total_ports();
-        let rngs = (0..n)
-            .map(|v| SplitMix64::for_node(seed, v as u64))
-            .collect();
         let mut alloc_events = 0u64;
         let planes = [
             Slab::new(total, &mut alloc_events),
@@ -592,18 +590,17 @@ impl<P: Protocol> Network<P> {
         // round, so they never grow), charged whichever representation
         // the rounds run in.
         alloc_events += 7;
-        Network {
+        let mut net = Network {
             topo,
             nodes,
             halted: vec![false; n],
-            live: n,
+            live: 0,
             dozing: vec![false; n],
-            rngs,
+            rngs: Vec::with_capacity(n),
             planes,
             touched: Vec::with_capacity(n),
             workers: Vec::new(),
-            // Round 0: everyone starts awake.
-            wake_cur: (0..n as NodeId).collect(),
+            wake_cur: Vec::with_capacity(n),
             wake_next: Vec::with_capacity(n),
             wake_stamp: vec![0; n],
             inbox_count: vec![0; n],
@@ -620,11 +617,59 @@ impl<P: Protocol> Network<P> {
             frontier_dense: false,
             #[cfg(test)]
             pin: None,
-            est_active: n as u64,
+            est_active: 0,
             peak_workers: 1,
             timing: false,
             adversary: Adversary::new(seed),
+        };
+        net.rearm(seed);
+        net
+    }
+
+    /// Return the network to the state [`Network::new`] built it in,
+    /// under a new `seed`, so one network can serve many runs on the
+    /// same topology: every node's RNG stream and the adversary's fault
+    /// streams, burst states and crash schedule are derived from `seed`
+    /// exactly as `new(seed)` plus [`Network::with_cfg`] derive them;
+    /// the holding ring is emptied; every node is awake and unhalted;
+    /// the round counter, the judge and the statistics start over.
+    ///
+    /// Kept: the topology, the node states (the caller re-initialises
+    /// them in place through [`Network::nodes_mut`]), the installed
+    /// [`ExecCfg`], and every buffer. Fault-free, a re-arm allocates
+    /// nothing. Construction allocations are charged to the first
+    /// round the network ever runs, so a re-armed run's gauge reads 0.
+    pub fn rearm(&mut self, seed: u64) {
+        let n = self.topo.len();
+        self.halted.fill(false);
+        self.live = n;
+        self.dozing.fill(false);
+        self.rngs.clear();
+        self.rngs
+            .extend((0..n).map(|v| SplitMix64::for_node(seed, v as u64)));
+        // Kill every slot of both slabs: the slab round 0 reads still
+        // holds the last run's final sends under its current generation.
+        for slab in &mut self.planes {
+            slab.advance();
         }
+        self.touched.clear();
+        // Round 0: everyone starts awake.
+        self.wake_cur.clear();
+        self.wake_cur.extend(0..n as NodeId);
+        self.wake_next.clear();
+        self.wake_stamp.fill(0);
+        self.inbox_count_round.fill(u64::MAX);
+        self.in_flight = 0;
+        self.stats = NetStats::default();
+        self.round = 0;
+        self.frontier_dense = false;
+        #[cfg(test)]
+        {
+            self.frontier_dense = self.pin.unwrap_or(false);
+        }
+        self.est_active = n as u64;
+        self.peak_workers = 1;
+        self.adversary.rearm(seed, &self.topo);
     }
 
     /// Apply the execution knobs of an [`ExecCfg`]: the worker-thread
@@ -632,7 +677,8 @@ impl<P: Protocol> Network<P> {
     /// burst / delay / stall / crash / CONGEST budget — see
     /// [`crate::adversary`]). A pre-run builder step: the plan's RNG
     /// streams, burst states, and pre-sampled crash schedule are
-    /// (re)derived from the construction seed and the topology, so
+    /// (re)derived from the seed of the last [`Network::new`] or
+    /// [`Network::rearm`] and the topology, so
     /// installation is idempotent and same seed + same plan ⇒
     /// bit-identical runs at any thread count.
     pub fn with_cfg(mut self, cfg: ExecCfg) -> Self {
@@ -677,6 +723,12 @@ impl<P: Protocol> Network<P> {
     /// Consume the network, returning node states and statistics.
     pub fn into_parts(self) -> (Vec<P>, NetStats) {
         (self.nodes, self.stats)
+    }
+
+    /// Take the statistics of the run so far, leaving empty ones (how a
+    /// network that is re-armed for its next run hands out each run's).
+    pub fn take_stats(&mut self) -> NetStats {
+        std::mem::take(&mut self.stats)
     }
 
     /// Accounting so far.
@@ -1986,6 +2038,116 @@ mod tests {
         net.run_until_halt(100);
         assert_eq!(net.live_nodes(), 0);
         assert!(net.all_halted());
+    }
+
+    /// Draws from its RNG every round, sends the running hash on a
+    /// drawn port, sleeps on a third of its draws and halts at a drawn
+    /// horizon: every piece of state a re-arm must reset gets used.
+    #[derive(Clone, Default)]
+    struct Restless {
+        acc: u64,
+        horizon: Option<u64>,
+    }
+    impl Protocol for Restless {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: Inbox<'_, u64>) {
+            for e in inbox.iter() {
+                self.acc = self.acc.rotate_left(7) ^ *e.msg ^ e.port as u64;
+            }
+            let draw = ctx.rng().next();
+            self.acc ^= draw;
+            let horizon = *self.horizon.get_or_insert(12 + draw % 12);
+            if ctx.round() >= horizon {
+                ctx.halt();
+                return;
+            }
+            ctx.send((draw % ctx.degree() as u64) as usize, self.acc);
+            if draw % 3 == 0 {
+                ctx.sleep();
+            }
+        }
+    }
+
+    /// Stats with the plane-allocation gauge blanked: the one field in
+    /// which a re-armed run legitimately differs from a fresh one.
+    fn without_allocs(mut s: NetStats) -> NetStats {
+        s.plane_allocs = 0;
+        s.per_round.iter_mut().for_each(|r| r.plane_allocs = 0);
+        s
+    }
+
+    /// Run 6 rounds under seed 77 (mail and, under faults, parked
+    /// payloads, burst states and crashed nodes are live when it stops),
+    /// re-arm under `seed` and run 20 rounds; the second run must equal
+    /// a fresh network's 20 rounds under `seed`, node outputs and every
+    /// statistic but the allocation gauge.
+    fn rearm_matches_fresh(cfg: ExecCfg, pin: Option<bool>, seed: u64) {
+        let n = 40u32;
+        // A ring with diameters and some 7-chords: degrees 3 to 5.
+        let edges: Vec<(u32, u32)> = (0..n)
+            .map(|i| (i, (i + 1) % n))
+            .chain((0..n / 2).map(|i| (i, i + n / 2)))
+            .chain((0..n).step_by(3).map(|i| (i, (i + 7) % n)))
+            .collect();
+        let topo = Topology::from_edges(n as usize, &edges);
+        let build = |seed| {
+            Network::new(topo.clone(), vec![Restless::default(); n as usize], seed)
+                .with_cfg(cfg)
+                .pinned(pin)
+        };
+        let mut kept = build(77);
+        kept.run_rounds(6);
+        assert!(
+            kept.in_flight() > 0,
+            "the first run ends with mail in flight"
+        );
+        if cfg.faults.is_active() {
+            assert!(!kept.adversary.parked_empty(), "payloads are parked");
+            assert!(
+                kept.adversary.burst_down.iter().any(|&d| d),
+                "a link is down"
+            );
+            assert!((0..n as usize).any(|v| kept.adversary.is_crashed(v)));
+        }
+        kept.rearm(seed);
+        kept.nodes_mut().fill(Restless::default());
+        kept.run_rounds(20);
+        let mut fresh = build(seed);
+        fresh.run_rounds(20);
+        let outputs =
+            |net: &Network<Restless>| net.nodes().iter().map(|s| s.acc).collect::<Vec<_>>();
+        assert_eq!(outputs(&kept), outputs(&fresh), "{cfg:?} {pin:?}");
+        let (kept_stats, fresh_stats) = (kept.take_stats(), fresh.take_stats());
+        if !cfg.faults.is_active() {
+            assert_eq!(kept_stats.plane_allocs, 0, "a re-arm allocates nothing");
+        }
+        assert_eq!(
+            without_allocs(kept_stats),
+            without_allocs(fresh_stats),
+            "{cfg:?} {pin:?}"
+        );
+    }
+
+    #[test]
+    fn rearmed_network_equals_fresh() {
+        for cfg in [ExecCfg::sequential(), ExecCfg::parallel(3).forced()] {
+            for pin in [None, Some(false), Some(true)] {
+                rearm_matches_fresh(cfg, pin, 5);
+            }
+        }
+    }
+
+    #[test]
+    fn rearmed_network_equals_fresh_under_faults() {
+        let plan = FaultPlan::drop(0.1)
+            .with_delay(3)
+            .with_burst(0.2, 0.3)
+            .with_crash(0.03, 4);
+        for cfg in [ExecCfg::sequential(), ExecCfg::parallel(3).forced()] {
+            for pin in [None, Some(false), Some(true)] {
+                rearm_matches_fresh(cfg.with_faults(plan), pin, 5);
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@ pub struct RoundTrace {
     pub peak_inbox: u64,
     /// Heap allocations performed by the message plane during this
     /// round. The plane preallocates everything at network construction
-    /// (charged to the first round), and a rewire migrates the slabs in
+    /// (charged to the first round the network runs; a re-arm allocates
+    /// nothing), and a rewire migrates the slabs in
     /// place (charged to the next round only when it grows a slab past
     /// its capacity), so the steady-state value is 0 — future changes
     /// that reintroduce per-round allocation show up here and can be
