@@ -46,43 +46,13 @@
 //! Writes `BENCH_e17_sparse.json` (machine-readable mirror of the
 //! tables) for the CI artifact trail.
 
-use bench_harness::{banner, env_or, f2, Table};
+use bench_harness::{banner, env_or, f2, FracGossip, Table};
 use dchurn::{ChurnGen, ChurnModel, DynEngine, RepairAlgo};
 use dgraph::generators::random::gnp;
-use simnet::{Ctx, Inbox, Network, NodeId, Protocol, Topology};
+use simnet::{Network, NodeId, Topology};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Gossip among the first `threshold` node ids; everyone else is idle.
-/// `sleepy` controls whether idle nodes use the activity API
-/// (`Ctx::sleep`) or busy-wait like pre-sparse protocols had to.
-struct FracGossip {
-    threshold: NodeId,
-    sleepy: bool,
-    acc: u64,
-}
-
-impl Protocol for FracGossip {
-    type Msg = u64;
-    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: Inbox<'_, u64>) {
-        for e in inbox.iter() {
-            self.acc = self.acc.rotate_left(9) ^ *e.msg;
-        }
-        if ctx.id() < self.threshold {
-            // Active: gossip to active neighbors only, every round.
-            let token = ctx.rng().next() ^ self.acc;
-            for p in 0..ctx.degree() {
-                if ctx.neighbor(p) < self.threshold {
-                    ctx.send(p, token);
-                }
-            }
-        } else if self.sleepy {
-            ctx.sleep(); // idle: cost the round loop nothing
-        }
-        // else: idle but stepped every round (the old way).
-    }
-}
 
 struct Measured {
     per_round: Duration,
@@ -128,13 +98,7 @@ fn sweep_fraction(
 ) -> FractionRow {
     let threshold = (n as f64 * fraction).round() as NodeId;
     let mk = |sleepy: bool| {
-        let nodes = (0..n)
-            .map(|_| FracGossip {
-                threshold,
-                sleepy,
-                acc: 0,
-            })
-            .collect();
+        let nodes = (0..n).map(|_| FracGossip::new(threshold, sleepy)).collect();
         Network::new(topo.clone(), nodes, seed)
     };
 

@@ -38,45 +38,17 @@
 //!
 //! Writes `BENCH_e19_parallel.json` for the CI artifact trail.
 
-use bench_harness::{banner, env_or, f2, host, Table};
+use bench_harness::{banner, env_or, f2, host, FracGossip, Table};
 use dgraph::generators::random::gnp;
 use dobs::{Event, TraceSession};
-use simnet::{Ctx, ExecCfg, Inbox, Network, NodeId, Protocol, Topology};
+use simnet::{ExecCfg, Network, NodeId, Topology};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// The E17 activity workload: the first `threshold` ids gossip every
-/// round, everyone else sleeps. Activity is exact and steady, which is
-/// what a scheduler ladder needs (matching runs wind down, so their
-/// activity is a moving target).
-struct FracGossip {
-    threshold: NodeId,
-    acc: u64,
-}
-
-impl Protocol for FracGossip {
-    type Msg = u64;
-    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: Inbox<'_, u64>) {
-        for e in inbox.iter() {
-            self.acc = self.acc.rotate_left(9) ^ *e.msg;
-        }
-        if ctx.id() < self.threshold {
-            let token = ctx.rng().next() ^ self.acc;
-            for p in 0..ctx.degree() {
-                if ctx.neighbor(p) < self.threshold {
-                    ctx.send(p, token);
-                }
-            }
-        } else {
-            ctx.sleep();
-        }
-    }
-}
-
 fn mk(topo: &Topology, threshold: NodeId, seed: u64, cfg: ExecCfg) -> Network<FracGossip> {
     let nodes = (0..topo.len())
-        .map(|_| FracGossip { threshold, acc: 0 })
+        .map(|_| FracGossip::new(threshold, true))
         .collect();
     Network::new(topo.clone(), nodes, seed).with_cfg(cfg)
 }

@@ -92,6 +92,51 @@ pub fn env_or(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// The activity workload of E17 and E19: the first `threshold` ids
+/// gossip to each other every round and everyone else is idle. Activity
+/// is exact and steady, which is what a scheduler ladder needs
+/// (matching runs wind down, so their activity is a moving target).
+/// With `sleepy` the idle nodes use the activity API (`Ctx::sleep`);
+/// without it they are stepped every round, as pre-sparse protocols
+/// had to be.
+pub struct FracGossip {
+    threshold: simnet::NodeId,
+    sleepy: bool,
+    /// Running hash of every token received.
+    pub acc: u64,
+}
+
+impl FracGossip {
+    /// A node that has received nothing yet.
+    pub fn new(threshold: simnet::NodeId, sleepy: bool) -> Self {
+        FracGossip {
+            threshold,
+            sleepy,
+            acc: 0,
+        }
+    }
+}
+
+impl simnet::Protocol for FracGossip {
+    type Msg = u64;
+    fn on_round(&mut self, ctx: &mut simnet::Ctx<'_, u64>, inbox: simnet::Inbox<'_, u64>) {
+        for e in inbox.iter() {
+            self.acc = self.acc.rotate_left(9) ^ *e.msg;
+        }
+        if ctx.id() < self.threshold {
+            // Active: gossip to active neighbors only, every round.
+            let token = ctx.rng().next() ^ self.acc;
+            for p in 0..ctx.degree() {
+                if ctx.neighbor(p) < self.threshold {
+                    ctx.send(p, token);
+                }
+            }
+        } else if self.sleepy {
+            ctx.sleep(); // idle: cost the round loop nothing
+        }
+    }
+}
+
 /// Host execution-environment fingerprint for BENCH_*.json headers.
 ///
 /// Every benchmark JSON embeds this next to the *requested* thread

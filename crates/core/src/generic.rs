@@ -30,6 +30,7 @@
 //! `(1 - 1/(k+1))`-MCM **deterministically**, not just in expectation.
 
 use dgraph::augmenting::{enumerate_augmenting_paths, is_maximal_disjoint};
+use dgraph::subgraph::bfs_distances;
 use dgraph::{Graph, Matching, NodeId};
 use simnet::rng::streams;
 use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol, SplitMix64};
@@ -456,27 +457,10 @@ pub(crate) fn normalize_damage(damage: &[NodeId]) -> Vec<NodeId> {
 /// driver ([`crate::session::Session::resume_after_rewire`]) restricts
 /// repair gathering to `B(damage, 4k+2)` with it.
 pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
-    let mut dist = vec![usize::MAX; g.n()];
-    let mut queue = std::collections::VecDeque::new();
-    for &s in seeds {
-        if dist[s as usize] == usize::MAX {
-            dist[s as usize] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        if d == radius {
-            continue;
-        }
-        for &(u, _) in g.incident(v) {
-            if dist[u as usize] == usize::MAX {
-                dist[u as usize] = d + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist.into_iter().map(|d| d != usize::MAX).collect()
+    bfs_distances(g, seeds, radius)
+        .into_iter()
+        .map(|d| d != usize::MAX)
+        .collect()
 }
 
 /// One phase of Algorithm 1 (`ℓ = 2·phase_idx + 1`): ball gathering,

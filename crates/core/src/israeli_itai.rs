@@ -59,12 +59,15 @@ pub struct IINode {
     /// Port proposed to in the current iteration.
     proposed_to: Option<usize>,
     announced: bool,
+    /// The 0-based round in which this node halted, `None` while live.
+    /// The oracle certifies a ball node by it.
+    pub(crate) halt_round: Option<u64>,
 }
 
 impl IINode {
     /// A node of the given degree, all ports live, matched on
     /// `mate_port` (a warm start) or free: all the input it reads, so the
-    /// oracle's micro-executor builds ball nodes from the degree alone.
+    /// oracle builds ball nodes from the degree alone.
     pub(crate) fn new(mate_port: Option<usize>, degree: usize) -> Self {
         IINode {
             mate_port,
@@ -72,6 +75,7 @@ impl IINode {
             male: false,
             proposed_to: None,
             announced: false, // pre-matched nodes announce in their first round
+            halt_round: None,
         }
     }
 
@@ -101,16 +105,16 @@ impl Protocol for IINode {
                 // set shrinking as fast as the matching grows.
                 if self.matched() && !self.announced {
                     self.announce(ctx);
-                    ctx.halt();
+                    self.halt(ctx);
                     return;
                 }
                 if self.matched() {
-                    ctx.halt();
+                    self.halt(ctx);
                     return;
                 }
                 let live: Vec<usize> = (0..ctx.degree()).filter(|&p| self.active_port[p]).collect();
                 if live.is_empty() {
-                    ctx.halt(); // isolated among matched nodes: maximality holds
+                    self.halt(ctx); // isolated among matched nodes: maximality holds
                     return;
                 }
                 self.male = ctx.rng().bernoulli(0.5);
@@ -152,7 +156,7 @@ impl Protocol for IINode {
                     self.announce(ctx);
                     // Announced couples are done; drop out of the
                     // round loop immediately (see phase 0).
-                    ctx.halt();
+                    self.halt(ctx);
                 }
             }
             _ => unreachable!(),
@@ -169,6 +173,12 @@ impl IINode {
             }
         }
         self.announced = true;
+    }
+
+    /// Halt, recording the round: every halt goes through here.
+    fn halt(&mut self, ctx: &mut Ctx<'_, IIMsg>) {
+        self.halt_round = Some(ctx.round());
+        ctx.halt();
     }
 }
 
@@ -222,8 +232,11 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::Session;
-    use dgraph::generators::random::gnp;
+    use dgraph::generators::random::{barabasi_albert, gnp};
     use dgraph::generators::structured::{complete, cycle, path, star};
+    use dgraph::generators::zoo::{chung_lu, d_regular, random_geometric};
+    use dgraph::greedy::maximal_in_order;
+    use dgraph::EdgeId;
 
     fn maximal_matching(g: &Graph, seed: u64) -> (Matching, NetStats) {
         let r = Session::on(g).seed(seed).build().run_to_completion();
@@ -300,6 +313,44 @@ mod tests {
         let (m, stats) = maximal_matching(&g, 0);
         assert_eq!(m.size(), 0);
         assert!(stats.rounds <= 2);
+    }
+
+    /// II nodes never sleep, so a node is stepped in exactly the rounds
+    /// up to and including its halt round: the recorded halt rounds must
+    /// reproduce the network's own per-round activity.
+    #[test]
+    fn halt_rounds_agree_with_round_activity() {
+        let zoo = [
+            barabasi_albert(120, 2, 1),
+            chung_lu(120, 2.5, 4.0, 2),
+            random_geometric(120, 0.15, 3),
+            d_regular(120, 3, 4),
+        ];
+        for (i, g) in zoo.iter().enumerate() {
+            // Cold, and warm from a greedy matching over half the edges.
+            let half: Vec<EdgeId> = (0..g.m() as EdgeId).step_by(2).collect();
+            for initial in [Matching::new(g.n()), maximal_in_order(g, &half)] {
+                let nodes = (0..g.n() as NodeId)
+                    .map(|v| IINode::new(state::mate_port(g, &initial, v), g.degree(v)))
+                    .collect();
+                let mut net = Network::new(state::topology_of(g), nodes, 7);
+                net.run_until_halt(round_budget(g.n()));
+                let (nodes, stats) = net.into_parts();
+                let halts: Vec<u64> = nodes
+                    .iter()
+                    .map(|s| s.halt_round.expect("every node halts"))
+                    .collect();
+                assert_eq!(
+                    halts.iter().max().map(|h| h + 1),
+                    Some(stats.rounds),
+                    "family {i}"
+                );
+                for (r, trace) in stats.per_round.iter().enumerate() {
+                    let live = halts.iter().filter(|&&h| h >= r as u64).count() as u64;
+                    assert_eq!(trace.active, live, "family {i}, round {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,12 +18,15 @@
 //! run diverges from the global one only at `C`, and divergence travels
 //! one hop per round / one path-length per phase:
 //!
-//! * **Israeli–Itai** (network simulation on the ball, via
-//!   [`simnet::MicroNet`] with *global* RNG stream ids): a node's state
-//!   after `t` rounds is a function of initial states within distance
-//!   `t`, so a node that halted in round `h` is exact iff
-//!   `h < dist(node, C)` (multi-source BFS inside the ball). An empty
-//!   `C` (ball = whole component) certifies every node.
+//! * **Israeli–Itai** (network simulation on the ball's induced graph,
+//!   each node drawing from the RNG stream of its *global* id): a
+//!   node's state after `t` rounds is a function of initial states
+//!   within distance `t`, so a node that halted in round `h` is exact
+//!   iff `h < dist(node, C)` (multi-source BFS inside the ball). An
+//!   empty `C` (ball = whole component) certifies every node. A ball
+//!   whose boundary cuts the component can leave nodes near the cut
+//!   waiting for a missing partner; the run stops quietly at the round
+//!   budget and leaves them uncertified.
 //! * **Generic** (purely combinatorial — phases on the induced
 //!   subgraph): MIS priorities are keyed by the global vertex sequence
 //!   of each path (`generic::path_priority`), so decisions factorize
@@ -44,12 +47,12 @@
 //! the loop always terminates.
 
 use crate::runner::Algorithm;
-use crate::{generic, israeli_itai};
+use crate::{generic, israeli_itai, state};
 use dgraph::augmenting::enumerate_augmenting_paths;
-use dgraph::subgraph::SubgraphView;
+use dgraph::subgraph::{bfs_distances, SubgraphView};
 use dgraph::{EdgeId, Graph, Matching, NodeId};
 use dobs::metrics::Registry;
-use simnet::{MicroNet, Topology};
+use simnet::Network;
 use std::collections::BTreeMap;
 
 /// Builder for a [`MatchingOracle`]; start from [`MatchingOracle::on`].
@@ -212,73 +215,35 @@ impl<'g> MatchingOracle<'g> {
         }
     }
 
-    /// Multi-source BFS distances from `sources` (locals) inside the
-    /// induced subgraph described by `edges` over `n` locals.
-    /// `usize::MAX` = unreachable.
-    fn local_dists(n: usize, edges: &[(NodeId, NodeId)], sources: &[usize]) -> Vec<usize> {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b) in edges {
-            adj[a as usize].push(b as usize);
-            adj[b as usize].push(a as usize);
-        }
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for &s in sources {
-            if dist[s] == usize::MAX {
-                dist[s] = 0;
-                queue.push_back(s);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            for &w in &adj[u] {
-                if dist[w] == usize::MAX {
-                    dist[w] = dist[u] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
-    }
-
     /// Simulate Israeli–Itai on the ball and certify by halt round vs.
     /// distance to the contamination frontier.
     fn probe_ii(&mut self, view: &SubgraphView<'_>) -> Vec<(usize, Option<NodeId>)> {
-        let n_local = view.len();
-        let edges = view.local_edges();
-        let topo = Topology::from_edges(n_local, &edges);
-        let nodes: Vec<israeli_itai::IINode> = (0..n_local)
-            .map(|l| israeli_itai::IINode::new(None, topo.degree(l as NodeId)))
+        let ball = view.induced();
+        let nodes = (0..ball.n() as NodeId)
+            .map(|l| israeli_itai::IINode::new(None, ball.degree(l)))
             .collect();
         let streams: Vec<u64> = view.vertices().iter().map(|&gv| gv as u64).collect();
-        let mut micro = MicroNet::new(topo, nodes, self.seed, &streams);
+        let mut net =
+            Network::new(state::topology_of(&ball), nodes, self.seed).with_streams(&streams);
         // The *global* budget: every node of the global run halts
         // within it, so certified halt rounds always fit. Exhausting it
         // locally only leaves contaminated stragglers uncertified.
-        micro.run(israeli_itai::round_budget(self.g.n()));
-        let boundary = view.boundary_locals();
-        let dist = Self::local_dists(n_local, &edges, &boundary);
-        let halt: Vec<Option<u64>> = (0..n_local).map(|l| micro.halt_round(l)).collect();
-        let (states, _) = micro.into_parts();
-        // Port p of local l = p-th smallest local neighbor (Graph and
-        // Topology both order ports by neighbor id).
-        let mut nbrs: Vec<Vec<NodeId>> = vec![Vec::new(); n_local];
-        for &(a, b) in &edges {
-            nbrs[a as usize].push(b);
-            nbrs[b as usize].push(a);
-        }
-        for list in &mut nbrs {
-            list.sort_unstable();
-        }
+        net.run_rounds(israeli_itai::round_budget(self.g.n()));
+        let boundary: Vec<NodeId> = view
+            .boundary_locals()
+            .into_iter()
+            .map(|l| l as NodeId)
+            .collect();
+        let dist = bfs_distances(&ball, &boundary, usize::MAX);
+        let (states, _) = net.into_parts();
         let mut certified = Vec::new();
         for (l, state) in states.iter().enumerate() {
-            let exact = match halt[l] {
-                // Halt round h is exact iff h < dist(l, C); dist is
-                // usize::MAX (∞) when C cannot reach l — e.g. C = ∅.
-                Some(h) => (h as u128) < dist[l] as u128,
-                None => false,
-            };
-            if exact {
-                let mate = state.mate_port.map(|p| view.global(nbrs[l][p] as usize));
+            // Halt round h is exact iff h < dist(l, C); dist is
+            // usize::MAX (∞) when C cannot reach l — e.g. C = ∅.
+            if state.halt_round.is_some_and(|h| h < dist[l] as u64) {
+                let mate = state
+                    .mate_port
+                    .map(|p| view.global(ball.incident(l as NodeId)[p].0 as usize));
                 certified.push((l, mate));
             }
         }
@@ -291,19 +256,20 @@ impl<'g> MatchingOracle<'g> {
     fn probe_generic(&mut self, view: &SubgraphView<'_>, k: usize) -> Vec<(usize, Option<NodeId>)> {
         let ind = view.induced();
         let n_local = ind.n();
-        let edges: Vec<(NodeId, NodeId)> = ind.edge_list().to_vec();
-        let boundary = view.boundary_locals();
         let mut m = Matching::new(n_local);
         // suspect[l]: l's matched status may deviate from the global
         // run in some phase seen so far.
         let mut suspect = vec![false; n_local];
-        for &b in &boundary {
+        for b in view.boundary_locals() {
             suspect[b] = true;
         }
         for phase_idx in 0..k {
             let ell = 2 * phase_idx + 1;
-            let sources: Vec<usize> = (0..n_local).filter(|&l| suspect[l]).collect();
-            let dist = Self::local_dists(n_local, &edges, &sources);
+            let sources: Vec<NodeId> = (0..n_local as NodeId)
+                .filter(|&l| suspect[l as usize])
+                .collect();
+            // Only the ℓ-margin of the suspect set is read below.
+            let dist = bfs_distances(&ind, &sources, ell);
             let paths = enumerate_augmenting_paths(&ind, &m, ell);
             // Keys and priorities address paths by *global* vertex
             // sequences, so untainted conflict components replay the

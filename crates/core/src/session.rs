@@ -333,13 +333,13 @@ impl<'a> SessionBuilder<'a> {
     }
 
     /// Master RNG seed (default 0). Identical seeds give bit-identical
-    /// runs regardless of [`ExecCfg::threads`] / scheduler mode.
+    /// runs regardless of [`ExecCfg::threads`].
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Execution knobs: worker threads, scheduler, and fault injection —
+    /// Execution knobs: worker threads, timing, and fault injection —
     /// the adversary plan lives in [`ExecCfg::faults`], so
     /// `.exec(cfg.with_faults(plan))` runs every simulated round through
     /// the adversary plane (drops, delays, stalls, crashes, CONGEST

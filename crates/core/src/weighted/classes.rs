@@ -94,10 +94,9 @@ pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
 /// against the sequential variant in E5b.
 ///
 /// Every per-class Israeli–Itai network runs under the *caller's*
-/// [`ExecCfg`] (scheduler mode, worker threads, fault injection) — no
-/// thread choice is hard-coded here, and results are bit-identical
-/// across `cfg.threads` like every other entry point (asserted by
-/// `tests/prop_session.rs`).
+/// [`ExecCfg`] (worker threads, fault injection) — no thread choice is
+/// hard-coded here, and results are bit-identical across `cfg.threads`
+/// like every other entry point (asserted by `tests/prop_session.rs`).
 pub(crate) fn run_parallel_inner(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
     let mut stats = NetStats::default();
     if g.m() == 0 {

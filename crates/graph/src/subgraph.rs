@@ -105,22 +105,6 @@ impl<'g> SubgraphView<'g> {
         self.verts[l]
     }
 
-    /// Edges of the induced subgraph in local ids, each reported once
-    /// with the smaller endpoint first, sorted.
-    pub fn local_edges(&self) -> Vec<(NodeId, NodeId)> {
-        let mut edges = Vec::new();
-        for (lv, &v) in self.verts.iter().enumerate() {
-            for &(u, _) in self.g.incident(v) {
-                if u > v {
-                    if let Some(lu) = self.local(u) {
-                        edges.push((lv as NodeId, lu as NodeId));
-                    }
-                }
-            }
-        }
-        edges
-    }
-
     /// Local ids of the view's boundary: vertices with at least one
     /// neighbor outside the view. For a ball of radius `r` these all
     /// sit on the distance-`r` sphere (an interior vertex's neighbors
@@ -138,21 +122,52 @@ impl<'g> SubgraphView<'g> {
     }
 
     /// Materialize the induced subgraph as an owned [`Graph`] in local
-    /// ids, weights carried over from the host.
+    /// ids, weights carried over from the host. Its edges are listed
+    /// in sorted order, smaller endpoint first.
     pub fn induced(&self) -> Graph {
-        let edges = self.local_edges();
-        let weights = edges
-            .iter()
-            .map(|&(a, b)| {
-                let e = self
-                    .g
-                    .edge_between(self.global(a as usize), self.global(b as usize))
-                    .expect("induced edge exists in host");
-                self.g.weight(e)
-            })
-            .collect();
+        let mut edges = Vec::new();
+        let mut weights = Vec::new();
+        for (lv, &v) in self.verts.iter().enumerate() {
+            for &(u, e) in self.g.incident(v) {
+                if u > v {
+                    if let Some(lu) = self.local(u) {
+                        edges.push((lv as NodeId, lu as NodeId));
+                        weights.push(self.g.weight(e));
+                    }
+                }
+            }
+        }
         Graph::with_weights(self.verts.len(), edges, weights)
     }
+}
+
+/// Multi-source BFS over `g`: `dist[v]` is the number of hops from `v`
+/// to the nearest source, or `usize::MAX` when that exceeds `radius`
+/// (pass `usize::MAX` for no cut-off). Unlike [`SubgraphView::ball`] it
+/// keeps `O(n)` scratch, so it is meant for a whole graph or for a ball
+/// already materialized by [`SubgraphView::induced`].
+pub fn bfs_distances(g: &Graph, sources: &[NodeId], radius: usize) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; g.n()];
+    let mut queue = VecDeque::new();
+    for &s in sources {
+        if dist[s as usize] == usize::MAX {
+            dist[s as usize] = 0;
+            queue.push_back(s);
+        }
+    }
+    while let Some(v) = queue.pop_front() {
+        let d = dist[v as usize];
+        if d == radius {
+            continue;
+        }
+        for &(u, _) in g.incident(v) {
+            if dist[u as usize] == usize::MAX {
+                dist[u as usize] = d + 1;
+                queue.push_back(u);
+            }
+        }
+    }
+    dist
 }
 
 #[cfg(test)]
@@ -166,21 +181,7 @@ mod tests {
         let g = gnp(60, 0.08, 11);
         for &(c, r) in &[(0u32, 1usize), (7, 2), (13, 3), (30, 0)] {
             let view = SubgraphView::ball(&g, &[c], r);
-            // Dense reference BFS.
-            let mut dist = vec![usize::MAX; g.n()];
-            dist[c as usize] = 0;
-            let mut q = VecDeque::from([c]);
-            while let Some(v) = q.pop_front() {
-                if dist[v as usize] == r {
-                    continue;
-                }
-                for &(u, _) in g.incident(v) {
-                    if dist[u as usize] == usize::MAX {
-                        dist[u as usize] = dist[v as usize] + 1;
-                        q.push_back(u);
-                    }
-                }
-            }
+            let dist = bfs_distances(&g, &[c], r);
             let want: Vec<NodeId> = (0..g.n() as NodeId)
                 .filter(|&v| dist[v as usize] != usize::MAX)
                 .collect();

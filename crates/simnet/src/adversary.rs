@@ -399,7 +399,9 @@ pub(crate) struct Parked<M> {
 /// BENCH records.
 pub(crate) struct Adversary<M> {
     pub(crate) plan: FaultPlan,
-    seed: u64,
+    /// The seed of the last [`crate::Network::new`] or
+    /// [`crate::Network::rearm`]; node streams derive from it too.
+    pub(crate) seed: u64,
     /// Bernoulli drop stream — the legacy `loss_rng` (same derivation,
     /// same consumption points), so pure-drop plans replay old lossy
     /// runs bit-for-bit.
@@ -484,8 +486,7 @@ impl<M> Adversary<M> {
         self.plan.is_active()
     }
 
-    /// True while the holding ring still has parked payloads (quiet
-    /// detection must not declare a network idle under them).
+    /// True once the holding ring has no parked payloads left.
     #[inline]
     pub(crate) fn parked_empty(&self) -> bool {
         self.parked.is_empty()

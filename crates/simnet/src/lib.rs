@@ -42,7 +42,7 @@
 //! let topo = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
 //! let nodes = (0..4).map(|v| MinId { known: v, changed: false }).collect();
 //! let mut net = Network::new(topo, nodes, 42);
-//! net.run_until_quiet(100);
+//! net.run_rounds(4); // the diameter, plus the round that starts the flood
 //! assert!(net.nodes().iter().all(|n| n.known == 0));
 //! ```
 //!
@@ -136,7 +136,6 @@ pub mod adversary;
 pub mod csr;
 pub mod mailbox;
 pub mod message;
-pub mod micro;
 pub mod network;
 pub mod parallel;
 pub mod rng;
@@ -147,8 +146,7 @@ pub mod tree;
 pub use adversary::{Budget, CongestMode, CrashEvent, CrashKind, FaultPlan, Markov};
 pub use mailbox::{Inbox, InboxIter, Received};
 pub use message::BitSize;
-pub use micro::MicroNet;
-pub use network::{Ctx, ExecCfg, Network, Protocol, Rewire, RewireCtx, RunOutcome};
+pub use network::{Ctx, ExecCfg, Network, Protocol, Rewire, RewireCtx};
 pub use rng::SplitMix64;
 pub use stats::{NetStats, RoundTrace};
 pub use topology::{NodeId, Port, Topology};

@@ -78,13 +78,6 @@ impl RewireCtx<'_> {
         self.port_map.is_none()
     }
 
-    /// The node's degree before the rewire.
-    #[inline]
-    pub fn old_degree(&self) -> usize {
-        self.port_map
-            .map_or_else(|| self.new_degree(), <[Option<Port>]>::len)
-    }
-
     /// The node's degree after the rewire.
     #[inline]
     pub fn new_degree(&self) -> usize {
@@ -274,18 +267,6 @@ impl<'a, M> Ctx<'a, M> {
     pub fn sleep(&mut self) {
         *self.dozing = true;
     }
-}
-
-/// Result of driving a network with one of the `run_*` methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Rounds executed by this call (not cumulative).
-    pub rounds: u64,
-    /// True if every node halted.
-    pub all_halted: bool,
-    /// True if the run ended because the network went quiet (no
-    /// messages in flight and none produced).
-    pub quiescent: bool,
 }
 
 /// The judge's upswitch: a round whose (upper-bound) scheduled count
@@ -628,11 +609,13 @@ impl<P: Protocol> Network<P> {
 
     /// Return the network to the state [`Network::new`] built it in,
     /// under a new `seed`, so one network can serve many runs on the
-    /// same topology: every node's RNG stream and the adversary's fault
-    /// streams, burst states and crash schedule are derived from `seed`
-    /// exactly as `new(seed)` plus [`Network::with_cfg`] derive them;
-    /// the holding ring is emptied; every node is awake and unhalted;
-    /// the round counter, the judge and the statistics start over.
+    /// same topology: every node's RNG stream (from the node's own id;
+    /// a [`Network::with_streams`] choice is dropped) and the
+    /// adversary's fault streams, burst states and crash schedule are
+    /// derived from `seed` exactly as `new(seed)` plus
+    /// [`Network::with_cfg`] derive them; the holding ring is emptied;
+    /// every node is awake and unhalted; the round counter, the judge
+    /// and the statistics start over.
     ///
     /// Kept: the topology, the node states (the caller re-initialises
     /// them in place through [`Network::nodes_mut`]), the installed
@@ -686,6 +669,24 @@ impl<P: Protocol> Network<P> {
         self.force_parallel = cfg.force_parallel;
         self.timing = cfg.timing;
         self.adversary.install(cfg.faults, &self.topo);
+        self
+    }
+
+    /// Seed node `v` from RNG stream `streams[v]` instead of stream `v`,
+    /// under the seed of the last [`Network::new`] or
+    /// [`Network::rearm`]. A pre-run builder step for a network whose
+    /// local ids relabel part of a larger graph: given the global ids,
+    /// every node draws exactly the coins its global twin draws.
+    ///
+    /// The ids are not kept: a later [`Network::rearm`] derives every
+    /// stream from the node's own id again, as [`Network::new`] does.
+    pub fn with_streams(mut self, streams: &[u64]) -> Self {
+        assert_eq!(streams.len(), self.rngs.len(), "one stream id per node");
+        debug_assert_eq!(self.round, 0, "choose the streams before round 0");
+        let seed = self.adversary.seed;
+        for (rng, &id) in self.rngs.iter_mut().zip(streams) {
+            *rng = SplitMix64::for_node(seed, id);
+        }
         self
     }
 
@@ -1037,10 +1038,11 @@ impl<P: Protocol> Network<P> {
         out.sent
     }
 
-    /// Run until every node halts, or `max_rounds` elapse. Panics if the
-    /// round budget is exhausted — a protocol that fails to halt within
-    /// its theoretical bound is a bug we want loudly.
-    pub fn run_until_halt(&mut self, max_rounds: u64) -> RunOutcome {
+    /// Run until every node halts, or `max_rounds` elapse, and return
+    /// the rounds this call executed. Panics if the round budget is
+    /// exhausted — a protocol that fails to halt within its theoretical
+    /// bound is a bug we want loudly.
+    pub fn run_until_halt(&mut self, max_rounds: u64) -> u64 {
         let start = self.round;
         while !self.all_halted() {
             assert!(
@@ -1049,53 +1051,15 @@ impl<P: Protocol> Network<P> {
             );
             self.step();
         }
-        RunOutcome {
-            rounds: self.round - start,
-            all_halted: true,
-            quiescent: false,
-        }
+        self.round - start
     }
 
-    /// Run until the network goes quiet: a round in which no messages
-    /// were sent and none were in flight. Suitable for message-driven
-    /// protocols. Stops early if all nodes halt.
-    ///
-    /// A network that is quiet from birth (no node sends in round 0) is
-    /// recognized after exactly one round — the single round needed to
-    /// observe that nobody spoke.
-    pub fn run_until_quiet(&mut self, max_rounds: u64) -> RunOutcome {
-        let start = self.round;
-        loop {
-            if self.all_halted() {
-                return RunOutcome {
-                    rounds: self.round - start,
-                    all_halted: true,
-                    quiescent: false,
-                };
-            }
-            assert!(
-                self.round - start < max_rounds,
-                "network not quiet within {max_rounds} rounds"
-            );
-            let in_flight = self.in_flight;
-            let sent = self.step();
-            // Quiet requires the adversary's holding ring to be empty
-            // too: a parked payload is still in flight, just late.
-            // Pending *crash* events deliberately do not block quiet —
-            // a network with no traffic left is idle even if a distant
-            // crash is scheduled.
-            if sent == 0 && in_flight == 0 && self.adversary.parked_empty() {
-                return RunOutcome {
-                    rounds: self.round - start,
-                    all_halted: self.all_halted(),
-                    quiescent: true,
-                };
-            }
-        }
-    }
-
-    /// Run exactly `rounds` rounds (or until all nodes halt).
-    pub fn run_rounds(&mut self, rounds: u64) -> RunOutcome {
+    /// Run exactly `rounds` rounds, or until every node halts, and
+    /// return the rounds this call executed. Unlike
+    /// [`Network::run_until_halt`], running out of rounds is not an
+    /// error: callers that expect some nodes never to halt (a ball cut
+    /// out of a larger graph, a fixed fault window) stop quietly here.
+    pub fn run_rounds(&mut self, rounds: u64) -> u64 {
         let start = self.round;
         for _ in 0..rounds {
             if self.all_halted() {
@@ -1103,11 +1067,7 @@ impl<P: Protocol> Network<P> {
             }
             self.step();
         }
-        RunOutcome {
-            rounds: self.round - start,
-            all_halted: self.all_halted(),
-            quiescent: false,
-        }
+        self.round - start
     }
 
     /// Nodes that sent at least one message in the most recent round,
@@ -1574,11 +1534,11 @@ mod tests {
     #[test]
     fn max_flood_converges_on_path() {
         let mut net = path_net(10);
-        let out = net.run_until_halt(100);
-        assert!(out.all_halted);
+        let rounds = net.run_until_halt(100);
+        assert!(net.all_halted());
         assert!(net.nodes().iter().all(|s| s.best == 9));
         // Information must travel the diameter: at least n-1 rounds.
-        assert!(out.rounds >= 9);
+        assert!(rounds >= 9);
     }
 
     #[test]
@@ -1594,45 +1554,57 @@ mod tests {
     #[test]
     fn run_rounds_is_exact() {
         let mut net = path_net(6);
-        let out = net.run_rounds(3);
-        assert_eq!(out.rounds, 3);
+        assert_eq!(net.run_rounds(3), 3);
         assert_eq!(net.round(), 3);
     }
 
     #[test]
-    fn quiet_detection() {
-        // Nodes that send only in round 0 and never halt.
-        struct OneShot;
-        impl Protocol for OneShot {
-            type Msg = u8;
-            fn on_round(&mut self, ctx: &mut Ctx<'_, u8>, _inbox: Inbox<'_, u8>) {
-                if ctx.round() == 0 {
-                    ctx.send_all(1);
-                }
-            }
-        }
-        let topo = Topology::from_edges(3, &[(0, 1), (1, 2)]);
-        let mut net = Network::new(topo, vec![OneShot, OneShot, OneShot], 0);
-        let out = net.run_until_quiet(50);
-        assert!(out.quiescent);
-        assert!(out.rounds <= 4);
-    }
-
-    #[test]
-    fn born_quiet_network_needs_one_round() {
-        // Regression: a network in which nobody ever sends must be
-        // declared quiescent after exactly one observation round, not
-        // spin a gratuitous extra round (the old `rounds > 1` guard).
-        struct Mute;
-        impl Protocol for Mute {
+    fn run_rounds_stops_quietly_at_the_budget() {
+        // A protocol that never halts: the budget ends the run, and
+        // nothing panics.
+        struct Stubborn;
+        impl Protocol for Stubborn {
             type Msg = u8;
             fn on_round(&mut self, _ctx: &mut Ctx<'_, u8>, _inbox: Inbox<'_, u8>) {}
         }
+        let topo = Topology::from_edges(2, &[(0, 1)]);
+        let mut net = Network::new(topo, vec![Stubborn, Stubborn], 5);
+        assert_eq!(net.run_rounds(8), 8);
+        assert_eq!(net.round(), 8);
+        assert_eq!(net.live_nodes(), 2);
+    }
+
+    #[test]
+    fn with_streams_draws_the_chosen_streams() {
+        // Each node draws one value in round 0 and halts in round 1.
+        struct Draw(Option<u64>);
+        impl Protocol for Draw {
+            type Msg = u8;
+            fn on_round(&mut self, ctx: &mut Ctx<'_, u8>, _inbox: Inbox<'_, u8>) {
+                match ctx.round() {
+                    0 => self.0 = Some(ctx.rng().next()),
+                    _ => ctx.halt(),
+                }
+            }
+        }
+        let draws =
+            |net: &Network<Draw>| -> Vec<Option<u64>> { net.nodes().iter().map(|d| d.0).collect() };
+        let expect = |seed: u64, ids: &[u64]| -> Vec<Option<u64>> {
+            ids.iter()
+                .map(|&id| Some(SplitMix64::for_node(seed, id).next()))
+                .collect()
+        };
+        // Local node v stands in for global node `globals[v]`.
+        let globals = [7u64, 19, 23];
         let topo = Topology::from_edges(3, &[(0, 1), (1, 2)]);
-        let mut net = Network::new(topo, vec![Mute, Mute, Mute], 0);
-        let out = net.run_until_quiet(50);
-        assert!(out.quiescent);
-        assert_eq!(out.rounds, 1);
+        let nodes = (0..3).map(|_| Draw(None)).collect();
+        let mut net = Network::new(topo, nodes, 42).with_streams(&globals);
+        assert_eq!(net.run_until_halt(10), 2);
+        assert_eq!(draws(&net), expect(42, &globals));
+        // A re-arm drops the chosen ids: node v draws from stream v.
+        net.rearm(9);
+        net.run_until_halt(10);
+        assert_eq!(draws(&net), expect(9, &[0, 1, 2]));
     }
 
     #[test]

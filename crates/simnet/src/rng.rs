@@ -140,21 +140,6 @@ pub mod streams {
     ];
 }
 
-impl SplitMix64 {
-    /// Fill `dest` with random bytes (kept for harness-level hashing).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,13 +226,5 @@ mod tests {
         let hits = (0..20_000).filter(|_| r.bernoulli(0.3)).count();
         let mean = hits as f64 / 20_000.0;
         assert!((mean - 0.3).abs() < 0.02, "mean {mean} too far from 0.3");
-    }
-
-    #[test]
-    fn fill_bytes_partial_chunks() {
-        let mut r = SplitMix64::new(11);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -186,25 +186,6 @@ impl NetStats {
         self.timings.absorb(&other.timings);
         self.per_round.extend_from_slice(&other.per_round);
     }
-
-    /// Mean messages per round.
-    pub fn avg_messages_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.messages as f64 / self.rounds as f64
-        }
-    }
-
-    /// Mean nodes stepped per round — the sparse wake list's cost
-    /// metric (the dense sweep pays `n` per round regardless).
-    pub fn avg_active_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.node_steps as f64 / self.rounds as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -231,12 +212,6 @@ mod tests {
         assert_eq!(a.bits, 90);
         assert_eq!(a.max_msg_bits, 50);
         assert_eq!(a.per_round.len(), 2);
-    }
-
-    #[test]
-    fn avg_messages_per_round_handles_zero() {
-        let s = NetStats::default();
-        assert_eq!(s.avg_messages_per_round(), 0.0);
     }
 
     #[test]
