@@ -86,7 +86,7 @@ struct GatherNode {
     /// not O(n). (Their merged views are never consulted — every
     /// augmenting path, and every view the phase inspects, lives
     /// inside the region by the repair precondition; see
-    /// `Session::resume_after_rewire`.)
+    /// `session::apply_batch`.)
     participating: bool,
 }
 
@@ -441,21 +441,9 @@ pub(crate) struct PhaseLog {
     pub(crate) mis_iterations: u64,
 }
 
-/// Sort + dedupe a damage list. Callers hand us raw endpoint dumps
-/// (`RewirePatch` explicitly allows duplicates), and a hub that lost
-/// ten edges would otherwise seed the BFS ten times and inflate every
-/// `damage`-derived gauge (`center_edges`, woken counts) by its
-/// multiplicity.
-pub(crate) fn normalize_damage(damage: &[NodeId]) -> Vec<NodeId> {
-    let mut d = damage.to_vec();
-    d.sort_unstable();
-    d.dedup();
-    d
-}
-
 /// `region[v]` = v is within `radius` hops of a seed. The session
-/// driver ([`crate::session::Session::resume_after_rewire`]) restricts
-/// repair gathering to `B(damage, 4k+2)` with it.
+/// driver ([`crate::session::Session::rewire`]) restricts repair
+/// gathering to `B(damage, 4k+2)` with it.
 pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
     bfs_distances(g, seeds, radius)
         .into_iter()
@@ -497,7 +485,7 @@ pub(crate) fn phase_step(
     let paths = enumerate_augmenting_paths(g, m, ell);
     if let Some(region) = region {
         // Incremental runs: every augmenting path must live inside
-        // the damage ball (see `Session::resume_after_rewire`). A path outside it means
+        // the damage ball (see `session::apply_batch`). A path outside it means
         // the warm start violated the precondition (it still had
         // short augmenting paths away from the damage) — silently
         // skipping such paths would return a matching below the
@@ -549,7 +537,7 @@ pub(crate) fn phase_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, RewirePatch, RunReport, Session};
+    use crate::{Algorithm, RunReport, Session};
     use dgraph::generators::random::{barabasi_albert, bipartite_gnp, gnp};
     use dgraph::generators::structured::{cycle, p4_chain, path};
     use dgraph::generators::zoo::{chung_lu, d_regular, random_geometric, zipf_bipartite};
@@ -750,9 +738,8 @@ mod tests {
             let Some(&e) = full.matching.edge_ids(&g).first() else {
                 continue;
             };
-            let (a, b) = g.endpoints(e);
-            let (g2, _back) = g.edge_subgraph(|x| x != e);
-            s.resume_after_rewire(RewirePatch::new(g2.clone(), vec![a, b]));
+            s.rewire(&[g.endpoints(e)], &[]);
+            let g2 = s.graph().clone();
             let r = s.run_to_completion();
             let repair_messages = r.stats.messages - full.stats.messages;
             assert!(r.matching.validate(&g2).is_ok());

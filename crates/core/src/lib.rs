@@ -26,8 +26,9 @@
 //! `run_to_completion()`, or `step()` phase by phase with mid-run
 //! `snapshot()`s, per-round/per-phase [`session::Observer`] callbacks,
 //! and — for the incremental algorithms — churn-epoch repair via
-//! `resume_after_rewire`. Execution knobs, the adversary plan
-//! included, travel in one `simnet::ExecCfg` (`.exec(cfg)`).
+//! `rewire(removed, added)`, whose damage rule ([`session::apply_batch`])
+//! `dchurn` shares. Execution knobs, the adversary plan included, travel
+//! in one `simnet::ExecCfg` (`.exec(cfg)`).
 
 pub mod bipartite;
 pub mod general;
@@ -45,7 +46,7 @@ pub mod weighted;
 pub use oracle::MatchingOracle;
 pub use runner::{Algorithm, RunReport, TerminationMode};
 pub use session::{
-    Control, ConvergenceCurve, CurvePoint, MatchingDelta, NullObserver, Observer, Phase,
-    PhaseEvent, PhaseInfo, RewirePatch, RoundBudget, RoundEvent, Session, SessionBuilder, Snapshot,
+    Control, ConvergenceCurve, CurvePoint, Damage, MatchingDelta, NullObserver, Observer, Phase,
+    PhaseEvent, PhaseInfo, RoundBudget, RoundEvent, Session, SessionBuilder, Snapshot,
 };
 pub use state::topology_of;

@@ -34,12 +34,11 @@
 //!
 //! Completed sessions of the *incremental* algorithms
 //! (`Algorithm::IsraeliItai`, `Algorithm::Generic`) can absorb a churn
-//! batch and repair in place: [`Session::resume_after_rewire`] swaps in
-//! the post-churn graph, drops destroyed matching edges, and — for the
-//! generic algorithm — restricts all gathering traffic to the damage
-//! ball `B(damage, 4k+2)`, exactly like the dynamic engine's epoch
-//! repair. `dchurn::DynEngine` drives its generic arm through this
-//! path.
+//! batch `(removed, added)` and repair in place: [`Session::rewire`]
+//! patches the graph, unmatches the destroyed pairs, derives the damage
+//! set ([`apply_batch`]) and — for the generic algorithm — restricts
+//! all gathering traffic to the damage ball `B(damage, 4k+2)`.
+//! `dchurn::DynEngine` drives its generic arm through this path.
 //!
 //! Each driver arm is the only implementation of its algorithm's phase
 //! loop, built on the per-phase primitives of the algorithm modules;
@@ -49,7 +48,7 @@
 use crate::runner::{Algorithm, RunReport, TerminationMode};
 use crate::weighted::MwmBox;
 use crate::{bipartite, general, generic, israeli_itai, weighted};
-use dgraph::{Graph, Matching, NodeId, UNMATCHED};
+use dgraph::{Graph, Matching, NodeId};
 use simnet::{ExecCfg, NetStats, RoundTrace, SplitMix64};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -282,23 +281,70 @@ pub struct Snapshot {
     pub oracle_checks: u64,
 }
 
-/// A churn batch handed to [`Session::resume_after_rewire`]: the
-/// post-churn graph (same vertex universe) plus the vertices whose
-/// incident structure changed (endpoints of inserted edges and of
-/// destroyed matched edges).
-#[derive(Debug, Clone)]
-pub struct RewirePatch {
-    /// The new communication graph.
-    pub graph: Graph,
-    /// Damage set (deduplicated not required; order irrelevant).
-    pub damage: Vec<NodeId>,
+/// What a churn batch did to a matching, as [`apply_batch`] derives it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Damage {
+    /// Matched edges the batch destroyed (each frees two nodes).
+    pub invalidated: usize,
+    /// The damage set, ascending and distinct: the endpoints of the
+    /// inserted edges and of the destroyed matched edges.
+    pub nodes: Vec<NodeId>,
 }
 
-impl RewirePatch {
-    /// Bundle a post-churn graph with its damage set.
-    pub fn new(graph: Graph, damage: Vec<NodeId>) -> Self {
-        RewirePatch { graph, damage }
+/// Apply a churn batch (deletions `removed`, then insertions `added`)
+/// to a graph and a matching on it: unmatch every matched pair in
+/// `removed`, patch the graph into `spare`'s buffers
+/// ([`Graph::patch_into`], whose panics apply) and swap the two, so
+/// `spare` keeps the retired graph for the next batch. Returns the
+/// damage: the endpoints of inserted edges and of destroyed matched
+/// edges. [`Session::rewire`] and `dchurn`'s Israeli–Itai arm share
+/// this one damage rule.
+///
+/// Why repair may stay at the damage: removing an unmatched edge only
+/// destroys augmenting paths, so an augmenting path of the new instance
+/// that was not one before has a freed endpoint or uses an inserted
+/// edge. After an epoch that left no augmenting path of length
+/// `≤ 2k-1` (Theorem 3.1), every such path, and every vertex whose
+/// matched status the repair changes, stays within distance `O(k)` of
+/// the damage; after a maximal matching, every free–free edge has a
+/// damaged endpoint. No damage keeps the old guarantee: a free epoch.
+pub fn apply_batch(
+    g: &mut Graph,
+    spare: &mut Graph,
+    m: &mut Matching,
+    removed: &[(NodeId, NodeId)],
+    added: &[(NodeId, NodeId)],
+) -> Damage {
+    let mut damage = Damage::default();
+    for &(u, v) in removed {
+        if m.mate(u) == Some(v) {
+            let e = g.edge_between(u, v).expect("matched pairs are edges");
+            m.remove(g, e);
+            damage.invalidated += 1;
+            damage.nodes.extend([u, v]);
+        }
     }
+    damage.nodes.extend(added.iter().flat_map(|&(u, v)| [u, v]));
+    // Ascending and distinct: the damage set is iterated into wake-up
+    // schedules and BFS seeds, so its order must come from node ids.
+    damage.nodes.sort_unstable();
+    damage.nodes.dedup();
+    g.patch_into(removed, added, spare);
+    std::mem::swap(g, spare);
+    debug_assert!(
+        m.validate(g).is_ok(),
+        "surviving matching must stay valid on the new graph"
+    );
+    damage
+}
+
+/// Honest termination convergecasts over the whole graph.
+fn assert_honest_connected(termination: TerminationMode, g: &Graph) {
+    assert!(
+        termination != TerminationMode::Honest || g.n() < 2 || g.components() == 1,
+        "TerminationMode::Honest needs a connected graph, but this one has {} components",
+        g.components()
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -399,9 +445,10 @@ impl<'a> SessionBuilder<'a> {
     ///
     /// On invalid combinations: `Bipartite` without `sides`, a warm
     /// start for a non-incremental algorithm, `sampling_iterations` for
-    /// a non-`General` algorithm, `k == 0`, or an invalid warm-start
-    /// matching.
+    /// a non-`General` algorithm, `k == 0`, an invalid warm-start
+    /// matching, or [`TerminationMode::Honest`] on a disconnected graph.
     pub fn build(self) -> Session {
+        assert_honest_connected(self.termination, self.g);
         let g = self.g.clone();
         if let Some(m) = self.warm {
             assert!(
@@ -471,6 +518,7 @@ impl<'a> SessionBuilder<'a> {
         };
         Session {
             g,
+            spare: None,
             alg: self.alg,
             seed: self.seed,
             cfg: self.cfg,
@@ -547,6 +595,9 @@ enum Driver {
 /// and the observer plane; see the [module docs](self) for the tour.
 pub struct Session {
     g: Graph,
+    /// The graph the previous rewire retired; the next batch is patched
+    /// into its buffers. Allocated by the first rewire.
+    spare: Option<Graph>,
     alg: Algorithm,
     seed: u64,
     cfg: ExecCfg,
@@ -879,7 +930,7 @@ impl Session {
 
     /// The report for the work done so far (clones the matching and
     /// statistics; the session remains usable, e.g. for
-    /// [`Session::resume_after_rewire`]).
+    /// [`Session::rewire`]).
     pub fn report(&self) -> RunReport {
         RunReport::new(
             self.alg.name(),
@@ -889,70 +940,53 @@ impl Session {
         )
     }
 
-    /// Absorb a churn batch into a *completed* session and re-arm it to
-    /// repair the matching on the post-churn graph: matched edges that
-    /// no longer exist are dropped (their endpoints must be in
-    /// `patch.damage`), and the next [`Session::step`] /
-    /// [`Session::run_to_completion`] runs the repair epoch. Epoch `e`
-    /// derives its seeds as `seed + e`.
+    /// Absorb a churn batch (deletions `removed`, then insertions
+    /// `added`, as for [`Graph::patch_into`]) into a *completed*
+    /// session: [`apply_batch`] patches the graph, unmatches the
+    /// destroyed pairs and derives the damage set, which is returned.
+    /// The next [`Session::step`] / [`Session::run_to_completion`] runs
+    /// the repair epoch; epoch `e` derives its seeds as `seed + e`.
     ///
     /// Supported by the incremental algorithms: `IsraeliItai`
     /// (warm-started re-run — the surviving matching never regresses)
-    /// and `Generic { k }` (damage-local repair: all gathering traffic
-    /// stays inside `B(damage, 4k+2)`, the invariant the dynamic-engine
-    /// experiments measure). Panics for the cold-start algorithms.
-    ///
-    /// Why the Generic repair may stay local: `damage` holds the
-    /// endpoints of inserted edges and of destroyed *matched* edges
-    /// (removing an unmatched edge only destroys augmenting paths).
-    /// Every augmenting path of length `≤ 2k-1` in the new instance
-    /// touches `damage` — the previous epoch left none elsewhere — and
-    /// all vertices such a path visits, or whose matched status later
-    /// changes, stay within distance `O(k)` of it. An empty damage set
-    /// keeps the previous guarantee, so that epoch is free.
-    pub fn resume_after_rewire(&mut self, patch: RewirePatch) {
+    /// and `Generic { k }` (all gathering traffic stays inside
+    /// `B(damage, 4k+2)`; no damage makes the epoch free). Panics for
+    /// the other algorithms, before the epoch has completed, on the
+    /// batches `Graph::patch_into` rejects, and under
+    /// [`TerminationMode::Honest`] when the batch disconnects the graph.
+    pub fn rewire(&mut self, removed: &[(NodeId, NodeId)], added: &[(NodeId, NodeId)]) -> Damage {
         assert!(
             self.status == Status::Done,
-            "resume_after_rewire requires a completed epoch (status: {:?})",
+            "rewire requires a completed epoch (status: {:?})",
             self.status
         );
-        assert_eq!(
-            patch.graph.n(),
-            self.g.n(),
-            "rewire must preserve the vertex universe (node churn uses a fixed universe)"
+        assert!(
+            matches!(self.alg, Algorithm::IsraeliItai | Algorithm::Generic { .. }),
+            "rewire is supported by the incremental algorithms \
+             (IsraeliItai, Generic); {} runs from a cold start",
+            self.alg
         );
-        self.g = patch.graph;
-        // Drop matched pairs whose edge the churn destroyed.
-        let mates: Vec<NodeId> = (0..self.g.n() as NodeId)
-            .map(|v| match self.m.mate(v) {
-                Some(w) if self.g.edge_between(v, w).is_some() => w,
-                _ => UNMATCHED,
-            })
-            .collect();
-        self.m = Matching::from_mates(mates);
-        debug_assert!(self.m.validate(&self.g).is_ok());
+        let spare = self.spare.get_or_insert_with(|| Graph::new(0, Vec::new()));
+        let damage = apply_batch(&mut self.g, spare, &mut self.m, removed, added);
+        assert_honest_connected(self.termination, &self.g);
         self.epoch += 1;
         match &mut self.driver {
             Driver::IsraeliItai { done } => *done = false,
             Driver::Generic { k, region, next } => {
-                if patch.damage.is_empty() {
+                if damage.nodes.is_empty() {
                     // No damage ⇒ the previous guarantee still holds
                     // and the repair is free.
                     *region = None;
                     *next = *k;
                 } else {
-                    // Normalize before anything derived from the damage
-                    // set: a duplicated hub must not seed the BFS (or
-                    // the `center_edges` gauge) once per incident edge.
-                    let damage = generic::normalize_damage(&patch.damage);
                     let radius = 4 * *k + 2;
-                    let ball = generic::ball(&self.g, &damage, radius);
+                    let ball = generic::ball(&self.g, &damage.nodes, radius);
                     if dobs::plane::enabled() {
                         // The LCA-style locality probe: how big a region
                         // did this damage set force the repair to read?
                         dobs::plane::record(dobs::Event::RepairBall {
                             t_ns: dobs::plane::now_ns(),
-                            center_edges: damage.len() as u64,
+                            center_edges: damage.nodes.len() as u64,
                             radius: radius as u64,
                             ball: ball.iter().filter(|&&b| b).count() as u64,
                         });
@@ -961,13 +995,10 @@ impl Session {
                     *next = 0;
                 }
             }
-            _ => panic!(
-                "resume_after_rewire is supported by the incremental algorithms \
-                 (IsraeliItai, Generic); {} runs from a cold start",
-                self.alg
-            ),
+            _ => unreachable!("checked above: only incremental drivers rewire"),
         }
         self.status = Status::Running;
+        damage
     }
 
     /// End-of-epoch bookkeeping: the Bipartite schedule bump and the
@@ -1195,61 +1226,40 @@ mod tests {
             .seed(5)
             .build();
         s.run_to_completion();
-        // Remove one matched edge.
+        // Destroy one matched edge (a, b) and insert a non-edge at `a`:
+        // `a` is an endpoint twice, but the damage set holds it once.
         let e = s.matching().edge_ids(&g)[0];
         let (a, b) = g.endpoints(e);
-        let (g2, _) = g.edge_subgraph(|x| x != e);
-        s.resume_after_rewire(RewirePatch::new(g2.clone(), vec![a, b]));
+        let c = (0..g.n() as NodeId)
+            .find(|&c| c != a && g.edge_between(a, c).is_none())
+            .expect("a non-neighbor of a");
+        let trace = dobs::plane::TraceSession::start(64);
+        let damage = s.rewire(&[(a, b)], &[(a.min(c), a.max(c))]);
+        let rec = trace.finish();
+        let mut nodes = vec![a, b, c];
+        nodes.sort_unstable();
+        assert_eq!(
+            damage,
+            Damage {
+                invalidated: 1,
+                nodes
+            }
+        );
+        let center = rec
+            .events()
+            .find_map(|ev| match ev {
+                dobs::Event::RepairBall { center_edges, .. } => Some(*center_edges),
+                _ => None,
+            })
+            .expect("repair must record a RepairBall event");
+        assert_eq!(center, 3, "the gauge counts each damage node once");
         let r = s.run_to_completion();
-        assert!(r.matching.validate(&g2).is_ok());
-        assert!(!has_augmenting_path_within(&g2, &r.matching, 2 * k - 1));
+        let g2 = s.graph();
+        assert_eq!(g2.m(), g.m());
+        assert!(g2.edge_between(a, b).is_none() && g2.edge_between(a, c).is_some());
+        assert!(r.matching.validate(g2).is_ok());
+        assert!(!has_augmenting_path_within(g2, &r.matching, 2 * k - 1));
         assert_eq!(s.epoch(), 1);
-    }
-
-    #[test]
-    fn rewire_normalizes_duplicated_damage() {
-        // A hub that lost several edges shows up once per endpoint dump
-        // in `RewirePatch::damage`. The duplicated list must produce
-        // the same repair (matching + stats) as the deduped one, and
-        // the RepairBall gauge must report the *deduped* center count.
-        let g = gnp(40, 0.08, 9);
-        let k = 2;
-        let run = |damage: Vec<NodeId>| {
-            let mut s = Session::on(&g)
-                .algorithm(Algorithm::Generic { k })
-                .seed(5)
-                .build();
-            s.run_to_completion();
-            let e = s.matching().edge_ids(&g)[0];
-            let (g2, _) = g.edge_subgraph(|x| x != e);
-            let session = dobs::plane::TraceSession::start(64);
-            s.resume_after_rewire(RewirePatch::new(g2.clone(), damage));
-            let rec = session.finish();
-            let center = rec
-                .events()
-                .find_map(|ev| match ev {
-                    dobs::Event::RepairBall { center_edges, .. } => Some(*center_edges),
-                    _ => None,
-                })
-                .expect("repair must record a RepairBall event");
-            let r = s.run_to_completion();
-            (r.matching, s.stats().clone(), center)
-        };
-        let e0 = {
-            let mut s = Session::on(&g)
-                .algorithm(Algorithm::Generic { k })
-                .seed(5)
-                .build();
-            s.run_to_completion();
-            s.matching().edge_ids(&g)[0]
-        };
-        let (a, b) = g.endpoints(e0);
-        let (m_dup, stats_dup, center_dup) = run(vec![b, a, a, b, a]);
-        let (m_clean, stats_clean, center_clean) = run(vec![a, b]);
-        assert_eq!(m_dup, m_clean);
-        assert_eq!(stats_dup, stats_clean);
-        assert_eq!(center_clean, 2);
-        assert_eq!(center_dup, 2, "duplicates must not inflate the gauge");
     }
 
     #[test]
@@ -1261,10 +1271,40 @@ mod tests {
             .build();
         let before = s.run_to_completion();
         let rounds0 = s.stats().rounds;
-        s.resume_after_rewire(RewirePatch::new(g.clone(), vec![]));
+        assert_eq!(s.rewire(&[], &[]), Damage::default());
         let after = s.run_to_completion();
         assert_eq!(before.matching, after.matching);
         assert_eq!(s.stats().rounds, rounds0, "no damage ⇒ free epoch");
+        // Removing an unmatched edge only destroys augmenting paths.
+        let e = (0..g.m() as dgraph::EdgeId)
+            .find(|&e| !s.matching().contains(&g, e))
+            .expect("an unmatched edge");
+        assert_eq!(s.rewire(&[g.endpoints(e)], &[]), Damage::default());
+        let after = s.run_to_completion();
+        assert_eq!(before.matching, after.matching);
+        assert_eq!(s.stats().rounds, rounds0, "no damage ⇒ free epoch");
+    }
+
+    #[test]
+    #[should_panic(expected = "TerminationMode::Honest needs a connected graph")]
+    fn honest_rejects_a_disconnected_graph() {
+        let g = Graph::new(4, vec![(0, 1), (2, 3)]);
+        let _ = Session::on(&g)
+            .termination(TerminationMode::Honest)
+            .seed(1)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "TerminationMode::Honest needs a connected graph")]
+    fn honest_rewire_rejects_a_disconnecting_batch() {
+        let g = dgraph::generators::structured::path(4);
+        let mut s = Session::on(&g)
+            .termination(TerminationMode::Honest)
+            .seed(1)
+            .build();
+        s.run_to_completion();
+        s.rewire(&[(1, 2)], &[]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::churn::{ChurnGen, ChurnModel};
 use crate::mutation::MutationBatch;
 use crate::repair::RepairNode;
 use dgraph::{Graph, Matching, NodeId, UNMATCHED};
-use dmatch::session::{RewirePatch, Session};
+use dmatch::session::{apply_batch, Damage, Phase, Session};
 use dmatch::Algorithm;
 use simnet::{ExecCfg, NetStats, Network};
 
@@ -17,13 +17,12 @@ pub enum RepairAlgo {
     IncrementalMaximal,
     /// Warm-started generic `(1-1/(k+1))`-MCM with damage-local
     /// gathering, driven through a persistent [`Session`] via
-    /// [`Session::resume_after_rewire`] (one epoch = one rewire +
-    /// repair run).
+    /// [`Session::rewire`] (one epoch = one rewire + repair run).
     IncrementalGeneric { k: usize },
 }
 
 /// What one epoch did and what it cost.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EpochReport {
     /// Epoch number (0 = bootstrap, building the initial matching).
     pub epoch: u64,
@@ -37,7 +36,7 @@ pub struct EpochReport {
     /// endpoints of inserted edges and of destroyed matched edges
     /// (every node on the bootstrap epoch). An endpoint of a removed
     /// unmatched edge keeps its mate and is not damage. Both repair
-    /// algorithms report the same set.
+    /// algorithms derive the set with [`apply_batch`].
     pub damage: usize,
     /// Repair cost: synchronous rounds this epoch.
     pub rounds: u64,
@@ -60,27 +59,14 @@ pub struct EpochReport {
     pub maximal: bool,
 }
 
-/// A dynamic network: current graph + matching, a churn stream, and
-/// the persistent repair machinery.
+/// A dynamic network: a churn stream and the persistent repair
+/// machinery, which owns the current graph and matching.
 pub struct DynEngine {
-    g: Graph,
-    /// The graph the previous epoch retired; the next batch is patched
-    /// into its buffers.
-    spare: Graph,
-    m: Matching,
     churn: ChurnGen,
-    algo: RepairAlgo,
     cfg: ExecCfg,
     seed: u64,
     epoch: u64,
-    /// Persistent network for [`RepairAlgo::IncrementalMaximal`]; its
-    /// slabs and RNG streams live across every epoch. This arm lives
-    /// *below* the `Session` surface: its protocol state never leaves
-    /// the simulator, which is what makes zero-rebuild epochs possible.
-    net: Option<Network<RepairNode>>,
-    /// Persistent session for [`RepairAlgo::IncrementalGeneric`]; each
-    /// epoch resumes it with a [`RewirePatch`].
-    session: Option<Session>,
+    arm: Arm,
     /// Per-epoch reports, in order (index 0 = bootstrap).
     pub reports: Vec<EpochReport>,
     /// Distributions over the churn epochs (bootstrap excluded):
@@ -91,8 +77,30 @@ pub struct DynEngine {
     /// `e` cost"; this registry answers "what does an epoch cost",
     /// p50/p99/max included.
     metrics: dobs::Registry,
-    /// Per-node bookkeeping of the [`RepairAlgo::IncrementalMaximal`]
-    /// epochs, kept across epochs.
+}
+
+/// The persistent state of the engine's repair algorithm.
+enum Arm {
+    /// [`RepairAlgo::IncrementalMaximal`].
+    Maximal(Box<MaximalArm>),
+    /// [`RepairAlgo::IncrementalGeneric`]: the session owns the graph
+    /// and the matching, and each epoch rewires it.
+    Generic(Box<Session>),
+}
+
+/// The Israeli–Itai arm. It lives *below* the `Session` surface: its
+/// protocol state never leaves the simulator, which is what makes
+/// zero-rebuild epochs possible.
+struct MaximalArm {
+    g: Graph,
+    /// The graph the previous epoch retired; the next batch is patched
+    /// into its buffers.
+    spare: Graph,
+    m: Matching,
+    /// The persistent network; its slabs and RNG streams live across
+    /// every epoch.
+    net: Network<RepairNode>,
+    /// Per-node bookkeeping of the epochs, kept across epochs.
     scratch: EpochScratch,
 }
 
@@ -178,6 +186,15 @@ impl EpochScratch {
     }
 }
 
+impl Arm {
+    fn graph(&self) -> &Graph {
+        match self {
+            Arm::Maximal(arm) => &arm.g,
+            Arm::Generic(session) => session.graph(),
+        }
+    }
+}
+
 impl DynEngine {
     /// New engine over `g` (call [`DynEngine::bootstrap`] next).
     pub fn new(g: Graph, model: ChurnModel, algo: RepairAlgo, seed: u64) -> Self {
@@ -193,21 +210,36 @@ impl DynEngine {
         seed: u64,
         cfg: ExecCfg,
     ) -> Self {
-        let n = g.n();
+        let arm = match algo {
+            RepairAlgo::IncrementalMaximal => {
+                let topo = dmatch::topology_of(&g);
+                let nodes = (0..g.n() as NodeId)
+                    .map(|v| RepairNode::new(topo.degree(v)))
+                    .collect();
+                Arm::Maximal(Box::new(MaximalArm {
+                    net: Network::new(topo, nodes, seed).with_cfg(cfg),
+                    scratch: EpochScratch::new(g.n()),
+                    m: Matching::new(g.n()),
+                    spare: Graph::new(0, Vec::new()),
+                    g,
+                }))
+            }
+            RepairAlgo::IncrementalGeneric { k } => Arm::Generic(Box::new(
+                Session::on(&g)
+                    .algorithm(Algorithm::Generic { k })
+                    .seed(seed)
+                    .exec(cfg)
+                    .build(),
+            )),
+        };
         DynEngine {
-            m: Matching::new(n),
-            g,
-            spare: Graph::new(0, Vec::new()),
             churn: ChurnGen::new(model, seed ^ 0xD15EA5E),
-            algo,
             cfg,
             seed,
             epoch: 0,
-            net: None,
-            session: None,
+            arm,
             reports: Vec::new(),
             metrics: dobs::Registry::new(),
-            scratch: EpochScratch::default(),
         }
     }
 
@@ -255,12 +287,15 @@ impl DynEngine {
 
     /// The current communication graph.
     pub fn graph(&self) -> &Graph {
-        &self.g
+        self.arm.graph()
     }
 
     /// The current matching.
     pub fn matching(&self) -> &Matching {
-        &self.m
+        match &self.arm {
+            Arm::Maximal(arm) => &arm.m,
+            Arm::Generic(session) => session.matching(),
+        }
     }
 
     /// Epochs executed so far (including the bootstrap).
@@ -274,133 +309,136 @@ impl DynEngine {
     /// `n`. `None` for [`RepairAlgo::IncrementalGeneric`], whose
     /// phases run on throwaway networks.
     pub fn net_stats(&self) -> Option<&NetStats> {
-        self.net.as_ref().map(Network::stats)
+        match &self.arm {
+            Arm::Maximal(arm) => Some(arm.net.stats()),
+            Arm::Generic(_) => None,
+        }
     }
 
     /// Epoch 0: build the initial matching from scratch (everything is
     /// damage). Must be called once, before [`DynEngine::step_epoch`].
     pub fn bootstrap(&mut self) -> &EpochReport {
         assert_eq!(self.epoch, 0, "bootstrap runs exactly once");
-        let report = match self.algo {
-            RepairAlgo::IncrementalMaximal => {
-                let topo = dmatch::topology_of(&self.g);
-                let nodes = (0..self.g.n() as NodeId)
-                    .map(|v| RepairNode::new(topo.degree(v)))
-                    .collect();
-                let net = Network::new(topo, nodes, self.seed).with_cfg(self.cfg);
-                self.net = Some(net);
-                self.scratch = EpochScratch::new(self.g.n());
-                let everyone: Vec<NodeId> = (0..self.g.n() as NodeId).collect();
-                self.run_maximal_epoch(MutationBatch::empty(), 0, &everyone, 0)
-            }
-            RepairAlgo::IncrementalGeneric { k } => {
-                let session = Session::on(&self.g)
-                    .algorithm(Algorithm::Generic { k })
-                    .seed(self.seed)
-                    .exec(self.cfg)
-                    .build();
-                self.session = Some(session);
-                self.run_generic_epoch(MutationBatch::empty(), 0, None, 0)
-            }
+        let everyone = Damage {
+            invalidated: 0,
+            nodes: (0..self.graph().n() as NodeId).collect(),
         };
-        self.observe_epoch(&report);
-        self.reports.push(report);
-        self.epoch = 1;
-        self.reports.last().expect("just pushed")
+        self.run_epoch(&MutationBatch::empty(), &everyone)
     }
 
     /// Run one epoch: draw a churn batch, patch the network, repair the
     /// matching, and append (and return) the epoch's report.
     pub fn step_epoch(&mut self) -> &EpochReport {
         assert!(self.epoch > 0, "call bootstrap first");
-        let batch = self.churn.next_batch(&self.g);
-        self.apply_batch(batch)
+        let batch = self.churn.next_batch(self.arm.graph());
+        self.rewire(batch)
     }
 
     /// Run one epoch with an explicit batch (trace-style driving; the
     /// batch must be valid against the current graph).
     pub fn step_with(&mut self, batch: MutationBatch) -> &EpochReport {
         assert!(self.epoch > 0, "call bootstrap first");
-        self.apply_batch(batch.normalized())
+        self.rewire(batch.normalized())
     }
 
-    fn apply_batch(&mut self, batch: MutationBatch) -> &EpochReport {
-        // Invalidate matched edges the batch destroys; their endpoints
-        // are part of the damage, with the endpoints of inserted edges.
-        let mut invalidated = 0usize;
-        let mut damage: Vec<NodeId> = Vec::with_capacity(2 * batch.len());
-        for &(u, v) in &batch.removed {
-            if self.m.mate(u) == Some(v) {
-                let e = self.g.edge_between(u, v).expect("removed edge must exist");
-                self.m.remove(&self.g, e);
-                invalidated += 1;
-                damage.extend([u, v]);
+    /// Patch the batch into the arm's graph, matching and network (or
+    /// session), then repair from the damage set [`apply_batch`]
+    /// derives.
+    fn rewire(&mut self, batch: MutationBatch) -> &EpochReport {
+        let (removed, added) = (&batch.removed[..], &batch.added[..]);
+        let damage = match &mut self.arm {
+            Arm::Maximal(arm) => {
+                let damage = apply_batch(&mut arm.g, &mut arm.spare, &mut arm.m, removed, added);
+                // The simnet level is patched in place, slabs and all.
+                arm.net.rewire(removed, added);
+                damage
             }
-        }
-        for &(u, v) in &batch.added {
-            damage.extend([u, v]);
-        }
-        // Ascending and distinct: the damage set is iterated into the
-        // wake-up schedule, so its order must come from node ids.
-        damage.sort_unstable();
-        damage.dedup();
-        // The new graph is patched into the buffers of the one the last
-        // epoch retired (the simnet level is patched in place below,
-        // slabs and all).
-        self.g
-            .patch_into(&batch.removed, &batch.added, &mut self.spare);
-        std::mem::swap(&mut self.g, &mut self.spare);
-        debug_assert!(
-            self.m.validate(&self.g).is_ok(),
-            "surviving matching must stay valid on the new graph"
-        );
+            Arm::Generic(session) => session.rewire(removed, added),
+        };
+        self.run_epoch(&batch, &damage)
+    }
 
+    /// Repair from `damage` (epoch `e` of the generic arm seeds as
+    /// `seed + e`, the engine's long-standing convention: the session's
+    /// epochs are the engine's) and append (and return) the report.
+    fn run_epoch(&mut self, batch: &MutationBatch, damage: &Damage) -> &EpochReport {
         let epoch = self.epoch;
         self.epoch += 1;
-        let report = match self.algo {
-            RepairAlgo::IncrementalMaximal => {
-                self.net
-                    .as_mut()
-                    .expect("bootstrap created the network")
-                    .rewire(&batch.removed, &batch.added);
-                self.run_maximal_epoch(batch, epoch, &damage, invalidated)
-            }
-            RepairAlgo::IncrementalGeneric { .. } => {
-                let patch = RewirePatch::new(self.g.clone(), damage);
-                self.run_generic_epoch(batch, epoch, Some(patch), invalidated)
-            }
+        let cost = match &mut self.arm {
+            Arm::Maximal(arm) => arm.repair(epoch, &damage.nodes),
+            Arm::Generic(session) => generic_repair(session),
+        };
+        debug_assert!(self.check_liveness_invariant(), "stale liveness knowledge");
+        let report = EpochReport {
+            epoch,
+            added: batch.added.len(),
+            removed: batch.removed.len(),
+            invalidated: damage.invalidated,
+            damage: damage.nodes.len(),
+            ..cost
         };
         self.observe_epoch(&report);
         self.reports.push(report);
         self.reports.last().expect("just pushed")
     }
 
+    /// Cost of recomputing the current matching from scratch with the
+    /// same algorithm family — the baseline E15 compares repair
+    /// against. Deterministic in `(graph, seed, epoch)`.
+    pub fn recompute_baseline(&self) -> (Matching, NetStats) {
+        let seed = self.seed.wrapping_mul(0x9E37).wrapping_add(self.epoch);
+        let alg = match &self.arm {
+            Arm::Maximal(_) => Algorithm::IsraeliItai,
+            Arm::Generic(session) => session.algorithm(),
+        };
+        let r = Session::on(self.graph())
+            .algorithm(alg)
+            .seed(seed)
+            .exec(self.cfg)
+            .build()
+            .run_to_completion();
+        (r.matching, r.stats)
+    }
+
+    /// Ground-truth check of the protocol's liveness knowledge: every
+    /// node's `active[p]` must equal "the neighbor on `p` is free".
+    /// Exact at epoch boundaries (the drain round absorbed all
+    /// announcements). Test hook; meaningless for the generic variant
+    /// (always true).
+    pub fn check_liveness_invariant(&self) -> bool {
+        let Arm::Maximal(arm) = &self.arm else {
+            return true;
+        };
+        let topo = arm.net.topology();
+        arm.net.nodes().iter().enumerate().all(|(v, s)| {
+            s.active
+                .iter()
+                .enumerate()
+                .all(|(p, &a)| a == arm.m.is_free(topo.neighbor(v as NodeId, p)))
+        })
+    }
+}
+
+impl MaximalArm {
     /// Drive the persistent Israeli–Itai network until the matching is
     /// maximal on the current graph: one sync round, then 3-round
     /// iterations, then one drain round that absorbs the in-flight
     /// announcements (so liveness knowledge is exact at the boundary).
+    /// Returns the report's cost fields.
     ///
     /// Termination is an oracle check (the paper's convention), made
     /// where maximality can break. The matching was maximal before the
-    /// batch; the batch frees only damage nodes and inserts edges only
-    /// between damage nodes; and a [`RepairNode`] never unmatches (only
-    /// a rewire clears `mate_port`). So every free–free edge has an
-    /// endpoint in the damage set, and the epoch is done when no damage
-    /// node is free with a free neighbor. The bootstrap epoch starts
-    /// from the empty matching with every node as damage.
+    /// batch, and a [`RepairNode`] never unmatches (only a rewire clears
+    /// `mate_port`), so every free–free edge has an endpoint in the
+    /// damage set ([`apply_batch`] says why): the epoch is done when no
+    /// damage node is free with a free neighbor. The bootstrap epoch
+    /// starts from the empty matching with every node as damage.
     ///
     /// Every node whose mate changed sent a message this epoch (the
-    /// proposer `Propose`, the acceptor `Accept`), so the engine's
-    /// matching is updated from the woken nodes alone.
-    fn run_maximal_epoch(
-        &mut self,
-        batch: MutationBatch,
-        epoch: u64,
-        damage: &[NodeId],
-        invalidated: usize,
-    ) -> EpochReport {
-        let net = self.net.as_mut().expect("bootstrap created the network");
-        let scratch = &mut self.scratch;
+    /// proposer `Propose`, the acceptor `Accept`), so the matching is
+    /// updated from the woken nodes alone.
+    fn repair(&mut self, epoch: u64, damage: &[NodeId]) -> EpochReport {
+        let (net, scratch) = (&mut self.net, &mut self.scratch);
         let stats0 = snapshot(net.stats());
         scratch.start_epoch();
         let step = |net: &mut Network<RepairNode>, scratch: &mut EpochScratch| {
@@ -408,7 +446,7 @@ impl DynEngine {
             scratch.note_senders(net.last_senders());
         };
         step(net, scratch); // sync round
-        let budget = 200 + 60 * simnet::id_bits(self.g.n().max(2));
+        let budget = dmatch::israeli_itai::round_budget(self.g.n()) / 3;
         let mut iterations = 0u64;
         loop {
             let unsettled = free_edge_at(net, damage);
@@ -449,17 +487,11 @@ impl DynEngine {
         };
         debug_assert_eq!(
             self.m,
-            extract_matching(net, &self.g),
+            extract_matching(&self.net, &self.g),
             "the matching missed a new match"
         );
         debug_assert!(self.m.is_maximal(&self.g), "repair stopped short");
-        debug_assert!(self.check_liveness_invariant(), "stale liveness knowledge");
         EpochReport {
-            epoch,
-            added: batch.added.len(),
-            removed: batch.removed.len(),
-            invalidated,
-            damage: damage.len(),
             rounds: stats1.0 - stats0.0,
             messages: stats1.1 - stats0.1,
             bits: stats1.2 - stats0.2,
@@ -468,85 +500,28 @@ impl DynEngine {
             locality_radius,
             matching_size: self.m.size(),
             maximal: true, // the loop exits only on maximality
+            ..EpochReport::default()
         }
     }
+}
 
-    /// One epoch of the session-driven generic arm: resume the
-    /// persistent session with the rewire patch (epoch `e` seeds as
-    /// `seed + e`, the engine's long-standing convention) and run the
-    /// repair to completion; cost is the session's stats delta.
-    fn run_generic_epoch(
-        &mut self,
-        batch: MutationBatch,
-        epoch: u64,
-        patch: Option<RewirePatch>,
-        invalidated: usize,
-    ) -> EpochReport {
-        let session = self
-            .session
-            .as_mut()
-            .expect("bootstrap created the session");
-        let before = snapshot(session.stats());
-        let phases_before = session.phase_log().len();
-        let damage = patch.as_ref().map_or(self.g.n(), |p| p.damage.len());
-        if let Some(patch) = patch {
-            session.resume_after_rewire(patch);
-        }
-        session.run_to_completion();
-        self.m = session.matching().clone();
-        let after = snapshot(session.stats());
-        debug_assert_eq!(session.epoch(), epoch, "session epochs track engine epochs");
-        EpochReport {
-            epoch,
-            added: batch.added.len(),
-            removed: batch.removed.len(),
-            invalidated,
-            damage,
-            rounds: after.0 - before.0,
-            messages: after.1 - before.1,
-            bits: after.2 - before.2,
-            iterations: (session.phase_log().len() - phases_before) as u64,
-            woken: 0,
-            locality_radius: None,
-            matching_size: self.m.size(),
-            maximal: self.m.is_maximal(&self.g),
-        }
-    }
-
-    /// Cost of recomputing the current matching from scratch with the
-    /// same algorithm family — the baseline E15 compares repair
-    /// against. Deterministic in `(graph, seed, epoch)`.
-    pub fn recompute_baseline(&self) -> (Matching, NetStats) {
-        let seed = self.seed.wrapping_mul(0x9E37).wrapping_add(self.epoch);
-        let alg = match self.algo {
-            RepairAlgo::IncrementalMaximal => Algorithm::IsraeliItai,
-            RepairAlgo::IncrementalGeneric { k } => Algorithm::Generic { k },
-        };
-        let r = Session::on(&self.g)
-            .algorithm(alg)
-            .seed(seed)
-            .exec(self.cfg)
-            .build()
-            .run_to_completion();
-        (r.matching, r.stats)
-    }
-
-    /// Ground-truth check of the protocol's liveness knowledge: every
-    /// node's `active[p]` must equal "the neighbor on `p` is free".
-    /// Exact at epoch boundaries (the drain round absorbed all
-    /// announcements). Test hook; meaningless for the generic variant
-    /// (always true).
-    pub fn check_liveness_invariant(&self) -> bool {
-        let Some(net) = self.net.as_ref() else {
-            return true;
-        };
-        let topo = net.topology();
-        net.nodes().iter().enumerate().all(|(v, s)| {
-            s.active
-                .iter()
-                .enumerate()
-                .all(|(p, &a)| a == self.m.is_free(topo.neighbor(v as NodeId, p)))
-        })
+/// One epoch of the session-driven generic arm: step the (rewired or
+/// fresh) session until its epoch completes and return the report's
+/// cost fields, from the session's stats delta.
+fn generic_repair(session: &mut Session) -> EpochReport {
+    let before = snapshot(session.stats());
+    let phases_before = session.phase_log().len();
+    while let Phase::Ran(_) = session.step() {}
+    let after = snapshot(session.stats());
+    let (g, m) = (session.graph(), session.matching());
+    EpochReport {
+        rounds: after.0 - before.0,
+        messages: after.1 - before.1,
+        bits: after.2 - before.2,
+        iterations: (session.phase_log().len() - phases_before) as u64,
+        matching_size: m.size(),
+        maximal: m.is_maximal(g),
+        ..EpochReport::default()
     }
 }
 
@@ -577,7 +552,7 @@ fn extract_matching(net: &Network<RepairNode>, g: &Graph) -> Matching {
 
 /// Is some node of `damage` free with a free neighbor? After a churn
 /// batch hits a maximal matching, that is the only place a free–free
-/// edge can be (see `DynEngine::run_maximal_epoch`).
+/// edge can be (see `MaximalArm::repair`).
 fn free_edge_at(net: &Network<RepairNode>, damage: &[NodeId]) -> bool {
     let (topo, nodes) = (net.topology(), net.nodes());
     let free = |v: NodeId| nodes[v as usize].mate_port.is_none();
@@ -755,10 +730,12 @@ mod tests {
             let mut iterations = 0;
             for epoch in 0..10 {
                 iterations += eng.step_epoch().iterations;
-                let net = eng.net.as_ref().expect("maximal arm");
+                let Arm::Maximal(arm) = &eng.arm else {
+                    panic!("maximal arm")
+                };
                 assert_eq!(
                     *eng.matching(),
-                    extract_matching(net, eng.graph()),
+                    extract_matching(&arm.net, eng.graph()),
                     "{model:?}, epoch {epoch}: incremental matching drifted"
                 );
                 assert!(eng.matching().is_maximal(eng.graph()));

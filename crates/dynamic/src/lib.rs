@@ -15,15 +15,16 @@
 //! 1. a deterministic churn generator ([`ChurnGen`]) produces a
 //!    [`MutationBatch`] — seeded edge insert/delete batches, node
 //!    join/leave, degree-preserving rewiring, or trace replay;
-//! 2. the engine applies the batch: [`dgraph::Graph::patch_into`]
-//!    patches the graph and [`simnet::Network::rewire`] patches the
-//!    network's CSR and migrates the port-indexed message-plane slabs
-//!    in place (surviving directed-edge slots keep their in-flight
-//!    payloads; only new edges get fresh slots), while per-node
-//!    protocol state crosses the boundary through the
-//!    [`simnet::Rewire`] trait (old-port → new-port remap, invalidation
-//!    of matched edges that vanished). Both patches copy untouched rows
-//!    in runs and merge only the rows the batch touches;
+//! 2. the engine applies the batch: [`dmatch::session::apply_batch`]
+//!    patches the graph, unmatches the destroyed pairs and derives the
+//!    damage set, and the Israeli–Itai arm's [`simnet::Network::rewire`]
+//!    patches the network's CSR and migrates the port-indexed
+//!    message-plane slabs in place (surviving directed-edge slots keep
+//!    their in-flight payloads), while per-node protocol state crosses
+//!    the boundary through the [`simnet::Rewire`] trait (old-port →
+//!    new-port remap, invalidation of matched edges that vanished).
+//!    Both patches copy untouched rows in runs and merge only the rows
+//!    the batch touches;
 //! 3. a bounded number of **repair rounds** runs; only nodes in the
 //!    neighborhood of the damage ever send, which the engine verifies
 //!    by measuring the *locality radius* — the maximum BFS distance
@@ -35,9 +36,9 @@
 //! Two repair algorithms are provided: an incremental Israeli–Itai
 //! ([`repair::RepairNode`], maximal ⇒ ½-MCM after every epoch) and the
 //! warm-started generic `(1-1/(k+1))`-MCM (a [`dmatch::Session`] that
-//! repairs through [`dmatch::Session::resume_after_rewire`]). Both are
-//! bit-identical across worker thread counts, like every other protocol
-//! in the workspace.
+//! repairs through [`dmatch::Session::rewire`]). Both are bit-identical
+//! across worker thread counts, like every other protocol in the
+//! workspace.
 //!
 //! ```
 //! use dchurn::{ChurnModel, DynEngine, RepairAlgo};

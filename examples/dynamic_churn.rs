@@ -10,8 +10,9 @@
 //! compared to recomputing from scratch.
 
 use distributed_matching::dchurn::{ChurnModel, DynEngine, RepairAlgo};
+use distributed_matching::dgraph::augmenting::has_augmenting_path_within;
 use distributed_matching::dgraph::generators::random::gnp;
-use distributed_matching::dmatch::{Algorithm, RewirePatch, Session};
+use distributed_matching::dmatch::{Algorithm, Session};
 
 fn main() {
     let n = 1000;
@@ -61,20 +62,23 @@ fn main() {
 
     // The same epoch loop, hand-driven through the Session API (how the
     // engine's generic arm works internally): complete a run, then
-    // resume it with a rewire patch and pay only for the damage ball.
+    // rewire it with a churn batch and pay only for the damage ball.
     println!("\n-- hand-driven Session repair (generic k=2, one lost edge) --");
+    let k = 2;
     let g = gnp(400, 8.0 / 400.0, 11);
     let mut session = Session::on(&g)
-        .algorithm(Algorithm::Generic { k: 2 })
+        .algorithm(Algorithm::Generic { k })
         .seed(3)
         .build();
     let boot = session.run_to_completion();
     let full_rounds = boot.stats.rounds;
-    let e = boot.matching.edge_ids(&g)[0];
-    let (a, b) = g.endpoints(e);
-    let (g2, _) = g.edge_subgraph(|x| x != e);
-    session.resume_after_rewire(RewirePatch::new(g2, vec![a, b]));
+    let (a, b) = g.endpoints(boot.matching.edge_ids(&g)[0]);
+    session.rewire(&[(a, b)], &[]);
     let repaired = session.run_to_completion();
+    assert!(
+        !has_augmenting_path_within(session.graph(), &repaired.matching, 2 * k - 1),
+        "repair must leave no augmenting path of length <= 2k-1"
+    );
     println!(
         "bootstrap: {} rounds; repair after losing ({a},{b}): {} rounds, |M| = {}",
         full_rounds,

@@ -33,10 +33,13 @@
 //!   bit-identical to untraced ones.
 //!
 //! Every algorithm is driven through the builder-first
-//! [`dmatch::Session`] (re-exported here): static runs, `dchurn` churn
-//! epochs (via `Session::resume_after_rewire`), and `switchsim` cycles
-//! all share the same driver, with a per-round/per-phase
-//! [`dmatch::Observer`] plane for mid-run visibility.
+//! [`dmatch::Session`] (re-exported here): static runs, `switchsim`
+//! cycles and the generic arm of `dchurn`'s churn epochs (via
+//! `Session::rewire(removed, added)`) all share the same driver, with a
+//! per-round/per-phase [`dmatch::Observer`] plane for mid-run
+//! visibility. `dchurn`'s Israeli–Itai arm runs one persistent network
+//! below the `Session` surface instead, and shares only the damage rule
+//! (`dmatch::session::apply_batch`).
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for the experiment
 //! index mapping every theorem and figure of the paper to a reproducible
@@ -50,6 +53,5 @@ pub use simnet;
 pub use switchsim;
 
 pub use dmatch::{
-    Algorithm, ConvergenceCurve, Observer, RewirePatch, RoundBudget, RunReport, Session,
-    TerminationMode,
+    Algorithm, ConvergenceCurve, Observer, RoundBudget, RunReport, Session, TerminationMode,
 };

@@ -330,8 +330,8 @@ fn golden_run(
 /// The golden table: every case's per-epoch rows (bootstrap first) and
 /// the hash of its final mate array. The host-side epoch bookkeeping
 /// (graph and topology patches, slab migration, termination test,
-/// matching update, radius search) must leave it unchanged under both
-/// executors.
+/// matching update, radius search, the generic arm's session rewire)
+/// must leave it unchanged under both executors.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, &[GoldenRow])] = &[
     ("gnp/edge", 0x14a248c33b03acad, &[(26, 895, 1790, 8, Some(150), 148, None, 66), (2, 38, 76, 0, Some(39), 35, Some(0), 66), (11, 65, 130, 3, Some(43), 37, Some(1), 65), (8, 196, 392, 2, Some(47), 49, Some(1), 64), (17, 78, 156, 5, Some(42), 39, Some(1), 64), (8, 124, 248, 2, Some(41), 43, Some(1), 64), (14, 79, 158, 4, Some(43), 39, Some(1), 63)]),
@@ -345,6 +345,10 @@ const GOLDEN: &[(&str, u64, &[GoldenRow])] = &[
     ("gnp/crash", 0x8389c5bf008f1c2c, &[(20, 855, 1710, 6, Some(150), 143, None, 64), (17, 101, 202, 5, Some(24), 15, Some(1), 57), (8, 109, 218, 2, Some(53), 43, Some(1), 55), (20, 191, 382, 6, Some(79), 61, Some(0), 57), (14, 158, 316, 4, Some(68), 54, Some(1), 55), (17, 150, 300, 5, Some(52), 45, Some(1), 57), (14, 234, 468, 4, Some(69), 59, Some(0), 59)]),
     ("ba/crash", 0xe926edfc71149ac7, &[(26, 859, 1718, 8, Some(150), 142, None, 57), (8, 138, 276, 2, Some(18), 19, Some(1), 56), (29, 233, 466, 9, Some(74), 60, Some(1), 53), (11, 162, 324, 3, Some(76), 58, Some(1), 50), (17, 275, 550, 5, Some(82), 67, Some(1), 51), (14, 242, 484, 4, Some(73), 67, Some(1), 55), (8, 118, 236, 2, Some(62), 53, Some(0), 57)]),
     ("gnp/edge/generic", 0x4648c51cd8d93385, &[(20, 1991, 3069392, 2, None, 0, None, 27), (17, 1840, 2975803, 2, None, 0, None, 27), (18, 1821, 2998848, 2, None, 0, None, 28), (15, 1801, 2983696, 2, None, 0, None, 27), (14, 1781, 2979209, 2, None, 0, None, 27), (21, 1914, 3060594, 2, None, 0, None, 28), (18, 1837, 2989783, 2, None, 0, None, 28)]),
+    ("gnp/node/generic", 0xee4c214996bb915, &[(20, 2132, 3060038, 2, None, 0, None, 28), (17, 1770, 2585748, 2, None, 0, None, 26), (21, 1632, 2251476, 2, None, 0, None, 27), (18, 1582, 2140540, 2, None, 0, None, 26), (21, 1578, 2229444, 2, None, 0, None, 26), (16, 1636, 2350258, 2, None, 0, None, 26), (21, 1651, 2281315, 2, None, 0, None, 26)]),
+    ("gnp/hub/generic", 0xa854ab1240ebf446, &[(17, 2084, 3055274, 2, None, 0, None, 26), (17, 1785, 2514456, 2, None, 0, None, 26), (15, 1699, 2224834, 2, None, 0, None, 26), (15, 1690, 2066359, 2, None, 0, None, 26), (18, 1565, 1913765, 2, None, 0, None, 27), (15, 1577, 1740176, 2, None, 0, None, 27), (15, 1583, 1673939, 2, None, 0, None, 27)]),
+    ("gnp/rewire/generic", 0xfa845d674eb25e20, &[(23, 2088, 3076335, 2, None, 0, None, 27), (17, 1946, 2984036, 2, None, 0, None, 27), (18, 1938, 2986809, 2, None, 0, None, 27), (18, 1937, 2980328, 2, None, 0, None, 27), (20, 1943, 2980580, 2, None, 0, None, 28), (17, 1923, 2971278, 2, None, 0, None, 28), (16, 1928, 2974958, 2, None, 0, None, 27)]),
+    ("gnp/crash/generic", 0x2df5096543a43d3a, &[(20, 2125, 3095662, 2, None, 0, None, 27), (21, 1289, 1306121, 2, None, 0, None, 23), (21, 1350, 1334268, 2, None, 0, None, 21), (19, 1573, 2120929, 2, None, 0, None, 24), (16, 1696, 2363509, 2, None, 0, None, 25), (18, 1604, 2120237, 2, None, 0, None, 25), (20, 1509, 1797879, 2, None, 0, None, 25)]),
 ];
 
 #[test]
@@ -396,6 +400,17 @@ fn churn_golden_table() {
         ChurnModel::EdgeChurn { rate: 0.06 },
         RepairAlgo::IncrementalGeneric { k: 2 },
     ));
+    // The generic arm under the other churn models: batches that only
+    // remove edges (a node leaving, a hub or a node crashing) leave a
+    // damage set made of destroyed matched edges alone.
+    for (name, model) in &models[1..] {
+        cases.push((
+            format!("gnp/{name}/generic"),
+            gnp(60, 0.08, 5),
+            *model,
+            RepairAlgo::IncrementalGeneric { k: 2 },
+        ));
+    }
     assert_eq!(cases.len(), GOLDEN.len());
     for (i, ((name, g, model, algo), &(want_name, want_hash, want_rows))) in
         cases.into_iter().zip(GOLDEN).enumerate()

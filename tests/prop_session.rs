@@ -1,12 +1,16 @@
 //! The `Session` contract suite: a golden table pinning every
 //! `Algorithm` variant's outputs in both termination modes, the
 //! observer plane (mid-run snapshots), Honest termination across all
-//! variants, executor independence of the ParClass box, and the
-//! `RunReport` optimum cache.
+//! variants, executor independence of the ParClass box, the
+//! `RunReport` optimum cache, and `Session::rewire` repair over the
+//! topology zoo.
 
+use distributed_matching::dgraph::augmenting::has_augmenting_path_within;
 use distributed_matching::dgraph::generators::random::{bipartite_gnp, gnp};
 use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
-use distributed_matching::dgraph::Graph;
+use distributed_matching::dgraph::generators::zoo::{chung_lu, d_regular, random_geometric};
+use distributed_matching::dgraph::rng::Rng64;
+use distributed_matching::dgraph::{EdgeId, Graph, Matching, NodeId};
 use distributed_matching::dmatch::weighted::MwmBox;
 use distributed_matching::dmatch::TerminationMode::{Honest, Oracle};
 use distributed_matching::dmatch::{Algorithm, Phase, Session, TerminationMode};
@@ -329,4 +333,84 @@ fn run_report_cache_rejects_a_different_graph() {
     let _ = r.mcm_ratio(&g);
     let other = gnp(31, 0.15, 45);
     let _ = r.mcm_ratio(&other);
+}
+
+/// One churn batch: `(removed, added)` edge lists.
+type Batch = (Vec<(NodeId, NodeId)>, Vec<(NodeId, NodeId)>);
+
+/// A random batch against `(g, m)` of one of five kinds, cycling with
+/// `kind`: two destroyed matched edges; two removed unmatched edges;
+/// two inserted non-edges; a mix of one of each plus one edge removed
+/// and re-inserted; and the empty batch.
+fn random_batch(g: &Graph, m: &Matching, kind: usize, rng: &mut Rng64) -> Batch {
+    let (mut destroy, mut drop, mut insert, mut reinsert) = match kind % 5 {
+        0 => (2, 0, 0, 0),
+        1 => (0, 2, 0, 0),
+        2 => (0, 0, 2, 0),
+        3 => (1, 1, 1, 1),
+        _ => return (Vec::new(), Vec::new()),
+    };
+    let mut ids: Vec<EdgeId> = (0..g.m() as EdgeId).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.index(i + 1));
+    }
+    let (mut removed, mut added) = (Vec::new(), Vec::new());
+    for &e in &ids {
+        let want = if m.contains(g, e) {
+            &mut destroy
+        } else {
+            &mut drop
+        };
+        if *want > 0 {
+            *want -= 1;
+            removed.push(g.endpoints(e));
+        } else if reinsert > 0 {
+            reinsert -= 1;
+            removed.push(g.endpoints(e));
+            added.push(g.endpoints(e));
+        }
+    }
+    while insert > 0 {
+        let (u, v) = (rng.index(g.n()) as NodeId, rng.index(g.n()) as NodeId);
+        let e = (u.min(v), u.max(v));
+        if u != v && g.edge_between(u, v).is_none() && !added.contains(&e) {
+            insert -= 1;
+            added.push(e);
+        }
+    }
+    (removed, added)
+}
+
+/// `Session::rewire` derives the damage set the Generic repair stays
+/// inside: over three zoo families and random batches of every kind,
+/// no phase finds an augmenting path outside the damage ball (the phase
+/// would panic), and after every repair the matching is valid with no
+/// augmenting path of length ≤ 2k-1 left.
+#[test]
+fn rewire_repair_meets_theorem_3_1_on_the_zoo() {
+    let k = 2;
+    let families = [
+        ("chung-lu", chung_lu(200, 2.5, 4.0, 1)),
+        ("geometric", random_geometric(200, 0.09, 2)),
+        ("d-regular", d_regular(200, 3, 3)),
+    ];
+    for (name, g) in families {
+        let mut s = Session::on(&g)
+            .algorithm(Algorithm::Generic { k })
+            .seed(7)
+            .build();
+        s.run_to_completion();
+        let mut rng = Rng64::new(0x5E55);
+        for epoch in 0..10 {
+            let (removed, added) = random_batch(s.graph(), s.matching(), epoch, &mut rng);
+            s.rewire(&removed, &added);
+            s.run_to_completion();
+            let (g, m) = (s.graph(), s.matching());
+            assert!(m.validate(g).is_ok(), "{name}, epoch {epoch}: invalid");
+            assert!(
+                !has_augmenting_path_within(g, m, 2 * k - 1),
+                "{name}, epoch {epoch}: a short augmenting path survived the repair"
+            );
+        }
+    }
 }
