@@ -46,6 +46,11 @@ fn main() {
             let bound = 1.0 - 1.0 / (k as f64 + 1.0);
             let rmean = bench_harness::mean(&rounds);
             let rmin = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
+            // Theorem 3.1's guarantee is deterministic: every run meets it.
+            assert!(
+                rmin >= bound - 1e-9,
+                "n {n}, k {k}: ratio {rmin} below the bound {bound}"
+            );
             t.row(vec![
                 n.to_string(),
                 k.to_string(),

@@ -11,6 +11,11 @@
 //!    distance-`r` shell, so the network carries *sized tokens*: one
 //!    message per port and round, whose bit size is the encoded size of
 //!    that shell — the `O(|V|+|E|)`-bit messages Theorem 3.1 allows.
+//!    The shell sizes come from one multi-source BFS per batch of 64
+//!    participants (MS-BFS, Then et al., PVLDB 2014), one bit of a
+//!    `u64` per source; an edge lies in the shell of the nearer of its
+//!    endpoints. Batches follow graph locality, not ids, so a batch's
+//!    balls overlap (see `shell_table`).
 //!    Under an active adversary plan, which decides what arrives, the
 //!    nodes flood their real view deltas instead.
 //! 2. **Conflict-graph MIS (Step 5, emulated).** The paper runs Luby's
@@ -161,6 +166,26 @@ impl Protocol for ShellNode<'_> {
     }
 }
 
+/// Sources per batch of [`shell_table`]: one bit of a `u64` each.
+const LANES: usize = 64;
+
+/// Planes of the edge tally in [`shell_table`], which stays in
+/// registers: it counts up to `2^NIBBLE − 1` edges of one node before
+/// it joins the level's counter.
+const NIBBLE: usize = 4;
+
+/// One node's lane masks in a [`shell_table`] batch at level `d`: bit
+/// `b` stands for the batch's `b`-th source.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lanes {
+    /// Sources at distance `≤ d` from the node.
+    seen: u64,
+    /// Sources at distance exactly `d`.
+    front: u64,
+    /// Sources found at distance `d + 1` while level `d` runs.
+    next: u64,
+}
+
 /// The flood's delta sizes, computed instead of sent: row `v` (entries
 /// `v·radius .. (v+1)·radius`) holds, for each round `r < radius`, the
 /// item bits participant `v` learns in round `r − 1` (its initial view
@@ -171,51 +196,175 @@ impl Protocol for ShellNode<'_> {
 /// lies at the smaller distance of its endpoints, a non-participating
 /// or unreached endpoint counting as infinitely far, and it is one
 /// item however many endpoints share that distance. Items at distance
-/// `≥ radius` are never sent, so one BFS per participant to depth
-/// `radius − 1` fills its row; the scratch is shared across sources.
+/// `≥ radius` are never sent, so a BFS from each participant to depth
+/// `radius − 1` fills its row.
+///
+/// Those BFSs run [`LANES`] sources at a time as one multi-source BFS
+/// (MS-BFS: Then et al., "The More the Merrier: Efficient Multi-Source
+/// Graph Traversal", PVLDB 2014). Every node holds [`Lanes`] masks, and
+/// one visit of an edge `x–y` from level `d` settles the edge for every
+/// source of the batch: it lies at level `d` for the sources in
+/// `front[x] & !seen[y]` (`y` is farther than `x`, or never reached),
+/// and, when `x < y`, also for those in `front[x] & front[y]` (the tie,
+/// counted once). A free `x` counts for `front[x]`. Each level's
+/// per-source counts are bit-sliced, plane `p` holding bit `p` of all
+/// 64 counts, so a few word operations count a mask for every source.
+/// The edge masks of one node first go to a [`NIBBLE`]-plane tally,
+/// which joins the level's counter every 15 edges, so the carry
+/// through all planes is paid per node, not per edge.
+///
+/// Sources are batched in [`locality_order`], not by id. A batch costs
+/// the union of its sources' balls, and on bounded-growth graphs, whose
+/// ids are scattered in space, batches of consecutive ids have nearly
+/// disjoint balls.
 fn shell_table(g: &Graph, m: &Matching, radius: usize, region: Option<&[bool]>) -> Vec<u64> {
     let n = g.n();
     let mut table = vec![0u64; n * radius];
     if radius == 0 {
         return table;
     }
-    let participating = |v: NodeId| region.is_none_or(|r| r[v as usize]);
-    // `seen_by[x] == s` marks `dist[x]` as valid for source `s`.
-    let mut seen_by = vec![usize::MAX; n];
-    let mut dist = vec![0usize; n];
-    let mut queue: Vec<NodeId> = Vec::with_capacity(n);
-    for (s, row) in table.chunks_exact_mut(radius).enumerate() {
-        if !participating(s as NodeId) {
-            continue;
+    let participating = |v: usize| region.is_none_or(|r| r[v]);
+    // A level holds at most n free flags and m edges per source.
+    let planes = (usize::BITS - (n + g.m()).leading_zeros()) as usize;
+    let (mut frees, mut edges) = (vec![0u64; planes], vec![0u64; planes]);
+    let mut lanes = vec![Lanes::default(); n];
+    let (mut level, mut next_level, mut touched) = (Vec::new(), Vec::new(), Vec::new());
+    for batch in locality_order(g, region).chunks(LANES) {
+        for (b, &s) in batch.iter().enumerate() {
+            lanes[s] = Lanes {
+                seen: 1 << b,
+                front: 1 << b,
+                next: 0,
+            };
         }
-        seen_by[s] = s;
-        dist[s] = 0;
-        queue.clear();
-        queue.push(s as NodeId);
-        let mut head = 0;
-        while let Some(&x) = queue.get(head) {
-            head += 1;
-            let dx = dist[x as usize];
-            if m.is_free(x) {
-                row[dx] += FREE_ITEM_BITS;
-            }
-            for &(y, _) in g.incident(x) {
-                let y = y as usize;
-                if seen_by[y] != s {
-                    // Unreached so far: farther than `x`, or never.
-                    row[dx] += EDGE_ITEM_BITS;
-                    if dx + 1 < radius && participating(y as NodeId) {
-                        seen_by[y] = s;
-                        dist[y] = dx + 1;
-                        queue.push(y as NodeId);
-                    }
-                } else if dist[y] > dx || (dist[y] == dx && (x as usize) < y) {
-                    row[dx] += EDGE_ITEM_BITS;
+        level.extend_from_slice(batch);
+        touched.extend_from_slice(batch);
+        for d in 0..radius {
+            let expand = d + 1 < radius;
+            for &x in &level {
+                let front = lanes[x].front;
+                if m.is_free(x as NodeId) {
+                    add_sliced(&mut frees, [front, 0, 0, 0]);
                 }
+                for chunk in g.incident(x as NodeId).chunks((1 << NIBBLE) - 1) {
+                    let mut tally = [0u64; NIBBLE];
+                    for &(y, _) in chunk {
+                        let y = y as usize;
+                        let ly = &mut lanes[y];
+                        let farther = front & !ly.seen;
+                        let tie = if x < y { front & ly.front } else { 0 };
+                        add_nibble(&mut tally, farther | tie);
+                        if expand && farther != 0 && participating(y) {
+                            if ly.next == 0 {
+                                next_level.push(y);
+                            }
+                            ly.next |= farther;
+                        }
+                    }
+                    add_sliced(&mut edges, tally);
+                }
+            }
+            for (b, &s) in batch.iter().enumerate() {
+                table[s * radius + d] =
+                    FREE_ITEM_BITS * lane_count(&frees, b) + EDGE_ITEM_BITS * lane_count(&edges, b);
+            }
+            frees.fill(0);
+            edges.fill(0);
+            for &x in &level {
+                lanes[x].front = 0;
+            }
+            for &y in &next_level {
+                let ly = &mut lanes[y];
+                if ly.seen == 0 {
+                    touched.push(y);
+                }
+                ly.seen |= ly.next;
+                ly.front = ly.next;
+                ly.next = 0;
+            }
+            std::mem::swap(&mut level, &mut next_level);
+            next_level.clear();
+            if level.is_empty() {
+                break;
+            }
+        }
+        level.clear();
+        for &v in &touched {
+            lanes[v] = Lanes::default();
+        }
+        touched.clear();
+    }
+    table
+}
+
+/// The participants in [`shell_table`]'s batch order. Each batch of
+/// [`LANES`] grows by BFS over unplaced participants from the smallest
+/// unplaced one, and restarts there whenever the BFS runs dry, so a
+/// batch's sources lie close together and their balls overlap. Every
+/// participant is placed once and scanned at most once: `O(n + m)`.
+fn locality_order(g: &Graph, region: Option<&[bool]>) -> Vec<usize> {
+    let participating = |v: usize| region.is_none_or(|r| r[v]);
+    let mut placed = vec![false; g.n()];
+    let mut roots = (0..g.n()).filter(|&v| participating(v));
+    let mut order = Vec::with_capacity(g.n());
+    let mut head = 0;
+    loop {
+        if head == order.len() || order.len() % LANES == 0 {
+            let Some(root) = roots.find(|&v| !placed[v]) else {
+                return order;
+            };
+            placed[root] = true;
+            head = order.len();
+            order.push(root);
+        }
+        let x = order[head];
+        head += 1;
+        for &(y, _) in g.incident(x as NodeId) {
+            let y = y as usize;
+            if !placed[y] && participating(y) && order.len() % LANES != 0 {
+                placed[y] = true;
+                order.push(y);
             }
         }
     }
-    table
+}
+
+/// Add 1 to the count of every lane set in `mask` in a bit-sliced
+/// tally, `tally[p]` holding bit `p` of each lane's count. It runs
+/// without branches: the carry chain's length varies from add to add,
+/// and a mispredicted early exit costs more than the planes it skips.
+fn add_nibble(tally: &mut [u64; NIBBLE], mut mask: u64) {
+    for plane in tally {
+        let carry = *plane & mask;
+        *plane ^= mask;
+        mask = carry;
+    }
+    debug_assert_eq!(mask, 0, "a lane's tally overflowed");
+}
+
+/// Add a [`NIBBLE`]-plane tally to a bit-sliced counter, lane by lane.
+fn add_sliced(planes: &mut [u64], tally: [u64; NIBBLE]) {
+    let mut carry = 0;
+    for (p, plane) in planes.iter_mut().enumerate() {
+        if p >= NIBBLE && carry == 0 {
+            return;
+        }
+        let addend = tally.get(p).copied().unwrap_or(0);
+        let half = *plane ^ addend;
+        let next_carry = (*plane & addend) | (half & carry);
+        *plane = half ^ carry;
+        carry = next_carry;
+    }
+    debug_assert_eq!(carry, 0, "a lane's count overflowed its planes");
+}
+
+/// Lane `b`'s count in a bit-sliced counter.
+fn lane_count(planes: &[u64], b: usize) -> u64 {
+    planes
+        .iter()
+        .enumerate()
+        .map(|(p, &plane)| ((plane >> b) & 1) << p)
+        .sum()
 }
 
 /// The initial views of [`GatherNode`]s and the real flood over them:
@@ -764,44 +913,158 @@ mod tests {
         random_geometric(n, (deg / (std::f64::consts::PI * n as f64)).sqrt(), seed)
     }
 
-    /// The sized tokens carry the flood's traffic exactly: every
-    /// `NetStats` field, `per_round` included, on every zoo family,
-    /// with and without a repair region, on both executors.
-    #[test]
-    fn sized_gather_equals_the_flood() {
-        let n = 40;
-        let zoo = [
+    /// One graph of each zoo family on `n` nodes, average degree about 8.
+    fn zoo(n: usize) -> [Graph; 6] {
+        let (nx, ny) = (2 * n / 5, n - 2 * n / 5);
+        [
             gnp(n, 8.0 / n as f64, 1),
             barabasi_albert(n, 4, 2),
             chung_lu(n, 2.5, 8.0, 3),
             geometric(n, 8.0, 4),
             d_regular(n, 8, 5),
-            zipf_bipartite(2 * n / 5, n - 2 * n / 5, 4 * n, 1.1, 6).0,
+            zipf_bipartite(nx, ny, (4 * n).min(nx * ny / 2), 1.1, 6).0,
+        ]
+    }
+
+    /// The sized tokens carry the flood's traffic exactly: every
+    /// `NetStats` field, `per_round` included, on every zoo family,
+    /// with and without a repair region. At n = 40 every table is one
+    /// partial batch of [`LANES`] sources, on both executors. At
+    /// n = 130 a table takes up to three batches; the real flood is
+    /// slow there, so that size runs radius 2 (the first with a BFS
+    /// level past the sources) on the sequential executor only.
+    #[test]
+    fn sized_gather_equals_the_flood() {
+        let seq = [ExecCfg::sequential()];
+        let both = [ExecCfg::sequential(), ExecCfg::parallel(3).forced()];
+        let sizes = [
+            (40, &[0, 1, 2, 6][..], &both[..]),
+            (130, &[2][..], &seq[..]),
         ];
-        for (family, g) in zoo.iter().enumerate() {
-            let seed = family as u64;
-            let region = ball(g, &[0, n as NodeId / 2], 2);
-            for m in [Matching::new(n), dgraph::greedy::greedy_maximal(g)] {
-                for radius in [0, 1, 2, 6] {
-                    for region in [None, Some(&region[..])] {
-                        for cfg in [ExecCfg::sequential(), ExecCfg::parallel(3).forced()] {
-                            let sized = gather_balls_region(g, &m, radius, seed, cfg, region);
-                            let (_, flood) = flood_views(g, &m, radius, seed, cfg, region);
-                            assert_eq!(
-                                sized,
-                                flood,
-                                "family {family}, matching size {}, radius {radius}, \
-                                 region {}, threads {}",
-                                m.size(),
-                                region.is_some(),
-                                cfg.threads
-                            );
-                            assert_eq!(radius == 0, flood.messages == 0);
+        for (n, radii, cfgs) in sizes {
+            for (family, g) in zoo(n).iter().enumerate() {
+                let seed = family as u64;
+                let region = ball(g, &[0, n as NodeId / 2], 2);
+                for m in [Matching::new(n), dgraph::greedy::greedy_maximal(g)] {
+                    for &radius in radii {
+                        for region in [None, Some(&region[..])] {
+                            for &cfg in cfgs {
+                                let sized = gather_balls_region(g, &m, radius, seed, cfg, region);
+                                let (_, flood) = flood_views(g, &m, radius, seed, cfg, region);
+                                assert_eq!(
+                                    sized,
+                                    flood,
+                                    "n {n}, family {family}, matching size {}, radius {radius}, \
+                                     region {}, threads {}",
+                                    m.size(),
+                                    region.is_some(),
+                                    cfg.threads
+                                );
+                                assert_eq!(radius == 0, flood.messages == 0);
+                            }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// [`shell_table`]'s reference model: one BFS per participant.
+    fn shell_table_per_source(
+        g: &Graph,
+        m: &Matching,
+        radius: usize,
+        region: Option<&[bool]>,
+    ) -> Vec<u64> {
+        let n = g.n();
+        let mut table = vec![0u64; n * radius];
+        if radius == 0 {
+            return table;
+        }
+        let participating = |v: NodeId| region.is_none_or(|r| r[v as usize]);
+        // `seen_by[x] == s` marks `dist[x]` as valid for source `s`.
+        let mut seen_by = vec![usize::MAX; n];
+        let mut dist = vec![0usize; n];
+        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+        for (s, row) in table.chunks_exact_mut(radius).enumerate() {
+            if !participating(s as NodeId) {
+                continue;
+            }
+            seen_by[s] = s;
+            dist[s] = 0;
+            queue.clear();
+            queue.push(s as NodeId);
+            let mut head = 0;
+            while let Some(&x) = queue.get(head) {
+                head += 1;
+                let dx = dist[x as usize];
+                if m.is_free(x) {
+                    row[dx] += FREE_ITEM_BITS;
+                }
+                for &(y, _) in g.incident(x) {
+                    let y = y as usize;
+                    if seen_by[y] != s {
+                        // Unreached so far: farther than `x`, or never.
+                        row[dx] += EDGE_ITEM_BITS;
+                        if dx + 1 < radius && participating(y as NodeId) {
+                            seen_by[y] = s;
+                            dist[y] = dx + 1;
+                            queue.push(y as NodeId);
+                        }
+                    } else if dist[y] > dx || (dist[y] == dx && (x as usize) < y) {
+                        row[dx] += EDGE_ITEM_BITS;
+                    }
+                }
+            }
+        }
+        table
+    }
+
+    /// The batched table equals one BFS per source: on every zoo family
+    /// at one partial batch (n = 12, 40), several batches (n = 130) and
+    /// a partial last batch (n = 200), over radii up to 10, empty and
+    /// maximal matchings, with and without a region that fragments the
+    /// participants, and on the degenerate graphs.
+    #[test]
+    fn batched_shell_table_equals_per_source() {
+        let check = |g: &Graph, m: &Matching, radius: usize, region: Option<&[bool]>| {
+            let table = shell_table(g, m, radius, region);
+            assert_eq!(
+                table,
+                shell_table_per_source(g, m, radius, region),
+                "n {}, matching size {}, radius {radius}, region {}",
+                g.n(),
+                m.size(),
+                region.is_some()
+            );
+            table
+        };
+        let isolated = Graph::new(70, vec![(0, 1), (1, 2), (2, 0), (5, 6), (40, 69)]);
+        for g in [Graph::new(0, vec![]), Graph::new(1, vec![]), isolated] {
+            for radius in [0, 1, 3] {
+                check(&g, &Matching::new(g.n()), radius, None);
+            }
+        }
+        // Some level holds more than 255 edges for one source, so its
+        // count carries into the ninth plane.
+        let mut ninth_plane = false;
+        for n in [12, 40, 130, 200] {
+            for g in zoo(n) {
+                let region = ball(&g, &[0, n as NodeId / 2], 2);
+                for m in [Matching::new(n), dgraph::greedy::greedy_maximal(&g)] {
+                    for radius in [0, 1, 2, 3, 6, 10] {
+                        for region in [None, Some(&region[..])] {
+                            let table = check(&g, &m, radius, region);
+                            let most_frees = n as u64 * FREE_ITEM_BITS;
+                            ninth_plane |= table
+                                .iter()
+                                .any(|&bits| bits > 255 * EDGE_ITEM_BITS + most_frees);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ninth_plane, "no level count reached 256");
     }
 
     /// Does `view` show `q` as an augmenting path: its edges with their

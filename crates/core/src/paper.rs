@@ -19,7 +19,7 @@
 //!
 //! | Step | Paper | Code |
 //! |---|---|---|
-//! | 1 | send distance-(i-1) neighborhood each round | fault-free: `ShellNode::on_round` sends, in the 0-based round `r`, a token as large as the node's distance-`r` shell (`shell_table`); under an active adversary plan: `GatherNode::on_round` (delta flooding, `Arc`-shared payloads) |
+//! | 1 | send distance-(i-1) neighborhood each round | fault-free: `ShellNode::on_round` sends, in the 0-based round `r`, a token as large as the node's distance-`r` shell, read from `shell_table` (one multi-source BFS per 64 participants, bit-sliced per-level counts); under an active adversary plan: `GatherNode::on_round` (delta flooding, `Arc`-shared payloads) |
 //! | 2 | `P_v(ℓ)`, `P_v(2ℓ)` | not built per node: the gathering rounds and message sizes are simulated, but the paths are enumerated globally (Algorithm 1, line 4) |
 //! | 3 | `leader(P)` = smaller-id endpoint | canonical path direction in the enumerator |
 //! | 4 | leaders announce paths | charged in the MIS token accounting |
