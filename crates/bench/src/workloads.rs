@@ -4,10 +4,10 @@
 //! Before this module every `exp_e*` binary hand-rolled its own
 //! `gnp(n, 8.0 / n as f64, seed)` line, which is exactly why the
 //! experiments never left the Erdős–Rényi neighborhood. A
-//! [`ScenarioSpec`] names a point of the sweep space, [`Workload`]
-//! is its materialization (graph + optional bipartition + label),
-//! and [`WorkloadSuite`] enumerates the cross product the E18
-//! conformance matrix walks.
+//! [`ScenarioSpec`] names a point of the sweep space and [`Workload`]
+//! is its materialization (graph + optional bipartition + label). The
+//! E18 and E21 sweeps build their specs directly, and the conformance
+//! matrix instantiates each [`Family`].
 //!
 //! ```
 //! use bench_harness::workloads::{Family, ScenarioSpec};
@@ -234,61 +234,6 @@ impl Workload {
     }
 }
 
-/// An enumerated sweep: the cross product of families, sizes, weight
-/// models, and seeds.
-#[derive(Debug, Clone, Default)]
-pub struct WorkloadSuite {
-    specs: Vec<ScenarioSpec>,
-}
-
-impl WorkloadSuite {
-    /// The full zoo sweep: `Family::ZOO × sizes × weights × seeds`.
-    pub fn zoo(sizes: &[usize], weights: &[WeightModel], seeds: &[u64]) -> Self {
-        Self::cross(&Family::ZOO, sizes, weights, seeds)
-    }
-
-    /// Arbitrary cross product.
-    pub fn cross(
-        families: &[Family],
-        sizes: &[usize],
-        weights: &[WeightModel],
-        seeds: &[u64],
-    ) -> Self {
-        let mut specs =
-            Vec::with_capacity(families.len() * sizes.len() * weights.len() * seeds.len());
-        for &family in families {
-            for &n in sizes {
-                for &w in weights {
-                    for &seed in seeds {
-                        specs.push(ScenarioSpec::new(family, n, w, seed));
-                    }
-                }
-            }
-        }
-        WorkloadSuite { specs }
-    }
-
-    /// The enumerated specs, in deterministic (family-major) order.
-    pub fn specs(&self) -> &[ScenarioSpec] {
-        &self.specs
-    }
-
-    /// Number of scenarios.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True when the sweep is empty.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Iterate specs by value.
-    pub fn iter(&self) -> impl Iterator<Item = ScenarioSpec> + '_ {
-        self.specs.iter().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,20 +259,19 @@ mod tests {
     }
 
     #[test]
-    fn suite_enumerates_the_cross_product() {
-        let suite = WorkloadSuite::zoo(
-            &[50, 100],
-            &[WeightModel::Unit, WeightModel::Exponential(2.0)],
-            &[1, 2, 3],
-        );
-        assert_eq!(suite.len(), 5 * 2 * 2 * 3);
-        // Weighted specs actually produce non-unit weights.
-        let weighted = suite
-            .iter()
-            .find(|s| s.weights != WeightModel::Unit)
-            .unwrap()
-            .build();
-        assert!(weighted.graph.weight_list().iter().any(|&w| w != 1.0));
+    fn weighted_specs_build_non_unit_weights() {
+        for f in Family::ZOO {
+            let unit = ScenarioSpec::new(f, 50, WeightModel::Unit, 1).build();
+            assert!(unit.graph.weight_list().iter().all(|&w| w == 1.0), "{f}");
+            let spec = ScenarioSpec::new(f, 50, WeightModel::Exponential(2.0), 1);
+            let weighted = spec.build();
+            assert_eq!(weighted.label, spec.label());
+            assert_eq!(weighted.graph.edge_list(), unit.graph.edge_list(), "{f}");
+            assert!(
+                weighted.graph.weight_list().iter().any(|&w| w != 1.0),
+                "{f}"
+            );
+        }
     }
 
     #[test]

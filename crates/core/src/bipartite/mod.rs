@@ -21,14 +21,14 @@
 //!    path conflict graph); surviving tokens reach free X nodes and
 //!    flip their paths.
 //!
-//! [`aug_until_maximal_cfg`] repeats iterations until no augmenting
-//! path of length ≤ ℓ remains, which is the postcondition `Aug(H, M, ℓ)`
-//! needs. Every pass runs on an [`AugNets`] substrate, a count and a token
-//! network over the graph's topology: a pass re-arms its network and
-//! overwrites each node's state in place, and the token pass reads the
-//! count results from the count network's nodes. A `Session` keeps one
-//! substrate for all the passes of its run. It runs the phase schedule
-//! `ℓ = 1, 3, …, 2k-1` of Theorem 3.8 over the loop:
+//! [`AugNets::aug_until_maximal`] repeats iterations until no
+//! augmenting path of length ≤ ℓ remains, which is the postcondition
+//! `Aug(H, M, ℓ)` needs. Every pass runs on an [`AugNets`] substrate, a
+//! count and a token network over the graph's topology: a pass re-arms
+//! its network and overwrites each node's state in place, and the token
+//! pass reads the count results from the count network's nodes. A
+//! `Session` keeps one substrate for all the passes of its run. It runs
+//! the phase schedule `ℓ = 1, 3, …, 2k-1` of Theorem 3.8 over the loop:
 //!
 //! ```
 //! use dgraph::generators::random::bipartite_gnp;
@@ -239,19 +239,6 @@ impl AugNets {
     }
 }
 
-/// [`AugNets::aug_until_maximal`] on a substrate that lives for this
-/// one call.
-pub fn aug_until_maximal_cfg(
-    g: &Graph,
-    m0: &Matching,
-    spec: &SubgraphSpec,
-    ell: usize,
-    seed: u64,
-    cfg: ExecCfg,
-) -> AugOutcome {
-    AugNets::default().aug_until_maximal(g, m0, spec, ell, seed, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,7 +432,8 @@ mod tests {
         let spec = SubgraphSpec::full_bipartite(&g, &sides);
         let mut m = Matching::new(g.n());
         for ell in [1usize, 3, 5] {
-            let out = aug_until_maximal_cfg(&g, &m, &spec, ell, 9, ExecCfg::default());
+            let out =
+                AugNets::default().aug_until_maximal(&g, &m, &spec, ell, 9, ExecCfg::default());
             m = out.matching;
             let sl = dgraph::augmenting::shortest_augmenting_path_len_bipartite(&g, &sides, &m);
             assert!(

@@ -7,7 +7,6 @@
 //! | Paper artifact | Module | Guarantee |
 //! |---|---|---|
 //! | Israeli–Itai '86 baseline | [`israeli_itai`] | maximal (½-MCM), `O(log n)` rounds whp |
-//! | Luby MIS primitive | [`luby`] | MIS, `O(log n)` rounds whp |
 //! | Algorithm 1+2 (Theorem 3.1) | [`generic`] | `(1-1/(k+1))`-MCM, `O(k³ log n)` rounds, large messages |
 //! | Algorithm 3 + token MIS (Theorem 3.8) | [`bipartite`] | bipartite `(1-1/k)`-MCM, small messages |
 //! | Algorithm 4 (Theorem 3.11) | [`general`] | general `(1-1/k)`-MCM whp via red/blue sampling |
@@ -34,8 +33,6 @@ pub mod bipartite;
 pub mod general;
 pub mod generic;
 pub mod israeli_itai;
-pub mod line_mm;
-pub mod luby;
 pub mod oracle;
 pub mod paper;
 pub mod runner;

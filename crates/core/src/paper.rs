@@ -55,7 +55,7 @@
 //! | 2 | `2^{2k+1}(k+1) ln k` iterations | [`crate::general::iteration_bound`] |
 //! | 3 | random coloring | per-iteration bit draw + 1-bit exchange charge |
 //! | 4 | `Ĝ = (V̂, Ê)` | [`crate::bipartite::SubgraphSpec::from_coloring`] |
-//! | 5 | `Aug(Ĝ, M, 2k-1)` | [`crate::bipartite::aug_until_maximal_cfg`] |
+//! | 5 | `Aug(Ĝ, M, 2k-1)` | [`crate::bipartite::AugNets::aug_until_maximal`] |
 //! | 6 | `M ← M ⊕ P` | inside the token pass flips |
 //!
 //! ## Algorithm 5 (weighted reduction) → the `Weighted` arm of [`crate::session::Session`]

@@ -361,7 +361,6 @@ pub struct SessionBuilder<'a> {
     termination: TerminationMode,
     warm: Option<&'a Matching>,
     observers: Vec<Box<dyn Observer>>,
-    sampling_iterations: Option<u64>,
     round_limit: Option<u64>,
 }
 
@@ -430,22 +429,14 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Explicit sampling budget for [`Algorithm::General`] (replaces
-    /// the paper's `⌈2^{2k+1}(k+1) ln k⌉` default); panics on other
-    /// algorithms.
-    pub fn sampling_iterations(mut self, iterations: u64) -> Self {
-        self.sampling_iterations = Some(iterations);
-        self
-    }
-
     /// Validate the configuration and construct the [`Session`]
     /// (cloning the graph and warm start into it).
     ///
     /// # Panics
     ///
     /// On invalid combinations: `Bipartite` without `sides`, a warm
-    /// start for a non-incremental algorithm, `sampling_iterations` for
-    /// a non-`General` algorithm, `k == 0`, an invalid warm-start
+    /// start for a non-incremental algorithm, `round_limit` for a
+    /// non-`IsraeliItai` algorithm, `k == 0`, an invalid warm-start
     /// matching, or [`TerminationMode::Honest`] on a disconnected graph.
     pub fn build(self) -> Session {
         assert_honest_connected(self.termination, self.g);
@@ -462,10 +453,6 @@ impl<'a> SessionBuilder<'a> {
                 "warm start must be a valid matching"
             );
         }
-        assert!(
-            self.sampling_iterations.is_none() || matches!(self.alg, Algorithm::General { .. }),
-            "sampling_iterations only applies to Algorithm::General"
-        );
         assert!(
             self.round_limit.is_none() || matches!(self.alg, Algorithm::IsraeliItai),
             "round_limit only applies to Algorithm::IsraeliItai"
@@ -496,9 +483,7 @@ impl<'a> SessionBuilder<'a> {
                 Driver::General {
                     ell: 2 * k - 1,
                     rng: general::color_rng(self.seed),
-                    budget: self
-                        .sampling_iterations
-                        .unwrap_or_else(|| general::iteration_bound(k)),
+                    budget: general::iteration_bound(k),
                     early_stop,
                     it: 0,
                     idle_streak: 0,
@@ -637,7 +622,6 @@ impl Session {
             termination: TerminationMode::default(),
             warm: None,
             observers: Vec::new(),
-            sampling_iterations: None,
             round_limit: None,
         }
     }

@@ -5,7 +5,7 @@
 use dgraph::generators::random::{bipartite_gnp, gnp};
 use dgraph::generators::weights::{apply_weights, WeightModel};
 use dgraph::Matching;
-use dmatch::bipartite::{aug_until_maximal_cfg, count, SubgraphSpec};
+use dmatch::bipartite::{count, AugNets, SubgraphSpec};
 use dmatch::weighted::MwmBox;
 use dmatch::{Algorithm, Session};
 use simnet::ExecCfg;
@@ -51,7 +51,8 @@ fn aug_until_maximal_monotone_in_ell() {
         let m0 = Matching::new(g.n());
         let mut last = 0usize;
         for ell in [1usize, 3, 5, 7] {
-            let out = aug_until_maximal_cfg(&g, &m0, &spec, ell, seed, ExecCfg::default());
+            let out =
+                AugNets::default().aug_until_maximal(&g, &m0, &spec, ell, seed, ExecCfg::default());
             assert!(out.matching.size() >= last, "seed {seed}, ℓ={ell}");
             last = out.matching.size();
         }
@@ -69,7 +70,7 @@ fn subgraph_augmentations_never_touch_out_nodes() {
             .map(|v| (v * 7 + seed as usize).is_multiple_of(3))
             .collect();
         let spec = SubgraphSpec::from_coloring(&g, &m, &colors);
-        let out = aug_until_maximal_cfg(&g, &m, &spec, 3, seed, ExecCfg::default());
+        let out = AugNets::default().aug_until_maximal(&g, &m, &spec, 3, seed, ExecCfg::default());
         for v in 0..g.n() as u32 {
             if let Some(w) = m.mate(v) {
                 if colors[v as usize] == colors[w as usize] {
@@ -113,22 +114,5 @@ fn weighted_iterations_respect_black_box_contract() {
             "seed {seed}: {} < 0.3·{opt}",
             r.matching.weight(&g)
         );
-    }
-}
-
-#[test]
-fn line_graph_mm_and_israeli_itai_are_both_valid_baselines() {
-    for seed in 0..5 {
-        let g = gnp(30, 0.12, seed);
-        let (a, _) = dmatch::line_mm::maximal_matching(&g, seed);
-        let b = Session::on(&g)
-            .algorithm(Algorithm::IsraeliItai)
-            .seed(seed)
-            .build()
-            .run_to_completion()
-            .matching;
-        let opt = dgraph::blossom::max_matching(&g).size();
-        assert!(2 * a.size() >= opt);
-        assert!(2 * b.size() >= opt);
     }
 }

@@ -30,8 +30,6 @@ pub mod greedy;
 pub mod hopcroft_karp;
 pub mod hungarian;
 pub mod io;
-pub mod koenig;
-pub mod line_graph;
 pub mod matching;
 pub mod mwm_exact;
 pub mod rng;

@@ -8,15 +8,18 @@
 //!   the AN2 scheduler built on Israeli–Itai's ideas;
 //! * [`Islip`] — iSLIP (McKeown \[23\]), PIM with round-robin pointers,
 //!   "the algorithm of choice in many of today's routers";
-//! * [`DistMaximal`] — Israeli–Itai itself on the request graph;
-//! * [`LpsBipartite`] — the paper's Theorem 3.8 `(1-1/k)`-MCM;
-//! * [`LpsWeighted`] — the paper's Theorem 4.5 `(½-ε)`-MWM on queue
-//!   lengths (longest-queue-first flavored);
+//! * [`SessionScheduler`] — a distributed matching run on the request
+//!   graph each cycle: Israeli–Itai itself
+//!   ([`SchedulerKind::DistMaximal`]), the paper's Theorem 3.8
+//!   `(1-1/k)`-MCM ([`SchedulerKind::LpsBipartite`]) or its Theorem 4.5
+//!   `(½-ε)`-MWM on queue lengths, longest-queue-first flavored
+//!   ([`SchedulerKind::LpsWeighted`]);
 //! * [`MaxCardinality`] / [`MaxWeight`] — centralized oracles
 //!   (Hopcroft–Karp / Hungarian) bounding what any scheduler can do.
 
 use dgraph::{Graph, GraphBuilder, NodeId};
 use dmatch::session::Session;
+use dmatch::weighted::MwmBox;
 use dmatch::Algorithm;
 use simnet::rng::streams;
 use simnet::{ExecCfg, SplitMix64};
@@ -66,16 +69,31 @@ impl SchedulerKind {
     /// thread count and fault injection. Centralized
     /// and hardware schedulers ignore it.
     pub fn build(self, n: usize, seed: u64, exec: ExecCfg) -> Box<dyn Scheduler> {
+        let session = |name: String, alg: Algorithm| -> Box<dyn Scheduler> {
+            Box::new(SessionScheduler {
+                name,
+                alg,
+                seed,
+                exec,
+                cycle: 0,
+                rounds: 0,
+            })
+        };
         match self {
             SchedulerKind::Pim { iterations } => Box::new(Pim::new(n, iterations, seed)),
             SchedulerKind::Islip { iterations } => Box::new(Islip::new(n, iterations, seed)),
-            SchedulerKind::DistMaximal => Box::new(DistMaximal::new(seed).with_exec(exec)),
+            SchedulerKind::DistMaximal => session("II-maximal".into(), Algorithm::IsraeliItai),
             SchedulerKind::LpsBipartite { k } => {
-                Box::new(LpsBipartite::new(k, seed).with_exec(exec))
+                let k = k.max(1);
+                session(format!("LPS-MCM(k={k})"), Algorithm::Bipartite { k })
             }
-            SchedulerKind::LpsWeighted { epsilon } => {
-                Box::new(LpsWeighted::new(epsilon, seed).with_exec(exec))
-            }
+            SchedulerKind::LpsWeighted { epsilon } => session(
+                format!("LPS-MWM(ε={epsilon})"),
+                Algorithm::Weighted {
+                    epsilon,
+                    mwm_box: MwmBox::SeqClass,
+                },
+            ),
             SchedulerKind::MaxCardinality => Box::new(MaxCardinality),
             SchedulerKind::MaxWeight => Box::new(MaxWeight),
             SchedulerKind::Ilqf { iterations } => Box::new(Ilqf::new(n, iterations)),
@@ -264,148 +282,30 @@ fn decision_from_matching(n: usize, m: &dgraph::Matching) -> Decision {
         .collect()
 }
 
-/// Israeli–Itai maximal matching on the request graph.
-pub struct DistMaximal {
+/// A distributed matching algorithm as a scheduler: every cycle runs
+/// one [`Session`] of `alg` on the request graph, seeded `seed + cycle`
+/// and under `exec`. [`SchedulerKind::build`] makes one for Israeli–Itai
+/// and for the paper's two algorithms.
+pub struct SessionScheduler {
+    name: String,
+    alg: Algorithm,
     seed: u64,
+    exec: ExecCfg,
     cycle: u64,
     rounds: u64,
-    exec: ExecCfg,
 }
 
-impl DistMaximal {
-    /// New scheduler.
-    pub fn new(seed: u64) -> Self {
-        DistMaximal {
-            seed,
-            cycle: 0,
-            rounds: 0,
-            exec: ExecCfg::default(),
-        }
-    }
-
-    /// Run the per-cycle matching network under `exec`.
-    pub fn with_exec(mut self, exec: ExecCfg) -> Self {
-        self.exec = exec;
-        self
-    }
-}
-
-impl Scheduler for DistMaximal {
+impl Scheduler for SessionScheduler {
     fn name(&self) -> String {
-        "II-maximal".into()
-    }
-
-    fn schedule(&mut self, occ: &[Vec<usize>]) -> Decision {
-        self.cycle += 1;
-        let (g, _) = request_graph(occ);
-        let r = Session::on(&g)
-            .algorithm(Algorithm::IsraeliItai)
-            .seed(self.seed.wrapping_add(self.cycle))
-            .exec(self.exec)
-            .build()
-            .run_to_completion();
-        self.rounds += r.stats.rounds;
-        decision_from_matching(occ.len(), &r.matching)
-    }
-
-    fn rounds_used(&self) -> u64 {
-        self.rounds
-    }
-}
-
-/// The paper's bipartite `(1-1/k)`-MCM (Theorem 3.8) as a scheduler.
-pub struct LpsBipartite {
-    k: usize,
-    seed: u64,
-    cycle: u64,
-    rounds: u64,
-    exec: ExecCfg,
-}
-
-impl LpsBipartite {
-    /// New scheduler with approximation parameter `k`.
-    pub fn new(k: usize, seed: u64) -> Self {
-        LpsBipartite {
-            k: k.max(1),
-            seed,
-            cycle: 0,
-            rounds: 0,
-            exec: ExecCfg::default(),
-        }
-    }
-
-    /// Run the per-cycle matching network under `exec`.
-    pub fn with_exec(mut self, exec: ExecCfg) -> Self {
-        self.exec = exec;
-        self
-    }
-}
-
-impl Scheduler for LpsBipartite {
-    fn name(&self) -> String {
-        format!("LPS-MCM(k={})", self.k)
+        self.name.clone()
     }
 
     fn schedule(&mut self, occ: &[Vec<usize>]) -> Decision {
         self.cycle += 1;
         let (g, sides) = request_graph(occ);
         let r = Session::on(&g)
-            .algorithm(Algorithm::Bipartite { k: self.k })
+            .algorithm(self.alg)
             .sides(&sides)
-            .seed(self.seed.wrapping_add(self.cycle))
-            .exec(self.exec)
-            .build()
-            .run_to_completion();
-        self.rounds += r.stats.rounds;
-        decision_from_matching(occ.len(), &r.matching)
-    }
-
-    fn rounds_used(&self) -> u64 {
-        self.rounds
-    }
-}
-
-/// The paper's `(½-ε)`-MWM (Theorem 4.5) on queue-length weights.
-pub struct LpsWeighted {
-    epsilon: f64,
-    seed: u64,
-    cycle: u64,
-    rounds: u64,
-    exec: ExecCfg,
-}
-
-impl LpsWeighted {
-    /// New scheduler with slack `ε`.
-    pub fn new(epsilon: f64, seed: u64) -> Self {
-        LpsWeighted {
-            epsilon,
-            seed,
-            cycle: 0,
-            rounds: 0,
-            exec: ExecCfg::default(),
-        }
-    }
-
-    /// Run the per-cycle matching network under `exec`.
-    pub fn with_exec(mut self, exec: ExecCfg) -> Self {
-        self.exec = exec;
-        self
-    }
-}
-
-impl Scheduler for LpsWeighted {
-    fn name(&self) -> String {
-        format!("LPS-MWM(ε={})", self.epsilon)
-    }
-
-    fn schedule(&mut self, occ: &[Vec<usize>]) -> Decision {
-        self.cycle += 1;
-        let (g, _) = request_graph(occ);
-        let r = Session::on(&g)
-            .algorithm(Algorithm::Weighted {
-                epsilon: self.epsilon,
-                mwm_box: dmatch::weighted::MwmBox::SeqClass,
-            })
             .seed(self.seed.wrapping_add(self.cycle))
             .exec(self.exec)
             .build()
@@ -543,6 +443,27 @@ mod tests {
                 let d = s.schedule(&occ);
                 assert!(is_valid_decision(&occ, &d), "{} invalid", s.name());
             }
+        }
+    }
+
+    /// E8 and the `switch_scheduling` example print these labels.
+    #[test]
+    fn every_scheduler_kind_keeps_its_label() {
+        for (kind, label) in [
+            (SchedulerKind::Pim { iterations: 1 }, "PIM(1)"),
+            (SchedulerKind::Islip { iterations: 3 }, "iSLIP(3)"),
+            (SchedulerKind::DistMaximal, "II-maximal"),
+            (SchedulerKind::LpsBipartite { k: 2 }, "LPS-MCM(k=2)"),
+            (SchedulerKind::LpsBipartite { k: 0 }, "LPS-MCM(k=1)"),
+            (
+                SchedulerKind::LpsWeighted { epsilon: 0.2 },
+                "LPS-MWM(ε=0.2)",
+            ),
+            (SchedulerKind::MaxCardinality, "max-cardinality"),
+            (SchedulerKind::MaxWeight, "max-weight"),
+            (SchedulerKind::Ilqf { iterations: 2 }, "iLQF(2)"),
+        ] {
+            assert_eq!(kind.build(8, 1, ExecCfg::default()).name(), label);
         }
     }
 

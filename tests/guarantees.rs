@@ -217,9 +217,8 @@ fn empty_and_tiny_graphs_are_handled_by_everyone() {
         let r = Session::on(&g)
             .algorithm(Algorithm::General {
                 k: 2,
-                early_stop: None,
+                early_stop: Some(4),
             })
-            .sampling_iterations(4)
             .seed(0)
             .build()
             .run_to_completion();

@@ -8,7 +8,7 @@
 use distributed_matching::dgraph::generators::random::{bipartite_gnp, gnp};
 use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
 use distributed_matching::dgraph::{blossom, hopcroft_karp};
-use distributed_matching::dmatch::{luby, weighted, Algorithm, ConvergenceCurve, Session};
+use distributed_matching::dmatch::{weighted, Algorithm, ConvergenceCurve, Session};
 use distributed_matching::simnet::SplitMix64;
 
 /// Deterministic parameter stream: (n, edge probability, seed).
@@ -37,17 +37,6 @@ fn ii_maximal_valid_and_tiny_messages() {
         assert!(r.matching.validate(&g).is_ok());
         assert!(r.matching.is_maximal(&g));
         assert!(r.stats.max_msg_bits <= 2);
-    }
-}
-
-/// Luby MIS on an arbitrary topology is independent and dominating.
-#[test]
-fn luby_mis_valid() {
-    for (n, p, seed) in cases(2, 32, 1, 40) {
-        let g = gnp(n, p, seed);
-        let topo = distributed_matching::dmatch::topology_of(&g);
-        let (flags, _) = luby::mis(&topo, seed);
-        assert!(luby::is_valid_mis(&topo, &flags));
     }
 }
 
@@ -158,9 +147,8 @@ fn runs_are_reproducible() {
             Session::on(&g)
                 .algorithm(Algorithm::General {
                     k: 2,
-                    early_stop: None,
+                    early_stop: Some(6),
                 })
-                .sampling_iterations(6)
                 .seed(seed)
                 .build()
                 .run_to_completion()
