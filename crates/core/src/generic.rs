@@ -594,10 +594,15 @@ pub(crate) struct PhaseLog {
 /// driver ([`crate::session::Session::rewire`]) restricts repair
 /// gathering to `B(damage, 4k+2)` with it.
 pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
-    bfs_distances(g, seeds, radius)
-        .into_iter()
-        .map(|d| d != usize::MAX)
-        .collect()
+    bfs_distances(
+        g.n(),
+        |v| g.incident(v).iter().map(|&(u, _)| u),
+        seeds,
+        radius,
+    )
+    .into_iter()
+    .map(|d| d != usize::MAX)
+    .collect()
 }
 
 /// One phase of Algorithm 1 (`ℓ = 2·phase_idx + 1`): ball gathering,

@@ -112,15 +112,20 @@ impl Protocol for IINode {
                     self.halt(ctx);
                     return;
                 }
-                let live: Vec<usize> = (0..ctx.degree()).filter(|&p| self.active_port[p]).collect();
-                if live.is_empty() {
+                let live = self.active_port.iter().filter(|&&a| a).count();
+                if live == 0 {
                     self.halt(ctx); // isolated among matched nodes: maximality holds
                     return;
                 }
                 self.male = ctx.rng().bernoulli(0.5);
                 self.proposed_to = None;
                 if self.male {
-                    let p = live[ctx.rng().below(live.len() as u64) as usize];
+                    // The k-th live port, k uniform: counted, not collected.
+                    let k = ctx.rng().below(live as u64) as usize;
+                    let p = (0..ctx.degree())
+                        .filter(|&p| self.active_port[p])
+                        .nth(k)
+                        .expect("k < live ports");
                     self.proposed_to = Some(p);
                     ctx.send(p, IIMsg::Propose);
                 }

@@ -23,10 +23,20 @@
 //!   node's state after `t` rounds is a function of initial states
 //!   within distance `t`, so a node that halted in round `h` is exact
 //!   iff `h < dist(node, C)` (multi-source BFS inside the ball). An
-//!   empty `C` (ball = whole component) certifies every node. A ball
-//!   whose boundary cuts the component can leave nodes near the cut
-//!   waiting for a missing partner; the run stops quietly at the round
-//!   budget and leaves them uncertified.
+//!   empty `C` (ball = whole component) certifies every node.
+//!
+//!   The probe simulates only what it can certify: each node is
+//!   *frozen* — halted without a recorded halt round — when round
+//!   `dist(node, C)` begins. This changes no certified answer. By
+//!   induction on `t`, node `l` acts exactly as in the unfrozen run in
+//!   every round `t < dist(l, C)`: its round-`t` inbox comes from
+//!   neighbours `w` with `dist(w, C) ≥ dist(l, C) − 1 > t − 1`, which
+//!   in round `t − 1` were neither frozen nor contaminated. So every
+//!   halt round `h < dist(l, C)` is the unfrozen run's, and the
+//!   certified set is the same. A node whose recorded halt round
+//!   reaches its distance is not certified either way, so freezing it
+//!   there loses nothing, and the run ends on its own within
+//!   `max dist(·, C)` rounds. With `C` empty nothing freezes.
 //! * **Generic** (purely combinatorial — phases on the induced
 //!   subgraph): MIS priorities are keyed by the global vertex sequence
 //!   of each path (`generic::path_priority`), so decisions factorize
@@ -46,13 +56,14 @@
 //! swallows the component, `C` is empty and certification is total, so
 //! the loop always terminates.
 
+use crate::generic;
+use crate::israeli_itai::{self, IIMsg, IINode};
 use crate::runner::Algorithm;
-use crate::{generic, israeli_itai, state};
 use dgraph::augmenting::enumerate_augmenting_paths;
 use dgraph::subgraph::{bfs_distances, SubgraphView};
 use dgraph::{EdgeId, Graph, Matching, NodeId};
 use dobs::metrics::Registry;
-use simnet::Network;
+use simnet::{Ctx, Inbox, Network, Protocol, Topology};
 use std::collections::BTreeMap;
 
 /// Builder for a [`MatchingOracle`]; start from [`MatchingOracle::on`].
@@ -181,7 +192,7 @@ impl<'g> MatchingOracle<'g> {
             self.metrics.inc("oracle_probed_nodes", view.len() as u64);
             probed_this_query += view.len() as u64;
             let certified = match self.alg {
-                Algorithm::IsraeliItai => self.probe_ii(&view),
+                Algorithm::IsraeliItai => probe_ii(&view, self.seed),
                 Algorithm::Generic { k } => self.probe_generic(&view, k),
                 _ => unreachable!("rejected in build"),
             };
@@ -215,41 +226,6 @@ impl<'g> MatchingOracle<'g> {
         }
     }
 
-    /// Simulate Israeli–Itai on the ball and certify by halt round vs.
-    /// distance to the contamination frontier.
-    fn probe_ii(&mut self, view: &SubgraphView<'_>) -> Vec<(usize, Option<NodeId>)> {
-        let ball = view.induced();
-        let nodes = (0..ball.n() as NodeId)
-            .map(|l| israeli_itai::IINode::new(None, ball.degree(l)))
-            .collect();
-        let streams: Vec<u64> = view.vertices().iter().map(|&gv| gv as u64).collect();
-        let mut net =
-            Network::new(state::topology_of(&ball), nodes, self.seed).with_streams(&streams);
-        // The *global* budget: every node of the global run halts
-        // within it, so certified halt rounds always fit. Exhausting it
-        // locally only leaves contaminated stragglers uncertified.
-        net.run_rounds(israeli_itai::round_budget(self.g.n()));
-        let boundary: Vec<NodeId> = view
-            .boundary_locals()
-            .into_iter()
-            .map(|l| l as NodeId)
-            .collect();
-        let dist = bfs_distances(&ball, &boundary, usize::MAX);
-        let (states, _) = net.into_parts();
-        let mut certified = Vec::new();
-        for (l, state) in states.iter().enumerate() {
-            // Halt round h is exact iff h < dist(l, C); dist is
-            // usize::MAX (∞) when C cannot reach l — e.g. C = ∅.
-            if state.halt_round.is_some_and(|h| h < dist[l] as u64) {
-                let mate = state
-                    .mate_port
-                    .map(|p| view.global(ball.incident(l as NodeId)[p].0 as usize));
-                certified.push((l, mate));
-            }
-        }
-        certified
-    }
-
     /// Replay the Generic phases on the induced subgraph with
     /// globally-keyed MIS priorities, growing a suspect set instead of
     /// simulating the network (gathering does not affect the matching).
@@ -269,7 +245,12 @@ impl<'g> MatchingOracle<'g> {
                 .filter(|&l| suspect[l as usize])
                 .collect();
             // Only the ℓ-margin of the suspect set is read below.
-            let dist = bfs_distances(&ind, &sources, ell);
+            let dist = bfs_distances(
+                n_local,
+                |l| ind.incident(l).iter().map(|&(u, _)| u),
+                &sources,
+                ell,
+            );
             let paths = enumerate_augmenting_paths(&ind, &m, ell);
             // Keys and priorities address paths by *global* vertex
             // sequences, so untainted conflict components replay the
@@ -353,11 +334,157 @@ impl<'g> MatchingOracle<'g> {
     }
 }
 
+/// An Israeli–Itai ball node that freezes at its contamination
+/// distance: it acts in every round before `freeze_at = dist(node, C)`
+/// and halts at the end of the last one (a boundary node halts in round
+/// 0 without acting), without recording a halt round. What it sent in
+/// that round is still delivered, so it is gone exactly when round
+/// `freeze_at` begins; see the module docs for why no certified answer
+/// moves. Session runs keep the plain [`IINode`].
+struct FrozenAtDistance {
+    node: IINode,
+    freeze_at: u64,
+}
+
+impl Protocol for FrozenAtDistance {
+    type Msg = IIMsg;
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, IIMsg>, inbox: Inbox<'_, IIMsg>) {
+        if ctx.round() < self.freeze_at {
+            self.node.on_round(ctx, inbox);
+        }
+        if ctx.round() + 1 >= self.freeze_at {
+            ctx.halt();
+        }
+    }
+}
+
+/// Simulate Israeli–Itai (session seed `seed`) on the ball `view` and
+/// certify by halt round vs. distance to the contamination frontier:
+/// the certified `(local, global mate)` pairs.
+///
+/// The ball's network is built from the view's rows in one pass, with
+/// no induced [`Graph`] in between, and every node freezes at its
+/// distance to the frontier.
+fn probe_ii(view: &SubgraphView<'_>, seed: u64) -> Vec<(usize, Option<NodeId>)> {
+    let (offsets, neighbors, boundary) = view.rows();
+    let topo = Topology::from_sorted_rows(offsets, neighbors);
+    // dist(l, C); usize::MAX (∞) when C cannot reach l — e.g. C = ∅.
+    let dist = bfs_distances(
+        topo.len(),
+        |l| topo.neighbors(l).iter().copied(),
+        &boundary,
+        usize::MAX,
+    );
+    let nodes = (0..topo.len())
+        .map(|l| FrozenAtDistance {
+            node: IINode::new(None, topo.degree(l as NodeId)),
+            freeze_at: dist[l] as u64,
+        })
+        .collect();
+    let streams: Vec<u64> = view.vertices().iter().map(|&gv| gv as u64).collect();
+    let mut net = Network::new(topo, nodes, seed).with_streams(&streams);
+    // The *global* budget: every node of the global run halts within
+    // it, so certified halt rounds always fit. Frozen, the run ends
+    // within max dist(·, C) rounds, long before it unless C is empty.
+    net.run_rounds(israeli_itai::round_budget(view.graph().n()));
+    let topo = net.topology();
+    let mut certified = Vec::new();
+    for (l, state) in net.nodes().iter().enumerate() {
+        // Halt round h is exact iff h < dist(l, C).
+        if state.node.halt_round.is_some_and(|h| h < dist[l] as u64) {
+            let mate = state
+                .node
+                .mate_port
+                .map(|p| view.global(topo.neighbor(l as NodeId, p) as usize));
+            certified.push((l, mate));
+        }
+    }
+    certified
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Session;
-    use dgraph::generators::random::gnp;
+    use crate::state;
+    use dgraph::generators::random::{barabasi_albert, gnp};
+    use dgraph::generators::zoo::{chung_lu, d_regular, random_geometric};
+
+    /// The probe before freezing and one-pass rows, kept as the test
+    /// oracle of [`probe_ii`]: the induced [`Graph`], its topology via
+    /// [`state::topology_of`], the full round-budget run, and a BFS over
+    /// the induced graph.
+    fn probe_ii_reference(view: &SubgraphView<'_>, seed: u64) -> Vec<(usize, Option<NodeId>)> {
+        let ball = view.induced();
+        let nodes = (0..ball.n() as NodeId)
+            .map(|l| IINode::new(None, ball.degree(l)))
+            .collect();
+        let streams: Vec<u64> = view.vertices().iter().map(|&gv| gv as u64).collect();
+        let mut net = Network::new(state::topology_of(&ball), nodes, seed).with_streams(&streams);
+        net.run_rounds(israeli_itai::round_budget(view.graph().n()));
+        let boundary: Vec<NodeId> = view
+            .boundary_locals()
+            .into_iter()
+            .map(|l| l as NodeId)
+            .collect();
+        let dist = bfs_distances(
+            ball.n(),
+            |l| ball.incident(l).iter().map(|&(u, _)| u),
+            &boundary,
+            usize::MAX,
+        );
+        let (states, _) = net.into_parts();
+        let mut certified = Vec::new();
+        for (l, state) in states.iter().enumerate() {
+            if state.halt_round.is_some_and(|h| h < dist[l] as u64) {
+                let mate = state
+                    .mate_port
+                    .map(|p| view.global(ball.incident(l as NodeId)[p].0 as usize));
+                certified.push((l, mate));
+            }
+        }
+        certified
+    }
+
+    /// Freezing at the contamination distance certifies exactly what
+    /// the full run certifies, with the same mates: five zoo families
+    /// (n = 300) × 3 seeds × 3 centres × radii from 1 to 64 (the last
+    /// swallows the component, so `C` is empty and nothing freezes).
+    #[test]
+    fn frozen_probe_equals_the_full_run() {
+        let n = 300;
+        let zoo = [
+            gnp(n, 0.02, 1),
+            barabasi_albert(n, 2, 2),
+            chung_lu(n, 2.5, 4.0, 3),
+            random_geometric(n, 0.09, 4),
+            d_regular(n, 3, 5),
+        ];
+        let (mut proper_balls, mut whole_components) = (0, 0);
+        for (i, g) in zoo.iter().enumerate() {
+            for seed in 0..3u64 {
+                for centre in [0, 137, n as NodeId - 1] {
+                    for radius in [1, 2, 3, 4, 6, 8, 64] {
+                        let view = SubgraphView::ball(g, &[centre], radius);
+                        let got = probe_ii(&view, seed);
+                        assert_eq!(
+                            got,
+                            probe_ii_reference(&view, seed),
+                            "family {i} seed {seed} centre {centre} radius {radius}"
+                        );
+                        let whole = view.rows().2.is_empty();
+                        proper_balls += usize::from(!whole);
+                        whole_components += usize::from(whole);
+                    }
+                }
+            }
+        }
+        assert!(
+            proper_balls > 0 && whole_components > 0,
+            "the sweep must cover balls that freeze and balls that do not"
+        );
+    }
 
     fn global_mates(g: &Graph, alg: Algorithm, seed: u64) -> Vec<Option<NodeId>> {
         let mut s = Session::on(g).algorithm(alg).seed(seed).build();

@@ -13,9 +13,18 @@ use dgraph::{Graph, Matching, NodeId, UNMATCHED};
 use simnet::Topology;
 
 /// Convert a [`Graph`] into a [`Topology`] (the communication graph is
-/// the input graph itself, as in the paper's model).
+/// the input graph itself, as in the paper's model). The graph's
+/// incidence lists are already sorted rows, so they are copied straight
+/// in and only the reverse ports are paired.
 pub fn topology_of(g: &Graph) -> Topology {
-    Topology::from_edges(g.n(), g.edge_list())
+    let mut offsets = Vec::with_capacity(g.n() + 1);
+    let mut neighbors = Vec::with_capacity(2 * g.m());
+    offsets.push(0);
+    for v in 0..g.n() as NodeId {
+        neighbors.extend(g.incident(v).iter().map(|&(u, _)| u));
+        offsets.push(neighbors.len());
+    }
+    Topology::from_sorted_rows(offsets, neighbors)
 }
 
 /// Port of `v`'s mate under `m` (an index into `g.incident(v)`, which
@@ -81,6 +90,33 @@ mod tests {
         for v in 0..6u32 {
             let nbrs: Vec<NodeId> = g.incident(v).iter().map(|&(u, _)| u).collect();
             assert_eq!(t.neighbors(v), &nbrs[..]);
+        }
+    }
+
+    /// The one-pass copy yields exactly the topology the edge-list
+    /// route builds, reverse ports included.
+    #[test]
+    fn topology_of_equals_the_edge_list_route_on_the_zoo() {
+        use dgraph::generators::random::{barabasi_albert, gnp};
+        use dgraph::generators::zoo::{chung_lu, d_regular, random_geometric};
+        let zoo = [
+            gnp(150, 0.04, 1),
+            barabasi_albert(150, 3, 2),
+            chung_lu(150, 2.5, 5.0, 3),
+            random_geometric(150, 0.1, 4),
+            d_regular(150, 3, 5),
+            Graph::new(4, vec![]),
+        ];
+        for (i, g) in zoo.iter().enumerate() {
+            let got = topology_of(g);
+            let want = Topology::from_edges(g.n(), g.edge_list());
+            assert_eq!(got.len(), want.len(), "graph {i}");
+            for v in 0..g.n() as NodeId {
+                assert_eq!(got.neighbors(v), want.neighbors(v), "graph {i} node {v}");
+                for p in 0..got.degree(v) {
+                    assert_eq!(got.reverse_port(v, p), want.reverse_port(v, p));
+                }
+            }
         }
     }
 

@@ -123,15 +123,22 @@ mod tests {
     }
 
     #[test]
-    fn koenig_sanity_on_random_bipartite() {
-        // Maximum matching size must be ≥ m / Δ (each edge blocked by
-        // some matched vertex, each matched edge covers ≤ 2Δ edges) and
-        // ≤ min side size.
+    fn random_bipartite_is_maximum_and_at_least_m_over_delta() {
+        // A maximum matching is at most a side (20) and at least m / Δ:
+        // by König's edge-colouring theorem a bipartite graph's edges
+        // split into Δ matchings, and one of them has ≥ m / Δ edges.
         for seed in 0..5 {
             let (g, sides) = bipartite_gnp(20, 20, 0.15, seed);
             let m = max_matching(&g, &sides);
             assert!(m.validate(&g).is_ok());
             assert!(m.size() <= 20);
+            assert!(
+                m.size() * g.max_degree() >= g.m(),
+                "size {} below m / Δ = {} / {} (seed {seed})",
+                m.size(),
+                g.m(),
+                g.max_degree()
+            );
             // No augmenting path may remain.
             assert_eq!(
                 crate::augmenting::shortest_augmenting_path_len_bipartite(&g, &sides, &m),

@@ -15,13 +15,51 @@
 //!   protocols (Israeli–Itai picks proposals by port index) therefore
 //!   see identical choices inside the ball.
 //! * **Sublinear footprint.** [`SubgraphView::ball`] walks outward from
-//!   the centers keeping distances in an ordered map — no `O(n)`
-//!   scratch — so building a view costs `O(|ball| · Δ · log |ball|)`
-//!   regardless of how large the host graph is. This is what keeps
-//!   oracle probes flat in `n` (gated by experiment E22).
+//!   the centers keeping membership in a hash map with a fixed
+//!   multiplicative hasher — no `O(n)` scratch, and the map is only
+//!   probed, never iterated, so its order cannot leak into a result —
+//!   and sorts the vertex list once at the end. Building a view costs
+//!   `O(|ball| · Δ + |ball| log |ball|)` regardless of how large the
+//!   host graph is. This is what keeps oracle probes flat in `n`
+//!   (gated by experiment E22). The same map, relabelled, is the
+//!   view's global → local index: every membership test below is one
+//!   hash probe.
 
 use crate::graph::{Graph, NodeId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Fibonacci hashing of a node id: one multiply by `2^64 / φ`, with the
+/// high half folded into the low bits the table indexes by. Fixed, so
+/// no per-instance state; keys are only probed, never iterated.
+#[derive(Default)]
+struct IdHasher(u64);
+
+/// `2^64 / φ`, rounded to odd.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only node ids are hashed here (`write_u32`); any other key
+        // folds its bytes through the same multiply.
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIB);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        let h = u64::from(id).wrapping_mul(FIB);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Global id → local id, hashed by [`IdHasher`].
+type LocalIndex = HashMap<NodeId, NodeId, BuildHasherDefault<IdHasher>>;
 
 /// An induced subgraph over a borrowed [`Graph`], identified by a
 /// sorted vertex list. Local ids are positions in that list.
@@ -30,6 +68,8 @@ pub struct SubgraphView<'g> {
     g: &'g Graph,
     /// Sorted, deduplicated global ids; `verts[local] = global`.
     verts: Vec<NodeId>,
+    /// `index[global] = local` for every vertex of the view.
+    index: LocalIndex,
 }
 
 impl<'g> SubgraphView<'g> {
@@ -38,35 +78,47 @@ impl<'g> SubgraphView<'g> {
         verts.sort_unstable();
         verts.dedup();
         debug_assert!(verts.iter().all(|&v| (v as usize) < g.n()));
-        SubgraphView { g, verts }
+        let index = verts
+            .iter()
+            .enumerate()
+            .map(|(l, &v)| (v, l as NodeId))
+            .collect();
+        SubgraphView { g, verts, index }
     }
 
     /// The ball `B(centers, radius)`: every vertex within `radius` hops
-    /// of some center. BFS with an ordered distance map — the cost is
-    /// proportional to the ball, not to `g.n()`.
+    /// of some center. A level-by-level BFS whose queue is the vertex
+    /// list itself and whose membership test is the hashed index — the
+    /// cost is proportional to the ball, not to `g.n()`.
     pub fn ball(g: &'g Graph, centers: &[NodeId], radius: usize) -> Self {
-        let mut dist: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut queue = VecDeque::new();
+        let mut index = LocalIndex::default();
+        let mut verts = Vec::new();
         for &c in centers {
-            if dist.insert(c, 0).is_none() {
-                queue.push_back(c);
+            if index.insert(c, 0).is_none() {
+                verts.push(c);
             }
         }
-        while let Some(v) = queue.pop_front() {
-            let d = dist[&v];
-            if d == radius {
-                continue;
+        let mut level = 0..verts.len();
+        for _ in 0..radius {
+            if level.is_empty() {
+                break;
             }
-            for &(u, _) in g.incident(v) {
-                if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(u) {
-                    e.insert(d + 1);
-                    queue.push_back(u);
+            let next = verts.len();
+            for i in level {
+                for &(u, _) in g.incident(verts[i]) {
+                    if let Entry::Vacant(e) = index.entry(u) {
+                        e.insert(0);
+                        verts.push(u);
+                    }
                 }
             }
+            level = next..verts.len();
         }
-        // BTreeMap iterates in key order: already sorted.
-        let verts: Vec<NodeId> = dist.into_keys().collect();
-        SubgraphView { g, verts }
+        verts.sort_unstable();
+        for (l, v) in verts.iter().enumerate() {
+            *index.get_mut(v).expect("every vertex was inserted") = l as NodeId;
+        }
+        SubgraphView { g, verts, index }
     }
 
     /// Number of vertices in the view.
@@ -91,13 +143,13 @@ impl<'g> SubgraphView<'g> {
 
     /// Whether global vertex `v` is in the view.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.verts.binary_search(&v).is_ok()
+        self.index.contains_key(&v)
     }
 
     /// Local id of global vertex `v`, if present. Strictly monotone in
     /// `v` by construction.
     pub fn local(&self, v: NodeId) -> Option<usize> {
-        self.verts.binary_search(&v).ok()
+        self.index.get(&v).map(|&l| l as usize)
     }
 
     /// Global id of local vertex `l`.
@@ -121,6 +173,33 @@ impl<'g> SubgraphView<'g> {
             .collect()
     }
 
+    /// The induced subgraph's CSR rows in local ids, and its boundary,
+    /// in one pass over the host's incidence lists:
+    /// `neighbors[offsets[l]..offsets[l + 1]]` are `l`'s neighbors
+    /// inside the view. The rows come out ascending because the
+    /// relabeling is monotone, ready for
+    /// [`simnet::Topology::from_sorted_rows`]. The boundary lists, in
+    /// ascending order, the locals whose row is shorter than their host
+    /// degree: those of [`SubgraphView::boundary_locals`].
+    pub fn rows(&self) -> (Vec<usize>, Vec<NodeId>, Vec<NodeId>) {
+        let mut offsets = Vec::with_capacity(self.verts.len() + 1);
+        let mut neighbors = Vec::new();
+        let mut boundary = Vec::new();
+        offsets.push(0);
+        for (l, &v) in self.verts.iter().enumerate() {
+            let host = self.g.incident(v);
+            neighbors.extend(
+                host.iter()
+                    .filter_map(|&(u, _)| self.index.get(&u).copied()),
+            );
+            if neighbors.len() - offsets[l] < host.len() {
+                boundary.push(l as NodeId);
+            }
+            offsets.push(neighbors.len());
+        }
+        (offsets, neighbors, boundary)
+    }
+
     /// Materialize the induced subgraph as an owned [`Graph`] in local
     /// ids, weights carried over from the host. Its edges are listed
     /// in sorted order, smaller endpoint first.
@@ -141,13 +220,23 @@ impl<'g> SubgraphView<'g> {
     }
 }
 
-/// Multi-source BFS over `g`: `dist[v]` is the number of hops from `v`
-/// to the nearest source, or `usize::MAX` when that exceeds `radius`
-/// (pass `usize::MAX` for no cut-off). Unlike [`SubgraphView::ball`] it
-/// keeps `O(n)` scratch, so it is meant for a whole graph or for a ball
-/// already materialized by [`SubgraphView::induced`].
-pub fn bfs_distances(g: &Graph, sources: &[NodeId], radius: usize) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.n()];
+/// Multi-source BFS over the graph on `0..n` whose adjacency
+/// `neighbors` yields: `dist[v]` is the number of hops from `v` to the
+/// nearest source, or `usize::MAX` when that exceeds `radius` (pass
+/// `usize::MAX` for no cut-off). The adjacency may be a [`Graph`]'s
+/// incidence lists or a view's [`SubgraphView::rows`]. Unlike
+/// [`SubgraphView::ball`] it keeps `O(n)` scratch, so it is meant for a
+/// whole graph or for a ball already materialized.
+pub fn bfs_distances<I>(
+    n: usize,
+    neighbors: impl Fn(NodeId) -> I,
+    sources: &[NodeId],
+    radius: usize,
+) -> Vec<usize>
+where
+    I: IntoIterator<Item = NodeId>,
+{
+    let mut dist = vec![usize::MAX; n];
     let mut queue = VecDeque::new();
     for &s in sources {
         if dist[s as usize] == usize::MAX {
@@ -160,7 +249,7 @@ pub fn bfs_distances(g: &Graph, sources: &[NodeId], radius: usize) -> Vec<usize>
         if d == radius {
             continue;
         }
-        for &(u, _) in g.incident(v) {
+        for u in neighbors(v) {
             if dist[u as usize] == usize::MAX {
                 dist[u as usize] = d + 1;
                 queue.push_back(u);
@@ -173,15 +262,20 @@ pub fn bfs_distances(g: &Graph, sources: &[NodeId], radius: usize) -> Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::random::gnp;
+    use crate::generators::random::{barabasi_albert, gnp};
     use crate::generators::structured::path;
+    use crate::generators::zoo::random_geometric;
+
+    fn host_neighbors(g: &Graph, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        g.incident(v).iter().map(|&(u, _)| u)
+    }
 
     #[test]
     fn ball_matches_dense_bfs() {
         let g = gnp(60, 0.08, 11);
         for &(c, r) in &[(0u32, 1usize), (7, 2), (13, 3), (30, 0)] {
             let view = SubgraphView::ball(&g, &[c], r);
-            let dist = bfs_distances(&g, &[c], r);
+            let dist = bfs_distances(g.n(), |v| host_neighbors(&g, v), &[c], r);
             let want: Vec<NodeId> = (0..g.n() as NodeId)
                 .filter(|&v| dist[v as usize] != usize::MAX)
                 .collect();
@@ -249,6 +343,60 @@ mod tests {
         let view = SubgraphView::ball(&g, &[4], 100);
         assert_eq!(view.len(), 8);
         assert!(view.boundary_locals().is_empty());
+    }
+
+    /// The one-pass rows are the induced graph's incidence lists, and
+    /// the boundary they flag is `boundary_locals`, on views of every
+    /// size from a single vertex to the whole graph, over several
+    /// centers at once too.
+    #[test]
+    fn rows_are_the_induced_incidence_lists() {
+        let zoo = [
+            gnp(80, 0.06, 5),
+            barabasi_albert(80, 2, 6),
+            random_geometric(80, 0.15, 7),
+            path(20),
+        ];
+        for (i, g) in zoo.iter().enumerate() {
+            for centers in [vec![0], vec![3, 11], vec![g.n() as NodeId - 1]] {
+                for r in [0, 1, 2, 3, 5, usize::MAX] {
+                    let view = SubgraphView::ball(g, &centers, r);
+                    let ind = view.induced();
+                    let (offsets, neighbors, boundary) = view.rows();
+                    assert_eq!(offsets.len(), view.len() + 1);
+                    for l in 0..view.len() {
+                        let want: Vec<NodeId> = host_neighbors(&ind, l as NodeId).collect();
+                        assert_eq!(
+                            &neighbors[offsets[l]..offsets[l + 1]],
+                            &want[..],
+                            "graph {i} centers {centers:?} radius {r} local {l}"
+                        );
+                    }
+                    let want: Vec<NodeId> = view
+                        .boundary_locals()
+                        .into_iter()
+                        .map(|l| l as NodeId)
+                        .collect();
+                    assert_eq!(boundary, want, "graph {i} centers {centers:?} radius {r}");
+                    if r == usize::MAX {
+                        assert!(boundary.is_empty(), "a whole component has no boundary");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn new_indexes_an_explicit_vertex_set() {
+        let g = path(10);
+        let view = SubgraphView::new(&g, vec![7, 2, 4, 2]);
+        assert_eq!(view.vertices(), &[2, 4, 7]);
+        assert_eq!(view.local(4), Some(1));
+        assert_eq!(view.local(3), None);
+        assert!(view.contains(7) && !view.contains(0));
+        let (offsets, neighbors, boundary) = view.rows();
+        assert_eq!((offsets, neighbors), (vec![0, 0, 0, 0], vec![]));
+        assert_eq!(boundary, vec![0, 1, 2]);
     }
 
     #[test]

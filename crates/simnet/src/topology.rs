@@ -39,54 +39,86 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Build a topology on `n` nodes from an undirected edge list.
+    /// Build a topology on `n` nodes from an undirected edge list: the
+    /// edges are bucketed into rows, each row is sorted, and
+    /// [`Topology::from_sorted_rows`] pairs the reverse ports.
     ///
     /// Self-loops and duplicate edges are rejected with a panic: both
     /// are modelling errors for a communication graph.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in edges {
-            assert!(u != v, "self-loop {u} in topology");
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge ({u},{v}) out of range"
             );
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        Topology::from_adjacency(adj)
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut neighbors = vec![0; offsets[n]];
+        for &(u, v) in edges {
+            for (a, b) in [(u, v), (v, u)] {
+                neighbors[fill[a as usize]] = b;
+                fill[a as usize] += 1;
+            }
+        }
+        for v in 0..n {
+            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
+        }
+        Topology::from_sorted_rows(offsets, neighbors)
     }
 
-    /// Build from per-node neighbor lists (sorted and de-duplicated
-    /// here).
-    fn from_adjacency(mut adj: Vec<Vec<NodeId>>) -> Self {
-        let n = adj.len();
-        for (v, list) in adj.iter_mut().enumerate() {
-            list.sort_unstable();
-            assert!(
-                list.windows(2).all(|w| w[0] != w[1]),
-                "duplicate edge at node {v}"
-            );
-        }
-        let total: usize = adj.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut neighbors = Vec::with_capacity(total);
-        for list in &adj {
-            neighbors.extend_from_slice(list);
-            offsets.push(neighbors.len());
-        }
-        // Compute reverse ports: for port i at u pointing to v, find the
-        // index of u within v's (sorted) neighbor slice.
-        let mut rev_port = vec![0usize; neighbors.len()];
+    /// Build a topology from CSR rows: row `v`,
+    /// `neighbors[offsets[v]..offsets[v + 1]]`, lists `v`'s neighbors
+    /// in ascending order, and every edge is listed at both of its
+    /// endpoints.
+    ///
+    /// Reverse ports are paired in one O(n + m) pass, without a search.
+    /// Rows are visited in ascending id, so the rows that name `w` from
+    /// below do so in ascending order and fill `w`'s lowest entries one
+    /// after another; a per-row cursor counts how many are filled, and
+    /// the next one is the reverse port.
+    ///
+    /// Panics on a self-loop, a duplicate or out-of-order entry, a
+    /// neighbor out of range, or an edge listed at one endpoint only.
+    pub fn from_sorted_rows(offsets: Vec<usize>, neighbors: Vec<NodeId>) -> Self {
+        assert!(
+            offsets.first() == Some(&0) && offsets.last() == Some(&neighbors.len()),
+            "offsets must run from 0 to the number of entries"
+        );
+        let n = offsets.len() - 1;
+        let mut rev_port = vec![0; neighbors.len()];
+        // paired[w]: how many of w's entries, its lowest, the rows
+        // before w have paired.
+        let mut paired = vec![0usize; n];
         for u in 0..n {
-            for i in offsets[u]..offsets[u + 1] {
-                let v = neighbors[i] as usize;
-                let slice = &neighbors[offsets[v]..offsets[v + 1]];
-                let j = slice
-                    .binary_search(&(u as NodeId))
-                    .expect("asymmetric adjacency");
-                rev_port[i] = j;
+            let (base, row) = (offsets[u], &neighbors[offsets[u]..offsets[u + 1]]);
+            for (p, &v) in row.iter().enumerate() {
+                let w = v as usize;
+                assert!(w != u, "self-loop {u} in topology");
+                assert!(w < n, "neighbor {v} of node {u} out of range");
+                if p > 0 {
+                    assert!(row[p - 1] != v, "duplicate edge at node {u}");
+                    assert!(row[p - 1] < v, "neighbors of node {u} are not sorted");
+                }
+                if p < paired[u] {
+                    continue; // paired by the row of v < u
+                }
+                // A lower neighbor the lower rows did not pair lists
+                // the edge at this end only.
+                assert!(w > u, "asymmetric adjacency");
+                let q = paired[w];
+                assert!(
+                    offsets[w] + q < offsets[w + 1] && neighbors[offsets[w] + q] == u as NodeId,
+                    "asymmetric adjacency"
+                );
+                rev_port[base + p] = q;
+                rev_port[offsets[w] + q] = p;
+                paired[w] += 1;
             }
         }
         Topology {
@@ -330,7 +362,7 @@ impl Topology {
             dirty[u as usize] = true;
             dirty[v as usize] = true;
         }
-        let topo = Topology::from_adjacency(adj);
+        let topo = tests::paired_by_search(adj);
         // Old slot -> new slot for every surviving directed edge.
         let mut slot_map = vec![SLOT_GONE; self.total_ports()];
         for v in 0..n as NodeId {
@@ -435,6 +467,40 @@ impl TopologyPatch {
 mod tests {
     use super::*;
 
+    /// The pairing [`Topology::from_sorted_rows`] replaced, kept as its
+    /// test oracle: per-node neighbor vectors, each sorted, and every
+    /// reverse port found by a binary search in the neighbor's row.
+    pub(super) fn paired_by_search(mut adj: Vec<Vec<NodeId>>) -> Topology {
+        let n = adj.len();
+        for (v, list) in adj.iter_mut().enumerate() {
+            list.sort_unstable();
+            assert!(
+                list.windows(2).all(|w| w[0] != w[1]),
+                "duplicate edge at node {v}"
+            );
+        }
+        let mut offsets = vec![0usize];
+        let mut neighbors = Vec::new();
+        for list in &adj {
+            neighbors.extend_from_slice(list);
+            offsets.push(neighbors.len());
+        }
+        let mut rev_port = vec![0usize; neighbors.len()];
+        for u in 0..n {
+            for i in offsets[u]..offsets[u + 1] {
+                let v = neighbors[i] as usize;
+                rev_port[i] = neighbors[offsets[v]..offsets[v + 1]]
+                    .binary_search(&(u as NodeId))
+                    .expect("asymmetric adjacency");
+            }
+        }
+        Topology {
+            offsets,
+            neighbors,
+            rev_port,
+        }
+    }
+
     fn triangle() -> Topology {
         Topology::from_edges(3, &[(0, 1), (1, 2), (0, 2)])
     }
@@ -487,6 +553,64 @@ mod tests {
         let t = Topology::from_edges(0, &[]);
         assert!(t.is_empty());
         assert_eq!(t.max_degree(), 0);
+    }
+
+    /// The cursor pairing of `from_sorted_rows` (reached through
+    /// `from_edges`) equals the binary-search pairing, field by field,
+    /// on all six zoo generators, on graphs with isolated nodes, and on
+    /// a star whose hub is the last node.
+    #[test]
+    fn sorted_rows_pairing_equals_the_search_on_the_zoo() {
+        use dgraph::generators::{
+            barabasi_albert, chung_lu, d_regular, gnp, random_geometric, zipf_bipartite,
+        };
+        let n = 120;
+        let mut zoo: Vec<(usize, Vec<(NodeId, NodeId)>)> = [
+            gnp(n, 0.05, 1),
+            barabasi_albert(n, 3, 2),
+            chung_lu(n, 2.5, 6.0, 3),
+            random_geometric(n, 0.12, 4),
+            d_regular(n, 4, 5),
+            zipf_bipartite(50, 70, 300, 1.1, 6).0,
+            gnp(n, 0.005, 7),
+        ]
+        .iter()
+        .map(|g| (g.n(), g.edge_list().to_vec()))
+        .collect();
+        zoo.push((9, (0..8).map(|v| (v, 8)).collect()));
+        zoo.push((3, Vec::new()));
+        for (i, (n, edges)) in zoo.iter().enumerate() {
+            let mut adj = vec![Vec::new(); *n];
+            for &(u, v) in edges {
+                adj[u as usize].push(v);
+                adj[v as usize].push(u);
+            }
+            let want = paired_by_search(adj);
+            let got = Topology::from_edges(*n, edges);
+            assert_eq!(got.offsets, want.offsets, "offsets, graph {i}");
+            assert_eq!(got.neighbors, want.neighbors, "neighbors, graph {i}");
+            assert_eq!(got.rev_port, want.rev_port, "reverse ports, graph {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "asymmetric")]
+    fn sorted_rows_reject_one_sided_edges() {
+        // 0 lists 2, but 2 lists only 1.
+        Topology::from_sorted_rows(vec![0, 2, 4, 5], vec![1, 2, 0, 2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "asymmetric")]
+    fn sorted_rows_reject_one_sided_lower_edges() {
+        // 2 lists 0, but 0 lists only 1.
+        Topology::from_sorted_rows(vec![0, 1, 3, 5], vec![1, 0, 2, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not sorted")]
+    fn sorted_rows_reject_unsorted_rows() {
+        Topology::from_sorted_rows(vec![0, 2, 3, 4], vec![2, 1, 0, 0]);
     }
 
     /// Run the fast patch into a used buffer and hold it against the

@@ -81,7 +81,7 @@ impl SchedulerKind {
         };
         match self {
             SchedulerKind::Pim { iterations } => Box::new(Pim::new(n, iterations, seed)),
-            SchedulerKind::Islip { iterations } => Box::new(Islip::new(n, iterations, seed)),
+            SchedulerKind::Islip { iterations } => Box::new(Islip::new(n, iterations)),
             SchedulerKind::DistMaximal => session("II-maximal".into(), Algorithm::IsraeliItai),
             SchedulerKind::LpsBipartite { k } => {
                 let k = k.max(1);
@@ -190,9 +190,9 @@ pub struct Islip {
 }
 
 impl Islip {
-    /// New iSLIP scheduler (pointers start at 0; the seed is unused —
-    /// iSLIP is deterministic — but kept for interface symmetry).
-    pub fn new(n: usize, iterations: usize, _seed: u64) -> Self {
+    /// New iSLIP scheduler, pointers at 0. iSLIP is deterministic, so
+    /// it takes no seed.
+    pub fn new(n: usize, iterations: usize) -> Self {
         Islip {
             n,
             iterations: iterations.max(1),
@@ -480,7 +480,7 @@ mod tests {
         // After a warm-up, iSLIP with 1 iteration achieves a perfect
         // rotation on full occupancy (its celebrated property).
         let occ = full_occ(4);
-        let mut s = Islip::new(4, 1, 0);
+        let mut s = Islip::new(4, 1);
         let mut last = 0;
         for _ in 0..10 {
             last = s.schedule(&occ).iter().flatten().count();

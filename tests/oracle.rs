@@ -8,6 +8,7 @@
 //! identical answers with zero additional probed nodes.
 
 use distributed_matching::dgraph::generators::random::gnp;
+use distributed_matching::dgraph::generators::zoo::random_geometric;
 use distributed_matching::dgraph::{EdgeId, Graph, NodeId};
 use distributed_matching::dmatch::{Algorithm, MatchingOracle, Session};
 use distributed_matching::simnet::SplitMix64;
@@ -37,9 +38,9 @@ fn edge_answers(o: &mut MatchingOracle<'_>, m: usize, order: &[usize]) -> Vec<bo
     ans
 }
 
-fn consistency_gate(alg: Algorithm, tag: u64) {
+fn consistency_gate(alg: Algorithm, tag: u64, graph: impl Fn(u64) -> Graph) {
     for seed in 0..3u64 {
-        let g = gnp(64, 0.06, 500 + tag * 10 + seed);
+        let g = graph(seed);
         let want_mates = global_mates(&g, alg, seed);
         let want_edges: Vec<bool> = (0..g.m() as EdgeId)
             .map(|e| {
@@ -80,12 +81,37 @@ fn consistency_gate(alg: Algorithm, tag: u64) {
 
 #[test]
 fn ii_query_union_equals_global_session() {
-    consistency_gate(Algorithm::IsraeliItai, 1);
+    consistency_gate(Algorithm::IsraeliItai, 1, |seed| gnp(64, 0.06, 510 + seed));
+}
+
+/// The gnp(64) balls above often swallow their component, where nothing
+/// freezes. On a sparse geometric graph the balls stay proper, so ball
+/// nodes freeze at their contamination distance, and the union of
+/// answers must still be the global run's.
+#[test]
+fn ii_query_union_equals_global_session_on_geometric() {
+    let graph = |seed| random_geometric(300, 0.075, 520 + seed);
+    consistency_gate(Algorithm::IsraeliItai, 3, graph);
+    for seed in 0..3u64 {
+        let g = graph(seed);
+        let mut o = MatchingOracle::on(&g).seed(seed).build();
+        for v in 0..g.n() as NodeId {
+            o.query_node(v);
+        }
+        let probed = o.metrics().hist("oracle_probed_per_query").unwrap();
+        assert!(
+            probed.p50() * 10 < g.n() as u64,
+            "seed {seed}: median probe of {} nodes is not a proper ball",
+            probed.p50()
+        );
+    }
 }
 
 #[test]
 fn generic_query_union_equals_global_session() {
-    consistency_gate(Algorithm::Generic { k: 2 }, 2);
+    consistency_gate(Algorithm::Generic { k: 2 }, 2, |seed| {
+        gnp(64, 0.06, 520 + seed)
+    });
 }
 
 #[test]
