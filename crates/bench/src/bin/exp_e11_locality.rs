@@ -7,7 +7,8 @@
 //! rounds, achieved ratio) off the per-phase observer — each phase buys
 //! a `1/(k(k+1))` slice of the optimum for `O(k²)` extra rounds. The
 //! phase schedule is prefix-stable, so the curve after phase `j` equals
-//! a standalone `k = j` run with the same seed.
+//! a standalone `k = j` run with the same seed, and Theorem 3.1's
+//! `(1-1/(j+1))` bound is asserted there for every phase of every run.
 
 use bench_harness::{banner, f2, f3, Table};
 use dgraph::generators::random::gnp;
@@ -43,9 +44,17 @@ fn main() {
                 .observe(curve.clone())
                 .build()
                 .run_to_completion();
-            let opt = dgraph::blossom::max_matching(&g).size().max(1);
+            let opt = dgraph::blossom::max_matching(&g).size();
             for (phase, pt) in curve.points().iter().enumerate() {
-                ratios[phase].push(pt.matching_size as f64 / opt as f64);
+                // Theorem 3.1 after phase j = phase + 1 is deterministic:
+                // |M| ≥ (1 - 1/(j+1))·|OPT|, i.e. |M|·(j+1) ≥ j·|OPT|.
+                let j = phase + 1;
+                assert!(
+                    pt.matching_size * (j + 1) >= j * opt,
+                    "n {n}, seed {seed}, phase {j}: |M| = {} below the bound for |OPT| = {opt}",
+                    pt.matching_size
+                );
+                ratios[phase].push(pt.matching_size as f64 / opt.max(1) as f64);
                 rounds[phase].push(pt.round as f64);
             }
         }

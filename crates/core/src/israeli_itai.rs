@@ -58,23 +58,21 @@ pub struct IINode {
     male: bool,
     /// Port proposed to in the current iteration.
     proposed_to: Option<usize>,
-    announced: bool,
     /// The 0-based round in which this node halted, `None` while live.
     /// The oracle certifies a ball node by it.
     pub(crate) halt_round: Option<u64>,
 }
 
 impl IINode {
-    /// A node of the given degree, all ports live, matched on
-    /// `mate_port` (a warm start) or free: all the input it reads, so the
-    /// oracle builds ball nodes from the degree alone.
-    pub(crate) fn new(mate_port: Option<usize>, degree: usize) -> Self {
+    /// A free node of the given degree, all ports live: the degree is
+    /// all the input it reads, so the oracle builds ball nodes from it
+    /// alone.
+    pub(crate) fn new(degree: usize) -> Self {
         IINode {
-            mate_port,
+            mate_port: None,
             active_port: vec![true; degree],
             male: false,
             proposed_to: None,
-            announced: false, // pre-matched nodes announce in their first round
             halt_round: None,
         }
     }
@@ -97,18 +95,12 @@ impl Protocol for IINode {
         }
         match phase {
             0 => {
-                // Nodes that entered matched (warm start) announce
-                // once, then leave immediately: the announcement is
-                // already on the wire and nothing they could ever
-                // receive matters again. Halting here (rather than in
-                // a later phase) keeps the sparse scheduler's active
-                // set shrinking as fast as the matching grows.
-                if self.matched() && !self.announced {
-                    self.announce(ctx);
-                    self.halt(ctx);
-                    return;
-                }
+                // Announcing always halts, so a node still stepped while
+                // matched has accepted but not announced: it crashed
+                // through phase 2 and rejoined. It announces now and
+                // leaves, like every announced node.
                 if self.matched() {
+                    self.announce(ctx);
                     self.halt(ctx);
                     return;
                 }
@@ -157,10 +149,13 @@ impl Protocol for IINode {
                         self.mate_port = Some(env.port);
                     }
                 }
-                if self.matched() && !self.announced {
+                if self.matched() {
                     self.announce(ctx);
-                    // Announced couples are done; drop out of the
-                    // round loop immediately (see phase 0).
+                    // Announced couples are done: the announcement is
+                    // already on the wire and nothing they could ever
+                    // receive matters again. Halting at once keeps the
+                    // sparse scheduler's active set shrinking as fast
+                    // as the matching grows.
                     self.halt(ctx);
                 }
             }
@@ -170,14 +165,13 @@ impl Protocol for IINode {
 }
 
 impl IINode {
-    fn announce(&mut self, ctx: &mut Ctx<'_, IIMsg>) {
+    fn announce(&self, ctx: &mut Ctx<'_, IIMsg>) {
         let mate = self.mate_port.expect("announce requires a mate");
         for p in 0..ctx.degree() {
             if p != mate {
                 ctx.send(p, IIMsg::Matched);
             }
         }
-        self.announced = true;
     }
 
     /// Halt, recording the round: every halt goes through here.
@@ -194,9 +188,9 @@ pub fn round_budget(n: usize) -> u64 {
 }
 
 /// The Israeli–Itai primitive every higher layer builds on (the
-/// `Session` driver, the per-class δ-MWM boxes): run from `initial`
-/// (the empty matching for the classical algorithm) under `cfg`.
-/// Results are bit-identical across thread counts and schedulers.
+/// `Session` driver, the per-class δ-MWM boxes): run from the empty
+/// matching under `cfg`. Results are bit-identical across thread
+/// counts and schedulers.
 ///
 /// Fault-free and without a `round_limit`, the network runs until every
 /// node halts and the result is a *maximal* matching. An active fault
@@ -211,15 +205,9 @@ pub fn round_budget(n: usize) -> u64 {
 /// Hoepman–Kutten–Lotker \[12\] (cited by the paper): on trees, a
 /// constant number of 3-round iterations already yields a
 /// `(½-ε)`-approximation in expectation (experiment E14).
-pub fn run(
-    g: &Graph,
-    initial: &Matching,
-    seed: u64,
-    cfg: ExecCfg,
-    round_limit: Option<u64>,
-) -> (Matching, NetStats) {
+pub fn run(g: &Graph, seed: u64, cfg: ExecCfg, round_limit: Option<u64>) -> (Matching, NetStats) {
     let nodes: Vec<IINode> = (0..g.n() as NodeId)
-        .map(|v| IINode::new(state::mate_port(g, initial, v), g.degree(v)))
+        .map(|v| IINode::new(g.degree(v)))
         .collect();
     let mut net = Network::new(state::topology_of(g), nodes, seed).with_cfg(cfg);
     let bounded = round_limit.is_some() || cfg.faults.is_active();
@@ -240,8 +228,6 @@ mod tests {
     use dgraph::generators::random::{barabasi_albert, gnp};
     use dgraph::generators::structured::{complete, cycle, path, star};
     use dgraph::generators::zoo::{chung_lu, d_regular, random_geometric};
-    use dgraph::greedy::maximal_in_order;
-    use dgraph::EdgeId;
 
     fn maximal_matching(g: &Graph, seed: u64) -> (Matching, NetStats) {
         let r = Session::on(g).seed(seed).build().run_to_completion();
@@ -292,20 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn respects_warm_start() {
-        let g = path(6);
-        let init = Matching::from_edges(&g, &[2]); // middle edge (2,3)
-        let m = Session::on(&g)
-            .warm_start(&init)
-            .seed(5)
-            .build()
-            .run_to_completion()
-            .matching;
-        assert!(m.contains(&g, 2), "warm-start edges must survive");
-        assert!(m.is_maximal(&g));
-    }
-
-    #[test]
     fn messages_are_constant_size() {
         let g = gnp(50, 0.1, 3);
         let (_, stats) = maximal_matching(&g, 11);
@@ -332,28 +304,24 @@ mod tests {
             d_regular(120, 3, 4),
         ];
         for (i, g) in zoo.iter().enumerate() {
-            // Cold, and warm from a greedy matching over half the edges.
-            let half: Vec<EdgeId> = (0..g.m() as EdgeId).step_by(2).collect();
-            for initial in [Matching::new(g.n()), maximal_in_order(g, &half)] {
-                let nodes = (0..g.n() as NodeId)
-                    .map(|v| IINode::new(state::mate_port(g, &initial, v), g.degree(v)))
-                    .collect();
-                let mut net = Network::new(state::topology_of(g), nodes, 7);
-                net.run_until_halt(round_budget(g.n()));
-                let (nodes, stats) = net.into_parts();
-                let halts: Vec<u64> = nodes
-                    .iter()
-                    .map(|s| s.halt_round.expect("every node halts"))
-                    .collect();
-                assert_eq!(
-                    halts.iter().max().map(|h| h + 1),
-                    Some(stats.rounds),
-                    "family {i}"
-                );
-                for (r, trace) in stats.per_round.iter().enumerate() {
-                    let live = halts.iter().filter(|&&h| h >= r as u64).count() as u64;
-                    assert_eq!(trace.active, live, "family {i}, round {r}");
-                }
+            let nodes = (0..g.n() as NodeId)
+                .map(|v| IINode::new(g.degree(v)))
+                .collect();
+            let mut net = Network::new(state::topology_of(g), nodes, 7);
+            net.run_until_halt(round_budget(g.n()));
+            let (nodes, stats) = net.into_parts();
+            let halts: Vec<u64> = nodes
+                .iter()
+                .map(|s| s.halt_round.expect("every node halts"))
+                .collect();
+            assert_eq!(
+                halts.iter().max().map(|h| h + 1),
+                Some(stats.rounds),
+                "family {i}"
+            );
+            for (r, trace) in stats.per_round.iter().enumerate() {
+                let live = halts.iter().filter(|&&h| h >= r as u64).count() as u64;
+                assert_eq!(trace.active, live, "family {i}, round {r}");
             }
         }
     }

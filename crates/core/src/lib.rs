@@ -20,11 +20,13 @@
 //!
 //! ## The `Session` driver
 //!
-//! Every algorithm runs through one builder-first [`session::Session`]:
-//! build it (`Session::on(&g).algorithm(…).seed(…).build()`), then
-//! `run_to_completion()`, or `step()` phase by phase with mid-run
-//! `snapshot()`s, per-round/per-phase [`session::Observer`] callbacks,
-//! and — for the incremental algorithms — churn-epoch repair via
+//! Every algorithm runs through one builder-first [`session::Session`]
+//! from the empty matching: build it
+//! (`Session::on(&g).algorithm(…).seed(…).build()`), then
+//! `run_to_completion()`, or `step()` phase by phase, reading
+//! `matching()`, `stats()` and `phase_log()` between phases, with
+//! per-phase [`session::Observer`] callbacks; a completed
+//! `Algorithm::Generic` session repairs a churn batch via
 //! `rewire(removed, added)`, whose damage rule ([`session::apply_batch`])
 //! `dchurn` shares. Execution knobs, the adversary plan included, travel
 //! in one `simnet::ExecCfg` (`.exec(cfg)`).
@@ -43,7 +45,7 @@ pub mod weighted;
 pub use oracle::MatchingOracle;
 pub use runner::{Algorithm, RunReport, TerminationMode};
 pub use session::{
-    Control, ConvergenceCurve, CurvePoint, Damage, MatchingDelta, NullObserver, Observer, Phase,
-    PhaseEvent, PhaseInfo, RoundBudget, RoundEvent, Session, SessionBuilder, Snapshot,
+    Control, ConvergenceCurve, CurvePoint, Damage, Observer, Phase, PhaseEvent, PhaseInfo, Session,
+    SessionBuilder,
 };
 pub use state::topology_of;

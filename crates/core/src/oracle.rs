@@ -72,7 +72,6 @@ pub struct OracleBuilder<'g> {
     seed: u64,
     alg: Algorithm,
     initial_radius: usize,
-    radius_budget: usize,
 }
 
 impl<'g> OracleBuilder<'g> {
@@ -98,15 +97,6 @@ impl<'g> OracleBuilder<'g> {
         self
     }
 
-    /// Radius cap: a probe that still cannot certify its query vertex
-    /// at this radius stops doubling and swallows the whole component
-    /// (which always certifies). Default: no cap — pure doubling, which
-    /// reaches the component on its own.
-    pub fn radius_budget(mut self, r: usize) -> Self {
-        self.radius_budget = r.max(1);
-        self
-    }
-
     /// Finish the builder.
     pub fn build(self) -> MatchingOracle<'g> {
         assert!(
@@ -122,7 +112,6 @@ impl<'g> OracleBuilder<'g> {
             seed: self.seed,
             alg: self.alg,
             initial_radius: self.initial_radius,
-            radius_budget: self.radius_budget,
             memo: BTreeMap::new(),
             metrics: Registry::new(),
         }
@@ -136,7 +125,6 @@ pub struct MatchingOracle<'g> {
     seed: u64,
     alg: Algorithm,
     initial_radius: usize,
-    radius_budget: usize,
     /// Certified global mates: `v -> Some(mate)` or `v -> None` (free).
     /// Ordered container — part of the determinism contract (dlint).
     memo: BTreeMap<NodeId, Option<NodeId>>,
@@ -151,7 +139,6 @@ impl<'g> MatchingOracle<'g> {
             seed: 0,
             alg: Algorithm::IsraeliItai,
             initial_radius: 2,
-            radius_budget: usize::MAX,
         }
     }
 
@@ -216,13 +203,8 @@ impl<'g> MatchingOracle<'g> {
                     .set_gauge("oracle_memo_size", self.memo.len() as u64);
                 return mate;
             }
-            // Not yet certified: grow. Past the budget, swallow the
-            // component in one step (an uncapped radius ball).
-            radius = if radius >= self.radius_budget {
-                usize::MAX
-            } else {
-                radius.saturating_mul(2)
-            };
+            // Not yet certified: grow.
+            radius = radius.saturating_mul(2);
         }
     }
 
@@ -230,14 +212,14 @@ impl<'g> MatchingOracle<'g> {
     /// globally-keyed MIS priorities, growing a suspect set instead of
     /// simulating the network (gathering does not affect the matching).
     fn probe_generic(&mut self, view: &SubgraphView<'_>, k: usize) -> Vec<(usize, Option<NodeId>)> {
-        let ind = view.induced();
+        let (ind, boundary) = view.induced();
         let n_local = ind.n();
         let mut m = Matching::new(n_local);
         // suspect[l]: l's matched status may deviate from the global
         // run in some phase seen so far.
         let mut suspect = vec![false; n_local];
-        for b in view.boundary_locals() {
-            suspect[b] = true;
+        for b in boundary {
+            suspect[b as usize] = true;
         }
         for phase_idx in 0..k {
             let ell = 2 * phase_idx + 1;
@@ -378,7 +360,7 @@ fn probe_ii(view: &SubgraphView<'_>, seed: u64) -> Vec<(usize, Option<NodeId>)> 
     );
     let nodes = (0..topo.len())
         .map(|l| FrozenAtDistance {
-            node: IINode::new(None, topo.degree(l as NodeId)),
+            node: IINode::new(topo.degree(l as NodeId)),
             freeze_at: dist[l] as u64,
         })
         .collect();
@@ -416,18 +398,13 @@ mod tests {
     /// [`state::topology_of`], the full round-budget run, and a BFS over
     /// the induced graph.
     fn probe_ii_reference(view: &SubgraphView<'_>, seed: u64) -> Vec<(usize, Option<NodeId>)> {
-        let ball = view.induced();
+        let (ball, boundary) = view.induced();
         let nodes = (0..ball.n() as NodeId)
-            .map(|l| IINode::new(None, ball.degree(l)))
+            .map(|l| IINode::new(ball.degree(l)))
             .collect();
         let streams: Vec<u64> = view.vertices().iter().map(|&gv| gv as u64).collect();
         let mut net = Network::new(state::topology_of(&ball), nodes, seed).with_streams(&streams);
         net.run_rounds(israeli_itai::round_budget(view.graph().n()));
-        let boundary: Vec<NodeId> = view
-            .boundary_locals()
-            .into_iter()
-            .map(|l| l as NodeId)
-            .collect();
         let dist = bfs_distances(
             ball.n(),
             |l| ball.incident(l).iter().map(|&(u, _)| u),

@@ -22,8 +22,8 @@
 //! does the same by batching per-class messages (message size grows to
 //! `O(log n)` tags), which is the ablation of experiment E5b.
 //!
-//! Each class instance is [`israeli_itai::run`] from the empty matching,
-//! so under an active fault plan it keeps only agreed pairs.
+//! Each class instance is one [`israeli_itai::run`], so under an active
+//! fault plan it keeps only agreed pairs.
 
 use crate::israeli_itai;
 use dgraph::{EdgeId, Graph, Matching};
@@ -76,7 +76,7 @@ pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
         }
         let (sub, back) = g.edge_subgraph(candidate);
         let seed_j = seed.wrapping_add(j as u64);
-        let (cm, cstats) = israeli_itai::run(&sub, &Matching::new(sub.n()), seed_j, cfg, None);
+        let (cm, cstats) = israeli_itai::run(&sub, seed_j, cfg, None);
         stats.absorb(&cstats);
         for e in cm.edge_ids(&sub) {
             m.add(g, back[e as usize]);
@@ -119,7 +119,7 @@ pub(crate) fn run_parallel_inner(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matchin
         }
         let (sub, _back) = g.edge_subgraph(in_class);
         let seed_j = seed.wrapping_add(999 + j as u64);
-        let (cm, cstats) = israeli_itai::run(&sub, &Matching::new(sub.n()), seed_j, cfg, None);
+        let (cm, cstats) = israeli_itai::run(&sub, seed_j, cfg, None);
         max_rounds = max_rounds.max(cstats.rounds);
         let tag_bits = simnet::id_bits(classes as usize);
         stats.record_messages(cstats.messages, 2 + tag_bits);

@@ -89,7 +89,7 @@ impl Protocol for LdNode {
             0 => {
                 if let Some(mp) = self.mate_port {
                     if !self.announced {
-                        // Warm-start or newly matched: tell the others.
+                        // Newly matched: tell the others.
                         for p in 0..ctx.degree() {
                             if p != mp {
                                 ctx.send(p, LdMsg::Matched);

@@ -61,11 +61,6 @@ impl GraphBuilder {
         }
     }
 
-    /// True if the edge is already present.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.index.contains_key(&(u.min(v), u.max(v)))
-    }
-
     /// Finish, producing the immutable graph.
     pub fn build(self) -> Graph {
         Graph::with_weights(self.n, self.edges, self.weights)
@@ -87,14 +82,6 @@ mod tests {
         assert_eq!(g.m(), 2);
         let e = g.edge_between(0, 1).unwrap();
         assert_eq!(g.weight(e), 7.0);
-    }
-
-    #[test]
-    fn has_edge_is_orientation_free() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(2, 3);
-        assert!(b.has_edge(3, 2));
-        assert!(!b.has_edge(0, 1));
     }
 
     #[test]

@@ -40,59 +40,6 @@ pub fn maximal_in_order(g: &Graph, order: &[EdgeId]) -> Matching {
     m
 }
 
-/// Path-growing algorithm of Drake & Hougardy \[6\]: grows paths from
-/// arbitrary vertices always extending along the heaviest incident
-/// edge, alternately assigning edges to two matchings; returns the
-/// heavier one. ½-MWM in linear time.
-pub fn path_growing(g: &Graph) -> Matching {
-    let n = g.n();
-    let mut removed = vec![false; n];
-    let mut m1: Vec<EdgeId> = Vec::new();
-    let mut m2: Vec<EdgeId> = Vec::new();
-    for start in 0..n as u32 {
-        let mut v = start;
-        let mut side = 0usize;
-        if removed[v as usize] {
-            continue;
-        }
-        loop {
-            // Heaviest incident edge to a non-removed neighbor.
-            let mut best: Option<(f64, EdgeId, u32)> = None;
-            for &(u, e) in g.incident(v) {
-                if removed[u as usize] {
-                    continue;
-                }
-                let w = g.weight(e);
-                if best.is_none_or(|(bw, be, _)| w > bw || (w == bw && e < be)) {
-                    best = Some((w, e, u));
-                }
-            }
-            removed[v as usize] = true;
-            match best {
-                None => break,
-                Some((_, e, u)) => {
-                    if side == 0 {
-                        m1.push(e);
-                    } else {
-                        m2.push(e);
-                    }
-                    side ^= 1;
-                    v = u;
-                }
-            }
-        }
-    }
-    // Edges in each list may conflict only never: alternate edges of a
-    // path are disjoint within each side, and paths are vertex-disjoint.
-    let a = Matching::from_edges(g, &m1);
-    let b = Matching::from_edges(g, &m2);
-    if a.weight(g) >= b.weight(g) {
-        a
-    } else {
-        b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,21 +70,6 @@ mod tests {
             assert!(m.is_maximal(&g));
             let opt = crate::blossom::max_matching(&g).size();
             assert!(2 * m.size() >= opt, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn path_growing_achieves_half() {
-        for seed in 0..8 {
-            let g = apply_weights(
-                &gnp(12, 0.35, 40 + seed),
-                WeightModel::Exponential(2.0),
-                seed,
-            );
-            let pg = path_growing(&g).weight(&g);
-            let opt = max_weight_exact(&g);
-            assert!(pg >= 0.5 * opt - 1e-9, "seed {seed}: {pg} < half of {opt}");
-            assert!(path_growing(&g).validate(&g).is_ok());
         }
     }
 

@@ -39,23 +39,3 @@ pub mod waug;
 pub use builder::GraphBuilder;
 pub use graph::{EdgeId, Graph, NodeId, UNMATCHED};
 pub use matching::Matching;
-
-/// Relative tolerance for weight comparisons throughout the workspace.
-pub const WEIGHT_EPS: f64 = 1e-9;
-
-/// `a ≥ b` up to the global relative tolerance.
-pub fn weight_ge(a: f64, b: f64) -> bool {
-    a >= b - WEIGHT_EPS * (1.0 + a.abs().max(b.abs()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn weight_ge_tolerates_rounding() {
-        assert!(weight_ge(1.0, 1.0 + 1e-12));
-        assert!(weight_ge(2.0, 1.0));
-        assert!(!weight_ge(1.0, 1.1));
-    }
-}

@@ -88,13 +88,6 @@ impl Matching {
         self.mate[v as usize] == UNMATCHED
     }
 
-    /// All free vertices.
-    pub fn free_vertices(&self) -> Vec<NodeId> {
-        (0..self.mate.len() as NodeId)
-            .filter(|&v| self.is_free(v))
-            .collect()
-    }
-
     /// Is edge `e` in the matching?
     #[inline]
     pub fn contains(&self, g: &Graph, e: EdgeId) -> bool {
@@ -319,12 +312,5 @@ mod tests {
     #[should_panic(expected = "asymmetric")]
     fn from_mates_rejects_asymmetry() {
         Matching::from_mates(vec![1, UNMATCHED, UNMATCHED]);
-    }
-
-    #[test]
-    fn free_vertices_listed() {
-        let g = p4();
-        let m = Matching::from_edges(&g, &[0]);
-        assert_eq!(m.free_vertices(), vec![2, 3]);
     }
 }

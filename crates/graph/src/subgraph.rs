@@ -141,11 +141,6 @@ impl<'g> SubgraphView<'g> {
         &self.verts
     }
 
-    /// Whether global vertex `v` is in the view.
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.index.contains_key(&v)
-    }
-
     /// Local id of global vertex `v`, if present. Strictly monotone in
     /// `v` by construction.
     pub fn local(&self, v: NodeId) -> Option<usize> {
@@ -157,30 +152,19 @@ impl<'g> SubgraphView<'g> {
         self.verts[l]
     }
 
-    /// Local ids of the view's boundary: vertices with at least one
-    /// neighbor outside the view. For a ball of radius `r` these all
-    /// sit on the distance-`r` sphere (an interior vertex's neighbors
-    /// are all within `r`), which is what makes them the contamination
-    /// frontier of a local simulation.
-    pub fn boundary_locals(&self) -> Vec<usize> {
-        (0..self.verts.len())
-            .filter(|&l| {
-                self.g
-                    .incident(self.verts[l])
-                    .iter()
-                    .any(|&(u, _)| !self.contains(u))
-            })
-            .collect()
-    }
-
     /// The induced subgraph's CSR rows in local ids, and its boundary,
     /// in one pass over the host's incidence lists:
     /// `neighbors[offsets[l]..offsets[l + 1]]` are `l`'s neighbors
     /// inside the view. The rows come out ascending because the
     /// relabeling is monotone, ready for
-    /// [`simnet::Topology::from_sorted_rows`]. The boundary lists, in
-    /// ascending order, the locals whose row is shorter than their host
-    /// degree: those of [`SubgraphView::boundary_locals`].
+    /// [`simnet::Topology::from_sorted_rows`].
+    ///
+    /// The boundary lists, in ascending order, the locals with at least
+    /// one neighbor outside the view (whose row is shorter than their
+    /// host degree). For a ball of radius `r` these all sit on the
+    /// distance-`r` sphere (an interior vertex's neighbors are all
+    /// within `r`), which is what makes them the contamination frontier
+    /// of a local simulation.
     pub fn rows(&self) -> (Vec<usize>, Vec<NodeId>, Vec<NodeId>) {
         let mut offsets = Vec::with_capacity(self.verts.len() + 1);
         let mut neighbors = Vec::new();
@@ -201,22 +185,34 @@ impl<'g> SubgraphView<'g> {
     }
 
     /// Materialize the induced subgraph as an owned [`Graph`] in local
-    /// ids, weights carried over from the host. Its edges are listed
-    /// in sorted order, smaller endpoint first.
-    pub fn induced(&self) -> Graph {
+    /// ids, weights carried over from the host, and return it with the
+    /// boundary of [`SubgraphView::rows`], both from one pass over the
+    /// host's incidence lists. The graph's edges are listed in sorted
+    /// order, smaller endpoint first.
+    pub fn induced(&self) -> (Graph, Vec<NodeId>) {
         let mut edges = Vec::new();
         let mut weights = Vec::new();
+        let mut boundary = Vec::new();
         for (lv, &v) in self.verts.iter().enumerate() {
-            for &(u, e) in self.g.incident(v) {
-                if u > v {
-                    if let Some(lu) = self.local(u) {
+            let host = self.g.incident(v);
+            let mut inside = 0;
+            for &(u, e) in host {
+                if let Some(lu) = self.local(u) {
+                    inside += 1;
+                    if u > v {
                         edges.push((lv as NodeId, lu as NodeId));
                         weights.push(self.g.weight(e));
                     }
                 }
             }
+            if inside < host.len() {
+                boundary.push(lv as NodeId);
+            }
         }
-        Graph::with_weights(self.verts.len(), edges, weights)
+        (
+            Graph::with_weights(self.verts.len(), edges, weights),
+            boundary,
+        )
     }
 }
 
@@ -309,10 +305,9 @@ mod tests {
         // locally as globally (both sorted by id under monotone remap).
         let g = gnp(50, 0.12, 19);
         let view = SubgraphView::ball(&g, &[10], 3);
-        let ind = view.induced();
-        let boundary: Vec<usize> = view.boundary_locals();
+        let (ind, boundary) = view.induced();
         for l in 0..view.len() {
-            if boundary.contains(&l) {
+            if boundary.contains(&(l as NodeId)) {
                 continue;
             }
             let global: Vec<NodeId> = g.incident(view.global(l)).iter().map(|&(u, _)| u).collect();
@@ -330,9 +325,10 @@ mod tests {
         let g = path(30);
         let view = SubgraphView::ball(&g, &[15], 3);
         let boundary: Vec<NodeId> = view
-            .boundary_locals()
+            .induced()
+            .1
             .into_iter()
-            .map(|l| view.global(l))
+            .map(|l| view.global(l as usize))
             .collect();
         assert_eq!(boundary, vec![12, 18]);
     }
@@ -342,13 +338,13 @@ mod tests {
         let g = path(8);
         let view = SubgraphView::ball(&g, &[4], 100);
         assert_eq!(view.len(), 8);
-        assert!(view.boundary_locals().is_empty());
+        assert!(view.induced().1.is_empty());
     }
 
     /// The one-pass rows are the induced graph's incidence lists, and
-    /// the boundary they flag is `boundary_locals`, on views of every
-    /// size from a single vertex to the whole graph, over several
-    /// centers at once too.
+    /// they flag the boundary `induced` returns, on views of every size
+    /// from a single vertex to the whole graph, over several centers at
+    /// once too.
     #[test]
     fn rows_are_the_induced_incidence_lists() {
         let zoo = [
@@ -361,7 +357,7 @@ mod tests {
             for centers in [vec![0], vec![3, 11], vec![g.n() as NodeId - 1]] {
                 for r in [0, 1, 2, 3, 5, usize::MAX] {
                     let view = SubgraphView::ball(g, &centers, r);
-                    let ind = view.induced();
+                    let (ind, want_boundary) = view.induced();
                     let (offsets, neighbors, boundary) = view.rows();
                     assert_eq!(offsets.len(), view.len() + 1);
                     for l in 0..view.len() {
@@ -372,12 +368,22 @@ mod tests {
                             "graph {i} centers {centers:?} radius {r} local {l}"
                         );
                     }
-                    let want: Vec<NodeId> = view
-                        .boundary_locals()
-                        .into_iter()
-                        .map(|l| l as NodeId)
+                    assert_eq!(
+                        boundary, want_boundary,
+                        "graph {i} centers {centers:?} radius {r}"
+                    );
+                    // Both are the boundary by definition: the locals
+                    // with a host neighbor outside the view.
+                    let outside: Vec<NodeId> = (0..view.len() as NodeId)
+                        .filter(|&l| {
+                            host_neighbors(g, view.global(l as usize))
+                                .any(|u| view.local(u).is_none())
+                        })
                         .collect();
-                    assert_eq!(boundary, want, "graph {i} centers {centers:?} radius {r}");
+                    assert_eq!(
+                        boundary, outside,
+                        "graph {i} centers {centers:?} radius {r}"
+                    );
                     if r == usize::MAX {
                         assert!(boundary.is_empty(), "a whole component has no boundary");
                     }
@@ -393,7 +399,7 @@ mod tests {
         assert_eq!(view.vertices(), &[2, 4, 7]);
         assert_eq!(view.local(4), Some(1));
         assert_eq!(view.local(3), None);
-        assert!(view.contains(7) && !view.contains(0));
+        assert_eq!(view.local(7), Some(2));
         let (offsets, neighbors, boundary) = view.rows();
         assert_eq!((offsets, neighbors), (vec![0, 0, 0, 0], vec![]));
         assert_eq!(boundary, vec![0, 1, 2]);
@@ -403,7 +409,8 @@ mod tests {
     fn induced_carries_weights() {
         let g = Graph::with_weights(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.5, 2.5, 3.5]);
         let view = SubgraphView::new(&g, vec![1, 2, 3]);
-        let ind = view.induced();
+        let (ind, boundary) = view.induced();
+        assert_eq!(boundary, vec![0], "vertex 1 has its neighbor 0 outside");
         assert_eq!(ind.m(), 2);
         let e = ind.edge_between(0, 1).unwrap();
         assert!((ind.weight(e) - 2.5).abs() < 1e-12);

@@ -22,31 +22,6 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Member directories named in the root manifest (`members = [...]`).
-/// Used for reporting; the walk itself is recursive so that new crates
-/// are covered the moment they exist on disk.
-pub fn workspace_members(root: &Path) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(root.join("Cargo.toml")) else {
-        return Vec::new();
-    };
-    let Some(start) = text.find("members") else {
-        return Vec::new();
-    };
-    let Some(open) = text[start..].find('[') else {
-        return Vec::new();
-    };
-    let Some(close) = text[start + open..].find(']') else {
-        return Vec::new();
-    };
-    let body = &text[start + open + 1..start + open + close];
-    body.split(',')
-        .filter_map(|s| {
-            let s = s.trim().trim_matches('"');
-            (!s.is_empty()).then(|| s.to_string())
-        })
-        .collect()
-}
-
 /// All `.rs` files under `dir` (sorted for deterministic reports),
 /// skipping `target`, `.git`, `fixtures`, and hidden directories.
 pub fn rust_files(dir: &Path) -> Vec<PathBuf> {

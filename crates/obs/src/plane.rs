@@ -192,12 +192,12 @@ pub enum Event {
         /// Woken node id.
         node: u64,
     },
-    /// A repair-ball probe: the region a warm-start resume computed
-    /// around damaged edges (the LCA-style locality measurement).
+    /// A repair-ball probe: the region `Session::rewire` computed
+    /// around the damage set (the LCA-style locality measurement).
     RepairBall {
         /// Timestamp, ns since recorder install.
         t_ns: u64,
-        /// Damaged edges at the center.
+        /// Damage-set nodes at the center.
         center_edges: u64,
         /// Probe radius in hops.
         radius: u64,

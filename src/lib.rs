@@ -36,9 +36,9 @@
 //! [`dmatch::Session`] (re-exported here): static runs, `switchsim`
 //! cycles and the generic arm of `dchurn`'s churn epochs (via
 //! `Session::rewire(removed, added)`) all share the same driver, with a
-//! per-round/per-phase [`dmatch::Observer`] plane for mid-run
-//! visibility. `dchurn`'s Israeli–Itai arm runs one persistent network
-//! below the `Session` surface instead, and shares only the damage rule
+//! per-phase [`dmatch::Observer`] plane for mid-run visibility.
+//! `dchurn`'s Israeli–Itai arm runs one persistent network below the
+//! `Session` surface instead, and shares only the damage rule
 //! (`dmatch::session::apply_batch`).
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for the experiment
@@ -52,6 +52,4 @@ pub use dobs;
 pub use simnet;
 pub use switchsim;
 
-pub use dmatch::{
-    Algorithm, ConvergenceCurve, Observer, RoundBudget, RunReport, Session, TerminationMode,
-};
+pub use dmatch::{Algorithm, ConvergenceCurve, Observer, RunReport, Session, TerminationMode};

@@ -5,11 +5,11 @@
 //! that phase boundary: the `step()` that completed the aborting phase
 //! returns `Phase::Aborted` (the phase itself is still logged — phases
 //! are atomic), the log is a prefix of the uninterrupted run's log
-//! (phases are deterministic), the snapshot is internally consistent
-//! (the matching validates against the graph and agrees with the last
-//! phase's recorded cardinality, the statistics are the prefix sums),
-//! and further `step()` calls stay `Phase::Aborted` without consuming
-//! anything.
+//! (phases are deterministic), the state the session's accessors return
+//! is internally consistent (the matching validates against the graph
+//! and agrees with the last phase's recorded cardinality, the
+//! statistics are the prefix sums), and further `step()` calls stay
+//! `Phase::Aborted` without consuming anything.
 
 use distributed_matching::dgraph::generators::random::{bipartite_gnp, gnp};
 use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
@@ -164,22 +164,20 @@ fn phase_abort_stops_every_algorithm_at_the_boundary() {
                 assert_eq!(got.matching_size, expect.matching_size, "{alg}");
             }
 
-            // The snapshot is consistent: a valid matching of the
+            // The aborted state is consistent: a valid matching of the
             // advertised size, statistics equal to the prefix sums.
-            let snap = s.snapshot();
-            snap.matching.validate(&g).expect("snapshot matching");
+            s.matching().validate(&g).expect("aborted matching");
             assert_eq!(
-                snap.matching.size(),
+                s.matching().size(),
                 s.phase_log().last().expect("cut >= 1").matching_size,
                 "{alg}"
             );
-            assert_eq!(snap.phases_done, cut, "{alg}");
             assert_eq!(
-                snap.stats.rounds,
+                s.stats().rounds,
                 s.phase_log().iter().map(|p| p.rounds).sum::<u64>(),
-                "{alg}: snapshot rounds are the prefix sum"
+                "{alg}: rounds are the prefix sum"
             );
-            assert!(snap.stats.messages <= full_messages, "{alg}");
+            assert!(s.stats().messages <= full_messages, "{alg}");
 
             // Aborted is terminal and idempotent: stepping again does
             // nothing and consumes nothing.
@@ -205,9 +203,8 @@ fn abort_on_first_phase_still_yields_a_valid_partial_matching() {
         // cut = 1 aborts on the very first boundary: the first step()
         // already reports it.
         assert!(matches!(s.step(), Phase::Aborted));
-        let snap = s.snapshot();
-        snap.matching.validate(&g).expect("one-phase matching");
-        assert_eq!(snap.phases_done, 1, "{alg}");
+        s.matching().validate(&g).expect("one-phase matching");
+        assert_eq!(s.phase_log().len(), 1, "{alg}");
         assert!(s.is_aborted());
     }
 }

@@ -154,23 +154,6 @@ fn answers_invariant_under_query_order_and_radius() {
 }
 
 #[test]
-fn radius_budget_jump_stays_consistent() {
-    // A tiny radius budget forces the full-component fallback early;
-    // answers must not change.
-    let g = gnp(60, 0.06, 31);
-    let seed = 2;
-    let mut capped = MatchingOracle::on(&g)
-        .seed(seed)
-        .initial_radius(1)
-        .radius_budget(1)
-        .build();
-    let mut free = MatchingOracle::on(&g).seed(seed).build();
-    for v in 0..g.n() as NodeId {
-        assert_eq!(capped.query_node(v), free.query_node(v), "vertex {v}");
-    }
-}
-
-#[test]
 fn memoized_requeries_probe_nothing() {
     for (alg, tag) in [
         (Algorithm::IsraeliItai, 0u64),
