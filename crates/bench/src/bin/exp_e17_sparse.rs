@@ -26,9 +26,10 @@
 //! **Part B — repair-epoch cost vs n at fixed damage.** Two columns
 //! over one n-ladder:
 //!
-//! * the simulated rounds: a ring of `dchurn::RepairNode`s; each epoch
-//!   churns away exactly one matched edge and runs a fixed budget of
-//!   repair rounds. The damage is O(1), so the timed round cost stays
+//! * the simulated rounds: a ring of
+//!   `dmatch::israeli_itai::RepairNode`s; each epoch churns away
+//!   exactly one matched edge and runs a fixed budget of repair
+//!   rounds. The damage is O(1), so the timed round cost stays
 //!   flat as n grows — `node_steps` per epoch shows the active set
 //!   staying near the damage;
 //! * the whole epoch: the mean `DynEngine::step_with` time on
@@ -158,7 +159,7 @@ const REPAIR_ROUNDS: u64 = 1 + 3 * 10 + 1;
 /// fixed repair-round budget (timed). Returns the mean timed cost per
 /// epoch.
 fn repair_epochs(n: usize, epochs: u64, seed: u64) -> (f64, f64) {
-    use dchurn::RepairNode;
+    use dmatch::israeli_itai::RepairNode;
     let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
     let topo = Topology::from_edges(n, &edges);
     let nodes: Vec<RepairNode> = (0..n as u32)

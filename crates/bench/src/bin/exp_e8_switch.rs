@@ -9,7 +9,6 @@
 //! cells at ρ = 0.5 on every traffic model.
 
 use bench_harness::{banner, f2, f3, Table};
-use simnet::ExecCfg;
 use switchsim::{SchedulerKind, SimConfig, Simulator, TrafficModel};
 
 fn main() {
@@ -55,7 +54,7 @@ fn main() {
         );
         let mut t = Table::new(vec!["scheduler", "ρ=0.5", "ρ=0.7", "ρ=0.85", "ρ=0.95"]);
         for kind in schedulers {
-            let mut row = vec![kind.build(ports, 0, ExecCfg::default()).name()];
+            let mut row = vec![kind.build(ports, 0).name()];
             for (i, &load) in [0.5, 0.7, 0.85, 0.95].iter().enumerate() {
                 let model = match traffic {
                     TrafficModel::Uniform { .. } => TrafficModel::Uniform { load },

@@ -30,6 +30,13 @@
 //! `rewire(removed, added)`, whose damage rule ([`session::apply_batch`])
 //! `dchurn` shares. Execution knobs, the adversary plan included, travel
 //! in one `simnet::ExecCfg` (`.exec(cfg)`).
+//!
+//! `dchurn` repairs Israeli–Itai below the `Session` surface, on one
+//! persistent network, with the same protocol: [`israeli_itai`] writes
+//! the iteration once and wraps it twice, as the halting
+//! [`israeli_itai::IINode`] (sessions, the weighted class boxes, the
+//! oracle's ball probes) and the sleeping, rewirable
+//! [`israeli_itai::RepairNode`].
 
 pub mod bipartite;
 pub mod general;

@@ -377,7 +377,7 @@ fn probe_ii(view: &SubgraphView<'_>, seed: u64) -> Vec<(usize, Option<NodeId>)> 
         if state.node.halt_round.is_some_and(|h| h < dist[l] as u64) {
             let mate = state
                 .node
-                .mate_port
+                .mate_port()
                 .map(|p| view.global(topo.neighbor(l as NodeId, p) as usize));
             certified.push((l, mate));
         }
@@ -416,7 +416,7 @@ mod tests {
         for (l, state) in states.iter().enumerate() {
             if state.halt_round.is_some_and(|h| h < dist[l] as u64) {
                 let mate = state
-                    .mate_port
+                    .mate_port()
                     .map(|p| view.global(ball.incident(l as NodeId)[p].0 as usize));
                 certified.push((l, mate));
             }

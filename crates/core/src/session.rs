@@ -829,7 +829,7 @@ impl Session {
                 // this damage set force the repair to read?
                 dobs::plane::record(dobs::Event::RepairBall {
                     t_ns: dobs::plane::now_ns(),
-                    center_edges: damage.nodes.len() as u64,
+                    damage_nodes: damage.nodes.len() as u64,
                     radius: radius as u64,
                     ball: ball.iter().filter(|&&b| b).count() as u64,
                 });
@@ -997,14 +997,14 @@ mod tests {
                 nodes
             }
         );
-        let center = rec
+        let gauge = rec
             .events()
             .find_map(|ev| match ev {
-                dobs::Event::RepairBall { center_edges, .. } => Some(*center_edges),
+                dobs::Event::RepairBall { damage_nodes, .. } => Some(*damage_nodes),
                 _ => None,
             })
             .expect("repair must record a RepairBall event");
-        assert_eq!(center, 3, "the gauge counts each damage node once");
+        assert_eq!(gauge, 3, "the gauge counts each damage node once");
         let r = s.run_to_completion();
         let g2 = s.graph();
         assert_eq!(g2.m(), g.m());

@@ -47,7 +47,7 @@ pub(crate) fn mate_port(g: &Graph, m: &Matching, v: NodeId) -> Option<usize> {
 /// can leave one-sided ones) are tolerated: only pairs in which both
 /// endpoints claim each other are kept, which always yields a valid
 /// matching.
-pub(crate) fn matching_from_ports(
+pub fn matching_from_ports(
     g: &Graph,
     mate_ports: impl IntoIterator<Item = Option<usize>>,
     agreed: bool,

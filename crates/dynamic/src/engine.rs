@@ -2,9 +2,10 @@
 
 use crate::churn::{ChurnGen, ChurnModel};
 use crate::mutation::MutationBatch;
-use crate::repair::RepairNode;
-use dgraph::{Graph, Matching, NodeId, UNMATCHED};
+use dgraph::{Graph, Matching, NodeId};
+use dmatch::israeli_itai::RepairNode;
 use dmatch::session::{apply_batch, Damage, Phase, Session};
+use dmatch::state::matching_from_ports;
 use dmatch::Algorithm;
 use simnet::{ExecCfg, NetStats, Network};
 
@@ -401,7 +402,7 @@ impl DynEngine {
     }
 
     /// Ground-truth check of the protocol's liveness knowledge: every
-    /// node's `active[p]` must equal "the neighbor on `p` is free".
+    /// node's `live_ports()[p]` must equal "the neighbor on `p` is free".
     /// Exact at epoch boundaries (the drain round absorbed all
     /// announcements). Test hook; meaningless for the generic variant
     /// (always true).
@@ -411,7 +412,7 @@ impl DynEngine {
         };
         let topo = arm.net.topology();
         arm.net.nodes().iter().enumerate().all(|(v, s)| {
-            s.active
+            s.live_ports()
                 .iter()
                 .enumerate()
                 .all(|(p, &a)| a == arm.m.is_free(topo.neighbor(v as NodeId, p)))
@@ -455,7 +456,12 @@ impl MaximalArm {
             #[cfg(test)]
             assert_eq!(
                 unsettled,
-                !extract_matching(net, &self.g).is_maximal(&self.g),
+                !matching_from_ports(
+                    &self.g,
+                    net.nodes().iter().map(RepairNode::mate_port),
+                    false
+                )
+                .is_maximal(&self.g),
                 "the damage-local termination test disagrees with the global one"
             );
             if !unsettled {
@@ -474,7 +480,7 @@ impl MaximalArm {
         let stats1 = snapshot(net.stats());
         let topo = net.topology();
         for &v in &scratch.woken {
-            if let (Some(p), true) = (net.nodes()[v as usize].mate_port, self.m.is_free(v)) {
+            if let (Some(p), true) = (net.nodes()[v as usize].mate_port(), self.m.is_free(v)) {
                 let e = self.g.edge_between(v, topo.neighbor(v, p));
                 self.m.add(&self.g, e.expect("mates are adjacent"));
             }
@@ -487,7 +493,11 @@ impl MaximalArm {
         };
         debug_assert_eq!(
             self.m,
-            extract_matching(&self.net, &self.g),
+            matching_from_ports(
+                &self.g,
+                self.net.nodes().iter().map(RepairNode::mate_port),
+                false
+            ),
             "the matching missed a new match"
         );
         debug_assert!(self.m.is_maximal(&self.g), "repair stopped short");
@@ -530,32 +540,12 @@ fn snapshot(s: &NetStats) -> (u64, u64, u64) {
     (s.rounds, s.messages, s.bits)
 }
 
-/// Extract the matching from the persistent network's node states.
-fn extract_matching(net: &Network<RepairNode>, g: &Graph) -> Matching {
-    let topo = net.topology();
-    let mates: Vec<NodeId> = net
-        .nodes()
-        .iter()
-        .enumerate()
-        .map(|(v, s)| match s.mate_port {
-            Some(p) => topo.neighbor(v as NodeId, p),
-            None => UNMATCHED,
-        })
-        .collect();
-    let m = Matching::from_mates(mates);
-    debug_assert!(
-        m.validate(g).is_ok(),
-        "protocol produced an invalid matching"
-    );
-    m
-}
-
 /// Is some node of `damage` free with a free neighbor? After a churn
 /// batch hits a maximal matching, that is the only place a free–free
 /// edge can be (see `MaximalArm::repair`).
 fn free_edge_at(net: &Network<RepairNode>, damage: &[NodeId]) -> bool {
     let (topo, nodes) = (net.topology(), net.nodes());
-    let free = |v: NodeId| nodes[v as usize].mate_port.is_none();
+    let free = |v: NodeId| nodes[v as usize].mate_port().is_none();
     damage
         .iter()
         .any(|&d| free(d) && topo.neighbors(d).iter().any(|&u| free(u)))
@@ -735,7 +725,11 @@ mod tests {
                 };
                 assert_eq!(
                     *eng.matching(),
-                    extract_matching(&arm.net, eng.graph()),
+                    matching_from_ports(
+                        eng.graph(),
+                        arm.net.nodes().iter().map(RepairNode::mate_port),
+                        false
+                    ),
                     "{model:?}, epoch {epoch}: incremental matching drifted"
                 );
                 assert!(eng.matching().is_maximal(eng.graph()));

@@ -34,11 +34,12 @@
 //!    and stops the radius BFS once it has reached all of them.
 //!
 //! Two repair algorithms are provided: an incremental Israeli–Itai
-//! ([`repair::RepairNode`], maximal ⇒ ½-MCM after every epoch) and the
-//! warm-started generic `(1-1/(k+1))`-MCM (a [`dmatch::Session`] that
-//! repairs through [`dmatch::Session::rewire`]). Both are bit-identical
-//! across worker thread counts, like every other protocol in the
-//! workspace.
+//! ([`dmatch::israeli_itai::RepairNode`], the session's Israeli–Itai
+//! iteration on one persistent network; maximal ⇒ ½-MCM after every
+//! epoch) and the warm-started generic `(1-1/(k+1))`-MCM (a
+//! [`dmatch::Session`] that repairs through [`dmatch::Session::rewire`]).
+//! Both are bit-identical across worker thread counts, like every other
+//! protocol in the workspace.
 //!
 //! ```
 //! use dchurn::{ChurnModel, DynEngine, RepairAlgo};
@@ -57,9 +58,7 @@
 pub mod churn;
 pub mod engine;
 pub mod mutation;
-pub mod repair;
 
 pub use churn::{ChurnGen, ChurnModel};
 pub use engine::{DynEngine, EpochReport, RepairAlgo};
 pub use mutation::MutationBatch;
-pub use repair::{RMsg, RepairNode};

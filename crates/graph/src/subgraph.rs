@@ -73,19 +73,6 @@ pub struct SubgraphView<'g> {
 }
 
 impl<'g> SubgraphView<'g> {
-    /// View over an explicit vertex set (sorted + deduplicated here).
-    pub fn new(g: &'g Graph, mut verts: Vec<NodeId>) -> Self {
-        verts.sort_unstable();
-        verts.dedup();
-        debug_assert!(verts.iter().all(|&v| (v as usize) < g.n()));
-        let index = verts
-            .iter()
-            .enumerate()
-            .map(|(l, &v)| (v, l as NodeId))
-            .collect();
-        SubgraphView { g, verts, index }
-    }
-
     /// The ball `B(centers, radius)`: every vertex within `radius` hops
     /// of some center. A level-by-level BFS whose queue is the vertex
     /// list itself and whose membership test is the hashed index — the
@@ -393,22 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn new_indexes_an_explicit_vertex_set() {
-        let g = path(10);
-        let view = SubgraphView::new(&g, vec![7, 2, 4, 2]);
-        assert_eq!(view.vertices(), &[2, 4, 7]);
-        assert_eq!(view.local(4), Some(1));
-        assert_eq!(view.local(3), None);
-        assert_eq!(view.local(7), Some(2));
-        let (offsets, neighbors, boundary) = view.rows();
-        assert_eq!((offsets, neighbors), (vec![0, 0, 0, 0], vec![]));
-        assert_eq!(boundary, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn induced_carries_weights() {
         let g = Graph::with_weights(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.5, 2.5, 3.5]);
-        let view = SubgraphView::new(&g, vec![1, 2, 3]);
+        let view = SubgraphView::ball(&g, &[2], 1);
+        assert_eq!(view.vertices(), &[1, 2, 3]);
         let (ind, boundary) = view.induced();
         assert_eq!(boundary, vec![0], "vertex 1 has its neighbor 0 outside");
         assert_eq!(ind.m(), 2);

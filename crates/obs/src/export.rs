@@ -86,11 +86,11 @@ pub fn event_json(ev: &Event) -> String {
         }
         Event::RepairBall {
             t_ns,
-            center_edges,
+            damage_nodes,
             radius,
             ball,
         } => format!(
-            "{{\"ev\": \"repair_ball\", \"t_ns\": {t_ns}, \"center_edges\": {center_edges}, \
+            "{{\"ev\": \"repair_ball\", \"t_ns\": {t_ns}, \"damage_nodes\": {damage_nodes}, \
              \"radius\": {radius}, \"ball\": {ball}}}"
         ),
         Event::WorkerSpan {
@@ -307,13 +307,13 @@ pub fn chrome_trace(rec: &FlightRecorder) -> String {
             }
             Event::RepairBall {
                 t_ns,
-                center_edges,
+                damage_nodes,
                 radius,
                 ball,
             } => {
                 named_epochs = true;
                 let args = format!(
-                    "{{\"center_edges\": {center_edges}, \"radius\": {radius}, \"ball\": {ball}}}"
+                    "{{\"damage_nodes\": {damage_nodes}, \"radius\": {radius}, \"ball\": {ball}}}"
                 );
                 rows.push(instant("repair ball", TID_EPOCHS, t_ns, &args));
             }

@@ -198,7 +198,7 @@ pub enum Event {
         /// Timestamp, ns since recorder install.
         t_ns: u64,
         /// Damage-set nodes at the center.
-        center_edges: u64,
+        damage_nodes: u64,
         /// Probe radius in hops.
         radius: u64,
         /// Nodes inside the ball.

@@ -4,10 +4,10 @@
 //! `Adversary` (crate-internal), configured by a single composable
 //! [`FaultPlan`] — the workspace's one way to inject faults, installed
 //! through `ExecCfg::faults` (see [`crate::Network::with_cfg`]). The
-//! plan covers uniform Bernoulli drop, two-state Markov link flaps (the
-//! model of `switchsim::FailurePlan`), bounded per-message delay,
-//! per-round partial delivery, crash-stop node faults with optional
-//! rejoin, and CONGEST bit-budget enforcement.
+//! plan covers uniform Bernoulli drop, two-state Markov link flaps
+//! (burst loss), bounded per-message delay, per-round partial
+//! delivery, crash-stop node faults with optional rejoin, and CONGEST
+//! bit-budget enforcement.
 //!
 //! ## Determinism contract
 //!
@@ -89,7 +89,7 @@ pub(crate) fn clamped01(p: f64) -> f64 {
     }
 }
 
-/// Two-state Markov link model (the `switchsim::FailurePlan` shape):
+/// Two-state Markov link model of burst loss:
 /// an up edge goes down with probability `fail` per round, a down edge
 /// recovers with probability `repair` per round. While down, every
 /// message on the edge is dropped.

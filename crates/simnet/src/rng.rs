@@ -121,11 +121,9 @@ pub mod streams {
     pub const SWITCH_SCHED: u64 = 0x9147;
     /// Switch plane: synthetic traffic arrivals.
     pub const SWITCH_TRAFFIC: u64 = 0x7AFF;
-    /// Switch plane: port failure injection.
-    pub const SWITCH_FAILURE: u64 = 0xFA11;
 
     /// Every reserved id, for the distinctness test and for docs.
-    pub const ALL: [(&str, u64); 11] = [
+    pub const ALL: [(&str, u64); 10] = [
         ("ADV_DROP", ADV_DROP),
         ("ADV_BURST", ADV_BURST),
         ("ADV_DELAY", ADV_DELAY),
@@ -136,7 +134,6 @@ pub mod streams {
         ("GENERAL_COLOR", GENERAL_COLOR),
         ("SWITCH_SCHED", SWITCH_SCHED),
         ("SWITCH_TRAFFIC", SWITCH_TRAFFIC),
-        ("SWITCH_FAILURE", SWITCH_FAILURE),
     ];
 }
 

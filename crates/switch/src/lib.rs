@@ -16,10 +16,7 @@
 //!   (Israeli–Itai), the paper's bipartite `(1-1/k)`-MCM, the weighted
 //!   `(½-ε)`-MWM on queue lengths, and centralized optima (maximum
 //!   cardinality / maximum weight) as oracles;
-//! * [`sim`] — the cycle loop and throughput/delay statistics, with
-//!   optional time-varying port topologies ([`FailurePlan`]): links
-//!   fail and heal mid-run, and the scheduler must keep matching
-//!   whatever fabric is currently up.
+//! * [`sim`] — the cycle loop and throughput/delay statistics.
 //!
 //! Experiment E8 sweeps offered load and reproduces the classical
 //! ordering: maximal-matching-family schedulers saturate early under
@@ -31,5 +28,5 @@ pub mod traffic;
 pub mod voq;
 
 pub use sched::{Scheduler, SchedulerKind};
-pub use sim::{FailurePlan, SimConfig, SimResult, Simulator};
+pub use sim::{SimConfig, SimResult, Simulator};
 pub use traffic::TrafficModel;

@@ -22,7 +22,7 @@ use dmatch::session::Session;
 use dmatch::weighted::MwmBox;
 use dmatch::Algorithm;
 use simnet::rng::streams;
-use simnet::{ExecCfg, SplitMix64};
+use simnet::SplitMix64;
 
 /// A scheduling decision: `out[input] = Some(output)`.
 pub type Decision = Vec<Option<usize>>;
@@ -63,18 +63,13 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Instantiate for an `n`-port switch under execution knobs
-    /// `exec`: the distributed schedulers (Israeli–Itai and the paper's
-    /// LPS algorithms) run their per-cycle matching networks with its
-    /// thread count and fault injection. Centralized
-    /// and hardware schedulers ignore it.
-    pub fn build(self, n: usize, seed: u64, exec: ExecCfg) -> Box<dyn Scheduler> {
+    /// Instantiate for an `n`-port switch.
+    pub fn build(self, n: usize, seed: u64) -> Box<dyn Scheduler> {
         let session = |name: String, alg: Algorithm| -> Box<dyn Scheduler> {
             Box::new(SessionScheduler {
                 name,
                 alg,
                 seed,
-                exec,
                 cycle: 0,
                 rounds: 0,
             })
@@ -283,14 +278,13 @@ fn decision_from_matching(n: usize, m: &dgraph::Matching) -> Decision {
 }
 
 /// A distributed matching algorithm as a scheduler: every cycle runs
-/// one [`Session`] of `alg` on the request graph, seeded `seed + cycle`
-/// and under `exec`. [`SchedulerKind::build`] makes one for Israeli–Itai
-/// and for the paper's two algorithms.
+/// one [`Session`] of `alg` on the request graph, seeded `seed + cycle`.
+/// [`SchedulerKind::build`] makes one for Israeli–Itai and for the
+/// paper's two algorithms.
 pub struct SessionScheduler {
     name: String,
     alg: Algorithm,
     seed: u64,
-    exec: ExecCfg,
     cycle: u64,
     rounds: u64,
 }
@@ -307,7 +301,6 @@ impl Scheduler for SessionScheduler {
             .algorithm(self.alg)
             .sides(&sides)
             .seed(self.seed.wrapping_add(self.cycle))
-            .exec(self.exec)
             .build()
             .run_to_completion();
         self.rounds += r.stats.rounds;
@@ -438,7 +431,7 @@ mod tests {
             SchedulerKind::MaxWeight,
             SchedulerKind::Ilqf { iterations: 2 },
         ] {
-            let mut s = kind.build(4, 7, ExecCfg::default());
+            let mut s = kind.build(4, 7);
             for _ in 0..5 {
                 let d = s.schedule(&occ);
                 assert!(is_valid_decision(&occ, &d), "{} invalid", s.name());
@@ -463,7 +456,7 @@ mod tests {
             (SchedulerKind::MaxWeight, "max-weight"),
             (SchedulerKind::Ilqf { iterations: 2 }, "iLQF(2)"),
         ] {
-            assert_eq!(kind.build(8, 1, ExecCfg::default()).name(), label);
+            assert_eq!(kind.build(8, 1).name(), label);
         }
     }
 

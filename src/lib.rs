@@ -22,9 +22,8 @@
 //!   insert/delete, node join/leave, degree-preserving rewiring, trace
 //!   replay) with incremental matching repair over a rewired message
 //!   plane.
-//! * [`switchsim`] — input-queued switch simulator with PIM, iSLIP and a
-//!   matching-based scheduler, under optionally time-varying port
-//!   topologies (link failures mid-run).
+//! * [`switchsim`] — input-queued switch simulator with PIM, iSLIP and
+//!   matching-based schedulers.
 //! * [`dobs`] — observability plane: a bounded flight recorder of typed
 //!   simulator events (install one with `dobs::TraceSession`),
 //!   log-bucketed percentile histograms and a metrics registry,
@@ -38,8 +37,10 @@
 //! `Session::rewire(removed, added)`) all share the same driver, with a
 //! per-phase [`dmatch::Observer`] plane for mid-run visibility.
 //! `dchurn`'s Israeli–Itai arm runs one persistent network below the
-//! `Session` surface instead, and shares only the damage rule
-//! (`dmatch::session::apply_batch`).
+//! `Session` surface instead; it shares the damage rule
+//! (`dmatch::session::apply_batch`) and the protocol itself: its
+//! `dmatch::israeli_itai::RepairNode` wraps the same Israeli–Itai
+//! iteration as the session's `IINode`.
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for the experiment
 //! index mapping every theorem and figure of the paper to a reproducible

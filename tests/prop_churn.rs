@@ -113,6 +113,62 @@ fn repair_is_bit_identical_across_executors() {
     }
 }
 
+/// The engine's repair node and the session's node wrap one Israeli–Itai
+/// iteration, so from the empty matching they are one process: the
+/// bootstrap from seed `s` sends a session run's messages from seed `s`
+/// round for round, one sync round later, falls silent where the
+/// session ends, and leaves the same matching.
+#[test]
+fn bootstrap_replays_the_session_israeli_itai_run() {
+    use distributed_matching::dgraph::generators::random::barabasi_albert;
+    use distributed_matching::dgraph::generators::zoo::{chung_lu, d_regular, random_geometric};
+    use distributed_matching::Session;
+    let n = 300;
+    let sent =
+        |s: &simnet::NetStats| -> Vec<u64> { s.per_round.iter().map(|t| t.messages).collect() };
+    for seed in 0..5u64 {
+        let zoo = [
+            ("gnp", gnp(n, 0.02, seed)),
+            ("ba", barabasi_albert(n, 2, seed)),
+            ("chung-lu", chung_lu(n, 2.5, 4.0, seed)),
+            ("geometric", random_geometric(n, 0.09, seed)),
+            ("3-regular", d_regular(n, 3, seed)),
+        ];
+        for (family, g) in zoo {
+            let run = Session::on(&g).seed(seed).build().run_to_completion();
+            let mut eng =
+                DynEngine::new(g, ChurnModel::Trace, RepairAlgo::IncrementalMaximal, seed);
+            let boot = eng.bootstrap().clone();
+            let case = format!("{family}, seed {seed}");
+            assert_eq!(*eng.matching(), run.matching, "{case}: matchings differ");
+            assert_eq!(
+                (boot.messages, boot.bits),
+                (run.stats.messages, run.stats.bits),
+                "{case}: traffic differs"
+            );
+            let (boot_sent, run_sent) = (
+                sent(eng.net_stats().expect("maximal arm")),
+                sent(&run.stats),
+            );
+            let tail = 1 + run_sent.len();
+            assert!(
+                boot_sent.len() >= tail,
+                "{case}: the bootstrap stopped early"
+            );
+            assert_eq!(boot_sent[0], 0, "{case}: the bootstrap's sync round spoke");
+            assert_eq!(
+                boot_sent[1..tail],
+                run_sent[..],
+                "{case}: per-round traffic differs"
+            );
+            assert!(
+                boot_sent[tail..].iter().all(|&m| m == 0),
+                "{case}: the bootstrap spoke after the session ended"
+            );
+        }
+    }
+}
+
 #[test]
 fn sparse_repair_steps_few_nodes_for_local_damage() {
     // The activity-driven scheduler's core claim at the engine level:
