@@ -18,14 +18,20 @@
 //!    balls overlap (see `shell_table`).
 //!    Under an active adversary plan, which decides what arrives, the
 //!    nodes flood their real view deltas instead.
-//! 2. **Conflict-graph MIS (Step 5, emulated).** The paper runs Luby's
-//!    MIS on the conflict graph `C_M(ℓ)`, each conflict-graph round
-//!    costing `O(ℓ)` routing rounds in `G` (Lemma 3.3). We execute the
-//!    same Luby process centrally with a seeded RNG and *charge* each
-//!    iteration `ℓ` network rounds and one token of `O(ℓ log n)` bits
-//!    per alive path per hop, per Lemma 3.3's accounting. (A faithful
-//!    per-message implementation of this step is exponential in `ℓ` in
-//!    traffic; the paper itself only bounds it through the lemma.)
+//! 2. **Conflict-graph MIS (Step 5, emulated).** The paper runs an MIS
+//!    on the conflict graph `C_M(ℓ)`, each conflict-graph round costing
+//!    `O(ℓ)` routing rounds in `G` (Lemma 3.3). Theorem 3.1 needs only
+//!    *some* maximal set of paths, so each path keeps one seeded rank
+//!    for the whole phase (`rank_key`) and the MIS is the greedy one
+//!    in rank order: a path is chosen iff no conflicting path of better
+//!    rank is chosen. We run it centrally as rounds of random-order
+//!    greedy (every alive path that beats its alive conflicts joins),
+//!    which end in `O(log n)` rounds whp (Fischer–Noever, SODA 2018),
+//!    and *charge* each round `ℓ` network rounds and one token of
+//!    `O(ℓ log n)` bits per alive path per hop, per Lemma 3.3's
+//!    accounting. (A faithful per-message implementation of this step
+//!    is exponential in `ℓ` in traffic; the paper itself only bounds it
+//!    through the lemma.)
 //! 3. **Augmentation (Step 7).** `M ← M ⊕ P`, charged `ℓ` rounds
 //!    (leaders notify along their paths).
 //!
@@ -444,21 +450,21 @@ pub(crate) fn gather_balls_region(
     net.into_parts().1
 }
 
-/// Result of the central Luby emulation on the conflict graph.
+/// Result of the central rank-order MIS on the conflict graph.
 pub(crate) struct ConflictMis {
     /// Indices of the chosen (independent, maximal) paths.
     pub(crate) chosen: Vec<usize>,
-    /// Luby iterations executed (each costs `O(ℓ)` rounds in `G`).
+    /// Rounds of the greedy process (each costs `O(ℓ)` rounds in `G`).
     pub(crate) iterations: u64,
-    /// Alive-path count summed over iterations (for bit charging).
+    /// Alive-path count summed over rounds (for bit charging).
     alive_work: u64,
 }
 
 /// The canonical key of an augmenting path: a scrambled fold of its
 /// (global) vertex sequence, direction-normalized so both traversal
 /// orders hash alike. Keys — not enumeration indices — address paths
-/// in the MIS priority draws, which is what makes the process a pure
-/// function of the path set (see [`conflict_graph_mis`]).
+/// in the rank draws, which is what makes the MIS a pure function of
+/// the path set (see [`rank_key`]).
 pub(crate) fn path_key(path: &[NodeId]) -> u64 {
     let mut acc = path.len() as u64;
     let fold = |acc: u64, v: NodeId| {
@@ -477,38 +483,40 @@ pub(crate) fn path_key(path: &[NodeId]) -> u64 {
     acc
 }
 
-/// Priority of the path with canonical key `key` in Luby iteration
-/// `iteration` of the phase-`ell` conflict-graph MIS. A pure function
-/// of `(seed, ell, iteration, key)` anchored at the frozen
-/// [`streams::GENERIC_MIS`] stream — *not* a draw from a shared
-/// sequential stream, so the value does not depend on how many other
-/// paths exist or in which order they were enumerated.
-pub(crate) fn path_priority(seed: u64, ell: u64, iteration: u64, key: u64) -> u64 {
+/// Rank of the path with canonical key `key` in the phase-`ell`
+/// conflict-graph MIS; smaller is better. A pure function of
+/// `(seed, ell, key)` anchored at the frozen [`streams::GENERIC_MIS`]
+/// stream — *not* a draw from a shared sequential stream, so the value
+/// does not depend on how many other paths exist or in which order they
+/// were enumerated.
+pub(crate) fn path_rank(seed: u64, ell: usize, key: u64) -> u64 {
     let mut base = SplitMix64::for_node(seed, streams::GENERIC_MIS);
-    let mut a = SplitMix64::for_node(base.next() ^ ell, iteration);
-    let mut b = SplitMix64::for_node(a.next(), key);
-    b.next()
+    let mut rank = SplitMix64::for_node(base.next() ^ ell as u64, key);
+    rank.next()
 }
 
-/// Luby's MIS on the conflict graph of `paths` (two paths conflict iff
-/// they share a vertex), executed centrally. This is exactly the
-/// process of [20]: every alive path draws a priority and joins when it
-/// beats all alive conflicting paths.
+/// Where a path stands in the phase-`ell` rank order: the smaller
+/// tuple is the better rank. Ascending [`path_rank`], ties broken by
+/// key and then by vertex sequence, so the order depends on the path
+/// set alone. The one definition of the order: [`conflict_graph_mis`]
+/// chooses by it, and `dmatch::oracle` certifies down it. `key` is over
+/// *global* ids; `path` may hold the local ids of a ball, whose
+/// monotone id map orders sequences as the global ids would.
+pub(crate) fn rank_key(seed: u64, ell: usize, key: u64, path: &[NodeId]) -> (u64, u64, &[NodeId]) {
+    (path_rank(seed, ell, key), key, path)
+}
+
+/// The greedy MIS of the conflict graph of `paths` (two paths conflict
+/// iff they share a vertex) in the phase-`ell` rank order of
+/// [`rank_key`], path `i` keyed by `keys[i]`: a path is chosen iff no
+/// conflicting path of better rank is chosen.
 ///
-/// Priorities are *keyed*: path `i` draws
-/// [`path_priority`]`(seed, ell, t, keys[i])` in iteration `t`, and
-/// ties break on `(key, vertex sequence)` rather than the enumeration
-/// index. Consequences, both load-bearing:
-///
-/// * the chosen set is a deterministic function of the path *set* —
-///   enumeration order is irrelevant — and it factorizes over the
-///   connected components of the conflict graph, since a path's fate
-///   depends only on draws inside its component;
-/// * a restricted re-run over any vertex set that contains a whole
-///   conflict component reproduces that component's decisions
-///   bit-for-bit. This is the locality property
-///   `dmatch::oracle::MatchingOracle` certifies its Generic answers
-///   with.
+/// It runs as the parallel process Step 5 charges for: in each round,
+/// every alive path that outranks all its alive conflicts joins, and
+/// its conflicts die. A path dies only when a better-ranked conflict
+/// joins, so the rounds choose the greedy set exactly, and since ranks
+/// address paths by key, the set is a deterministic function of the
+/// path *set*: enumeration order is irrelevant.
 pub(crate) fn conflict_graph_mis(
     n: usize,
     paths: &[Vec<NodeId>],
@@ -518,6 +526,9 @@ pub(crate) fn conflict_graph_mis(
 ) -> ConflictMis {
     let p = paths.len();
     debug_assert_eq!(keys.len(), p);
+    let rank: Vec<_> = (0..p)
+        .map(|i| rank_key(seed, ell, keys[i], &paths[i]))
+        .collect();
     let mut vertex_paths: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, path) in paths.iter().enumerate() {
         for &v in path {
@@ -529,15 +540,9 @@ pub(crate) fn conflict_graph_mis(
     let mut chosen = Vec::new();
     let mut iterations = 0u64;
     let mut alive_work = 0u64;
-    let mut prio = vec![0u64; p];
     while alive_count > 0 {
         iterations += 1;
         alive_work += alive_count as u64;
-        for (i, pr) in prio.iter_mut().enumerate() {
-            if alive[i] {
-                *pr = path_priority(seed, ell as u64, iterations, keys[i]);
-            }
-        }
         let mut winners = Vec::new();
         'paths: for i in 0..p {
             if !alive[i] {
@@ -545,10 +550,7 @@ pub(crate) fn conflict_graph_mis(
             }
             for &v in &paths[i] {
                 for &j in &vertex_paths[v as usize] {
-                    if j != i
-                        && alive[j]
-                        && (prio[j], keys[j], &paths[j][..]) > (prio[i], keys[i], &paths[i][..])
-                    {
+                    if alive[j] && rank[j] < rank[i] {
                         continue 'paths;
                     }
                 }
@@ -556,9 +558,6 @@ pub(crate) fn conflict_graph_mis(
             winners.push(i);
         }
         for &w in &winners {
-            if !alive[w] {
-                continue; // already killed by an earlier winner this iteration
-            }
             chosen.push(w);
             // Winners are mutually non-conflicting by construction, so
             // killing neighbors cannot kill another winner.
@@ -586,7 +585,7 @@ pub(crate) struct PhaseLog {
     pub(crate) ell: usize,
     /// Paths applied (size of the MIS).
     pub(crate) applied: usize,
-    /// Luby iterations on the conflict graph.
+    /// Rounds of the rank-order MIS on the conflict graph.
     pub(crate) mis_iterations: u64,
 }
 
@@ -609,8 +608,8 @@ pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
 /// conflict-graph MIS, augmentation — the unit the `dmatch::session`
 /// Generic driver steps.
 ///
-/// MIS priorities are keyed by `(seed, ell, iteration, path key)` (see
-/// [`path_priority`]), so the phase carries no RNG state between calls.
+/// MIS ranks are keyed by `(seed, ell, path key)` (see [`path_rank`]),
+/// so the phase carries no RNG state between calls.
 pub(crate) fn phase_step(
     g: &Graph,
     m: &mut Matching,
@@ -656,7 +655,7 @@ pub(crate) fn phase_step(
         "phase {ell}: all augmenting paths must have length exactly ℓ (Lemma 3.4 invariant)"
     );
 
-    // Step 5: MIS on C_M(ℓ) via Luby, charged per Lemma 3.3.
+    // Step 5: the rank-order MIS on C_M(ℓ), charged per Lemma 3.3.
     let keys: Vec<u64> = paths.iter().map(|p| path_key(p)).collect();
     let cm = conflict_graph_mis(g.n(), &paths, &keys, seed, ell);
     debug_assert!({
@@ -820,8 +819,8 @@ mod tests {
     }
 
     #[test]
-    fn mis_priorities_are_enumeration_order_independent() {
-        // The keyed draws must make the chosen set a function of the
+    fn mis_ranks_are_enumeration_order_independent() {
+        // The keyed ranks must make the chosen set a function of the
         // path *set*: reversing the enumeration order cannot change it.
         let g = gnp(30, 0.12, 17);
         let m = Matching::new(g.n());
@@ -837,6 +836,75 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    /// The reference of Step 5: first fit (`greedy_disjoint_paths`)
+    /// over the paths sorted best rank first, with the rank order
+    /// spelled out here on its own. Indices into `paths`, ascending.
+    fn greedy_in_rank_order(
+        g: &Graph,
+        paths: &[Vec<NodeId>],
+        keys: &[u64],
+        seed: u64,
+        ell: usize,
+    ) -> Vec<usize> {
+        let rank = |i: usize| (path_rank(seed, ell, keys[i]), keys[i], &paths[i]);
+        let mut by_rank: Vec<usize> = (0..paths.len()).collect();
+        by_rank.sort_by(|&i, &j| rank(i).cmp(&rank(j)));
+        let sorted: Vec<Vec<NodeId>> = by_rank.iter().map(|&i| paths[i].clone()).collect();
+        let mut chosen: Vec<usize> = dgraph::augmenting::greedy_disjoint_paths(g, &sorted)
+            .into_iter()
+            .map(|r| by_rank[r])
+            .collect();
+        chosen.sort();
+        chosen
+    }
+
+    /// Step 5's rounds choose exactly the greedy set in rank order, on
+    /// every zoo family at three sizes, for three seeds and phases
+    /// ℓ = 1, 3, 5, each from the matching the earlier phases left.
+    /// Each phase also runs on the reversed enumeration, and with keys
+    /// folded to two values, so that ranks tie and the vertex sequence
+    /// decides.
+    #[test]
+    fn conflict_graph_mis_is_greedy_in_rank_order() {
+        // Phases per ℓ where some path lost to a conflict.
+        let mut contested = [0; 3];
+        for n in [30, 120, 400] {
+            for (family, g) in zoo(n).iter().enumerate() {
+                for seed in 0..3u64 {
+                    let mut m = Matching::new(n);
+                    for (phase_idx, contested) in contested.iter_mut().enumerate() {
+                        let ell = 2 * phase_idx + 1;
+                        let paths = enumerate_augmenting_paths(g, &m, ell);
+                        let keys: Vec<u64> = paths.iter().map(|p| path_key(p)).collect();
+                        let reversed: Vec<Vec<NodeId>> = paths.iter().rev().cloned().collect();
+                        let rev_keys: Vec<u64> = keys.iter().rev().copied().collect();
+                        for (paths, keys) in [(&paths, keys.clone()), (&reversed, rev_keys)] {
+                            let folded: Vec<u64> = keys.iter().map(|k| k & 1).collect();
+                            for keys in [keys, folded] {
+                                let mut got = conflict_graph_mis(n, paths, &keys, seed, ell).chosen;
+                                got.sort();
+                                assert_eq!(
+                                    got,
+                                    greedy_in_rank_order(g, paths, &keys, seed, ell),
+                                    "n {n}, family {family}, seed {seed}, ell {ell}"
+                                );
+                            }
+                        }
+                        let chosen = conflict_graph_mis(n, &paths, &keys, seed, ell).chosen;
+                        *contested += usize::from(chosen.len() < paths.len());
+                        for &i in &chosen {
+                            m.augment_path(g, &paths[i]);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            contested.iter().all(|&c| c > 0),
+            "vacuous phase: {contested:?}"
+        );
     }
 
     #[test]

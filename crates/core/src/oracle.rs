@@ -38,15 +38,17 @@
 //!   there loses nothing, and the run ends on its own within
 //!   `max dist(·, C)` rounds. With `C` empty nothing freezes.
 //! * **Generic** (purely combinatorial — phases on the induced
-//!   subgraph): MIS priorities are keyed by the global vertex sequence
-//!   of each path (`generic::path_priority`), so decisions factorize
-//!   over conflict-graph components. Per phase `ℓ`, vertices within
-//!   `ℓ` of `C` or of previously-suspect vertices are *suspect*: any
-//!   global path the ball cannot see exactly stays confined to them.
-//!   Conflict components touching a suspect vertex are tainted (their
-//!   vertices become suspect for later phases); all other components
-//!   replay the global decisions bit-for-bit. After `k` phases every
-//!   non-suspect vertex carries its exact global mate.
+//!   subgraph): ranks are keyed by global vertex sequences, and a path
+//!   is chosen iff no conflicting path of better rank is
+//!   (`generic::rank_key`). Per phase `ℓ`, a path the ball sees wrongly
+//!   leaves the ball or crosses a suspect vertex (`C` starts the suspect
+//!   set), so it lies within `ℓ` of the suspect set: the *margin*. Down
+//!   the rank order, a path is *tainted* iff it touches the margin or
+//!   conflicts with a better-ranked tainted path, and the margin and the
+//!   tainted paths become suspect. An untainted path has exactly its
+//!   global conflicts, and those of better rank are untainted, so by
+//!   induction down the order it is chosen iff it is globally.
+//!   Unsuspect vertices keep their exact global mates.
 //!
 //! Certified answers — and only those — go into an ordered memo table,
 //! so answers are query-order independent *by construction*: every
@@ -209,7 +211,7 @@ impl<'g> MatchingOracle<'g> {
     }
 
     /// Replay the Generic phases on the induced subgraph with
-    /// globally-keyed MIS priorities, growing a suspect set instead of
+    /// globally-keyed MIS ranks, growing a suspect set instead of
     /// simulating the network (gathering does not affect the matching).
     fn probe_generic(&mut self, view: &SubgraphView<'_>, k: usize) -> Vec<(usize, Option<NodeId>)> {
         let (ind, boundary) = view.induced();
@@ -234,9 +236,8 @@ impl<'g> MatchingOracle<'g> {
                 ell,
             );
             let paths = enumerate_augmenting_paths(&ind, &m, ell);
-            // Keys and priorities address paths by *global* vertex
-            // sequences, so untainted conflict components replay the
-            // global draws exactly.
+            // Keys and ranks address paths by *global* vertex sequences,
+            // so the ball ranks each path as the global run does.
             let keys: Vec<u64> = paths
                 .iter()
                 .map(|p| {
@@ -245,62 +246,25 @@ impl<'g> MatchingOracle<'g> {
                 })
                 .collect();
             let cm = generic::conflict_graph_mis(n_local, &paths, &keys, self.seed, ell);
-            // Conflict components via union-find on path indices.
-            let mut uf: Vec<usize> = (0..paths.len()).collect();
-            fn find(uf: &mut [usize], i: usize) -> usize {
-                let mut r = i;
-                while uf[r] != r {
-                    r = uf[r];
-                }
-                let mut c = i;
-                while uf[c] != c {
-                    let next = uf[c];
-                    uf[c] = r;
-                    c = next;
-                }
-                r
-            }
-            let mut vertex_path: Vec<Option<usize>> = vec![None; n_local];
-            for (i, path) in paths.iter().enumerate() {
-                for &v in path {
-                    match vertex_path[v as usize] {
-                        Some(j) => {
-                            let (a, b) = (find(&mut uf, i), find(&mut uf, j));
-                            if a != b {
-                                uf[a] = b;
-                            }
-                        }
-                        None => vertex_path[v as usize] = Some(i),
-                    }
-                }
-            }
-            // A component is tainted iff any of its paths touches a
-            // vertex within ℓ of the suspect set: any global path the
-            // ball mis-sees is confined to that margin, and a path has
-            // at most ℓ edges, so taint cannot leak further.
-            let mut tainted_root = vec![false; paths.len()];
-            for (i, path) in paths.iter().enumerate() {
-                if path.iter().any(|&v| dist[v as usize] <= ell) {
-                    let r = find(&mut uf, i);
-                    tainted_root[r] = true;
-                }
-            }
             // Apply every chosen augmentation (tainted ones too — their
             // vertices are about to be marked suspect, and the local
             // matching must stay a valid matching for later phases).
             for &i in &cm.chosen {
                 m.augment_path(&ind, &paths[i]);
             }
-            // Grow the suspect set: the ℓ-margin itself, plus every
-            // vertex of every path in a tainted component.
+            // The ℓ-margin becomes suspect; then, down the rank order, a
+            // path touching a suspect vertex is tainted and its vertices
+            // become suspect too.
             for l in 0..n_local {
                 if dist[l] <= ell {
                     suspect[l] = true;
                 }
             }
-            for (i, path) in paths.iter().enumerate() {
-                if tainted_root[find(&mut uf, i)] {
-                    for &v in path {
+            let mut order: Vec<usize> = (0..paths.len()).collect();
+            order.sort_by_cached_key(|&i| generic::rank_key(self.seed, ell, keys[i], &paths[i]));
+            for &i in &order {
+                if paths[i].iter().any(|&v| suspect[v as usize]) {
+                    for &v in &paths[i] {
                         suspect[v as usize] = true;
                     }
                 }

@@ -12,7 +12,7 @@
 //! | 2 | `k ← ⌈1/ε⌉` | caller picks `k` |
 //! | 3 | `for ℓ ← 1,3,…,2k-1` | one `Session::step` per phase, running `generic::phase_step` |
 //! | 4 | construct `C_M(ℓ)` | `dgraph::augmenting::enumerate_augmenting_paths`, run *globally* on `G`; a unit test checks, on the real flood, that every path and its conflicts are visible in the gathered ball of each of its nodes |
-//! | 5 | MIS of `C_M(ℓ)` | `conflict_graph_mis` (Luby process, charged per Lemma 3.3) |
+//! | 5 | MIS of `C_M(ℓ)` | `conflict_graph_mis`: the greedy MIS in the phase's fixed rank order (`rank_key`, one seeded rank per path), run as parallel rounds and charged per Lemma 3.3 |
 //! | 6–7 | `M ← M ⊕ P` | `Matching::augment_path` per chosen path |
 //!
 //! ## Algorithm 2 (view gathering) → `generic::gather_balls_region`

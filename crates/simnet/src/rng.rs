@@ -113,7 +113,7 @@ pub mod streams {
     pub const ADV_CRASH: u64 = u64::MAX - 4;
     /// Dynamic plane: churn arrival/departure schedule.
     pub const CHURN: u64 = 0xC4A7;
-    /// Core: Luby-style MIS coin flips in the generic reduction.
+    /// Core: per-phase path ranks of the generic conflict-graph MIS.
     pub const GENERIC_MIS: u64 = 0xA160;
     /// Core: palette sampling in the general-graph coloring stage.
     pub const GENERAL_COLOR: u64 = 0x000C_010B;

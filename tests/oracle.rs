@@ -9,6 +9,7 @@
 
 use distributed_matching::dgraph::generators::random::gnp;
 use distributed_matching::dgraph::generators::zoo::random_geometric;
+use distributed_matching::dgraph::subgraph::SubgraphView;
 use distributed_matching::dgraph::{EdgeId, Graph, NodeId};
 use distributed_matching::dmatch::{Algorithm, MatchingOracle, Session};
 use distributed_matching::simnet::SplitMix64;
@@ -112,6 +113,38 @@ fn generic_query_union_equals_global_session() {
     consistency_gate(Algorithm::Generic { k: 2 }, 2, |seed| {
         gnp(64, 0.06, 520 + seed)
     });
+}
+
+/// Generic on the geometric graphs above, for k = 1, 2, 3: the union
+/// of answers is the global run's, and a single fresh query stays
+/// local. Over the vertices of components with at least 50 nodes, more
+/// than half of the fresh queries certify their vertex before the ball
+/// swallows its component, so the memo ends smaller than the component.
+#[test]
+fn generic_query_union_equals_global_session_on_geometric() {
+    let graph = |seed| random_geometric(300, 0.075, 520 + seed);
+    for k in 1..=3 {
+        let alg = Algorithm::Generic { k };
+        consistency_gate(alg, 3 + k as u64, graph);
+        let (mut local, mut queries) = (0, 0);
+        for seed in 0..3u64 {
+            let g = graph(seed);
+            for v in 0..g.n() as NodeId {
+                let component = SubgraphView::ball(&g, &[v], g.n()).len();
+                if component < 50 {
+                    continue;
+                }
+                let mut o = MatchingOracle::on(&g).seed(seed).algorithm(alg).build();
+                o.query_node(v);
+                queries += 1;
+                local += usize::from((o.metrics().gauge("oracle_memo_size") as usize) < component);
+            }
+        }
+        assert!(
+            2 * local > queries,
+            "k {k}: only {local} of {queries} fresh queries stayed inside their component"
+        );
+    }
 }
 
 #[test]

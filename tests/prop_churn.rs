@@ -400,11 +400,11 @@ const GOLDEN: &[(&str, u64, &[GoldenRow])] = &[
     ("ba/rewire", 0x8438c038e09b9b76, &[(29, 874, 1748, 9, Some(150), 140, None, 58), (8, 147, 294, 2, Some(55), 49, Some(1), 59), (14, 209, 418, 4, Some(57), 57, Some(1), 61), (11, 128, 256, 3, Some(51), 46, Some(1), 60), (23, 143, 286, 7, Some(59), 55, Some(1), 63), (8, 154, 308, 2, Some(58), 60, Some(1), 64), (11, 124, 248, 3, Some(58), 52, Some(1), 64)]),
     ("gnp/crash", 0x8389c5bf008f1c2c, &[(20, 855, 1710, 6, Some(150), 143, None, 64), (17, 101, 202, 5, Some(24), 15, Some(1), 57), (8, 109, 218, 2, Some(53), 43, Some(1), 55), (20, 191, 382, 6, Some(79), 61, Some(0), 57), (14, 158, 316, 4, Some(68), 54, Some(1), 55), (17, 150, 300, 5, Some(52), 45, Some(1), 57), (14, 234, 468, 4, Some(69), 59, Some(0), 59)]),
     ("ba/crash", 0xe926edfc71149ac7, &[(26, 859, 1718, 8, Some(150), 142, None, 57), (8, 138, 276, 2, Some(18), 19, Some(1), 56), (29, 233, 466, 9, Some(74), 60, Some(1), 53), (11, 162, 324, 3, Some(76), 58, Some(1), 50), (17, 275, 550, 5, Some(82), 67, Some(1), 51), (14, 242, 484, 4, Some(73), 67, Some(1), 55), (8, 118, 236, 2, Some(62), 53, Some(0), 57)]),
-    ("gnp/edge/generic", 0x4648c51cd8d93385, &[(20, 1991, 3069392, 2, None, 0, None, 27), (17, 1840, 2975803, 2, None, 0, None, 27), (18, 1821, 2998848, 2, None, 0, None, 28), (15, 1801, 2983696, 2, None, 0, None, 27), (14, 1781, 2979209, 2, None, 0, None, 27), (21, 1914, 3060594, 2, None, 0, None, 28), (18, 1837, 2989783, 2, None, 0, None, 28)]),
-    ("gnp/node/generic", 0xee4c214996bb915, &[(20, 2132, 3060038, 2, None, 0, None, 28), (17, 1770, 2585748, 2, None, 0, None, 26), (21, 1632, 2251476, 2, None, 0, None, 27), (18, 1582, 2140540, 2, None, 0, None, 26), (21, 1578, 2229444, 2, None, 0, None, 26), (16, 1636, 2350258, 2, None, 0, None, 26), (21, 1651, 2281315, 2, None, 0, None, 26)]),
-    ("gnp/hub/generic", 0xa854ab1240ebf446, &[(17, 2084, 3055274, 2, None, 0, None, 26), (17, 1785, 2514456, 2, None, 0, None, 26), (15, 1699, 2224834, 2, None, 0, None, 26), (15, 1690, 2066359, 2, None, 0, None, 26), (18, 1565, 1913765, 2, None, 0, None, 27), (15, 1577, 1740176, 2, None, 0, None, 27), (15, 1583, 1673939, 2, None, 0, None, 27)]),
-    ("gnp/rewire/generic", 0xfa845d674eb25e20, &[(23, 2088, 3076335, 2, None, 0, None, 27), (17, 1946, 2984036, 2, None, 0, None, 27), (18, 1938, 2986809, 2, None, 0, None, 27), (18, 1937, 2980328, 2, None, 0, None, 27), (20, 1943, 2980580, 2, None, 0, None, 28), (17, 1923, 2971278, 2, None, 0, None, 28), (16, 1928, 2974958, 2, None, 0, None, 27)]),
-    ("gnp/crash/generic", 0x2df5096543a43d3a, &[(20, 2125, 3095662, 2, None, 0, None, 27), (21, 1289, 1306121, 2, None, 0, None, 23), (21, 1350, 1334268, 2, None, 0, None, 21), (19, 1573, 2120929, 2, None, 0, None, 24), (16, 1696, 2363509, 2, None, 0, None, 25), (18, 1604, 2120237, 2, None, 0, None, 25), (20, 1509, 1797879, 2, None, 0, None, 25)]),
+    ("gnp/edge/generic", 0xd60ee6c3089defef, &[(23, 2125, 3081859, 2, None, 0, None, 28), (15, 1902, 2940264, 2, None, 0, None, 28), (17, 1897, 2996791, 2, None, 0, None, 29), (15, 1819, 2986708, 2, None, 0, None, 27), (15, 1809, 2980908, 2, None, 0, None, 27), (20, 1893, 3032931, 2, None, 0, None, 28), (18, 1861, 2990725, 2, None, 0, None, 28)]),
+    ("gnp/node/generic", 0x66d0b353ed9fc153, &[(20, 2089, 3058225, 2, None, 0, None, 28), (17, 1668, 2580342, 2, None, 0, None, 26), (21, 1621, 2249293, 2, None, 0, None, 27), (14, 1575, 2153037, 2, None, 0, None, 24), (18, 1606, 2248672, 2, None, 0, None, 25), (15, 1666, 2336260, 2, None, 0, None, 27), (17, 1713, 2281752, 2, None, 0, None, 26)]),
+    ("gnp/hub/generic", 0x8705b170bbe48adb, &[(24, 2167, 3081994, 2, None, 0, None, 29), (17, 1766, 2460092, 2, None, 0, None, 29), (14, 1674, 2189601, 2, None, 0, None, 28), (17, 1628, 2046284, 2, None, 0, None, 28), (17, 1575, 1898196, 2, None, 0, None, 28), (17, 1562, 1739252, 2, None, 0, None, 28), (14, 1567, 1672573, 2, None, 0, None, 27)]),
+    ("gnp/rewire/generic", 0x5f4e1241be588ca7, &[(23, 2151, 3119829, 2, None, 0, None, 27), (17, 1915, 2985709, 2, None, 0, None, 27), (18, 1921, 2986279, 2, None, 0, None, 27), (18, 1906, 2956576, 2, None, 0, None, 29), (18, 1819, 2940475, 2, None, 0, None, 29), (15, 1770, 2925612, 2, None, 0, None, 29), (14, 1778, 2922059, 2, None, 0, None, 29)]),
+    ("gnp/crash/generic", 0x835d545e33f7632, &[(24, 2056, 3056983, 2, None, 0, None, 28), (18, 1270, 1279939, 2, None, 0, None, 23), (18, 1326, 1317984, 2, None, 0, None, 22), (17, 1567, 2090539, 2, None, 0, None, 24), (15, 1669, 2345626, 2, None, 0, None, 26), (18, 1576, 2085571, 2, None, 0, None, 26), (17, 1500, 1781700, 2, None, 0, None, 25)]),
 ];
 
 #[test]

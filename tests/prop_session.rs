@@ -113,10 +113,10 @@ type Golden = (
 const GOLDEN: &[Golden] = &[
     ("israeli-itai", Oracle, &[0, 13, 31, 8, 27, 25, 53, 18, 46, 51], 13, 118, 236, 2, 5),
     ("israeli-itai", Honest, &[0, 13, 31, 8, 27, 25, 53, 18, 46, 51], 68, 1048, 16466, 67, 5),
-    ("generic(k=2)", Oracle, &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50], 19, 729, 729040, 2803, 3),
-    ("generic(k=2)", Honest, &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50], 52, 1287, 738778, 2803, 3),
-    ("generic(k=3)", Oracle, &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50], 35, 1156, 1185236, 2803, 3),
-    ("generic(k=3)", Honest, &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50], 68, 1714, 1194974, 2803, 3),
+    ("generic(k=2)", Oracle, &[20, 1, 2, 15, 11, 19, 54, 51, 30, 48], 17, 736, 728640, 2803, 3),
+    ("generic(k=2)", Honest, &[20, 1, 2, 15, 11, 19, 54, 51, 30, 48], 50, 1294, 738378, 2803, 3),
+    ("generic(k=3)", Oracle, &[20, 1, 2, 15, 39, 11, 32, 54, 46, 51, 30], 38, 1179, 1194789, 2803, 4),
+    ("generic(k=3)", Honest, &[20, 1, 2, 15, 39, 11, 32, 54, 46, 51, 30], 82, 1923, 1207773, 2803, 4),
     ("bipartite(k=2)", Oracle, &[0, 6, 11, 13, 18, 20, 22, 25, 28, 30], 16, 60, 1386, 98, 4),
     ("bipartite(k=2)", Honest, &[0, 6, 11, 13, 18, 20, 22, 25, 28, 30], 84, 500, 12946, 98, 4),
     ("general(k=2)", Oracle, &[3, 23, 22, 31, 8, 49, 21, 29, 40, 55], 88, 1377, 3609, 98, 11),
