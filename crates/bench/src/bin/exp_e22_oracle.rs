@@ -2,34 +2,39 @@
 //! never run end-to-end.
 //!
 //! The LCA claim (Alon–Rubinfeld–Vardi–Xie; Reingold–Vardi), measured:
-//! answering "who is `v`'s mate?" costs work proportional to a local
-//! ball around `v` whose radius tracks the *algorithm's* locality (the
-//! halt horizon, `O(log n)` rounds), not the graph size. The probe
-//! cells use a **bounded-growth topology** (the cycle: `|ball(r)| =
-//! 2r+1`) and a **fresh oracle per query**, because both choices are
-//! load-bearing for an honest measurement:
+//! answering "who is `v`'s mate?" costs work proportional to the part
+//! of the run around `v` that its answer depends on, whose reach tracks
+//! the *algorithm's* locality (the halt horizon, `O(log n)` rounds),
+//! not the graph size. Every cell uses a **fresh oracle per query**:
+//! with a shared memo, one query's work answers many later queries, so
+//! amortized cost per query *falls* as the work per query grows. A
+//! fresh oracle isolates the single-query cost the LCA model talks
+//! about; the memo contract is gated separately in `tests/oracle.rs`.
 //!
-//! - On an expander, `|ball(r)|` is exponential in `r`, so the
-//!   exactness cone engulfs the whole component within the halt
-//!   horizon — the known LCA caveat, not a bug. Bounded growth is
-//!   where ball-local really means cheap.
-//! - With a shared memo, one resolved ball certifies (and memoizes)
-//!   many vertices, so amortized probed-per-query *falls* as the
-//!   radius grows. A fresh oracle per query isolates the single-query
-//!   cost the LCA model talks about; the memo contract is gated
-//!   separately in `tests/oracle.rs`.
+//! **Part A — Generic ball cost vs. starting radius (fixed n).** A
+//! `Generic { k: 2 }` query replays the algorithm on a ball around the
+//! query vertex and doubles the radius until the answer is certified.
+//! On the cycle (`|ball(r)| = 2r+1`), starting radii at or above the
+//! certification radius probe exactly one ball of `2r+1` nodes:
+//! probed-per-query must grow from the smallest to the largest radius
+//! cell (asserted unless `E22_ASSERT=0`).
 //!
-//! **Part A — probe cost vs. starting radius (fixed n).** Starting
-//! radii at/above the certification radius probe exactly one ball of
-//! `2r+1` nodes: probed-per-query must grow from the smallest to the
-//! largest radius cell (asserted unless `E22_ASSERT=0`).
+//! **Part B — Israeli–Itai cone cost vs. n.** An Israeli–Itai query
+//! evaluates the global run on demand: a node steps round `r` once its
+//! neighbours have stepped round `r − 1` or halted, so a query touches
+//! the light cone of its vertex's halt round, cut where nodes halted.
+//! Cells on the cycle and on the geometric family perfbench's
+//! oracle-lca workload queries, each at n/4, n/2 and n. Across the
+//! 4× range of n, touched-nodes-per-query must stay within
+//! `E22_FLAT_FACTOR` (×10, default 25 = 2.5×) per family (asserted).
+//! This is the headline: query cost does not scale with n.
 //!
-//! **Part B — probe cost vs. n (adaptive radius).** The default
-//! radius doubles until the exactness cone certifies the queried
-//! vertex, i.e. until the radius clears the local halt round. Across
-//! a 4× range of n, probed-per-query may creep logarithmically but
-//! must stay within `E22_FLAT_FACTOR` (×10, default 25 = 2.5×;
-//! asserted). This is the headline: query cost does not scale with n.
+//! On an expander the cone of the first rounds is supercritical and
+//! engulfs the component within the halt horizon, the known LCA
+//! caveat. A ball replay engulfs it too, so there both pay for the
+//! component, and EXPERIMENTS.md records that comparison (gnp,
+//! 8-regular and Chung–Lu at n = 20 000) rather than a flatness cell
+//! here.
 //!
 //! **Part C — Generic consistency spot-check.** A `Generic { k: 2 }`
 //! oracle against the full `Session` run on a small gnp instance —
@@ -42,8 +47,10 @@
 //!
 //! Writes `BENCH_e22_oracle.json` (host-fingerprinted) for the CI
 //! artifact trail; `throughput_qps` is a perf metric (host-gated),
-//! the probed/ball counters are deterministic and gate cross-host.
+//! the probed / ball / touched / cone-step counters are deterministic
+//! and gate cross-host.
 
+use bench_harness::workloads::Family;
 use bench_harness::{banner, env_or, f2, host, timing, Table};
 use dgraph::generators::random::gnp;
 use dgraph::generators::structured::cycle;
@@ -59,39 +66,55 @@ fn sample_queries(n: usize, q: usize, tag: u64) -> Vec<NodeId> {
     (0..q).map(|_| rng.below(n as u64) as NodeId).collect()
 }
 
+/// Per-query means of the deterministic counters, and throughput.
 struct Cell {
+    /// Nodes a query newly probed: ball nodes (Generic) or cone nodes
+    /// touched (Israeli–Itai).
     probed_per_query: f64,
+    /// Balls replayed (Generic).
     balls_per_query: f64,
+    /// Node-rounds evaluated (Israeli–Itai).
+    steps_per_query: f64,
     qps: f64,
 }
 
 /// One measurement cell: a fresh oracle per query (no memo
-/// amortization — see the module docs), deterministic probe counters
-/// summed across queries, throughput over `runs` passes (fastest run).
-fn fresh_cell(g: &Graph, seed: u64, radius: usize, queries: &[NodeId], runs: u32) -> Cell {
-    let (mut probed, mut balls) = (0u64, 0u64);
-    for &v in queries {
-        let mut o = MatchingOracle::on(g)
+/// amortization — see the module docs), deterministic counters summed
+/// across queries, throughput over `runs` passes (fastest run).
+fn fresh_cell(
+    g: &Graph,
+    alg: Algorithm,
+    seed: u64,
+    radius: usize,
+    queries: &[NodeId],
+    runs: u32,
+) -> Cell {
+    let oracle = || {
+        MatchingOracle::on(g)
+            .algorithm(alg)
             .seed(seed)
             .initial_radius(radius)
-            .build();
+            .build()
+    };
+    let (mut probed, mut balls, mut steps) = (0u64, 0u64, 0u64);
+    for &v in queries {
+        let mut o = oracle();
         black_box(o.query_node(v));
-        probed += o.metrics().counter("oracle_probed_nodes");
-        balls += o.metrics().counter("oracle_balls");
+        let m = o.metrics();
+        probed += m.counter("oracle_probed_nodes");
+        balls += m.counter("oracle_balls");
+        steps += m.hist("oracle_cone_steps").map_or(0, |h| h.sum());
     }
     let q = queries.len() as f64;
     let s = timing::bench(runs, || {
         for &v in queries {
-            let mut o = MatchingOracle::on(g)
-                .seed(seed)
-                .initial_radius(radius)
-                .build();
-            black_box(o.query_node(v));
+            black_box(oracle().query_node(v));
         }
     });
     Cell {
         probed_per_query: probed as f64 / q,
         balls_per_query: balls as f64 / q,
+        steps_per_query: steps as f64 / q,
         qps: q / s.min.as_secs_f64(),
     }
 }
@@ -100,7 +123,7 @@ fn main() {
     banner(
         "E22",
         "MatchingOracle: LCA point queries",
-        "work ∝ probed ball, flat in n (ARVX / Reingold–Vardi model)",
+        "work ∝ what the answer depends on, flat in n (ARVX / Reingold–Vardi model)",
     );
     let n = env_or("E22_N", 8192) as usize;
     let q = env_or("E22_QUERIES", 200) as usize;
@@ -109,15 +132,18 @@ fn main() {
     let do_assert = env_or("E22_ASSERT", 1) == 1;
     let seed = 22u64;
     let radii = [4usize, 16, 64];
+    let generic = Algorithm::Generic { k: 2 };
 
-    // Part A: radius sweep at fixed n on the cycle.
-    println!("Part A: probed region vs starting radius, cycle(n={n}), {q} fresh queries");
+    // Part A: Generic's radius sweep at fixed n on the cycle.
+    println!(
+        "Part A: generic(k=2) probed ball vs starting radius, cycle(n={n}), {q} fresh queries"
+    );
     let g = cycle(n);
     let queries = sample_queries(n, q, 1);
     let mut t = Table::new(vec!["radius", "probed/query", "balls/query", "queries/sec"]);
     let mut radius_cells = Vec::new();
     for &r in &radii {
-        let c = fresh_cell(&g, seed, r, &queries, runs);
+        let c = fresh_cell(&g, generic, seed, r, &queries, runs);
         t.row(vec![
             format!("{r}"),
             format!("{:.1}", c.probed_per_query),
@@ -146,38 +172,58 @@ fn main() {
         );
     }
 
-    // Part B: n sweep at the adaptive default radius on the cycle.
-    println!("\nPart B: probed region vs n at the adaptive default radius");
+    // Part B: Israeli–Itai's cone vs n, on the cycle and the geometric
+    // family.
+    println!("\nPart B: israeli-itai light cone vs n, {q} fresh queries");
     let ns = [n / 4, n / 2, n];
-    let mut t = Table::new(vec!["n", "probed/query", "balls/query", "queries/sec"]);
+    let mut t = Table::new(vec![
+        "family",
+        "n",
+        "touched/query",
+        "cone steps/query",
+        "queries/sec",
+    ]);
     let mut n_cells = Vec::new();
-    for &ni in &ns {
-        let gi = cycle(ni);
-        let qi = sample_queries(ni, q, 2);
-        let c = fresh_cell(&gi, seed, 2, &qi, runs);
-        t.row(vec![
-            format!("{ni}"),
-            format!("{:.1}", c.probed_per_query),
-            format!("{}", f2(c.balls_per_query)),
-            format!("{:.0}", c.qps),
-        ]);
-        n_cells.push((ni, c));
+    for family in ["cycle", "geometric"] {
+        let mut cells = Vec::new();
+        for &ni in &ns {
+            let gi = match family {
+                "cycle" => cycle(ni),
+                _ => Family::Geometric.instantiate(ni, seed).graph,
+            };
+            let qi = sample_queries(ni, q, 2);
+            let c = fresh_cell(&gi, Algorithm::IsraeliItai, seed, 2, &qi, runs);
+            t.row(vec![
+                family.to_string(),
+                format!("{ni}"),
+                format!("{:.1}", c.probed_per_query),
+                format!("{:.1}", c.steps_per_query),
+                format!("{:.0}", c.qps),
+            ]);
+            cells.push(c.probed_per_query);
+            n_cells.push((family, ni, c));
+        }
+        let (small, big) = (cells[0], cells[ns.len() - 1]);
+        if do_assert {
+            assert!(
+                big <= flat_factor * small,
+                "{family}: touched nodes/query must stay flat in n: {big} at n={} vs {small} \
+                 at n={} (allowed factor {flat_factor})",
+                ns[ns.len() - 1],
+                ns[0]
+            );
+        }
     }
     t.print();
-    let (small, big) = (&n_cells[0].1, &n_cells[ns.len() - 1].1);
-    println!(
-        "  probed/query ratio across 4x n: {}",
-        f2(big.probed_per_query / small.probed_per_query)
-    );
-    if do_assert {
-        assert!(
-            big.probed_per_query <= flat_factor * small.probed_per_query,
-            "probed nodes/query must stay flat in n: {} at n={} vs {} at n={} \
-             (allowed factor {flat_factor})",
-            big.probed_per_query,
-            ns[ns.len() - 1],
-            small.probed_per_query,
-            ns[0]
+    for family in ["cycle", "geometric"] {
+        let cells: Vec<f64> = n_cells
+            .iter()
+            .filter(|(f, _, _)| *f == family)
+            .map(|(_, _, c)| c.probed_per_query)
+            .collect();
+        println!(
+            "  {family}: touched/query ratio across 4x n: {}",
+            f2(cells[cells.len() - 1] / cells[0])
         );
     }
 
@@ -222,12 +268,12 @@ fn main() {
         });
     }
     json.push_str("  ],\n  \"n_cells\": [\n");
-    for (i, (ni, c)) in n_cells.iter().enumerate() {
+    for (i, (family, ni, c)) in n_cells.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"cell_n\": {ni}, \"probed_per_query\": {:.2}, \"balls_per_query\": {:.3}, \
-             \"throughput_qps\": {:.0}}}",
-            c.probed_per_query, c.balls_per_query, c.qps
+            "    {{\"family\": \"{family}\", \"cell_n\": {ni}, \"touched_per_query\": {:.2}, \
+             \"cone_steps_per_query\": {:.2}, \"throughput_qps\": {:.0}}}",
+            c.probed_per_query, c.steps_per_query, c.qps
         );
         json.push_str(if i + 1 < n_cells.len() { ",\n" } else { "\n" });
     }

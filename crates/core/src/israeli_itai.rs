@@ -20,9 +20,15 @@
 //! The iteration is written once, as one node's side of it, and two
 //! nodes wrap it:
 //!
-//! * [`IINode`] runs it from the empty matching and halts as above:
-//!   [`Session`](crate::Session) runs, the weighted class boxes and
-//!   the oracle's ball probes;
+//! * [`IINode`] runs it from the empty matching and halts as above.
+//!   Its round is written once too, over the round's mail and a small
+//!   round / RNG / send / halt interface, and two drivers run it: a
+//!   [`simnet::Network`] for [`Session`](crate::Session) runs and the
+//!   weighted class boxes, where the interface is the node's
+//!   [`Ctx`] and the round compiles to the code of any other
+//!   protocol; and the oracle's on-demand evaluation of the global run
+//!   (`dmatch::oracle`), which steps a node only as far as a point
+//!   query needs;
 //! * [`RepairNode`] runs it on one persistent network across churn
 //!   epochs (`dchurn`'s incremental repair). It never halts: with
 //!   nothing to do it sleeps, so it keeps hearing liveness
@@ -45,7 +51,10 @@
 
 use crate::state;
 use dgraph::{Graph, Matching, NodeId};
-use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Port, Protocol, Rewire, RewireCtx};
+use simnet::{
+    BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Port, Protocol, Received, Rewire, RewireCtx,
+    SplitMix64,
+};
 
 /// Wire messages (2 bits each).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,14 +76,86 @@ impl BitSize for IIMsg {
     }
 }
 
+/// What a node's round does besides reading its mail: the round
+/// number, the node's degree and RNG stream, sends, and the halt. A
+/// [`Ctx`] is one, and the oracle's on-demand run is the other, so
+/// both drive the same [`IINode`] round.
+pub(crate) trait NodeIo {
+    /// The current round (0-based).
+    fn round(&self) -> u64;
+    /// The node's degree.
+    fn degree(&self) -> usize;
+    /// The node's RNG stream.
+    fn rng(&mut self) -> &mut SplitMix64;
+    /// Send `msg` on `port`; read by the neighbour next round.
+    fn send(&mut self, port: Port, msg: IIMsg);
+    /// Stop: the node is not stepped again.
+    fn halt(&mut self);
+}
+
+impl NodeIo for Ctx<'_, IIMsg> {
+    #[inline(always)]
+    fn round(&self) -> u64 {
+        Ctx::round(self)
+    }
+
+    #[inline(always)]
+    fn degree(&self) -> usize {
+        Ctx::degree(self)
+    }
+
+    #[inline(always)]
+    fn rng(&mut self) -> &mut SplitMix64 {
+        Ctx::rng(self)
+    }
+
+    #[inline(always)]
+    fn send(&mut self, port: Port, msg: IIMsg) {
+        Ctx::send(self, port, msg);
+    }
+
+    #[inline(always)]
+    fn halt(&mut self) {
+        Ctx::halt(self);
+    }
+}
+
+/// One round's mail as the iteration reads it: the messages that
+/// arrived, in ascending port order. Every kind yields an [`Inbox`]'s
+/// own items, [`Received`], so a network round compiles to the code
+/// that reads its inbox directly.
+pub(crate) trait Mail<'m>: Copy {
+    /// The messages, in ascending port order.
+    fn each(self) -> impl Iterator<Item = Received<'m, IIMsg>>;
+}
+
+impl<'m> Mail<'m> for Inbox<'m, IIMsg> {
+    #[inline(always)]
+    fn each(self) -> impl Iterator<Item = Received<'m, IIMsg>> {
+        self.iter()
+    }
+}
+
+/// `(sender, arrival port, message)` triples, in ascending port order.
+impl<'m> Mail<'m> for &'m [(NodeId, Port, IIMsg)] {
+    #[inline(always)]
+    fn each(self) -> impl Iterator<Item = Received<'m, IIMsg>> {
+        self.iter().map(|(from, port, msg)| Received {
+            from: *from,
+            port: *port,
+            msg,
+        })
+    }
+}
+
 /// One node's side of the Israeli–Itai iteration, which [`IINode`] and
 /// [`RepairNode`] both wrap: the liveness bookkeeping and the propose,
 /// accept, resolve and announce steps. The wrappers own the clock, the
 /// halt-or-sleep decision, and when a matched node announces.
 ///
 /// The steps are always inlined: `IINode` runs them once per node step
-/// on the hot path of sessions and oracle probes, where rustc otherwise
-/// emits them as calls.
+/// on the hot path of sessions and oracle queries, where rustc
+/// otherwise emits them as calls.
 #[derive(Debug, Clone)]
 struct IIState {
     /// Port of the mate once matched.
@@ -106,8 +187,8 @@ impl IIState {
     /// Liveness bookkeeping, in every round whatever the phase, before
     /// any decision: `Matched` kills a port, `Freed` revives it.
     #[inline(always)]
-    fn hear(&mut self, inbox: Inbox<'_, IIMsg>) {
-        for env in inbox.iter() {
+    fn hear<'m>(&mut self, mail: impl Mail<'m>) {
+        for env in mail.each() {
             match env.msg {
                 IIMsg::Matched => self.live[env.port] = false,
                 IIMsg::Freed => self.live[env.port] = true,
@@ -120,21 +201,21 @@ impl IIState {
     /// propose to a uniformly random live port. `false`, with nothing
     /// drawn, when no port is live.
     #[inline(always)]
-    fn propose(&mut self, ctx: &mut Ctx<'_, IIMsg>) -> bool {
+    fn propose(&mut self, io: &mut impl NodeIo) -> bool {
         let live = self.live.iter().filter(|&&a| a).count();
         if live == 0 {
             return false;
         }
         self.proposed_to = None;
-        if ctx.rng().bernoulli(0.5) {
+        if io.rng().bernoulli(0.5) {
             // Male. The k-th live port, k uniform: counted, not collected.
-            let k = ctx.rng().below(live as u64) as usize;
+            let k = io.rng().below(live as u64) as usize;
             let p = (0..self.live.len())
                 .filter(|&p| self.live[p])
                 .nth(k)
                 .expect("k < live ports");
             self.proposed_to = Some(p);
-            ctx.send(p, IIMsg::Propose);
+            io.send(p, IIMsg::Propose);
         }
         true
     }
@@ -142,18 +223,18 @@ impl IIState {
     /// Accept phase: a free female takes the lowest-port live proposal.
     /// Returns whether this node matched.
     #[inline(always)]
-    fn accept(&mut self, ctx: &mut Ctx<'_, IIMsg>, inbox: Inbox<'_, IIMsg>) -> bool {
+    fn accept<'m>(&mut self, io: &mut impl NodeIo, mail: impl Mail<'m>) -> bool {
         if self.matched() || self.proposed_to.is_some() {
             return false; // males ignore proposals
         }
-        let Some(env) = inbox
-            .iter()
+        let Some(env) = mail
+            .each()
             .find(|e| *e.msg == IIMsg::Propose && self.live[e.port])
         else {
             return false;
         };
         self.mate(env.port);
-        ctx.send(env.port, IIMsg::Accept);
+        io.send(env.port, IIMsg::Accept);
         true
     }
 
@@ -164,12 +245,12 @@ impl IIState {
     /// double-match the other endpoint. Returns whether this node
     /// matched.
     #[inline(always)]
-    fn resolve(&mut self, inbox: Inbox<'_, IIMsg>) -> bool {
+    fn resolve<'m>(&mut self, mail: impl Mail<'m>) -> bool {
         if self.matched() {
             return false;
         }
-        let Some(env) = inbox
-            .iter()
+        let Some(env) = mail
+            .each()
             .find(|e| *e.msg == IIMsg::Accept && Some(e.port) == self.proposed_to)
         else {
             return false;
@@ -189,11 +270,11 @@ impl IIState {
 
     /// Tell every neighbor but the mate that this node is matched.
     #[inline(always)]
-    fn announce(&self, ctx: &mut Ctx<'_, IIMsg>) {
+    fn announce(&self, io: &mut impl NodeIo) {
         let mate = self.mate_port.expect("announce requires a mate");
-        for p in 0..ctx.degree() {
+        for p in 0..io.degree() {
             if p != mate {
-                ctx.send(p, IIMsg::Matched);
+                io.send(p, IIMsg::Matched);
             }
         }
     }
@@ -204,13 +285,12 @@ impl IIState {
 pub struct IINode {
     ii: IIState,
     /// The 0-based round in which this node halted, `None` while live.
-    /// The oracle certifies a ball node by it.
     pub(crate) halt_round: Option<u64>,
 }
 
 impl IINode {
     /// A free node of the given degree, all ports live: the degree is
-    /// all the input it reads, so the oracle builds ball nodes from it
+    /// all the input it reads, so the oracle builds its nodes from it
     /// alone.
     pub(crate) fn new(degree: usize) -> Self {
         IINode {
@@ -225,9 +305,48 @@ impl IINode {
     }
 
     /// Halt, recording the round: every halt goes through here.
-    fn halt(&mut self, ctx: &mut Ctx<'_, IIMsg>) {
-        self.halt_round = Some(ctx.round());
-        ctx.halt();
+    #[inline(always)]
+    fn halt(&mut self, io: &mut impl NodeIo) {
+        self.halt_round = Some(io.round());
+        io.halt();
+    }
+
+    /// One round: hear the mail, then act on the round's phase. The
+    /// one copy of the round, for a network's [`Ctx`] and for the
+    /// oracle's on-demand run alike.
+    #[inline(always)]
+    pub(crate) fn step<'m>(&mut self, io: &mut impl NodeIo, mail: impl Mail<'m>) {
+        self.ii.hear(mail);
+        match io.round() % 3 {
+            0 => {
+                // Announcing always halts, so a node still stepped while
+                // matched has accepted but not announced: it crashed
+                // through phase 2 and rejoined. It announces now and
+                // leaves, like every announced node.
+                if self.ii.matched() {
+                    self.ii.announce(io);
+                    self.halt(io);
+                } else if !self.ii.propose(io) {
+                    self.halt(io); // isolated among matched nodes: maximality holds
+                }
+            }
+            1 => {
+                self.ii.accept(io, mail);
+            }
+            2 => {
+                self.ii.resolve(mail);
+                if self.ii.matched() {
+                    self.ii.announce(io);
+                    // Announced couples are done: the announcement is
+                    // already on the wire and nothing they could ever
+                    // receive matters again. Halting at once keeps the
+                    // sparse scheduler's active set shrinking as fast
+                    // as the matching grows.
+                    self.halt(io);
+                }
+            }
+            _ => unreachable!(),
+        }
     }
 }
 
@@ -235,37 +354,7 @@ impl Protocol for IINode {
     type Msg = IIMsg;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, IIMsg>, inbox: Inbox<'_, IIMsg>) {
-        self.ii.hear(inbox);
-        match ctx.round() % 3 {
-            0 => {
-                // Announcing always halts, so a node still stepped while
-                // matched has accepted but not announced: it crashed
-                // through phase 2 and rejoined. It announces now and
-                // leaves, like every announced node.
-                if self.ii.matched() {
-                    self.ii.announce(ctx);
-                    self.halt(ctx);
-                } else if !self.ii.propose(ctx) {
-                    self.halt(ctx); // isolated among matched nodes: maximality holds
-                }
-            }
-            1 => {
-                self.ii.accept(ctx, inbox);
-            }
-            2 => {
-                self.ii.resolve(inbox);
-                if self.ii.matched() {
-                    self.ii.announce(ctx);
-                    // Announced couples are done: the announcement is
-                    // already on the wire and nothing they could ever
-                    // receive matters again. Halting at once keeps the
-                    // sparse scheduler's active set shrinking as fast
-                    // as the matching grows.
-                    self.halt(ctx);
-                }
-            }
-            _ => unreachable!(),
-        }
+        self.step(ctx, inbox);
     }
 }
 

@@ -34,9 +34,11 @@
 //! `dchurn` repairs Israeli–Itai below the `Session` surface, on one
 //! persistent network, with the same protocol: [`israeli_itai`] writes
 //! the iteration once and wraps it twice, as the halting
-//! [`israeli_itai::IINode`] (sessions, the weighted class boxes, the
-//! oracle's ball probes) and the sleeping, rewirable
-//! [`israeli_itai::RepairNode`].
+//! [`israeli_itai::IINode`] and the sleeping, rewirable
+//! [`israeli_itai::RepairNode`]. An `IINode`'s round is written once
+//! too: a `simnet::Network` drives it for sessions and the weighted
+//! class boxes, and [`oracle`]'s on-demand light cone drives it for
+//! point queries.
 
 pub mod bipartite;
 pub mod general;

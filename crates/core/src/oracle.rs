@@ -2,71 +2,83 @@
 //!
 //! Answers "is edge `e` matched?" / "who is `v`'s mate?" for the
 //! matching a full [`crate::Session`] run *would* produce, without ever
-//! running the network: a query materializes only a ball around the
-//! query vertex ([`dgraph::subgraph::SubgraphView`]), simulates the
-//! algorithm there, and **certifies** which local answers are
-//! bit-identical to the global run. This is the Local Computation
-//! Algorithm model of Alon–Rubinfeld–Vardi–Xie / Reingold–Vardi:
-//! consistent point queries over a graph far too big to solve end to
-//! end, with shared randomness (the frozen per-node RNG streams) making
-//! independent probes mutually consistent.
+//! running the whole network: a query evaluates only what its answer
+//! depends on. This is the Local Computation Algorithm model of
+//! Alon–Rubinfeld–Vardi–Xie / Reingold–Vardi: consistent point queries
+//! over a graph far too big to solve end to end, with shared randomness
+//! (per-node RNG streams and per-path ranks, both keyed by global ids)
+//! making independent queries mutually consistent.
 //!
-//! ## Certification
+//! ## Israeli–Itai: the light cone, on demand
 //!
-//! Let `C` be the ball's contamination frontier: vertices with a
-//! neighbor outside the ball (all on the outermost sphere). The local
-//! run diverges from the global one only at `C`, and divergence travels
-//! one hop per round / one path-length per phase:
+//! In a synchronous run, a node's state after round `r` depends only on
+//! its state after round `r − 1` and on what its neighbours sent in
+//! round `r − 1`. The oracle evaluates that recursion lazily, on the
+//! host graph itself. Every node it touches keeps, for the oracle's
+//! lifetime, its [`IINode`] state, its RNG stream
+//! (`SplitMix64::for_node(seed, v)`, the network's), the number of
+//! rounds it has stepped and what it sent in its last two rounds. A
+//! node steps round `r` only once every neighbour has stepped round
+//! `r − 1` or halted, and it reads what they sent in round `r − 1` in
+//! port order: the inbox the network delivers. By induction on `r`,
+//! every round a node steps is the global run's round, so every state
+//! the oracle holds is a prefix of the global run and a halted node's
+//! mate is its global mate. Nothing needs certifying, and no answer
+//! can depend on query order or on which query stepped a node.
 //!
-//! * **Israeli–Itai** (network simulation on the ball's induced graph,
-//!   each node drawing from the RNG stream of its *global* id): a
-//!   node's state after `t` rounds is a function of initial states
-//!   within distance `t`, so a node that halted in round `h` is exact
-//!   iff `h < dist(node, C)` (multi-source BFS inside the ball). An
-//!   empty `C` (ball = whole component) certifies every node.
+//! A query steps its vertex until it halts. Each step first demands
+//! its neighbours' previous round, and so on down: an explicit stack,
+//! since the round budget allows thousands of rounds. Demands stop at
+//! nodes that halted, so a query touches the light cone of its
+//! vertex's halt round, cut where the matching has settled. The live
+//! graph of Israeli–Itai shatters, so on sparse graphs that is a few
+//! dozen nodes, and it never leaves the ball whose radius is the halt
+//! round. A hashed index finds touched nodes; it is probed and never
+//! iterated, so a query's cost follows its cone, not `n`. Live
+//! neighbours stay within one round of each other, so two send
+//! buffers per port, by round parity, hold every message a neighbour
+//! may still read.
 //!
-//!   The probe simulates only what it can certify: each node is
-//!   *frozen* — halted without a recorded halt round — when round
-//!   `dist(node, C)` begins. This changes no certified answer. By
-//!   induction on `t`, node `l` acts exactly as in the unfrozen run in
-//!   every round `t < dist(l, C)`: its round-`t` inbox comes from
-//!   neighbours `w` with `dist(w, C) ≥ dist(l, C) − 1 > t − 1`, which
-//!   in round `t − 1` were neither frozen nor contaminated. So every
-//!   halt round `h < dist(l, C)` is the unfrozen run's, and the
-//!   certified set is the same. A node whose recorded halt round
-//!   reaches its distance is not certified either way, so freezing it
-//!   there loses nothing, and the run ends on its own within
-//!   `max dist(·, C)` rounds. With `C` empty nothing freezes.
-//! * **Generic** (purely combinatorial — phases on the induced
-//!   subgraph): ranks are keyed by global vertex sequences, and a path
-//!   is chosen iff no conflicting path of better rank is
-//!   (`generic::rank_key`). Per phase `ℓ`, a path the ball sees wrongly
-//!   leaves the ball or crosses a suspect vertex (`C` starts the suspect
-//!   set), so it lies within `ℓ` of the suspect set: the *margin*. Down
-//!   the rank order, a path is *tainted* iff it touches the margin or
-//!   conflicts with a better-ranked tainted path, and the margin and the
-//!   tainted paths become suspect. An untainted path has exactly its
-//!   global conflicts, and those of better rank are untainted, so by
-//!   induction down the order it is chosen iff it is globally.
-//!   Unsuspect vertices keep their exact global mates.
+//! ## Generic: ball replay and certification
+//!
+//! A Generic query materializes a ball around the query vertex
+//! ([`dgraph::subgraph::SubgraphView`]), replays the phases on it, and
+//! **certifies** which local answers equal the global run's. Let `C`
+//! be the ball's contamination frontier: vertices with a neighbor
+//! outside the ball (all on the outermost sphere). Ranks are keyed by
+//! global vertex sequences, and a path is chosen iff no conflicting
+//! path of better rank is (`generic::rank_key`). Per phase `ℓ`, a path
+//! the ball sees wrongly leaves the ball or crosses a suspect vertex
+//! (`C` starts the suspect set), so it lies within `ℓ` of the suspect
+//! set: the *margin*. Down the rank order, a path is *tainted* iff it
+//! touches the margin or conflicts with a better-ranked tainted path,
+//! and the margin and the tainted paths become suspect. An untainted
+//! path has exactly its global conflicts, and those of better rank are
+//! untainted, so by induction down the order it is chosen iff it is
+//! globally. Unsuspect vertices keep their exact global mates. The same
+//! pass chooses the paths, by first fit: a path is chosen iff no
+//! better-ranked chosen path shares a vertex with it, which is the set
+//! the session's Step 5 rounds choose.
 //!
 //! Certified answers — and only those — go into an ordered memo table,
 //! so answers are query-order independent *by construction*: every
 //! memoized value equals the global run's value, no matter which query
-//! (or probe radius) discovered it. If the query vertex itself is not
-//! certified, the radius doubles and the probe re-runs; once the ball
-//! swallows the component, `C` is empty and certification is total, so
-//! the loop always terminates.
+//! (or starting radius) discovered it. If the query vertex itself is
+//! not certified, the radius doubles and the probe re-runs; once the
+//! ball swallows the component, `C` is empty and certification is
+//! total, so the loop always terminates.
 
 use crate::generic;
-use crate::israeli_itai::{self, IIMsg, IINode};
+use crate::israeli_itai::{self, IIMsg, IINode, NodeIo};
 use crate::runner::Algorithm;
 use dgraph::augmenting::enumerate_augmenting_paths;
-use dgraph::subgraph::{bfs_distances, SubgraphView};
+use dgraph::subgraph::{bfs_distances, IdMap, SubgraphView};
 use dgraph::{EdgeId, Graph, Matching, NodeId};
 use dobs::metrics::Registry;
-use simnet::{Ctx, Inbox, Network, Protocol, Topology};
+use simnet::{Port, SplitMix64};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Builder for a [`MatchingOracle`]; start from [`MatchingOracle::on`].
 pub struct OracleBuilder<'g> {
@@ -92,8 +104,9 @@ impl<'g> OracleBuilder<'g> {
         self
     }
 
-    /// First probe radius (doubles on every uncertified retry).
-    /// Default 2.
+    /// First ball radius of a Generic query (doubles on every
+    /// uncertified retry). Israeli–Itai queries evaluate their light
+    /// cone and build no ball, so they ignore it. Default 2.
     pub fn initial_radius(mut self, r: usize) -> Self {
         self.initial_radius = r.max(1);
         self
@@ -114,6 +127,7 @@ impl<'g> OracleBuilder<'g> {
             seed: self.seed,
             alg: self.alg,
             initial_radius: self.initial_radius,
+            cone: Cone::new(self.g, self.seed),
             memo: BTreeMap::new(),
             metrics: Registry::new(),
         }
@@ -121,14 +135,19 @@ impl<'g> OracleBuilder<'g> {
 }
 
 /// The LCA query plane over a borrowed graph. See the module docs for
-/// the consistency contract and the certification argument.
+/// the consistency contract, the Israeli–Itai light cone and the
+/// Generic certification argument.
 pub struct MatchingOracle<'g> {
     g: &'g Graph,
     seed: u64,
     alg: Algorithm,
     initial_radius: usize,
-    /// Certified global mates: `v -> Some(mate)` or `v -> None` (free).
-    /// Ordered container — part of the determinism contract (dlint).
+    /// Israeli–Itai: the global run, as far as queries have stepped it.
+    /// Its halted nodes are the known answers.
+    cone: Cone<'g>,
+    /// Generic: certified global mates, `v -> Some(mate)` or
+    /// `v -> None` (free). Ordered container — part of the determinism
+    /// contract (dlint).
     memo: BTreeMap<NodeId, Option<NodeId>>,
     metrics: Registry,
 }
@@ -157,22 +176,53 @@ impl<'g> MatchingOracle<'g> {
         self.resolve(v)
     }
 
-    /// Probe/memo statistics: counters `oracle_queries`,
-    /// `oracle_memo_hits`, `oracle_misses`, `oracle_balls`,
-    /// `oracle_probed_nodes`; histograms `oracle_ball_radius`,
-    /// `oracle_probed_per_query`; gauge `oracle_memo_size`.
+    /// Query statistics: counters `oracle_queries`, `oracle_memo_hits`,
+    /// `oracle_misses` and `oracle_probed_nodes` (nodes a miss newly
+    /// touched: cone nodes for Israeli–Itai, ball nodes for Generic);
+    /// histogram `oracle_probed_per_query`; gauge `oracle_memo_size`
+    /// (answers held). Israeli–Itai adds the histogram
+    /// `oracle_cone_steps` (node-rounds a miss evaluated); Generic adds
+    /// the counter `oracle_balls` and the histogram
+    /// `oracle_ball_radius`.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
 
-    /// Certified answer for `v`, probing outward as needed.
+    /// The global answer for `v`: held, or evaluated now.
     fn resolve(&mut self, v: NodeId) -> Option<NodeId> {
         assert!((v as usize) < self.g.n(), "vertex out of range");
-        if let Some(&mate) = self.memo.get(&v) {
+        let held = match self.alg {
+            Algorithm::IsraeliItai => self.cone.mate(v),
+            _ => self.memo.get(&v).copied(),
+        };
+        if let Some(mate) = held {
             self.metrics.inc("oracle_memo_hits", 1);
             return mate;
         }
         self.metrics.inc("oracle_misses", 1);
+        match self.alg {
+            Algorithm::IsraeliItai => self.resolve_ii(v),
+            Algorithm::Generic { k } => self.resolve_generic(v, k),
+            _ => unreachable!("rejected in build"),
+        }
+    }
+
+    /// Step `v` through the global Israeli–Itai run until it halts.
+    fn resolve_ii(&mut self, v: NodeId) -> Option<NodeId> {
+        let (touched, steps) = (self.cone.nodes.len(), self.cone.steps);
+        self.cone.settle(v);
+        let touched = (self.cone.nodes.len() - touched) as u64;
+        self.metrics.inc("oracle_probed_nodes", touched);
+        self.metrics.record("oracle_probed_per_query", touched);
+        self.metrics
+            .record("oracle_cone_steps", self.cone.steps - steps);
+        self.metrics.set_gauge("oracle_memo_size", self.cone.halted);
+        self.cone.mate(v).expect("a settled node has halted")
+    }
+
+    /// Replay Generic on balls around `v`, doubling the radius until
+    /// `v`'s answer is certified.
+    fn resolve_generic(&mut self, v: NodeId, k: usize) -> Option<NodeId> {
         let mut radius = self.initial_radius;
         let mut probed_this_query = 0u64;
         loop {
@@ -180,12 +230,7 @@ impl<'g> MatchingOracle<'g> {
             let view = SubgraphView::ball(self.g, &[v], radius);
             self.metrics.inc("oracle_probed_nodes", view.len() as u64);
             probed_this_query += view.len() as u64;
-            let certified = match self.alg {
-                Algorithm::IsraeliItai => probe_ii(&view, self.seed),
-                Algorithm::Generic { k } => self.probe_generic(&view, k),
-                _ => unreachable!("rejected in build"),
-            };
-            for (local, mate) in certified {
+            for (local, mate) in self.probe_generic(&view, k) {
                 let gv = view.global(local);
                 let prev = self.memo.insert(gv, mate);
                 debug_assert!(
@@ -211,7 +256,7 @@ impl<'g> MatchingOracle<'g> {
     }
 
     /// Replay the Generic phases on the induced subgraph with
-    /// globally-keyed MIS ranks, growing a suspect set instead of
+    /// globally-keyed ranks, growing a suspect set instead of
     /// simulating the network (gathering does not affect the matching).
     fn probe_generic(&mut self, view: &SubgraphView<'_>, k: usize) -> Vec<(usize, Option<NodeId>)> {
         let (ind, boundary) = view.induced();
@@ -245,27 +290,32 @@ impl<'g> MatchingOracle<'g> {
                     generic::path_key(&gp)
                 })
                 .collect();
-            let cm = generic::conflict_graph_mis(n_local, &paths, &keys, self.seed, ell);
-            // Apply every chosen augmentation (tainted ones too — their
-            // vertices are about to be marked suspect, and the local
-            // matching must stay a valid matching for later phases).
-            for &i in &cm.chosen {
-                m.augment_path(&ind, &paths[i]);
-            }
-            // The ℓ-margin becomes suspect; then, down the rank order, a
-            // path touching a suspect vertex is tainted and its vertices
-            // become suspect too.
+            // The ℓ-margin becomes suspect.
             for l in 0..n_local {
                 if dist[l] <= ell {
                     suspect[l] = true;
                 }
             }
+            // One pass down the rank order. First fit chooses: a path
+            // sharing no vertex with a better-ranked chosen path is
+            // chosen and applied (tainted ones too: the local matching
+            // must stay a valid matching for later phases). And a path
+            // touching a suspect vertex is tainted: its vertices become
+            // suspect too.
             let mut order: Vec<usize> = (0..paths.len()).collect();
             order.sort_by_cached_key(|&i| generic::rank_key(self.seed, ell, keys[i], &paths[i]));
+            let mut used = vec![false; n_local];
             for &i in &order {
-                if paths[i].iter().any(|&v| suspect[v as usize]) {
-                    for &v in &paths[i] {
-                        suspect[v as usize] = true;
+                let path = &paths[i];
+                if path.iter().all(|&l| !used[l as usize]) {
+                    for &l in path {
+                        used[l as usize] = true;
+                    }
+                    m.augment_path(&ind, path);
+                }
+                if path.iter().any(|&l| suspect[l as usize]) {
+                    for &l in path {
+                        suspect[l as usize] = true;
                     }
                 }
             }
@@ -280,73 +330,268 @@ impl<'g> MatchingOracle<'g> {
     }
 }
 
-/// An Israeli–Itai ball node that freezes at its contamination
-/// distance: it acts in every round before `freeze_at = dist(node, C)`
-/// and halts at the end of the last one (a boundary node halts in round
-/// 0 without acting), without recording a halt round. What it sent in
-/// that round is still delivered, so it is gone exactly when round
-/// `freeze_at` begins; see the module docs for why no certified answer
-/// moves. Session runs keep the plain [`IINode`].
-struct FrozenAtDistance {
+/// The global Israeli–Itai run, evaluated node by node and round by
+/// round only as far as queries demand (see the module docs).
+struct Cone<'g> {
+    g: &'g Graph,
+    seed: u64,
+    /// Global id → slot in `nodes`. Probed, never iterated.
+    index: IdMap<u32>,
+    /// Every touched node, in the order it was touched.
+    nodes: Vec<ConeNode>,
+    /// The touched nodes' ports, each node's contiguous.
+    links: Vec<Link>,
+    /// Node-rounds stepped so far.
+    steps: u64,
+    /// Touched nodes that have halted: the answers held.
+    halted: u64,
+    /// Scratch: the pending demands, and the mail of the node being
+    /// stepped.
+    demands: Vec<Demand>,
+    mail: Vec<(NodeId, Port, IIMsg)>,
+}
+
+/// A node of the global run, as far as queries have stepped it.
+struct ConeNode {
+    /// Global id.
+    id: NodeId,
     node: IINode,
-    freeze_at: u64,
+    rng: SplitMix64,
+    /// Rounds stepped: the next round this node steps.
+    done: u64,
+    /// Its ports are `links[base..base + degree]`.
+    base: usize,
+    /// Whether its links know their peers. Set before the node's round
+    /// 1, the first that reads mail.
+    wired: bool,
 }
 
-impl Protocol for FrozenAtDistance {
-    type Msg = IIMsg;
-
-    fn on_round(&mut self, ctx: &mut Ctx<'_, IIMsg>, inbox: Inbox<'_, IIMsg>) {
-        if ctx.round() < self.freeze_at {
-            self.node.on_round(ctx, inbox);
-        }
-        if ctx.round() + 1 >= self.freeze_at {
-            ctx.halt();
-        }
+impl ConeNode {
+    fn halted(&self) -> bool {
+        self.node.halt_round.is_some()
     }
 }
 
-/// Simulate Israeli–Itai (session seed `seed`) on the ball `view` and
-/// certify by halt round vs. distance to the contamination frontier:
-/// the certified `(local, global mate)` pairs.
-///
-/// The ball's network is built from the view's rows in one pass, with
-/// no induced [`Graph`] in between, and every node freezes at its
-/// distance to the frontier.
-fn probe_ii(view: &SubgraphView<'_>, seed: u64) -> Vec<(usize, Option<NodeId>)> {
-    let (offsets, neighbors, boundary) = view.rows();
-    let topo = Topology::from_sorted_rows(offsets, neighbors);
-    // dist(l, C); usize::MAX (∞) when C cannot reach l — e.g. C = ∅.
-    let dist = bfs_distances(
-        topo.len(),
-        |l| topo.neighbors(l).iter().copied(),
-        &boundary,
-        usize::MAX,
-    );
-    let nodes = (0..topo.len())
-        .map(|l| FrozenAtDistance {
-            node: IINode::new(topo.degree(l as NodeId)),
-            freeze_at: dist[l] as u64,
-        })
-        .collect();
-    let streams: Vec<u64> = view.vertices().iter().map(|&gv| gv as u64).collect();
-    let mut net = Network::new(topo, nodes, seed).with_streams(&streams);
-    // The *global* budget: every node of the global run halts within
-    // it, so certified halt rounds always fit. Frozen, the run ends
-    // within max dist(·, C) rounds, long before it unless C is empty.
-    net.run_rounds(israeli_itai::round_budget(view.graph().n()));
-    let topo = net.topology();
-    let mut certified = Vec::new();
-    for (l, state) in net.nodes().iter().enumerate() {
-        // Halt round h is exact iff h < dist(l, C).
-        if state.node.halt_round.is_some_and(|h| h < dist[l] as u64) {
-            let mate = state
-                .node
-                .mate_port()
-                .map(|p| view.global(topo.neighbor(l as NodeId, p) as usize));
-            certified.push((l, mate));
+/// One port of a touched node.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// The neighbour's slot, and the neighbour's port back.
+    peer: u32,
+    back: u32,
+    /// What the node sent on this port in its last two rounds, indexed
+    /// by round parity.
+    out: [Option<IIMsg>; 2],
+}
+
+/// A pending demand: step `slot` until it has stepped `until` rounds
+/// or halted. Its first `ready` ports lead to neighbours that have
+/// stepped the round before its next one, or halted.
+#[derive(Debug, Clone, Copy)]
+struct Demand {
+    slot: usize,
+    until: u64,
+    ready: usize,
+}
+
+/// A cone node's [`NodeIo`] for one round: its sends go to the round's
+/// parity of its links. Halting needs no action here: the node records
+/// its halt round, which is what the cone reads.
+struct ConeIo<'a> {
+    round: u64,
+    rng: &'a mut SplitMix64,
+    links: &'a mut [Link],
+}
+
+impl NodeIo for ConeIo<'_> {
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn degree(&self) -> usize {
+        self.links.len()
+    }
+
+    fn rng(&mut self) -> &mut SplitMix64 {
+        self.rng
+    }
+
+    fn send(&mut self, port: Port, msg: IIMsg) {
+        self.links[port].out[(self.round % 2) as usize] = Some(msg);
+    }
+
+    fn halt(&mut self) {}
+}
+
+impl<'g> Cone<'g> {
+    /// Nothing touched yet; allocates nothing.
+    fn new(g: &'g Graph, seed: u64) -> Self {
+        Cone {
+            g,
+            seed,
+            index: IdMap::default(),
+            nodes: Vec::new(),
+            links: Vec::new(),
+            steps: 0,
+            halted: 0,
+            demands: Vec::new(),
+            mail: Vec::new(),
         }
     }
-    certified
+
+    /// `v`'s global mate, if `v` has halted.
+    fn mate(&self, v: NodeId) -> Option<Option<NodeId>> {
+        let node = &self.nodes[*self.index.get(&v)? as usize];
+        node.halted()
+            .then(|| node.node.mate_port().map(|p| self.g.incident(v)[p].0))
+    }
+
+    /// `v`'s slot, touching it first if needed: a fresh node that has
+    /// stepped no round.
+    fn touch(&mut self, v: NodeId) -> usize {
+        match self.index.entry(v) {
+            Entry::Occupied(e) => *e.get() as usize,
+            Entry::Vacant(e) => {
+                let slot = self.nodes.len();
+                e.insert(slot as u32);
+                let degree = self.g.degree(v);
+                self.nodes.push(ConeNode {
+                    id: v,
+                    node: IINode::new(degree),
+                    rng: SplitMix64::for_node(self.seed, v as u64),
+                    done: 0,
+                    base: self.links.len(),
+                    wired: false,
+                });
+                self.links
+                    .resize(self.links.len() + degree, Link::default());
+                slot
+            }
+        }
+    }
+
+    /// Touch every neighbour of `slot`, and record on each of its
+    /// links the neighbour's slot and port back.
+    fn wire(&mut self, slot: usize) {
+        let g = self.g;
+        let (v, base) = (self.nodes[slot].id, self.nodes[slot].base);
+        for (p, &(u, _)) in g.incident(v).iter().enumerate() {
+            let peer = self.touch(u);
+            let back = g
+                .incident(u)
+                .binary_search_by_key(&v, |&(w, _)| w)
+                .expect("adjacency is symmetric");
+            let link = &mut self.links[base + p];
+            link.peer = peer as u32;
+            link.back = back as u32;
+        }
+        self.nodes[slot].wired = true;
+    }
+
+    /// Where `links` holds the ports of the node at `slot`.
+    fn ports(&self, slot: usize) -> Range<usize> {
+        let node = &self.nodes[slot];
+        node.base..node.base + self.g.degree(node.id)
+    }
+
+    /// Whether the node at `slot` has stepped round `r − 1` or halted:
+    /// what a neighbour's round `r` waits for.
+    fn ready(&self, slot: u32, r: u64) -> bool {
+        let node = &self.nodes[slot as usize];
+        node.done >= r || node.halted()
+    }
+
+    /// Step `v` until it halts, stepping first whatever each of its
+    /// rounds depends on. Every node of the global run halts within
+    /// the session's round budget.
+    fn settle(&mut self, v: NodeId) {
+        let root = self.touch(v);
+        let budget = israeli_itai::round_budget(self.g.n());
+        let mut demands = std::mem::take(&mut self.demands);
+        demands.push(Demand {
+            slot: root,
+            until: budget,
+            ready: 0,
+        });
+        while let Some(d) = demands.last_mut() {
+            let (slot, r) = (d.slot, self.nodes[d.slot].done);
+            if r >= d.until || self.nodes[slot].halted() {
+                demands.pop();
+                continue;
+            }
+            if r > 0 {
+                if !self.nodes[slot].wired {
+                    self.wire(slot);
+                }
+                let links = &self.links[self.ports(slot)];
+                while d.ready < links.len() && self.ready(links[d.ready].peer, r) {
+                    d.ready += 1;
+                }
+                if let Some(link) = links.get(d.ready) {
+                    // A neighbour lags: it steps round r − 1 first.
+                    let peer = link.peer as usize;
+                    demands.push(Demand {
+                        slot: peer,
+                        until: r,
+                        ready: 0,
+                    });
+                    continue;
+                }
+                d.ready = 0;
+            }
+            self.step(slot, r);
+        }
+        self.demands = demands;
+        assert!(
+            self.nodes[root].halted(),
+            "Israeli–Itai did not halt within {budget} rounds"
+        );
+    }
+
+    /// Step the node at `slot` through round `r`, every neighbour
+    /// having stepped round `r − 1` or halted.
+    fn step(&mut self, slot: usize, r: u64) {
+        let ports = self.ports(slot);
+        let Cone {
+            g,
+            nodes,
+            links,
+            mail,
+            steps,
+            halted,
+            ..
+        } = self;
+        let incident = g.incident(nodes[slot].id);
+        mail.clear();
+        if r > 0 {
+            // What each neighbour sent this node in round r − 1, if it
+            // stepped that round.
+            let parity = ((r - 1) % 2) as usize;
+            for (p, link) in links[ports.clone()].iter().enumerate() {
+                let peer = &nodes[link.peer as usize];
+                if peer.done >= r {
+                    if let Some(msg) = links[peer.base + link.back as usize].out[parity] {
+                        mail.push((incident[p].0, p, msg));
+                    }
+                }
+            }
+        }
+        let ports = &mut links[ports];
+        for link in ports.iter_mut() {
+            link.out[(r % 2) as usize] = None;
+        }
+        let node = &mut nodes[slot];
+        let mut io = ConeIo {
+            round: r,
+            rng: &mut node.rng,
+            links: ports,
+        };
+        node.node.step(&mut io, &mail[..]);
+        node.done = r + 1;
+        *steps += 1;
+        if node.halted() {
+            *halted += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -356,44 +601,42 @@ mod tests {
     use crate::state;
     use dgraph::generators::random::{barabasi_albert, gnp};
     use dgraph::generators::zoo::{chung_lu, d_regular, random_geometric};
+    use simnet::Network;
 
-    /// The probe before freezing and one-pass rows, kept as the test
-    /// oracle of [`probe_ii`]: the induced [`Graph`], its topology via
-    /// [`state::topology_of`], the full round-budget run, and a BFS over
-    /// the induced graph.
-    fn probe_ii_reference(view: &SubgraphView<'_>, seed: u64) -> Vec<(usize, Option<NodeId>)> {
-        let (ball, boundary) = view.induced();
-        let nodes = (0..ball.n() as NodeId)
-            .map(|l| IINode::new(ball.degree(l)))
+    /// The global Israeli–Itai run as a full network: every node's mate
+    /// and halt round.
+    fn full_run(g: &Graph, seed: u64) -> Vec<(Option<NodeId>, u64)> {
+        let nodes = (0..g.n() as NodeId)
+            .map(|v| IINode::new(g.degree(v)))
             .collect();
-        let streams: Vec<u64> = view.vertices().iter().map(|&gv| gv as u64).collect();
-        let mut net = Network::new(state::topology_of(&ball), nodes, seed).with_streams(&streams);
-        net.run_rounds(israeli_itai::round_budget(view.graph().n()));
-        let dist = bfs_distances(
-            ball.n(),
-            |l| ball.incident(l).iter().map(|&(u, _)| u),
-            &boundary,
-            usize::MAX,
-        );
-        let (states, _) = net.into_parts();
-        let mut certified = Vec::new();
-        for (l, state) in states.iter().enumerate() {
-            if state.halt_round.is_some_and(|h| h < dist[l] as u64) {
-                let mate = state
-                    .mate_port()
-                    .map(|p| view.global(ball.incident(l as NodeId)[p].0 as usize));
-                certified.push((l, mate));
-            }
-        }
-        certified
+        let mut net = Network::new(state::topology_of(g), nodes, seed);
+        net.run_until_halt(israeli_itai::round_budget(g.n()));
+        net.nodes()
+            .iter()
+            .enumerate()
+            .map(|(v, s)| {
+                let mate = s.mate_port().map(|p| g.incident(v as NodeId)[p].0);
+                (mate, s.halt_round.expect("every node halts"))
+            })
+            .collect()
     }
 
-    /// Freezing at the contamination distance certifies exactly what
-    /// the full run certifies, with the same mates: five zoo families
-    /// (n = 300) × 3 seeds × 3 centres × radii from 1 to 64 (the last
-    /// swallows the component, so `C` is empty and nothing freezes).
+    /// What an oracle's cone holds for the queried vertex `v`: its mate
+    /// and halt round.
+    fn held(o: &MatchingOracle<'_>, v: NodeId) -> (Option<NodeId>, u64) {
+        let node = &o.cone.nodes[o.cone.index[&v] as usize];
+        let halt = node.node.halt_round.expect("a queried vertex has halted");
+        (o.cone.mate(v).expect("halted"), halt)
+    }
+
+    /// The cone is the global run: on five zoo families (n = 300) × 3
+    /// seeds, every node's mate and halt round equal a full network
+    /// run's, queried in ascending and in shuffled order on one oracle,
+    /// and on a fresh oracle per vertex. Every node a shared oracle
+    /// touched holds a prefix of the global run: a halted one its global
+    /// mate and halt round, a live one no round past its halt round.
     #[test]
-    fn frozen_probe_equals_the_full_run() {
+    fn cone_equals_the_full_run() {
         let n = 300;
         let zoo = [
             gnp(n, 0.02, 1),
@@ -402,29 +645,47 @@ mod tests {
             random_geometric(n, 0.09, 4),
             d_regular(n, 3, 5),
         ];
-        let (mut proper_balls, mut whole_components) = (0, 0);
         for (i, g) in zoo.iter().enumerate() {
             for seed in 0..3u64 {
-                for centre in [0, 137, n as NodeId - 1] {
-                    for radius in [1, 2, 3, 4, 6, 8, 64] {
-                        let view = SubgraphView::ball(g, &[centre], radius);
-                        let got = probe_ii(&view, seed);
+                let want = full_run(g, seed);
+                for v in 0..n as NodeId {
+                    let mut fresh = MatchingOracle::on(g).seed(seed).build();
+                    assert_eq!(fresh.query_node(v), want[v as usize].0);
+                    assert_eq!(
+                        held(&fresh, v),
+                        want[v as usize],
+                        "family {i} seed {seed} fresh vertex {v}"
+                    );
+                }
+                let ascending: Vec<NodeId> = (0..n as NodeId).collect();
+                let mut shuffled = ascending.clone();
+                let mut rng = SplitMix64::for_node(0xC0E, 3 * i as u64 + seed);
+                for j in (1..n).rev() {
+                    shuffled.swap(j, rng.below(j as u64 + 1) as usize);
+                }
+                for order in [ascending, shuffled] {
+                    let mut shared = MatchingOracle::on(g).seed(seed).build();
+                    for &v in &order {
+                        assert_eq!(shared.query_node(v), want[v as usize].0);
                         assert_eq!(
-                            got,
-                            probe_ii_reference(&view, seed),
-                            "family {i} seed {seed} centre {centre} radius {radius}"
+                            held(&shared, v),
+                            want[v as usize],
+                            "family {i} seed {seed} vertex {v}"
                         );
-                        let whole = view.rows().2.is_empty();
-                        proper_balls += usize::from(!whole);
-                        whole_components += usize::from(whole);
+                        for node in &shared.cone.nodes {
+                            let (mate, halt) = want[node.id as usize];
+                            match node.node.halt_round {
+                                Some(h) => {
+                                    assert_eq!(h, halt);
+                                    assert_eq!(shared.cone.mate(node.id), Some(mate));
+                                }
+                                None => assert!(node.done <= halt),
+                            }
+                        }
                     }
                 }
             }
         }
-        assert!(
-            proper_balls > 0 && whole_components > 0,
-            "the sweep must cover balls that freeze and balls that do not"
-        );
     }
 
     fn global_mates(g: &Graph, alg: Algorithm, seed: u64) -> Vec<Option<NodeId>> {

@@ -1,19 +1,18 @@
 //! A borrowed window onto a [`Graph`]: the induced subgraph on a sorted
 //! vertex set, without copying the CSR.
 //!
-//! This is the substrate of the LCA query plane
+//! This is the substrate of the LCA query plane's Generic queries
 //! (`dmatch::oracle::MatchingOracle`): a point query materializes only
-//! the ball around its query vertex, runs the algorithm on the induced
-//! subgraph, and certifies which answers are exact. Two properties are
-//! load-bearing and guaranteed here:
+//! the ball around its query vertex, replays the algorithm on the
+//! induced subgraph, and certifies which answers are exact. Two
+//! properties are load-bearing and guaranteed here:
 //!
 //! * **Monotone relabeling.** Local ids are assigned in increasing
 //!   global-id order, so the local incidence order (neighbors sorted by
 //!   id, the contract of [`Graph::incident`]) equals the global one for
 //!   every interior vertex, and lexicographic comparison of local
-//!   vertex sequences agrees with the global comparison. Port-sensitive
-//!   protocols (Israeli–Itai picks proposals by port index) therefore
-//!   see identical choices inside the ball.
+//!   vertex sequences agrees with the global comparison, which is how
+//!   Generic's rank order breaks its last ties.
 //! * **Sublinear footprint.** [`SubgraphView::ball`] walks outward from
 //!   the centers keeping membership in a hash map with a fixed
 //!   multiplicative hasher — no `O(n)` scratch, and the map is only
@@ -23,7 +22,8 @@
 //!   host graph is. This is what keeps oracle probes flat in `n`
 //!   (gated by experiment E22). The same map, relabelled, is the
 //!   view's global → local index: every membership test below is one
-//!   hash probe.
+//!   hash probe. The oracle's Israeli–Itai light cone indexes the
+//!   nodes it touches with the same map type, [`IdMap`].
 
 use crate::graph::{Graph, NodeId};
 use std::collections::hash_map::Entry;
@@ -34,7 +34,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// high half folded into the low bits the table indexes by. Fixed, so
 /// no per-instance state; keys are only probed, never iterated.
 #[derive(Default)]
-struct IdHasher(u64);
+pub struct IdHasher(u64);
 
 /// `2^64 / φ`, rounded to odd.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -58,8 +58,13 @@ impl Hasher for IdHasher {
     }
 }
 
-/// Global id → local id, hashed by [`IdHasher`].
-type LocalIndex = HashMap<NodeId, NodeId, BuildHasherDefault<IdHasher>>;
+/// A map keyed by node id, hashed by [`IdHasher`]: an index over a
+/// sublinear set of nodes that costs nothing to create. Probe it; never
+/// iterate it (dlint's `unordered-iter` rule).
+pub type IdMap<V> = HashMap<NodeId, V, BuildHasherDefault<IdHasher>>;
+
+/// Global id → local id.
+type LocalIndex = IdMap<NodeId>;
 
 /// An induced subgraph over a borrowed [`Graph`], identified by a
 /// sorted vertex list. Local ids are positions in that list.
@@ -139,43 +144,17 @@ impl<'g> SubgraphView<'g> {
         self.verts[l]
     }
 
-    /// The induced subgraph's CSR rows in local ids, and its boundary,
-    /// in one pass over the host's incidence lists:
-    /// `neighbors[offsets[l]..offsets[l + 1]]` are `l`'s neighbors
-    /// inside the view. The rows come out ascending because the
-    /// relabeling is monotone, ready for
-    /// [`simnet::Topology::from_sorted_rows`].
+    /// Materialize the induced subgraph as an owned [`Graph`] in local
+    /// ids, weights carried over from the host, and return it with its
+    /// boundary, both from one pass over the host's incidence lists.
+    /// The graph's edges are listed in sorted order, smaller endpoint
+    /// first.
     ///
     /// The boundary lists, in ascending order, the locals with at least
-    /// one neighbor outside the view (whose row is shorter than their
-    /// host degree). For a ball of radius `r` these all sit on the
-    /// distance-`r` sphere (an interior vertex's neighbors are all
-    /// within `r`), which is what makes them the contamination frontier
-    /// of a local simulation.
-    pub fn rows(&self) -> (Vec<usize>, Vec<NodeId>, Vec<NodeId>) {
-        let mut offsets = Vec::with_capacity(self.verts.len() + 1);
-        let mut neighbors = Vec::new();
-        let mut boundary = Vec::new();
-        offsets.push(0);
-        for (l, &v) in self.verts.iter().enumerate() {
-            let host = self.g.incident(v);
-            neighbors.extend(
-                host.iter()
-                    .filter_map(|&(u, _)| self.index.get(&u).copied()),
-            );
-            if neighbors.len() - offsets[l] < host.len() {
-                boundary.push(l as NodeId);
-            }
-            offsets.push(neighbors.len());
-        }
-        (offsets, neighbors, boundary)
-    }
-
-    /// Materialize the induced subgraph as an owned [`Graph`] in local
-    /// ids, weights carried over from the host, and return it with the
-    /// boundary of [`SubgraphView::rows`], both from one pass over the
-    /// host's incidence lists. The graph's edges are listed in sorted
-    /// order, smaller endpoint first.
+    /// one neighbor outside the view. For a ball of radius `r` these
+    /// all sit on the distance-`r` sphere (an interior vertex's
+    /// neighbors are all within `r`), which is what makes them the
+    /// contamination frontier of a local replay.
     pub fn induced(&self) -> (Graph, Vec<NodeId>) {
         let mut edges = Vec::new();
         let mut weights = Vec::new();
@@ -206,8 +185,8 @@ impl<'g> SubgraphView<'g> {
 /// Multi-source BFS over the graph on `0..n` whose adjacency
 /// `neighbors` yields: `dist[v]` is the number of hops from `v` to the
 /// nearest source, or `usize::MAX` when that exceeds `radius` (pass
-/// `usize::MAX` for no cut-off). The adjacency may be a [`Graph`]'s
-/// incidence lists or a view's [`SubgraphView::rows`]. Unlike
+/// `usize::MAX` for no cut-off), for example a [`Graph`]'s incidence
+/// lists. Unlike
 /// [`SubgraphView::ball`] it keeps `O(n)` scratch, so it is meant for a
 /// whole graph or for a ball already materialized.
 pub fn bfs_distances<I>(
@@ -328,12 +307,12 @@ mod tests {
         assert!(view.induced().1.is_empty());
     }
 
-    /// The one-pass rows are the induced graph's incidence lists, and
-    /// they flag the boundary `induced` returns, on views of every size
+    /// The boundary `induced` returns is, by definition, every local
+    /// with a host neighbor outside the view, on views of every size
     /// from a single vertex to the whole graph, over several centers at
     /// once too.
     #[test]
-    fn rows_are_the_induced_incidence_lists() {
+    fn induced_boundary_is_every_vertex_with_an_outside_neighbor() {
         let zoo = [
             gnp(80, 0.06, 5),
             barabasi_albert(80, 2, 6),
@@ -344,23 +323,7 @@ mod tests {
             for centers in [vec![0], vec![3, 11], vec![g.n() as NodeId - 1]] {
                 for r in [0, 1, 2, 3, 5, usize::MAX] {
                     let view = SubgraphView::ball(g, &centers, r);
-                    let (ind, want_boundary) = view.induced();
-                    let (offsets, neighbors, boundary) = view.rows();
-                    assert_eq!(offsets.len(), view.len() + 1);
-                    for l in 0..view.len() {
-                        let want: Vec<NodeId> = host_neighbors(&ind, l as NodeId).collect();
-                        assert_eq!(
-                            &neighbors[offsets[l]..offsets[l + 1]],
-                            &want[..],
-                            "graph {i} centers {centers:?} radius {r} local {l}"
-                        );
-                    }
-                    assert_eq!(
-                        boundary, want_boundary,
-                        "graph {i} centers {centers:?} radius {r}"
-                    );
-                    // Both are the boundary by definition: the locals
-                    // with a host neighbor outside the view.
+                    let boundary = view.induced().1;
                     let outside: Vec<NodeId> = (0..view.len() as NodeId)
                         .filter(|&l| {
                             host_neighbors(g, view.global(l as usize))

@@ -400,8 +400,8 @@ pub(crate) struct Parked<M> {
 pub(crate) struct Adversary<M> {
     pub(crate) plan: FaultPlan,
     /// The seed of the last [`crate::Network::new`] or
-    /// [`crate::Network::rearm`]; node streams derive from it too.
-    pub(crate) seed: u64,
+    /// [`crate::Network::rearm`].
+    seed: u64,
     /// Bernoulli drop stream — the legacy `loss_rng` (same derivation,
     /// same consumption points), so pure-drop plans replay old lossy
     /// runs bit-for-bit.

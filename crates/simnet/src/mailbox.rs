@@ -272,6 +272,12 @@ pub struct InboxIter<'a, M> {
 impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = Received<'a, M>;
 
+    // An `#[inline]` generic is instantiated in every code-generation
+    // unit that uses it, so whether a protocol's inbox loop inlines it
+    // does not hang on which unit the protocol lands in. Without the
+    // hint, an unrelated edit to dmatch left `LdNode`'s loop calling
+    // it out of line.
+    #[inline]
     fn next(&mut self) -> Option<Received<'a, M>> {
         while self.port < self.degree {
             let port = self.port;

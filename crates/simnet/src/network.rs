@@ -609,10 +609,9 @@ impl<P: Protocol> Network<P> {
 
     /// Return the network to the state [`Network::new`] built it in,
     /// under a new `seed`, so one network can serve many runs on the
-    /// same topology: every node's RNG stream (from the node's own id;
-    /// a [`Network::with_streams`] choice is dropped) and the
-    /// adversary's fault streams, burst states and crash schedule are
-    /// derived from `seed` exactly as `new(seed)` plus
+    /// same topology: every node's RNG stream (from the node's own id)
+    /// and the adversary's fault streams, burst states and crash
+    /// schedule are derived from `seed` exactly as `new(seed)` plus
     /// [`Network::with_cfg`] derive them; the holding ring is emptied;
     /// every node is awake and unhalted; the round counter, the judge
     /// and the statistics start over.
@@ -669,24 +668,6 @@ impl<P: Protocol> Network<P> {
         self.force_parallel = cfg.force_parallel;
         self.timing = cfg.timing;
         self.adversary.install(cfg.faults, &self.topo);
-        self
-    }
-
-    /// Seed node `v` from RNG stream `streams[v]` instead of stream `v`,
-    /// under the seed of the last [`Network::new`] or
-    /// [`Network::rearm`]. A pre-run builder step for a network whose
-    /// local ids relabel part of a larger graph: given the global ids,
-    /// every node draws exactly the coins its global twin draws.
-    ///
-    /// The ids are not kept: a later [`Network::rearm`] derives every
-    /// stream from the node's own id again, as [`Network::new`] does.
-    pub fn with_streams(mut self, streams: &[u64]) -> Self {
-        assert_eq!(streams.len(), self.rngs.len(), "one stream id per node");
-        debug_assert_eq!(self.round, 0, "choose the streams before round 0");
-        let seed = self.adversary.seed;
-        for (rng, &id) in self.rngs.iter_mut().zip(streams) {
-            *rng = SplitMix64::for_node(seed, id);
-        }
         self
     }
 
@@ -1572,39 +1553,6 @@ mod tests {
         assert_eq!(net.run_rounds(8), 8);
         assert_eq!(net.round(), 8);
         assert_eq!(net.live_nodes(), 2);
-    }
-
-    #[test]
-    fn with_streams_draws_the_chosen_streams() {
-        // Each node draws one value in round 0 and halts in round 1.
-        struct Draw(Option<u64>);
-        impl Protocol for Draw {
-            type Msg = u8;
-            fn on_round(&mut self, ctx: &mut Ctx<'_, u8>, _inbox: Inbox<'_, u8>) {
-                match ctx.round() {
-                    0 => self.0 = Some(ctx.rng().next()),
-                    _ => ctx.halt(),
-                }
-            }
-        }
-        let draws =
-            |net: &Network<Draw>| -> Vec<Option<u64>> { net.nodes().iter().map(|d| d.0).collect() };
-        let expect = |seed: u64, ids: &[u64]| -> Vec<Option<u64>> {
-            ids.iter()
-                .map(|&id| Some(SplitMix64::for_node(seed, id).next()))
-                .collect()
-        };
-        // Local node v stands in for global node `globals[v]`.
-        let globals = [7u64, 19, 23];
-        let topo = Topology::from_edges(3, &[(0, 1), (1, 2)]);
-        let nodes = (0..3).map(|_| Draw(None)).collect();
-        let mut net = Network::new(topo, nodes, 42).with_streams(&globals);
-        assert_eq!(net.run_until_halt(10), 2);
-        assert_eq!(draws(&net), expect(42, &globals));
-        // A re-arm drops the chosen ids: node v draws from stream v.
-        net.rearm(9);
-        net.run_until_halt(10);
-        assert_eq!(draws(&net), expect(9, &[0, 1, 2]));
     }
 
     #[test]
