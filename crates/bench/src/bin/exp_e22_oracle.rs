@@ -11,13 +11,16 @@
 //! fresh oracle isolates the single-query cost the LCA model talks
 //! about; the memo contract is gated separately in `tests/oracle.rs`.
 //!
-//! **Part A — Generic ball cost vs. starting radius (fixed n).** A
-//! `Generic { k: 2 }` query replays the algorithm on a ball around the
-//! query vertex and doubles the radius until the answer is certified.
-//! On the cycle (`|ball(r)| = 2r+1`), starting radii at or above the
-//! certification radius probe exactly one ball of `2r+1` nodes:
-//! probed-per-query must grow from the smallest to the largest radius
-//! cell (asserted unless `E22_ASSERT=0`).
+//! **Part A — Generic rank-recursion cost vs. n.** A `Generic { k: 2 }`
+//! query evaluates the global run's greedy path choices by recursion:
+//! a path is chosen iff no better-ranked path sharing a vertex is, and
+//! it exists iff its vertices' mates one phase down make it augmenting.
+//! A query reads the rows (a vertex's neighbours and their mates) and
+//! ranks the paths that its answer depends on. Cells on the geometric,
+//! 8-regular and gnp families at n/4, n/2 and n: across the 4× range of
+//! n, rows read per query must stay within `E22_FLAT_FACTOR` per family
+//! (asserted unless `E22_ASSERT=0`). Chung–Lu is reported, not
+//! asserted: its hubs' rows grow with n.
 //!
 //! **Part B — Israeli–Itai cone cost vs. n.** An Israeli–Itai query
 //! evaluates the global run on demand: a node steps round `r` once its
@@ -31,10 +34,12 @@
 //!
 //! On an expander the cone of the first rounds is supercritical and
 //! engulfs the component within the halt horizon, the known LCA
-//! caveat. A ball replay engulfs it too, so there both pay for the
-//! component, and EXPERIMENTS.md records that comparison (gnp,
-//! 8-regular and Chung–Lu at n = 20 000) rather than a flatness cell
-//! here.
+//! caveat, so Part B keeps no flatness cell there; EXPERIMENTS.md
+//! records that comparison (gnp, 8-regular and Chung–Lu at
+//! n = 20 000).
+//!
+//! Every cell checks every answer against one global `Session` run of
+//! its graph.
 //!
 //! **Part C — Generic consistency spot-check.** A `Generic { k: 2 }`
 //! oracle against the full `Session` run on a small gnp instance —
@@ -47,14 +52,14 @@
 //!
 //! Writes `BENCH_e22_oracle.json` (host-fingerprinted) for the CI
 //! artifact trail; `throughput_qps` is a perf metric (host-gated),
-//! the probed / ball / touched / cone-step counters are deterministic
+//! the rows / paths / touched / cone-step counters are deterministic
 //! and gate cross-host.
 
 use bench_harness::workloads::Family;
 use bench_harness::{banner, env_or, f2, host, timing, Table};
 use dgraph::generators::random::gnp;
 use dgraph::generators::structured::cycle;
-use dgraph::{Graph, NodeId};
+use dgraph::{Graph, Matching, NodeId};
 use dmatch::{Algorithm, MatchingOracle, Session};
 use simnet::SplitMix64;
 use std::fmt::Write as _;
@@ -68,41 +73,39 @@ fn sample_queries(n: usize, q: usize, tag: u64) -> Vec<NodeId> {
 
 /// Per-query means of the deterministic counters, and throughput.
 struct Cell {
-    /// Nodes a query newly probed: ball nodes (Generic) or cone nodes
-    /// touched (Israeli–Itai).
+    /// What a query newly read: rows (Generic) or cone nodes touched
+    /// (Israeli–Itai).
     probed_per_query: f64,
-    /// Balls replayed (Generic).
-    balls_per_query: f64,
+    /// Paths ranked (Generic).
+    paths_per_query: f64,
     /// Node-rounds evaluated (Israeli–Itai).
     steps_per_query: f64,
     qps: f64,
 }
 
 /// One measurement cell: a fresh oracle per query (no memo
-/// amortization — see the module docs), deterministic counters summed
-/// across queries, throughput over `runs` passes (fastest run).
-fn fresh_cell(
-    g: &Graph,
-    alg: Algorithm,
-    seed: u64,
-    radius: usize,
-    queries: &[NodeId],
-    runs: u32,
-) -> Cell {
-    let oracle = || {
-        MatchingOracle::on(g)
-            .algorithm(alg)
-            .seed(seed)
-            .initial_radius(radius)
-            .build()
-    };
-    let (mut probed, mut balls, mut steps) = (0u64, 0u64, 0u64);
+/// amortization — see the module docs), every answer checked against
+/// one global run, deterministic counters summed across queries,
+/// throughput over `runs` passes (fastest run).
+fn fresh_cell(g: &Graph, alg: Algorithm, seed: u64, queries: &[NodeId], runs: u32) -> Cell {
+    let want: Matching = Session::on(g)
+        .algorithm(alg)
+        .seed(seed)
+        .build()
+        .run_to_completion()
+        .matching;
+    let oracle = || MatchingOracle::on(g).algorithm(alg).seed(seed).build();
+    let (mut probed, mut paths, mut steps) = (0u64, 0u64, 0u64);
     for &v in queries {
         let mut o = oracle();
-        black_box(o.query_node(v));
+        assert_eq!(
+            o.query_node(v),
+            want.mate(v),
+            "{alg} oracle diverged from the session at vertex {v}"
+        );
         let m = o.metrics();
         probed += m.counter("oracle_probed_nodes");
-        balls += m.counter("oracle_balls");
+        paths += m.hist("oracle_generic_paths").map_or(0, |h| h.sum());
         steps += m.hist("oracle_cone_steps").map_or(0, |h| h.sum());
     }
     let q = queries.len() as f64;
@@ -113,7 +116,7 @@ fn fresh_cell(
     });
     Cell {
         probed_per_query: probed as f64 / q,
-        balls_per_query: balls as f64 / q,
+        paths_per_query: paths as f64 / q,
         steps_per_query: steps as f64 / q,
         qps: q / s.min.as_secs_f64(),
     }
@@ -131,51 +134,69 @@ fn main() {
     let flat_factor = env_or("E22_FLAT_FACTOR", 25) as f64 / 10.0;
     let do_assert = env_or("E22_ASSERT", 1) == 1;
     let seed = 22u64;
-    let radii = [4usize, 16, 64];
-    let generic = Algorithm::Generic { k: 2 };
+    let ns = [n / 4, n / 2, n];
 
-    // Part A: Generic's radius sweep at fixed n on the cycle.
-    println!(
-        "Part A: generic(k=2) probed ball vs starting radius, cycle(n={n}), {q} fresh queries"
-    );
-    let g = cycle(n);
-    let queries = sample_queries(n, q, 1);
-    let mut t = Table::new(vec!["radius", "probed/query", "balls/query", "queries/sec"]);
-    let mut radius_cells = Vec::new();
-    for &r in &radii {
-        let c = fresh_cell(&g, generic, seed, r, &queries, runs);
-        t.row(vec![
-            format!("{r}"),
-            format!("{:.1}", c.probed_per_query),
-            format!("{}", f2(c.balls_per_query)),
-            format!("{:.0}", c.qps),
-        ]);
-        radius_cells.push((r, c));
+    // Part A: Generic's rank recursion vs n.
+    println!("Part A: generic(k=2) rank recursion vs n, {q} fresh queries");
+    let generic = Algorithm::Generic { k: 2 };
+    let families = [
+        ("geometric", Family::Geometric, true),
+        ("8-regular", Family::DRegular, true),
+        ("gnp", Family::Gnp, true),
+        ("chung-lu", Family::ChungLu, false),
+    ];
+    let mut t = Table::new(vec![
+        "family",
+        "n",
+        "rows/query",
+        "paths/query",
+        "queries/sec",
+    ]);
+    let mut generic_cells = Vec::new();
+    for &(family, f, asserted) in &families {
+        let mut rows = Vec::new();
+        for &ni in &ns {
+            let gi = f.instantiate(ni, seed).graph;
+            let qi = sample_queries(ni, q, 1);
+            let c = fresh_cell(&gi, generic, seed, &qi, runs);
+            t.row(vec![
+                family.to_string(),
+                format!("{ni}"),
+                format!("{:.1}", c.probed_per_query),
+                format!("{:.1}", c.paths_per_query),
+                format!("{:.0}", c.qps),
+            ]);
+            rows.push(c.probed_per_query);
+            generic_cells.push((family, ni, c));
+        }
+        let (small, big) = (rows[0], rows[ns.len() - 1]);
+        if do_assert && asserted {
+            assert!(
+                big <= flat_factor * small,
+                "{family}: rows/query must stay flat in n: {big} at n={} vs {small} at n={} \
+                 (allowed factor {flat_factor})",
+                ns[ns.len() - 1],
+                ns[0]
+            );
+        }
     }
     t.print();
-    let (first, last) = (&radius_cells[0].1, &radius_cells[radii.len() - 1].1);
-    println!(
-        "  probed/query grows {}x from radius {} to {}",
-        f2(last.probed_per_query / first.probed_per_query),
-        radii[0],
-        radii[radii.len() - 1]
-    );
-    if do_assert {
-        assert!(
-            last.probed_per_query > first.probed_per_query,
-            "probed nodes/query must grow with the starting radius \
-             ({} at r={} vs {} at r={})",
-            last.probed_per_query,
-            radii[radii.len() - 1],
-            first.probed_per_query,
-            radii[0]
+    for &(family, _, asserted) in &families {
+        let rows: Vec<f64> = generic_cells
+            .iter()
+            .filter(|(f, _, _)| *f == family)
+            .map(|(_, _, c)| c.probed_per_query)
+            .collect();
+        println!(
+            "  {family}: rows/query ratio across 4x n: {}{}",
+            f2(rows[rows.len() - 1] / rows[0]),
+            if asserted { "" } else { " (reported)" }
         );
     }
 
     // Part B: Israeli–Itai's cone vs n, on the cycle and the geometric
     // family.
     println!("\nPart B: israeli-itai light cone vs n, {q} fresh queries");
-    let ns = [n / 4, n / 2, n];
     let mut t = Table::new(vec![
         "family",
         "n",
@@ -192,7 +213,7 @@ fn main() {
                 _ => Family::Geometric.instantiate(ni, seed).graph,
             };
             let qi = sample_queries(ni, q, 2);
-            let c = fresh_cell(&gi, Algorithm::IsraeliItai, seed, 2, &qi, runs);
+            let c = fresh_cell(&gi, Algorithm::IsraeliItai, seed, &qi, runs);
             t.row(vec![
                 family.to_string(),
                 format!("{ni}"),
@@ -253,15 +274,15 @@ fn main() {
     let _ = writeln!(json, "  \"n\": {n},");
     let _ = writeln!(json, "  \"queries\": {q},");
     let _ = writeln!(json, "  \"runs\": {runs},");
-    json.push_str("  \"radius_cells\": [\n");
-    for (i, (r, c)) in radius_cells.iter().enumerate() {
+    json.push_str("  \"generic_cells\": [\n");
+    for (i, (family, ni, c)) in generic_cells.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"radius\": {r}, \"probed_per_query\": {:.2}, \"balls_per_query\": {:.3}, \
-             \"throughput_qps\": {:.0}}}",
-            c.probed_per_query, c.balls_per_query, c.qps
+            "    {{\"family\": \"{family}\", \"cell_n\": {ni}, \"rows_per_query\": {:.2}, \
+             \"paths_per_query\": {:.2}, \"throughput_qps\": {:.0}}}",
+            c.probed_per_query, c.paths_per_query, c.qps
         );
-        json.push_str(if i + 1 < radius_cells.len() {
+        json.push_str(if i + 1 < generic_cells.len() {
             ",\n"
         } else {
             "\n"

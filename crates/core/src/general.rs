@@ -9,9 +9,9 @@
 //! After `2^{2k+1}(k+1) ln k` iterations the matching is a
 //! `(1-1/k)`-MCM with high probability (Lemmas 3.9, 3.10).
 //!
-//! The coloring is drawn per node from its own RNG stream and shared
-//! with neighbors in one single-bit exchange round (charged to the
-//! stats); everything else runs through [`crate::bipartite`].
+//! Each coloring draws every node's bit, in node order, from one session
+//! stream (`color_rng`), and one single-bit exchange round is charged
+//! to the stats for it; everything else runs through [`crate::bipartite`].
 //!
 //! ```
 //! use dgraph::generators::structured::cycle;

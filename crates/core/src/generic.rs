@@ -499,9 +499,9 @@ pub(crate) fn path_rank(seed: u64, ell: usize, key: u64) -> u64 {
 /// tuple is the better rank. Ascending [`path_rank`], ties broken by
 /// key and then by vertex sequence, so the order depends on the path
 /// set alone. The one definition of the order: [`conflict_graph_mis`]
-/// chooses by it, and `dmatch::oracle` certifies down it. `key` is over
-/// *global* ids; `path` may hold the local ids of a ball, whose
-/// monotone id map orders sequences as the global ids would.
+/// chooses by it, and `dmatch::oracle`'s rank recursion decides paths
+/// by it. `key` and `path` are over the graph's own (global) ids, and
+/// `path` is oriented as `enumerate_augmenting_paths` reports it.
 pub(crate) fn rank_key(seed: u64, ell: usize, key: u64, path: &[NodeId]) -> (u64, u64, &[NodeId]) {
     (path_rank(seed, ell, key), key, path)
 }

@@ -39,45 +39,63 @@
 //! buffers per port, by round parity, hold every message a neighbour
 //! may still read.
 //!
-//! ## Generic: ball replay and certification
+//! ## Generic: the greedy choice, by rank recursion
 //!
-//! A Generic query materializes a ball around the query vertex
-//! ([`dgraph::subgraph::SubgraphView`]), replays the phases on it, and
-//! **certifies** which local answers equal the global run's. Let `C`
-//! be the ball's contamination frontier: vertices with a neighbor
-//! outside the ball (all on the outermost sphere). Ranks are keyed by
-//! global vertex sequences, and a path is chosen iff no conflicting
-//! path of better rank is (`generic::rank_key`). Per phase `ℓ`, a path
-//! the ball sees wrongly leaves the ball or crosses a suspect vertex
-//! (`C` starts the suspect set), so it lies within `ℓ` of the suspect
-//! set: the *margin*. Down the rank order, a path is *tainted* iff it
-//! touches the margin or conflicts with a better-ranked tainted path,
-//! and the margin and the tainted paths become suspect. An untainted
-//! path has exactly its global conflicts, and those of better rank are
-//! untainted, so by induction down the order it is chosen iff it is
-//! globally. Unsuspect vertices keep their exact global mates. The same
-//! pass chooses the paths, by first fit: a path is chosen iff no
-//! better-ranked chosen path shares a vertex with it, which is the set
-//! the session's Step 5 rounds choose.
+//! Phase `ℓ` (`ℓ = 1, 3, …, 2k − 1`) applies the greedy set of
+//! augmenting paths in the fixed order of `generic::rank_key`. Write
+//! `mate(ℓ, v)` for `v`'s mate after phase `ℓ`, every vertex being free
+//! before phase 1. Three rules determine it:
 //!
-//! Certified answers — and only those — go into an ordered memo table,
-//! so answers are query-order independent *by construction*: every
-//! memoized value equals the global run's value, no matter which query
-//! (or starting radius) discovered it. If the query vertex itself is
-//! not certified, the radius doubles and the probe re-runs; once the
-//! ball swallows the component, `C` is empty and certification is
-//! total, so the loop always terminates.
+//! 1. `mate(ℓ, v)` is `v`'s partner on the chosen phase-`ℓ` path
+//!    through `v`. If no such path is chosen, it is `mate(ℓ − 2, v)`.
+//! 2. A phase-`ℓ` path exists iff it alternates under its vertices'
+//!    phase-`(ℓ − 2)` mates and ends at two free vertices. Each of
+//!    those mates is a query one phase down.
+//! 3. A path is chosen iff no path of better rank that shares a vertex
+//!    with it is chosen.
+//!
+//! Rule 1 is Step 7, rule 2 is the enumeration Step 5 runs on, and
+//! rule 3 is the set Step 5's rounds choose (and
+//! `generic::tests::conflict_graph_mis_is_greedy_in_rank_order` checks).
+//! The induction runs on `ℓ`, and within a phase down the rank order.
+//! Rule 2 reads only phase-`(ℓ − 2)` mates, which are the global run's
+//! by induction on `ℓ`, so the paths listed through a vertex are
+//! exactly the global run's, oriented and keyed as
+//! `enumerate_augmenting_paths` and `generic::path_key` do it and
+//! ranked under the session's epoch-0 seed. Rule 3 decides a path from
+//! better-ranked paths only, so the recursion is well-founded, and down
+//! the order every decision is the global run's. So every fact the
+//! oracle derives is the global run's. It keeps them for its lifetime,
+//! and no answer depends on query order or on which query derived it.
+//!
+//! The evaluation (`Greedy`) works per touched vertex and phase, on
+//! an explicit stack of tasks (decision chains can be long, and test
+//! threads have 2 MiB stacks):
+//! - its **row**: its neighbours and their mates one phase down, read
+//!   once. These are the hops an alternating walk can take from it;
+//! - its **path list**: the walks from it (and from its mate, if it is
+//!   matched) that leave on an unmatched edge and end at a free
+//!   vertex, joined into paths, ranked and sorted once. A path already
+//!   listed at another vertex is found there by binary search, so each
+//!   path is ranked once and decided once;
+//! - a **cursor** into that list: every path before it lost, and a path
+//!   at it that is chosen is the vertex's chosen path.
+//!
+//! Deciding a path moves each of its vertices' cursors up to it,
+//! deciding first every better-ranked path met on the way, and stops at
+//! the first chosen one. A query settles its vertex in the last phase.
+//! It reads the rows and ranks the paths that its answer depends on,
+//! and nothing else. A hashed index finds touched vertices; it is
+//! probed and never iterated.
 
 use crate::generic;
 use crate::israeli_itai::{self, IIMsg, IINode, NodeIo};
 use crate::runner::Algorithm;
-use dgraph::augmenting::enumerate_augmenting_paths;
-use dgraph::subgraph::{bfs_distances, IdMap, SubgraphView};
-use dgraph::{EdgeId, Graph, Matching, NodeId};
+use dgraph::subgraph::IdMap;
+use dgraph::{EdgeId, Graph, NodeId};
 use dobs::metrics::Registry;
 use simnet::{Port, SplitMix64};
 use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Builder for a [`MatchingOracle`]; start from [`MatchingOracle::on`].
@@ -85,7 +103,6 @@ pub struct OracleBuilder<'g> {
     g: &'g Graph,
     seed: u64,
     alg: Algorithm,
-    initial_radius: usize,
 }
 
 impl<'g> OracleBuilder<'g> {
@@ -104,31 +121,20 @@ impl<'g> OracleBuilder<'g> {
         self
     }
 
-    /// First ball radius of a Generic query (doubles on every
-    /// uncertified retry). Israeli–Itai queries evaluate their light
-    /// cone and build no ball, so they ignore it. Default 2.
-    pub fn initial_radius(mut self, r: usize) -> Self {
-        self.initial_radius = r.max(1);
-        self
-    }
-
-    /// Finish the builder.
+    /// Finish the builder. Allocates nothing: queries grow what they
+    /// evaluate.
     pub fn build(self) -> MatchingOracle<'g> {
-        assert!(
-            matches!(self.alg, Algorithm::IsraeliItai | Algorithm::Generic { .. }),
-            "MatchingOracle supports IsraeliItai and Generic, not {}",
-            self.alg
-        );
-        if let Algorithm::Generic { k } = self.alg {
-            assert!(k >= 1, "k must be positive");
-        }
+        let engine = match self.alg {
+            Algorithm::IsraeliItai => Engine::IsraeliItai(Cone::new(self.g, self.seed)),
+            Algorithm::Generic { k } => {
+                assert!(k >= 1, "k must be positive");
+                Engine::Generic(Greedy::new(self.g, self.seed, k))
+            }
+            other => panic!("MatchingOracle supports IsraeliItai and Generic, not {other}"),
+        };
         MatchingOracle {
             g: self.g,
-            seed: self.seed,
-            alg: self.alg,
-            initial_radius: self.initial_radius,
-            cone: Cone::new(self.g, self.seed),
-            memo: BTreeMap::new(),
+            engine,
             metrics: Registry::new(),
         }
     }
@@ -136,20 +142,19 @@ impl<'g> OracleBuilder<'g> {
 
 /// The LCA query plane over a borrowed graph. See the module docs for
 /// the consistency contract, the Israeli–Itai light cone and the
-/// Generic certification argument.
+/// Generic rank recursion.
 pub struct MatchingOracle<'g> {
     g: &'g Graph,
-    seed: u64,
-    alg: Algorithm,
-    initial_radius: usize,
-    /// Israeli–Itai: the global run, as far as queries have stepped it.
-    /// Its halted nodes are the known answers.
-    cone: Cone<'g>,
-    /// Generic: certified global mates, `v -> Some(mate)` or
-    /// `v -> None` (free). Ordered container — part of the determinism
-    /// contract (dlint).
-    memo: BTreeMap<NodeId, Option<NodeId>>,
+    engine: Engine<'g>,
     metrics: Registry,
+}
+
+/// The global run being queried, as far as queries have evaluated it.
+/// What it holds is the known answers.
+#[allow(clippy::large_enum_variant)] // one per oracle, built in place and never moved in a loop; boxing would allocate at build
+enum Engine<'g> {
+    IsraeliItai(Cone<'g>),
+    Generic(Greedy<'g>),
 }
 
 impl<'g> MatchingOracle<'g> {
@@ -159,7 +164,6 @@ impl<'g> MatchingOracle<'g> {
             g,
             seed: 0,
             alg: Algorithm::IsraeliItai,
-            initial_radius: 2,
         }
     }
 
@@ -177,13 +181,13 @@ impl<'g> MatchingOracle<'g> {
     }
 
     /// Query statistics: counters `oracle_queries`, `oracle_memo_hits`,
-    /// `oracle_misses` and `oracle_probed_nodes` (nodes a miss newly
-    /// touched: cone nodes for Israeli–Itai, ball nodes for Generic);
-    /// histogram `oracle_probed_per_query`; gauge `oracle_memo_size`
-    /// (answers held). Israeli–Itai adds the histogram
-    /// `oracle_cone_steps` (node-rounds a miss evaluated); Generic adds
-    /// the counter `oracle_balls` and the histogram
-    /// `oracle_ball_radius`.
+    /// `oracle_misses` and `oracle_probed_nodes` (what a miss newly
+    /// read: cone nodes touched for Israeli–Itai, rows read for
+    /// Generic); histogram `oracle_probed_per_query`; gauge
+    /// `oracle_memo_size` (answers held). Israeli–Itai adds the
+    /// histogram `oracle_cone_steps` (node-rounds a miss evaluated);
+    /// Generic adds the histogram `oracle_generic_paths` (paths a miss
+    /// ranked).
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
@@ -191,142 +195,38 @@ impl<'g> MatchingOracle<'g> {
     /// The global answer for `v`: held, or evaluated now.
     fn resolve(&mut self, v: NodeId) -> Option<NodeId> {
         assert!((v as usize) < self.g.n(), "vertex out of range");
-        let held = match self.alg {
-            Algorithm::IsraeliItai => self.cone.mate(v),
-            _ => self.memo.get(&v).copied(),
+        let held = match &self.engine {
+            Engine::IsraeliItai(cone) => cone.mate(v),
+            Engine::Generic(greedy) => greedy.mate(v),
         };
         if let Some(mate) = held {
             self.metrics.inc("oracle_memo_hits", 1);
             return mate;
         }
         self.metrics.inc("oracle_misses", 1);
-        match self.alg {
-            Algorithm::IsraeliItai => self.resolve_ii(v),
-            Algorithm::Generic { k } => self.resolve_generic(v, k),
-            _ => unreachable!("rejected in build"),
-        }
-    }
-
-    /// Step `v` through the global Israeli–Itai run until it halts.
-    fn resolve_ii(&mut self, v: NodeId) -> Option<NodeId> {
-        let (touched, steps) = (self.cone.nodes.len(), self.cone.steps);
-        self.cone.settle(v);
-        let touched = (self.cone.nodes.len() - touched) as u64;
-        self.metrics.inc("oracle_probed_nodes", touched);
-        self.metrics.record("oracle_probed_per_query", touched);
-        self.metrics
-            .record("oracle_cone_steps", self.cone.steps - steps);
-        self.metrics.set_gauge("oracle_memo_size", self.cone.halted);
-        self.cone.mate(v).expect("a settled node has halted")
-    }
-
-    /// Replay Generic on balls around `v`, doubling the radius until
-    /// `v`'s answer is certified.
-    fn resolve_generic(&mut self, v: NodeId, k: usize) -> Option<NodeId> {
-        let mut radius = self.initial_radius;
-        let mut probed_this_query = 0u64;
-        loop {
-            self.metrics.inc("oracle_balls", 1);
-            let view = SubgraphView::ball(self.g, &[v], radius);
-            self.metrics.inc("oracle_probed_nodes", view.len() as u64);
-            probed_this_query += view.len() as u64;
-            for (local, mate) in self.probe_generic(&view, k) {
-                let gv = view.global(local);
-                let prev = self.memo.insert(gv, mate);
-                debug_assert!(
-                    prev.is_none_or(|p| p == mate),
-                    "memo must be single-valued: vertex {gv} was {prev:?}, now {mate:?}"
-                );
+        let m = &mut self.metrics;
+        match &mut self.engine {
+            Engine::IsraeliItai(cone) => {
+                let (touched, steps) = (cone.nodes.len(), cone.steps);
+                cone.settle(v);
+                let touched = (cone.nodes.len() - touched) as u64;
+                m.inc("oracle_probed_nodes", touched);
+                m.record("oracle_probed_per_query", touched);
+                m.record("oracle_cone_steps", cone.steps - steps);
+                m.set_gauge("oracle_memo_size", cone.halted);
+                cone.mate(v).expect("a settled node has halted")
             }
-            if let Some(&mate) = self.memo.get(&v) {
-                // Cap the recorded radius at n: any radius ≥ n-1 means
-                // "the whole component" (and the uncapped sentinel
-                // would overflow the histogram's sum).
-                self.metrics
-                    .record("oracle_ball_radius", radius.min(self.g.n()) as u64);
-                self.metrics
-                    .record("oracle_probed_per_query", probed_this_query);
-                self.metrics
-                    .set_gauge("oracle_memo_size", self.memo.len() as u64);
-                return mate;
-            }
-            // Not yet certified: grow.
-            radius = radius.saturating_mul(2);
-        }
-    }
-
-    /// Replay the Generic phases on the induced subgraph with
-    /// globally-keyed ranks, growing a suspect set instead of
-    /// simulating the network (gathering does not affect the matching).
-    fn probe_generic(&mut self, view: &SubgraphView<'_>, k: usize) -> Vec<(usize, Option<NodeId>)> {
-        let (ind, boundary) = view.induced();
-        let n_local = ind.n();
-        let mut m = Matching::new(n_local);
-        // suspect[l]: l's matched status may deviate from the global
-        // run in some phase seen so far.
-        let mut suspect = vec![false; n_local];
-        for b in boundary {
-            suspect[b as usize] = true;
-        }
-        for phase_idx in 0..k {
-            let ell = 2 * phase_idx + 1;
-            let sources: Vec<NodeId> = (0..n_local as NodeId)
-                .filter(|&l| suspect[l as usize])
-                .collect();
-            // Only the ℓ-margin of the suspect set is read below.
-            let dist = bfs_distances(
-                n_local,
-                |l| ind.incident(l).iter().map(|&(u, _)| u),
-                &sources,
-                ell,
-            );
-            let paths = enumerate_augmenting_paths(&ind, &m, ell);
-            // Keys and ranks address paths by *global* vertex sequences,
-            // so the ball ranks each path as the global run does.
-            let keys: Vec<u64> = paths
-                .iter()
-                .map(|p| {
-                    let gp: Vec<NodeId> = p.iter().map(|&l| view.global(l as usize)).collect();
-                    generic::path_key(&gp)
-                })
-                .collect();
-            // The ℓ-margin becomes suspect.
-            for l in 0..n_local {
-                if dist[l] <= ell {
-                    suspect[l] = true;
-                }
-            }
-            // One pass down the rank order. First fit chooses: a path
-            // sharing no vertex with a better-ranked chosen path is
-            // chosen and applied (tainted ones too: the local matching
-            // must stay a valid matching for later phases). And a path
-            // touching a suspect vertex is tainted: its vertices become
-            // suspect too.
-            let mut order: Vec<usize> = (0..paths.len()).collect();
-            order.sort_by_cached_key(|&i| generic::rank_key(self.seed, ell, keys[i], &paths[i]));
-            let mut used = vec![false; n_local];
-            for &i in &order {
-                let path = &paths[i];
-                if path.iter().all(|&l| !used[l as usize]) {
-                    for &l in path {
-                        used[l as usize] = true;
-                    }
-                    m.augment_path(&ind, path);
-                }
-                if path.iter().any(|&l| suspect[l as usize]) {
-                    for &l in path {
-                        suspect[l as usize] = true;
-                    }
-                }
+            Engine::Generic(greedy) => {
+                let (rows, paths) = (greedy.rows, greedy.paths.len());
+                greedy.settle(v);
+                let rows = greedy.rows - rows;
+                m.inc("oracle_probed_nodes", rows);
+                m.record("oracle_probed_per_query", rows);
+                m.record("oracle_generic_paths", (greedy.paths.len() - paths) as u64);
+                m.set_gauge("oracle_memo_size", greedy.known);
+                greedy.mate(v).expect("a settled vertex has a mate")
             }
         }
-        (0..n_local)
-            .filter(|&l| !suspect[l])
-            .map(|l| {
-                let mate = m.mate(l as NodeId).map(|w| view.global(w as usize));
-                (l, mate)
-            })
-            .collect()
     }
 }
 
@@ -594,6 +494,582 @@ impl<'g> Cone<'g> {
     }
 }
 
+/// [`Layer::mate`] while unknown.
+const UNKNOWN: u32 = u32::MAX;
+/// [`Layer::mate`] of a free vertex, and [`Hop::mate`] of a free
+/// neighbour.
+const FREE: u32 = u32::MAX - 1;
+/// The start of a [`Layer`]'s span that is not built yet.
+const UNBUILT: u32 = u32::MAX;
+
+/// The global Generic run, evaluated vertex by vertex and path by path
+/// only as far as queries demand (see the module docs). Vertices are
+/// addressed by slot, in the order they were touched.
+struct Greedy<'g> {
+    g: &'g Graph,
+    seed: u64,
+    /// Phases; phase `j` has `ℓ = 2j + 1`.
+    k: usize,
+    /// Global id → slot. Probed, never iterated.
+    index: IdMap<u32>,
+    /// Slot → global id.
+    ids: Vec<NodeId>,
+    /// Slot → whether its row has been read in some phase.
+    read: Vec<bool>,
+    /// Slot `s` in phase `j` is `layers[s · k + j]`.
+    layers: Vec<Layer>,
+    /// The rows read, each a contiguous run.
+    hops: Vec<Hop>,
+    /// The path lists, each a contiguous run in rank order.
+    lists: Vec<Listed>,
+    /// Every path ranked so far; its vertices' global ids and slots are
+    /// `verts[at..at + len]` and `vslots[at..at + len]`.
+    paths: Vec<PathRec>,
+    verts: Vec<NodeId>,
+    vslots: Vec<u32>,
+    /// Rows read so far, one per vertex.
+    rows: u64,
+    /// Vertices whose mate after the last phase is known: the answers
+    /// held.
+    known: u64,
+    /// Scratch: pending tasks; rows a listing found unread; the walk
+    /// being extended; the walks found, as spans of `found`; the path
+    /// being ranked, in slots and in global ids.
+    tasks: Vec<Task>,
+    missing: Vec<u32>,
+    frames: Vec<Frame>,
+    found: Vec<u32>,
+    walks: Vec<(usize, usize)>,
+    seq: Vec<u32>,
+    gseq: Vec<NodeId>,
+}
+
+/// What one vertex knows in one phase.
+#[derive(Debug, Clone, Copy)]
+struct Layer {
+    /// Its mate after this phase: a slot, [`FREE`] or [`UNKNOWN`].
+    mate: u32,
+    /// Its row in `hops`, and its path list in `lists`.
+    hops: (u32, u32),
+    list: (u32, u32),
+    /// Index into `lists`: every path of its list before it lost.
+    cursor: u32,
+}
+
+impl Layer {
+    const NEW: Layer = Layer {
+        mate: UNKNOWN,
+        hops: (UNBUILT, 0),
+        list: (UNBUILT, 0),
+        cursor: 0,
+    };
+}
+
+/// A path in a list, with its rank at hand for the list's searches.
+#[derive(Debug, Clone, Copy)]
+struct Listed {
+    rank: u64,
+    path: u32,
+}
+
+/// One neighbour in a row: its slot, and its mate before the phase (a
+/// slot or [`FREE`]). The matched neighbour is left out.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    to: u32,
+    mate: u32,
+}
+
+/// An augmenting path of one phase, oriented as
+/// `enumerate_augmenting_paths` reports it (smaller end first).
+#[derive(Debug, Clone, Copy)]
+struct PathRec {
+    rank: u64,
+    key: u64,
+    at: u32,
+    len: u32,
+    phase: u32,
+    status: Status,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Open,
+    Chosen,
+    Lost,
+}
+
+/// A step of the recursion, on the explicit stack. A task that needs
+/// something first pushes itself back, then what it needs.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// Find the slot's mate after the phase.
+    Mate { slot: u32, phase: u32 },
+    /// List the slot's paths in the phase.
+    List { slot: u32, phase: u32 },
+    /// Read the slot's row for the phase; the neighbours before `ready`
+    /// know their mates before the phase.
+    Row { slot: u32, phase: u32, ready: u32 },
+    /// Decide the path; its vertices before `at` have no better-ranked
+    /// chosen path.
+    Decide { path: u32, at: u32 },
+}
+
+impl Task {
+    fn mate(slot: u32, phase: usize) -> Self {
+        Task::Mate {
+            slot,
+            phase: phase as u32,
+        }
+    }
+
+    fn list(slot: u32, phase: usize) -> Self {
+        Task::List {
+            slot,
+            phase: phase as u32,
+        }
+    }
+
+    fn row(slot: u32, phase: usize, ready: usize) -> Self {
+        Task::Row {
+            slot,
+            phase: phase as u32,
+            ready: ready as u32,
+        }
+    }
+
+    fn decide(path: u32, at: usize) -> Self {
+        Task::Decide {
+            path,
+            at: at as u32,
+        }
+    }
+}
+
+/// A vertex of a walk at an even distance from its start, entered from
+/// `via` (the start enters from itself), with the rest of its row in
+/// `hops[next..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    via: u32,
+    at: u32,
+    next: u32,
+    end: u32,
+}
+
+impl<'g> Greedy<'g> {
+    /// Nothing touched yet; allocates nothing.
+    fn new(g: &'g Graph, seed: u64, k: usize) -> Self {
+        Greedy {
+            g,
+            seed,
+            k,
+            index: IdMap::default(),
+            ids: Vec::new(),
+            read: Vec::new(),
+            layers: Vec::new(),
+            hops: Vec::new(),
+            lists: Vec::new(),
+            paths: Vec::new(),
+            verts: Vec::new(),
+            vslots: Vec::new(),
+            rows: 0,
+            known: 0,
+            tasks: Vec::new(),
+            missing: Vec::new(),
+            frames: Vec::new(),
+            found: Vec::new(),
+            walks: Vec::new(),
+            seq: Vec::new(),
+            gseq: Vec::new(),
+        }
+    }
+
+    fn at(&self, s: u32, phase: usize) -> usize {
+        s as usize * self.k + phase
+    }
+
+    /// `s`'s mate before `phase`: every vertex is free before phase 0.
+    fn before(&self, s: u32, phase: usize) -> u32 {
+        match phase {
+            0 => FREE,
+            _ => self.layers[self.at(s, phase - 1)].mate,
+        }
+    }
+
+    /// `v`'s global mate, if known.
+    fn mate(&self, v: NodeId) -> Option<Option<NodeId>> {
+        let s = *self.index.get(&v)?;
+        match self.layers[self.at(s, self.k - 1)].mate {
+            UNKNOWN => None,
+            FREE => Some(None),
+            m => Some(Some(self.ids[m as usize])),
+        }
+    }
+
+    /// `v`'s slot, touching it first if needed.
+    fn touch(&mut self, v: NodeId) -> u32 {
+        match self.index.entry(v) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let s = self.ids.len() as u32;
+                e.insert(s);
+                self.ids.push(v);
+                self.read.push(false);
+                self.layers.resize(self.layers.len() + self.k, Layer::NEW);
+                s
+            }
+        }
+    }
+
+    /// Find `v`'s mate after the last phase, and first whatever it
+    /// depends on.
+    fn settle(&mut self, v: NodeId) {
+        let root = self.touch(v);
+        let mut tasks = std::mem::take(&mut self.tasks);
+        tasks.push(Task::mate(root, self.k - 1));
+        while let Some(task) = tasks.pop() {
+            match task {
+                Task::Mate { slot, phase } => self.find_mate(slot, phase as usize, &mut tasks),
+                Task::List { slot, phase } => self.list(slot, phase as usize, &mut tasks),
+                Task::Row { slot, phase, ready } => {
+                    self.read_row(slot, phase as usize, ready as usize, &mut tasks)
+                }
+                Task::Decide { path, at } => self.decide(path, at as usize, &mut tasks),
+            }
+        }
+        self.tasks = tasks;
+    }
+
+    /// Rule 1: `s`'s mate after `phase` is its partner on the first
+    /// chosen path of its list, or else its mate before.
+    fn find_mate(&mut self, s: u32, phase: usize, tasks: &mut Vec<Task>) {
+        let at = self.at(s, phase);
+        let layer = self.layers[at];
+        if layer.mate != UNKNOWN {
+            return;
+        }
+        if layer.list.0 == UNBUILT {
+            tasks.extend([Task::mate(s, phase), Task::list(s, phase)]);
+            return;
+        }
+        let mut cursor = layer.cursor;
+        while cursor < layer.list.1 {
+            let p = self.lists[cursor as usize].path;
+            match self.paths[p as usize].status {
+                Status::Lost => cursor += 1,
+                Status::Open => {
+                    self.layers[at].cursor = cursor;
+                    tasks.extend([Task::mate(s, phase), Task::decide(p, 0)]);
+                    return;
+                }
+                Status::Chosen => unreachable!("choosing a path sets its vertices' mates"),
+            }
+        }
+        self.layers[at].cursor = cursor;
+        let mate = self.before(s, phase);
+        self.set_mate(s, phase, mate);
+    }
+
+    /// Rule 3: `p` is chosen iff none of its vertices has a chosen path
+    /// of better rank.
+    fn decide(&mut self, p: u32, from: usize, tasks: &mut Vec<Task>) {
+        let path = self.paths[p as usize];
+        if path.status != Status::Open {
+            return;
+        }
+        let phase = path.phase as usize;
+        for i in from..path.len as usize {
+            let x = self.vslots[path.at as usize + i];
+            let at = self.at(x, phase);
+            if self.layers[at].list.0 == UNBUILT {
+                tasks.extend([Task::decide(p, i), Task::list(x, phase)]);
+                return;
+            }
+            // An open path has lost at none of its vertices, so each
+            // cursor is at most its place in the list.
+            loop {
+                let cursor = self.layers[at].cursor;
+                let q = self.lists[cursor as usize].path;
+                if q == p {
+                    break;
+                }
+                match self.paths[q as usize].status {
+                    Status::Lost => self.layers[at].cursor += 1,
+                    Status::Chosen => {
+                        self.paths[p as usize].status = Status::Lost;
+                        return;
+                    }
+                    Status::Open => {
+                        tasks.extend([Task::decide(p, i), Task::decide(q, 0)]);
+                        return;
+                    }
+                }
+            }
+        }
+        self.paths[p as usize].status = Status::Chosen;
+        let at = path.at as usize;
+        for i in (0..path.len as usize).step_by(2) {
+            self.set_mate(self.vslots[at + i], phase, self.vslots[at + i + 1]);
+        }
+    }
+
+    /// Record `s`'s mate after `phase`, and its mate's.
+    fn set_mate(&mut self, s: u32, phase: usize, mate: u32) {
+        self.assign(s, phase, mate);
+        if mate != FREE {
+            self.assign(mate, phase, s);
+        }
+    }
+
+    fn assign(&mut self, s: u32, phase: usize, mate: u32) {
+        let at = self.at(s, phase);
+        let held = &mut self.layers[at].mate;
+        debug_assert!(*held == UNKNOWN || *held == mate, "a mate is derived once");
+        if *held == UNKNOWN && phase + 1 == self.k {
+            self.known += 1;
+        }
+        *held = mate;
+    }
+
+    /// Rule 2: list `s`'s phase paths in rank order. A free vertex ends
+    /// its paths; a matched one lies inside them, between a walk from
+    /// it and a walk from its mate.
+    fn list(&mut self, s: u32, phase: usize, tasks: &mut Vec<Task>) {
+        let at = self.at(s, phase);
+        if self.layers[at].list.0 != UNBUILT {
+            return;
+        }
+        let mate = self.before(s, phase);
+        if mate == UNKNOWN {
+            tasks.extend([Task::list(s, phase), Task::mate(s, phase - 1)]);
+            return;
+        }
+        let ell = 2 * phase + 1;
+        self.missing.clear();
+        self.found.clear();
+        self.walks.clear();
+        let split = if mate == FREE {
+            self.find_walks(s, FREE, ell, phase);
+            None
+        } else {
+            self.find_walks(s, mate, ell - 2, phase);
+            let split = self.walks.len();
+            self.find_walks(mate, s, ell - 2, phase);
+            Some(split)
+        };
+        if !self.missing.is_empty() {
+            tasks.push(Task::list(s, phase));
+            for &y in &self.missing {
+                tasks.push(Task::row(y, phase, 0));
+            }
+            return;
+        }
+        let start = self.lists.len();
+        match split {
+            None => {
+                for w in 0..self.walks.len() {
+                    let (a, b) = self.walks[w];
+                    self.seq.clear();
+                    self.seq.extend_from_slice(&self.found[a..b]);
+                    self.add_path(s, phase);
+                }
+            }
+            Some(split) => {
+                for wa in 0..split {
+                    for wb in split..self.walks.len() {
+                        let (a0, a1) = self.walks[wa];
+                        let (b0, b1) = self.walks[wb];
+                        let (side_a, side_b) = (&self.found[a0 + 1..a1], &self.found[b0 + 1..b1]);
+                        if side_a.len() + side_b.len() + 1 > ell
+                            || side_a.iter().any(|x| side_b.contains(x))
+                        {
+                            continue;
+                        }
+                        self.seq.clear();
+                        self.seq.extend(self.found[a0..a1].iter().rev());
+                        self.seq.extend_from_slice(&self.found[b0..b1]);
+                        self.add_path(s, phase);
+                    }
+                }
+            }
+        }
+        let Greedy {
+            lists,
+            paths,
+            verts,
+            layers,
+            ..
+        } = self;
+        // Ranks decide but for ties, which the full tuple breaks.
+        lists[start..].sort_unstable_by(|a, b| {
+            a.rank
+                .cmp(&b.rank)
+                .then_with(|| rank_of(paths, verts, a.path).cmp(&rank_of(paths, verts, b.path)))
+        });
+        // Every path through a matched vertex runs through its matched
+        // edge, so its mate lists the same paths.
+        let list = (start as u32, lists.len() as u32);
+        for x in [s, mate] {
+            if x != FREE {
+                let layer = &mut layers[x as usize * self.k + phase];
+                layer.list = list;
+                layer.cursor = list.0;
+            }
+        }
+    }
+
+    /// Append to `walks` every simple walk of at most `budget` edges
+    /// that starts at `root` on an unmatched edge, alternates, ends at a
+    /// free vertex and avoids `exclude`. A vertex the walk would leave
+    /// from whose row is unread goes to `missing` instead.
+    fn find_walks(&mut self, root: u32, exclude: u32, budget: usize, phase: usize) {
+        let (next, end) = self.layers[self.at(root, phase)].hops;
+        if next == UNBUILT {
+            self.missing.push(root);
+            return;
+        }
+        let frames = &mut self.frames;
+        frames.clear();
+        frames.push(Frame {
+            via: root,
+            at: root,
+            next,
+            end,
+        });
+        let on_walk = |frames: &[Frame], x: u32| {
+            x == exclude || frames.iter().any(|f| f.via == x || f.at == x)
+        };
+        while let Some(top) = frames.last_mut() {
+            if top.next == top.end {
+                frames.pop();
+                continue;
+            }
+            let hop = self.hops[top.next as usize];
+            top.next += 1;
+            if on_walk(frames, hop.to) {
+                continue;
+            }
+            if hop.mate == FREE {
+                let start = self.found.len();
+                self.found.push(root);
+                for f in &frames[1..] {
+                    self.found.extend([f.via, f.at]);
+                }
+                self.found.push(hop.to);
+                self.walks.push((start, self.found.len()));
+                continue;
+            }
+            // Leaving `hop.mate` takes one more edge at least.
+            if 2 * frames.len() + 1 > budget || on_walk(frames, hop.mate) {
+                continue;
+            }
+            let (next, end) = self.layers[hop.mate as usize * self.k + phase].hops;
+            if next == UNBUILT {
+                self.missing.push(hop.mate);
+                continue;
+            }
+            frames.push(Frame {
+                via: hop.to,
+                at: hop.mate,
+                next,
+                end,
+            });
+        }
+    }
+
+    /// Rank the path in `seq`, which `s`'s listing found, and append its
+    /// id to the list being built. A path another vertex has listed
+    /// already is looked up there.
+    fn add_path(&mut self, s: u32, phase: usize) {
+        let Greedy { ids, seq, gseq, .. } = self;
+        gseq.clear();
+        gseq.extend(seq.iter().map(|&x| ids[x as usize]));
+        if gseq.last() < gseq.first() {
+            gseq.reverse();
+            seq.reverse();
+        }
+        let key = generic::path_key(gseq);
+        let (rank, key, _) = generic::rank_key(self.seed, 2 * phase + 1, key, gseq);
+        for &y in &self.seq {
+            let (a, b) = self.layers[self.at(y, phase)].list;
+            if y == s || a == UNBUILT {
+                continue;
+            }
+            let listed = &self.lists[a as usize..b as usize];
+            let i = listed
+                .binary_search_by(|e| {
+                    e.rank.cmp(&rank).then_with(|| {
+                        rank_of(&self.paths, &self.verts, e.path).cmp(&(rank, key, &self.gseq[..]))
+                    })
+                })
+                .expect("a vertex lists every path through it");
+            self.lists.push(listed[i]);
+            return;
+        }
+        self.lists.push(Listed {
+            rank,
+            path: self.paths.len() as u32,
+        });
+        self.paths.push(PathRec {
+            rank,
+            key,
+            at: self.verts.len() as u32,
+            len: self.seq.len() as u32,
+            phase: phase as u32,
+            status: Status::Open,
+        });
+        self.verts.extend_from_slice(&self.gseq);
+        self.vslots.extend_from_slice(&self.seq);
+    }
+
+    /// Read `s`'s row for `phase`: once every neighbour from `ready` on
+    /// knows its mate before the phase.
+    fn read_row(&mut self, s: u32, phase: usize, ready: usize, tasks: &mut Vec<Task>) {
+        let at = self.at(s, phase);
+        if self.layers[at].hops.0 != UNBUILT {
+            return;
+        }
+        let own = self.before(s, phase);
+        if own == UNKNOWN {
+            tasks.extend([Task::row(s, phase, ready), Task::mate(s, phase - 1)]);
+            return;
+        }
+        let g = self.g;
+        let row = g.incident(self.ids[s as usize]);
+        if phase > 0 {
+            for (r, &(u, _)) in row.iter().enumerate().skip(ready) {
+                let u = self.touch(u);
+                if self.before(u, phase) == UNKNOWN {
+                    tasks.extend([Task::row(s, phase, r), Task::mate(u, phase - 1)]);
+                    return;
+                }
+            }
+        }
+        let start = self.hops.len() as u32;
+        for &(u, _) in row {
+            let to = self.touch(u);
+            if to != own {
+                let mate = self.before(to, phase);
+                self.hops.push(Hop { to, mate });
+            }
+        }
+        self.layers[at].hops = (start, self.hops.len() as u32);
+        if !self.read[s as usize] {
+            self.read[s as usize] = true;
+            self.rows += 1;
+        }
+    }
+}
+
+/// Where path `p` stands in its phase's rank order: the tuple of
+/// `generic::rank_key`.
+fn rank_of<'a>(paths: &[PathRec], verts: &'a [NodeId], p: u32) -> (u64, u64, &'a [NodeId]) {
+    let path = &paths[p as usize];
+    let at = path.at as usize;
+    (path.rank, path.key, &verts[at..at + path.len as usize])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,12 +1097,21 @@ mod tests {
             .collect()
     }
 
+    /// An Israeli–Itai oracle's cone.
+    fn cone<'a>(o: &'a MatchingOracle<'_>) -> &'a Cone<'a> {
+        match &o.engine {
+            Engine::IsraeliItai(cone) => cone,
+            Engine::Generic(_) => panic!("not an Israeli–Itai oracle"),
+        }
+    }
+
     /// What an oracle's cone holds for the queried vertex `v`: its mate
     /// and halt round.
     fn held(o: &MatchingOracle<'_>, v: NodeId) -> (Option<NodeId>, u64) {
-        let node = &o.cone.nodes[o.cone.index[&v] as usize];
+        let cone = cone(o);
+        let node = &cone.nodes[cone.index[&v] as usize];
         let halt = node.node.halt_round.expect("a queried vertex has halted");
-        (o.cone.mate(v).expect("halted"), halt)
+        (cone.mate(v).expect("halted"), halt)
     }
 
     /// The cone is the global run: on five zoo families (n = 300) × 3
@@ -672,12 +1157,13 @@ mod tests {
                             want[v as usize],
                             "family {i} seed {seed} vertex {v}"
                         );
-                        for node in &shared.cone.nodes {
+                        let cone = cone(&shared);
+                        for node in &cone.nodes {
                             let (mate, halt) = want[node.id as usize];
                             match node.node.halt_round {
                                 Some(h) => {
                                     assert_eq!(h, halt);
-                                    assert_eq!(shared.cone.mate(node.id), Some(mate));
+                                    assert_eq!(cone.mate(node.id), Some(mate));
                                 }
                                 None => assert!(node.done <= halt),
                             }
@@ -686,6 +1172,124 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The global Generic(k) run's mates after each phase.
+    fn phase_mates(g: &Graph, k: usize, seed: u64) -> Vec<Vec<Option<NodeId>>> {
+        let mut s = Session::on(g)
+            .algorithm(Algorithm::Generic { k })
+            .seed(seed)
+            .build();
+        (0..k)
+            .map(|_| {
+                s.step();
+                (0..g.n() as NodeId).map(|v| s.matching().mate(v)).collect()
+            })
+            .collect()
+    }
+
+    /// Every mate a Generic oracle holds, in every phase, is the global
+    /// run's.
+    fn assert_holds_the_global_run(
+        o: &MatchingOracle<'_>,
+        want: &[Vec<Option<NodeId>>],
+        tag: &str,
+    ) {
+        let Engine::Generic(greedy) = &o.engine else {
+            panic!("not a Generic oracle")
+        };
+        for (s, &v) in greedy.ids.iter().enumerate() {
+            for (phase, mates) in want.iter().enumerate() {
+                let held = match greedy.layers[greedy.at(s as u32, phase)].mate {
+                    UNKNOWN => continue,
+                    FREE => None,
+                    m => Some(greedy.ids[m as usize]),
+                };
+                assert_eq!(held, mates[v as usize], "{tag} vertex {v} phase {phase}");
+            }
+        }
+    }
+
+    /// The Generic twin of `cone_equals_the_full_run`: on five zoo
+    /// families (n = 300) × 3 seeds × k ∈ {1, 2, 3}, every vertex's
+    /// answer equals the session's, on a fresh oracle per vertex and on
+    /// one oracle queried in ascending and in shuffled order; and every
+    /// mate the shared oracle holds, in every phase, is the session's
+    /// after that phase.
+    #[test]
+    fn greedy_equals_the_session() {
+        let n = 300;
+        let zoo = [
+            gnp(n, 0.02, 1),
+            barabasi_albert(n, 2, 2),
+            chung_lu(n, 2.5, 4.0, 3),
+            random_geometric(n, 0.09, 4),
+            d_regular(n, 3, 5),
+        ];
+        for (i, g) in zoo.iter().enumerate() {
+            for seed in 0..3u64 {
+                for k in 1..=3 {
+                    let alg = Algorithm::Generic { k };
+                    let want = phase_mates(g, k, seed);
+                    let last = &want[k - 1];
+                    for v in 0..n as NodeId {
+                        let mut fresh = MatchingOracle::on(g).seed(seed).algorithm(alg).build();
+                        assert_eq!(
+                            fresh.query_node(v),
+                            last[v as usize],
+                            "family {i} seed {seed} k {k} fresh vertex {v}"
+                        );
+                    }
+                    let ascending: Vec<NodeId> = (0..n as NodeId).collect();
+                    let mut shuffled = ascending.clone();
+                    let mut rng = SplitMix64::for_node(0x9E4, 9 * i as u64 + 3 * seed + k as u64);
+                    for j in (1..n).rev() {
+                        shuffled.swap(j, rng.below(j as u64 + 1) as usize);
+                    }
+                    for order in [ascending, shuffled] {
+                        let mut shared = MatchingOracle::on(g).seed(seed).algorithm(alg).build();
+                        for &v in &order {
+                            assert_eq!(
+                                shared.query_node(v),
+                                last[v as usize],
+                                "family {i} seed {seed} k {k} vertex {v}"
+                            );
+                        }
+                        let tag = format!("family {i} seed {seed} k {k}");
+                        assert_holds_the_global_run(&shared, &want, &tag);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fresh Generic queries for k = 2 and 3 on gnp(4096, d̄ = 8) on a
+    /// thread with a 2 MiB stack: the evaluation keeps its own stack. At
+    /// k = 3 a fresh query there reads most of the graph's rows.
+    #[test]
+    fn generic_recursion_runs_on_a_small_stack() {
+        let g = gnp(4096, 8.0 / 4096.0, 6);
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for k in [2, 3] {
+                    for v in [0, 2048] {
+                        let mut o = MatchingOracle::on(&g)
+                            .seed(1)
+                            .algorithm(Algorithm::Generic { k })
+                            .build();
+                        o.query_node(v);
+                        let rows = o.metrics().counter("oracle_probed_nodes") as usize;
+                        assert!(rows > 0);
+                        if k == 3 {
+                            assert!(2 * rows > g.n(), "vertex {v} read {rows} rows");
+                        }
+                    }
+                }
+            })
+            .expect("spawn")
+            .join()
+            .expect("a fresh query runs on a 2 MiB stack");
     }
 
     fn global_mates(g: &Graph, alg: Algorithm, seed: u64) -> Vec<Option<NodeId>> {

@@ -1,7 +1,9 @@
 //! Incremental graph construction with deduplication.
 
 use crate::graph::{Graph, NodeId};
+use crate::subgraph::IdHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Builds a [`Graph`] edge by edge, silently deduplicating (the last
 /// weight written for an edge wins). Useful for generators in which the
@@ -9,7 +11,9 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
-    index: HashMap<(NodeId, NodeId), usize>,
+    /// Packed pair `(min << 32) | max` → edge index. Probed, never
+    /// iterated, so it hashes by one fixed multiply ([`IdHasher`]).
+    index: HashMap<u64, usize, BuildHasherDefault<IdHasher>>,
     edges: Vec<(NodeId, NodeId)>,
     weights: Vec<f64>,
 }
@@ -46,7 +50,8 @@ impl GraphBuilder {
             (u as usize) < self.n && (v as usize) < self.n,
             "endpoint out of range"
         );
-        let key = (u.min(v), u.max(v));
+        let (a, b) = (u.min(v), u.max(v));
+        let key = (u64::from(a) << 32) | u64::from(b);
         match self.index.get(&key) {
             Some(&i) => {
                 self.weights[i] = w;
@@ -54,7 +59,7 @@ impl GraphBuilder {
             }
             None => {
                 self.index.insert(key, self.edges.len());
-                self.edges.push(key);
+                self.edges.push((a, b));
                 self.weights.push(w);
                 true
             }
@@ -82,6 +87,52 @@ mod tests {
         assert_eq!(g.m(), 2);
         let e = g.edge_between(0, 1).unwrap();
         assert_eq!(g.weight(e), 7.0);
+    }
+
+    /// Random input with repeats in both orientations builds what a
+    /// `BTreeMap` reference says: edges in first-insertion order, the
+    /// last weight written wins, and the same `len()` after every add.
+    #[test]
+    fn dedup_equals_an_ordered_reference() {
+        use crate::rng::Rng64;
+        use std::collections::BTreeMap;
+        for seed in 0..4u64 {
+            let n = 40;
+            let mut rng = Rng64::new(seed);
+            let mut b = GraphBuilder::new(n);
+            // Pair → (first insertion, last weight).
+            let mut want: BTreeMap<(NodeId, NodeId), (usize, f64)> = BTreeMap::new();
+            for i in 0..400 {
+                let u = rng.below(n as u64) as NodeId;
+                let v = rng.below(n as u64) as NodeId;
+                if u == v {
+                    continue;
+                }
+                let w = i as f64 + 0.5;
+                let key = (u.min(v), u.max(v));
+                let fresh = !want.contains_key(&key);
+                let order = want.len();
+                want.entry(key).or_insert((order, w)).1 = w;
+                assert_eq!(b.add_weighted(u, v, w), fresh, "seed {seed} add {i}");
+                assert_eq!(b.len(), want.len(), "seed {seed} add {i}");
+            }
+            let mut edges: Vec<_> = want.into_iter().collect();
+            edges.sort_by_key(|&(_, (order, _))| order);
+            let g = b.build();
+            assert_eq!(g.m(), edges.len());
+            for (e, &((u, v), (_, w))) in edges.iter().enumerate() {
+                assert_eq!(
+                    g.endpoints(e as crate::graph::EdgeId),
+                    (u, v),
+                    "seed {seed} edge {e}"
+                );
+                assert_eq!(
+                    g.weight(e as crate::graph::EdgeId),
+                    w,
+                    "seed {seed} edge {e}"
+                );
+            }
+        }
     }
 
     #[test]

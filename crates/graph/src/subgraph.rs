@@ -1,38 +1,25 @@
-//! A borrowed window onto a [`Graph`]: the induced subgraph on a sorted
-//! vertex set, without copying the CSR.
+//! Sublinear indexing and bounded BFS over a [`Graph`](crate::Graph).
 //!
-//! This is the substrate of the LCA query plane's Generic queries
-//! (`dmatch::oracle::MatchingOracle`): a point query materializes only
-//! the ball around its query vertex, replays the algorithm on the
-//! induced subgraph, and certifies which answers are exact. Two
-//! properties are load-bearing and guaranteed here:
-//!
-//! * **Monotone relabeling.** Local ids are assigned in increasing
-//!   global-id order, so the local incidence order (neighbors sorted by
-//!   id, the contract of [`Graph::incident`]) equals the global one for
-//!   every interior vertex, and lexicographic comparison of local
-//!   vertex sequences agrees with the global comparison, which is how
-//!   Generic's rank order breaks its last ties.
-//! * **Sublinear footprint.** [`SubgraphView::ball`] walks outward from
-//!   the centers keeping membership in a hash map with a fixed
-//!   multiplicative hasher — no `O(n)` scratch, and the map is only
-//!   probed, never iterated, so its order cannot leak into a result —
-//!   and sorts the vertex list once at the end. Building a view costs
-//!   `O(|ball| · Δ + |ball| log |ball|)` regardless of how large the
-//!   host graph is. This is what keeps oracle probes flat in `n`
-//!   (gated by experiment E22). The same map, relabelled, is the
-//!   view's global → local index: every membership test below is one
-//!   hash probe. The oracle's Israeli–Itai light cone indexes the
-//!   nodes it touches with the same map type, [`IdMap`].
+//! * [`IdMap`] indexes a sublinear set of node ids: a hash map with a
+//!   fixed multiplicative hasher ([`IdHasher`]), so it needs no `O(n)`
+//!   scratch, and it costs nothing to create. It is only probed, never
+//!   iterated, so its order cannot leak into a result. The oracle's
+//!   point queries (`dmatch::oracle::MatchingOracle`) index the nodes
+//!   they touch with it, which keeps their cost proportional to what
+//!   they touch, not to `n` (experiment E22 gates that). The same
+//!   hasher keys [`crate::GraphBuilder`]'s dedup index by packed
+//!   vertex pairs.
+//! * [`bfs_distances`] is a multi-source BFS with a radius cut-off over
+//!   any adjacency on `0..n`, with `O(n)` scratch, for whole graphs.
 
-use crate::graph::{Graph, NodeId};
-use std::collections::hash_map::Entry;
+use crate::graph::NodeId;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Fibonacci hashing of a node id: one multiply by `2^64 / φ`, with the
-/// high half folded into the low bits the table indexes by. Fixed, so
-/// no per-instance state; keys are only probed, never iterated.
+/// Fibonacci hashing of a node id or a packed pair of them: one
+/// multiply by `2^64 / φ`, with the high half folded into the low bits
+/// the table indexes by. Fixed, so no per-instance state; keys are only
+/// probed, never iterated.
 #[derive(Default)]
 pub struct IdHasher(u64);
 
@@ -41,15 +28,20 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
-        // Only node ids are hashed here (`write_u32`); any other key
-        // folds its bytes through the same multiply.
+        // Only node ids (`write_u32`) and packed pairs (`write_u64`)
+        // are hashed here; any other key folds its bytes through the
+        // same multiply.
         for &b in bytes {
             self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIB);
         }
     }
 
     fn write_u32(&mut self, id: u32) {
-        let h = u64::from(id).wrapping_mul(FIB);
+        self.write_u64(u64::from(id));
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(FIB);
         self.0 = h ^ (h >> 32);
     }
 
@@ -63,132 +55,13 @@ impl Hasher for IdHasher {
 /// iterate it (dlint's `unordered-iter` rule).
 pub type IdMap<V> = HashMap<NodeId, V, BuildHasherDefault<IdHasher>>;
 
-/// Global id → local id.
-type LocalIndex = IdMap<NodeId>;
-
-/// An induced subgraph over a borrowed [`Graph`], identified by a
-/// sorted vertex list. Local ids are positions in that list.
-#[derive(Debug, Clone)]
-pub struct SubgraphView<'g> {
-    g: &'g Graph,
-    /// Sorted, deduplicated global ids; `verts[local] = global`.
-    verts: Vec<NodeId>,
-    /// `index[global] = local` for every vertex of the view.
-    index: LocalIndex,
-}
-
-impl<'g> SubgraphView<'g> {
-    /// The ball `B(centers, radius)`: every vertex within `radius` hops
-    /// of some center. A level-by-level BFS whose queue is the vertex
-    /// list itself and whose membership test is the hashed index — the
-    /// cost is proportional to the ball, not to `g.n()`.
-    pub fn ball(g: &'g Graph, centers: &[NodeId], radius: usize) -> Self {
-        let mut index = LocalIndex::default();
-        let mut verts = Vec::new();
-        for &c in centers {
-            if index.insert(c, 0).is_none() {
-                verts.push(c);
-            }
-        }
-        let mut level = 0..verts.len();
-        for _ in 0..radius {
-            if level.is_empty() {
-                break;
-            }
-            let next = verts.len();
-            for i in level {
-                for &(u, _) in g.incident(verts[i]) {
-                    if let Entry::Vacant(e) = index.entry(u) {
-                        e.insert(0);
-                        verts.push(u);
-                    }
-                }
-            }
-            level = next..verts.len();
-        }
-        verts.sort_unstable();
-        for (l, v) in verts.iter().enumerate() {
-            *index.get_mut(v).expect("every vertex was inserted") = l as NodeId;
-        }
-        SubgraphView { g, verts, index }
-    }
-
-    /// Number of vertices in the view.
-    pub fn len(&self) -> usize {
-        self.verts.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.verts.is_empty()
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g Graph {
-        self.g
-    }
-
-    /// The sorted global vertex ids.
-    pub fn vertices(&self) -> &[NodeId] {
-        &self.verts
-    }
-
-    /// Local id of global vertex `v`, if present. Strictly monotone in
-    /// `v` by construction.
-    pub fn local(&self, v: NodeId) -> Option<usize> {
-        self.index.get(&v).map(|&l| l as usize)
-    }
-
-    /// Global id of local vertex `l`.
-    pub fn global(&self, l: usize) -> NodeId {
-        self.verts[l]
-    }
-
-    /// Materialize the induced subgraph as an owned [`Graph`] in local
-    /// ids, weights carried over from the host, and return it with its
-    /// boundary, both from one pass over the host's incidence lists.
-    /// The graph's edges are listed in sorted order, smaller endpoint
-    /// first.
-    ///
-    /// The boundary lists, in ascending order, the locals with at least
-    /// one neighbor outside the view. For a ball of radius `r` these
-    /// all sit on the distance-`r` sphere (an interior vertex's
-    /// neighbors are all within `r`), which is what makes them the
-    /// contamination frontier of a local replay.
-    pub fn induced(&self) -> (Graph, Vec<NodeId>) {
-        let mut edges = Vec::new();
-        let mut weights = Vec::new();
-        let mut boundary = Vec::new();
-        for (lv, &v) in self.verts.iter().enumerate() {
-            let host = self.g.incident(v);
-            let mut inside = 0;
-            for &(u, e) in host {
-                if let Some(lu) = self.local(u) {
-                    inside += 1;
-                    if u > v {
-                        edges.push((lv as NodeId, lu as NodeId));
-                        weights.push(self.g.weight(e));
-                    }
-                }
-            }
-            if inside < host.len() {
-                boundary.push(lv as NodeId);
-            }
-        }
-        (
-            Graph::with_weights(self.verts.len(), edges, weights),
-            boundary,
-        )
-    }
-}
-
 /// Multi-source BFS over the graph on `0..n` whose adjacency
 /// `neighbors` yields: `dist[v]` is the number of hops from `v` to the
 /// nearest source, or `usize::MAX` when that exceeds `radius` (pass
 /// `usize::MAX` for no cut-off), for example a [`Graph`]'s incidence
-/// lists. Unlike
-/// [`SubgraphView::ball`] it keeps `O(n)` scratch, so it is meant for a
-/// whole graph or for a ball already materialized.
+/// lists. It keeps `O(n)` scratch, so it is meant for a whole graph.
+///
+/// [`Graph`]: crate::Graph
 pub fn bfs_distances<I>(
     n: usize,
     neighbors: impl Fn(NodeId) -> I,
@@ -227,130 +100,71 @@ mod tests {
     use crate::generators::random::{barabasi_albert, gnp};
     use crate::generators::structured::path;
     use crate::generators::zoo::random_geometric;
+    use crate::graph::Graph;
 
-    fn host_neighbors(g: &Graph, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        g.incident(v).iter().map(|&(u, _)| u)
-    }
-
-    #[test]
-    fn ball_matches_dense_bfs() {
-        let g = gnp(60, 0.08, 11);
-        for &(c, r) in &[(0u32, 1usize), (7, 2), (13, 3), (30, 0)] {
-            let view = SubgraphView::ball(&g, &[c], r);
-            let dist = bfs_distances(g.n(), |v| host_neighbors(&g, v), &[c], r);
-            let want: Vec<NodeId> = (0..g.n() as NodeId)
-                .filter(|&v| dist[v as usize] != usize::MAX)
-                .collect();
-            assert_eq!(view.vertices(), &want[..], "center {c} radius {r}");
+    /// Distances by plain BFS: relax every edge of the graph once per
+    /// level until nothing changes.
+    fn levels(g: &Graph, sources: &[NodeId], radius: usize) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; g.n()];
+        for &s in sources {
+            dist[s as usize] = 0;
         }
-    }
-
-    #[test]
-    fn ball_tolerates_duplicate_centers() {
-        let g = gnp(40, 0.1, 3);
-        let a = SubgraphView::ball(&g, &[5, 5, 5, 9], 2);
-        let b = SubgraphView::ball(&g, &[5, 9], 2);
-        assert_eq!(a.vertices(), b.vertices());
-    }
-
-    #[test]
-    fn relabeling_is_monotone_and_invertible() {
-        let g = gnp(50, 0.1, 7);
-        let view = SubgraphView::ball(&g, &[20], 2);
-        for l in 0..view.len() {
-            assert_eq!(view.local(view.global(l)), Some(l));
-        }
-        for w in view.vertices().windows(2) {
-            assert!(w[0] < w[1]);
-        }
-    }
-
-    #[test]
-    fn induced_preserves_incidence_order() {
-        // Interior vertices must see their neighbors in the same order
-        // locally as globally (both sorted by id under monotone remap).
-        let g = gnp(50, 0.12, 19);
-        let view = SubgraphView::ball(&g, &[10], 3);
-        let (ind, boundary) = view.induced();
-        for l in 0..view.len() {
-            if boundary.contains(&(l as NodeId)) {
-                continue;
+        for d in 0..radius.min(g.n()) {
+            for e in 0..g.m() as crate::graph::EdgeId {
+                let (u, v) = g.endpoints(e);
+                for (a, b) in [(u, v), (v, u)] {
+                    if dist[a as usize] == d && dist[b as usize] == usize::MAX {
+                        dist[b as usize] = d + 1;
+                    }
+                }
             }
-            let global: Vec<NodeId> = g.incident(view.global(l)).iter().map(|&(u, _)| u).collect();
-            let local: Vec<NodeId> = ind
-                .incident(l as NodeId)
-                .iter()
-                .map(|&(u, _)| view.global(u as usize))
-                .collect();
-            assert_eq!(global, local, "interior vertex {l}");
         }
+        dist
     }
 
+    /// `bfs_distances` equals plain BFS, with and without a radius
+    /// cut-off, from one and from several sources (repeats included).
     #[test]
-    fn boundary_is_the_sphere() {
-        let g = path(30);
-        let view = SubgraphView::ball(&g, &[15], 3);
-        let boundary: Vec<NodeId> = view
-            .induced()
-            .1
-            .into_iter()
-            .map(|l| view.global(l as usize))
-            .collect();
-        assert_eq!(boundary, vec![12, 18]);
-    }
-
-    #[test]
-    fn full_component_has_no_boundary() {
-        let g = path(8);
-        let view = SubgraphView::ball(&g, &[4], 100);
-        assert_eq!(view.len(), 8);
-        assert!(view.induced().1.is_empty());
-    }
-
-    /// The boundary `induced` returns is, by definition, every local
-    /// with a host neighbor outside the view, on views of every size
-    /// from a single vertex to the whole graph, over several centers at
-    /// once too.
-    #[test]
-    fn induced_boundary_is_every_vertex_with_an_outside_neighbor() {
+    fn bfs_distances_equals_plain_bfs() {
         let zoo = [
-            gnp(80, 0.06, 5),
+            gnp(80, 0.05, 5),
             barabasi_albert(80, 2, 6),
-            random_geometric(80, 0.15, 7),
+            random_geometric(80, 0.12, 7),
             path(20),
         ];
         for (i, g) in zoo.iter().enumerate() {
-            for centers in [vec![0], vec![3, 11], vec![g.n() as NodeId - 1]] {
-                for r in [0, 1, 2, 3, 5, usize::MAX] {
-                    let view = SubgraphView::ball(g, &centers, r);
-                    let boundary = view.induced().1;
-                    let outside: Vec<NodeId> = (0..view.len() as NodeId)
-                        .filter(|&l| {
-                            host_neighbors(g, view.global(l as usize))
-                                .any(|u| view.local(u).is_none())
-                        })
-                        .collect();
-                    assert_eq!(
-                        boundary, outside,
-                        "graph {i} centers {centers:?} radius {r}"
+            for sources in [vec![0], vec![3, 11, 3], vec![g.n() as NodeId - 1]] {
+                for radius in [0, 1, 2, 3, 5, usize::MAX] {
+                    let dist = bfs_distances(
+                        g.n(),
+                        |v| g.incident(v).iter().map(|&(u, _)| u),
+                        &sources,
+                        radius,
                     );
-                    if r == usize::MAX {
-                        assert!(boundary.is_empty(), "a whole component has no boundary");
-                    }
+                    assert_eq!(
+                        dist,
+                        levels(g, &sources, radius),
+                        "graph {i} sources {sources:?} radius {radius}"
+                    );
                 }
             }
         }
     }
 
+    /// A packed pair hashes by all of its bits: pairs that differ only
+    /// in their smaller or only in their larger id land apart.
     #[test]
-    fn induced_carries_weights() {
-        let g = Graph::with_weights(4, vec![(0, 1), (1, 2), (2, 3)], vec![1.5, 2.5, 3.5]);
-        let view = SubgraphView::ball(&g, &[2], 1);
-        assert_eq!(view.vertices(), &[1, 2, 3]);
-        let (ind, boundary) = view.induced();
-        assert_eq!(boundary, vec![0], "vertex 1 has its neighbor 0 outside");
-        assert_eq!(ind.m(), 2);
-        let e = ind.edge_between(0, 1).unwrap();
-        assert!((ind.weight(e) - 2.5).abs() < 1e-12);
+    fn id_hasher_separates_packed_pairs() {
+        let hash = |key: u64| {
+            let mut h = IdHasher::default();
+            h.write_u64(key);
+            h.finish()
+        };
+        let pack = |a: u64, b: u64| (a << 32) | b;
+        assert_ne!(hash(pack(1, 7)), hash(pack(2, 7)));
+        assert_ne!(hash(pack(1, 7)), hash(pack(1, 8)));
+        let mut id = IdHasher::default();
+        id.write_u32(9);
+        assert_eq!(id.finish(), hash(9), "a node id hashes as its u64");
     }
 }

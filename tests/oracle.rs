@@ -2,14 +2,14 @@
 //!
 //! The headline LCA contract, gated for both supported algorithms: the
 //! union of per-edge point-query answers equals one global `Session`
-//! run **bit-for-bit**, no matter in which order the queries arrive,
-//! how they interleave with node queries, or which ball radius a
-//! Generic oracle starts from. Plus the memo contract: re-queries
-//! return identical answers with zero additional probed nodes.
+//! run **bit-for-bit**, no matter in which order the queries arrive or
+//! how they interleave with node queries. Plus the memo contract:
+//! re-queries return identical answers with zero additional probed
+//! nodes.
 
 use distributed_matching::dgraph::generators::random::gnp;
 use distributed_matching::dgraph::generators::zoo::random_geometric;
-use distributed_matching::dgraph::subgraph::SubgraphView;
+use distributed_matching::dgraph::subgraph::bfs_distances;
 use distributed_matching::dgraph::{EdgeId, Graph, NodeId};
 use distributed_matching::dmatch::{Algorithm, MatchingOracle, Session};
 use distributed_matching::simnet::SplitMix64;
@@ -131,8 +131,8 @@ fn generic_query_union_equals_global_session() {
 /// Generic on the geometric graphs above, for k = 1, 2, 3: the union
 /// of answers is the global run's, and a single fresh query stays
 /// local. Over the vertices of components with at least 50 nodes, more
-/// than half of the fresh queries certify their vertex before the ball
-/// swallows its component, so the memo ends smaller than the component.
+/// than half of the fresh queries read fewer rows than their component
+/// has vertices.
 #[test]
 fn generic_query_union_equals_global_session_on_geometric() {
     let graph = |seed| random_geometric(300, 0.075, 520 + seed);
@@ -142,20 +142,25 @@ fn generic_query_union_equals_global_session_on_geometric() {
         let (mut local, mut queries) = (0, 0);
         for seed in 0..3u64 {
             let g = graph(seed);
+            let neighbors = |v: NodeId| g.incident(v).iter().map(|&(u, _)| u);
             for v in 0..g.n() as NodeId {
-                let component = SubgraphView::ball(&g, &[v], g.n()).len();
+                let component = bfs_distances(g.n(), neighbors, &[v], usize::MAX)
+                    .into_iter()
+                    .filter(|&d| d != usize::MAX)
+                    .count();
                 if component < 50 {
                     continue;
                 }
                 let mut o = MatchingOracle::on(&g).seed(seed).algorithm(alg).build();
                 o.query_node(v);
                 queries += 1;
-                local += usize::from((o.metrics().gauge("oracle_memo_size") as usize) < component);
+                let rows = o.metrics().counter("oracle_probed_nodes") as usize;
+                local += usize::from(rows < component);
             }
         }
         assert!(
             2 * local > queries,
-            "k {k}: only {local} of {queries} fresh queries stayed inside their component"
+            "k {k}: only {local} of {queries} fresh queries read less than their component"
         );
     }
 }
@@ -172,10 +177,9 @@ fn generic_k3_query_union_equals_global_session() {
 }
 
 #[test]
-fn answers_invariant_under_query_order_and_radius() {
-    // Property: for shuffled permutations and different starting radii,
-    // every oracle instance produces identical answers. The radius
-    // steers Generic's balls; Israeli–Itai builds none and ignores it.
+fn answers_invariant_under_query_order() {
+    // Property: for shuffled permutations, every oracle instance
+    // produces identical answers.
     let g = gnp(72, 0.05, 777);
     let seed = 9;
     for alg in [Algorithm::IsraeliItai, Algorithm::Generic { k: 2 }] {
@@ -187,17 +191,12 @@ fn answers_invariant_under_query_order_and_radius() {
         for perm in 0..4u64 {
             let mut rng = SplitMix64::for_node(0x08DE8, perm);
             let order = shuffled(g.n(), &mut rng);
-            let radius = 1 + (perm as usize % 3) * 2; // 1, 3, 5, 1
-            let mut o = MatchingOracle::on(&g)
-                .seed(seed)
-                .algorithm(alg)
-                .initial_radius(radius)
-                .build();
+            let mut o = MatchingOracle::on(&g).seed(seed).algorithm(alg).build();
             for &v in &order {
                 assert_eq!(
                     o.query_node(v as NodeId),
                     reference[v],
-                    "{alg} perm {perm} radius {radius} vertex {v}"
+                    "{alg} perm {perm} vertex {v}"
                 );
             }
         }
@@ -214,9 +213,7 @@ fn memoized_requeries_probe_nothing() {
         let mut o = MatchingOracle::on(&g).seed(tag).algorithm(alg).build();
         let first: Vec<_> = (0..g.n() as NodeId).map(|v| o.query_node(v)).collect();
         let probed = o.metrics().counter("oracle_probed_nodes");
-        let balls = o.metrics().counter("oracle_balls");
-        // Only Generic replays balls; Israeli–Itai evaluates its cone.
-        assert!(probed > 0 && (balls > 0) == (alg != Algorithm::IsraeliItai));
+        assert!(probed > 0, "{alg}: first queries probe");
         // Re-query in reverse: all memo hits, zero new probes.
         let second: Vec<_> = (0..g.n() as NodeId)
             .rev()
@@ -230,7 +227,6 @@ fn memoized_requeries_probe_nothing() {
             probed,
             "{alg}: memoized re-queries must not probe"
         );
-        assert_eq!(o.metrics().counter("oracle_balls"), balls);
     }
 }
 
@@ -250,11 +246,49 @@ fn oracle_metrics_are_populated() {
         .expect("II misses record cone steps");
     assert_eq!(steps.count(), m.counter("oracle_misses"));
     assert!(steps.max() >= 1);
-    assert!(m.hist("oracle_ball_radius").is_none(), "II builds no ball");
+    assert!(m.hist("oracle_generic_paths").is_none(), "II ranks no path");
     assert!(m.hist("oracle_probed_per_query").is_some());
     assert!(m.gauge("oracle_memo_size") >= 1);
     assert_eq!(
         m.counter("oracle_memo_hits") + m.counter("oracle_misses"),
+        m.counter("oracle_queries")
+    );
+}
+
+/// A Generic miss records the rows it read and the paths it ranked; a
+/// hit records neither.
+#[test]
+fn generic_oracle_metrics_are_populated() {
+    let g = gnp(40, 0.08, 5);
+    let mut o = MatchingOracle::on(&g)
+        .seed(3)
+        .algorithm(Algorithm::Generic { k: 2 })
+        .build();
+    for v in 0..g.n() as NodeId {
+        o.query_node(v);
+    }
+    let m = o.metrics();
+    let misses = m.counter("oracle_misses");
+    assert!(misses >= 1);
+    let rows = m
+        .hist("oracle_probed_per_query")
+        .expect("misses record rows");
+    assert_eq!(rows.count(), misses);
+    assert_eq!(rows.sum(), m.counter("oracle_probed_nodes"));
+    assert!(
+        m.counter("oracle_probed_nodes") <= g.n() as u64,
+        "a row is read once"
+    );
+    let paths = m.hist("oracle_generic_paths").expect("misses rank paths");
+    assert_eq!(paths.count(), misses);
+    assert!(paths.sum() >= 1);
+    assert!(
+        m.hist("oracle_cone_steps").is_none(),
+        "Generic steps no cone"
+    );
+    assert_eq!(m.gauge("oracle_memo_size"), g.n() as u64);
+    assert_eq!(
+        m.counter("oracle_memo_hits") + misses,
         m.counter("oracle_queries")
     );
 }
