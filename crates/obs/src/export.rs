@@ -6,7 +6,7 @@
 //! loads directly in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`: rounds render as spans on one track, each
 //! parallel worker gets its own track, merges nest inside their round,
-//! and mode switches / wakes / rewires / phases / epochs appear as
+//! and mode switches / rewires / phases / epochs / faults appear as
 //! instant markers.
 
 use crate::plane::{Event, FlightRecorder};
@@ -81,9 +81,6 @@ pub fn event_json(ev: &Event) -> String {
             "{{\"ev\": \"rewire\", \"t_ns\": {t_ns}, \"round\": {round}, \"added\": {added}, \
              \"removed\": {removed}, \"dirty\": {dirty}}}"
         ),
-        Event::Wake { t_ns, round, node } => {
-            format!("{{\"ev\": \"wake\", \"t_ns\": {t_ns}, \"round\": {round}, \"node\": {node}}}")
-        }
         Event::RepairBall {
             t_ns,
             damage_nodes,
@@ -257,10 +254,6 @@ pub fn chrome_trace(rec: &FlightRecorder) -> String {
                 };
                 let args = format!("{{\"round\": {round}, \"wake_len\": {wake_len}}}");
                 rows.push(instant(name, TID_ROUNDS, t_ns, &args));
-            }
-            Event::Wake { t_ns, round, node } => {
-                let args = format!("{{\"round\": {round}, \"node\": {node}}}");
-                rows.push(instant("wake", TID_ROUNDS, t_ns, &args));
             }
             Event::Rewire {
                 t_ns,
@@ -451,7 +444,6 @@ mod tests {
         use crate::plane::FaultKind;
         for (kind, tag) in [
             (FaultKind::Drop, "drop"),
-            (FaultKind::BurstDrop, "burst_drop"),
             (FaultKind::Delay, "delay"),
             (FaultKind::Stall, "stall"),
             (FaultKind::Crash, "crash"),

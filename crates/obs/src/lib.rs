@@ -8,8 +8,8 @@
 //!
 //! - [`plane`] — the structured event plane: typed, `Copy`,
 //!   heap-free [`Event`]s (round spans, scheduler mode switches, phase
-//!   and epoch boundaries, rewires, wakes, repair-ball probes, worker
-//!   sections) recorded into a bounded ring-buffer
+//!   and epoch boundaries, rewires, repair-ball probes, worker
+//!   sections, adversary faults) recorded into a bounded ring-buffer
 //!   [`FlightRecorder`]. Installation is thread-local and scoped
 //!   ([`TraceSession`]); when nothing is installed — the default —
 //!   every hook costs one flag read and an untaken branch. Like the

@@ -3,8 +3,8 @@
 //!
 //! The simulator and the layers above it call [`record`] at a handful
 //! of structural points (round close, scheduler mode switch, phase and
-//! epoch boundaries, rewires, external wakes, repair-ball probes,
-//! worker sections). When no recorder is installed on the current
+//! epoch boundaries, rewires, repair-ball probes, worker sections,
+//! adversary faults). When no recorder is installed on the current
 //! thread — the default — every hook is one thread-local flag read and
 //! a predicted-not-taken branch: no allocation, no clock read, no
 //! formatting. Installing a recorder affects *observation only*; by
@@ -79,8 +79,6 @@ impl From<&str> for Name {
 pub enum FaultKind {
     /// Bernoulli per-message drop.
     Drop,
-    /// Drop because the edge's two-state Markov link was down.
-    BurstDrop,
     /// Message parked for extra rounds (bounded delay, possibly
     /// combined with a stall or budget overflow).
     Delay,
@@ -97,7 +95,6 @@ impl FaultKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",
-            FaultKind::BurstDrop => "burst_drop",
             FaultKind::Delay => "delay",
             FaultKind::Stall => "stall",
             FaultKind::Crash => "crash",
@@ -137,7 +134,8 @@ pub enum Event {
         round: u64,
         /// New representation: true = dense sweep, false = wake list.
         to_dense: bool,
-        /// Wake-list length that triggered the decision.
+        /// Wake-list length: on a switch to dense, the length that
+        /// triggered it; on a switch back, the rebuilt list's.
         wake_len: u64,
     },
     /// A `Session` phase boundary (one algorithm phase finished).
@@ -182,15 +180,6 @@ pub enum Event {
         removed: u64,
         /// Nodes marked dirty (woken) by the patch.
         dirty: u64,
-    },
-    /// An external wake (`Network::wake`) from outside the protocol.
-    Wake {
-        /// Timestamp, ns since recorder install.
-        t_ns: u64,
-        /// Round count at the wake.
-        round: u64,
-        /// Woken node id.
-        node: u64,
     },
     /// A repair-ball probe: the region `Session::rewire` computed
     /// around the damage set (the LCA-style locality measurement).

@@ -4,10 +4,9 @@
 //! `Adversary` (crate-internal), configured by a single composable
 //! [`FaultPlan`] — the workspace's one way to inject faults, installed
 //! through `ExecCfg::faults` (see [`crate::Network::with_cfg`]). The
-//! plan covers uniform Bernoulli drop, two-state Markov link flaps
-//! (burst loss), bounded per-message delay, per-round partial
-//! delivery, crash-stop node faults with optional rejoin, and CONGEST
-//! bit-budget enforcement.
+//! plan covers uniform Bernoulli drop, bounded per-message delay,
+//! per-message stalls (partial delivery), crash-stop node faults with
+//! optional rejoin, and CONGEST bit-budget enforcement.
 //!
 //! ## Determinism contract
 //!
@@ -39,8 +38,8 @@
 //! ## Fault pipeline
 //!
 //! Per live out-slot, in this fixed order: charge statistics (the
-//! sender paid for the message) → Bernoulli **drop** → **burst** (Markov
-//! down-state) drop → **CONGEST** budget check (strict: panic; degrade:
+//! sender paid for the message) → Bernoulli **drop** → **CONGEST**
+//! budget check (strict: panic; degrade:
 //! convert overflow into extra rounds of latency and record
 //! `deferred_bits`) → receiver-halted check (crash-stop: mail to
 //! crashed or halted nodes is dropped on the floor, unread) →
@@ -73,8 +72,8 @@ pub const MAX_DELAY_ROUNDS: u64 = 1 << 20;
 // collides with them. `ADV_DROP` (= u64::MAX) is the legacy `loss_rng`
 // id, kept so pure-drop plans reproduce old lossy runs bit-for-bit.
 use crate::rng::streams::{
-    ADV_BURST as STREAM_BURST, ADV_CRASH as STREAM_CRASH, ADV_DELAY as STREAM_DELAY,
-    ADV_DROP as STREAM_DROP, ADV_STALL as STREAM_STALL,
+    ADV_CRASH as STREAM_CRASH, ADV_DELAY as STREAM_DELAY, ADV_DROP as STREAM_DROP,
+    ADV_STALL as STREAM_STALL,
 };
 
 /// Clamp a probability into `[0, 1]`, mapping NaN to 0 (no fault).
@@ -87,18 +86,6 @@ pub(crate) fn clamped01(p: f64) -> f64 {
     } else {
         p.clamp(0.0, 1.0)
     }
-}
-
-/// Two-state Markov link model of burst loss:
-/// an up edge goes down with probability `fail` per round, a down edge
-/// recovers with probability `repair` per round. While down, every
-/// message on the edge is dropped.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Markov {
-    /// P(up → down) per round.
-    pub fail: f64,
-    /// P(down → up) per round.
-    pub repair: f64,
 }
 
 /// Per-edge per-round bit budget (the CONGEST yardstick).
@@ -163,8 +150,8 @@ pub struct CrashEvent {
     pub kind: CrashKind,
 }
 
-/// One composable fault configuration: drop, burst, delay, stall,
-/// crash, and CONGEST budget, all off by default ([`FaultPlan::NONE`]).
+/// One composable fault configuration: drop, delay, stall, crash, and
+/// CONGEST budget, all off by default ([`FaultPlan::NONE`]).
 /// Setters clamp their arguments (and `debug_assert` on out-of-range
 /// input), so a plan is always well-formed.
 ///
@@ -174,8 +161,6 @@ pub struct CrashEvent {
 pub struct FaultPlan {
     /// Per-message Bernoulli drop probability.
     pub(crate) drop_p: f64,
-    /// Two-state Markov per-edge burst loss.
-    pub(crate) burst: Option<Markov>,
     /// Max per-message delay in rounds (uniform in `0..=delay_max`).
     pub(crate) delay_max: u64,
     /// Per-message stall probability (per-round partial delivery: in
@@ -196,7 +181,6 @@ impl FaultPlan {
     /// The fault-free plan (every knob off).
     pub const NONE: FaultPlan = FaultPlan {
         drop_p: 0.0,
-        burst: None,
         delay_max: 0,
         stall_p: 0.0,
         crash_p: 0.0,
@@ -219,19 +203,6 @@ impl FaultPlan {
             "drop probability {p} outside [0, 1]"
         );
         self.drop_p = clamped01(p);
-        self
-    }
-
-    /// Enable two-state Markov burst loss (probabilities clamped).
-    pub fn with_burst(mut self, fail: f64, repair: f64) -> FaultPlan {
-        debug_assert!(
-            (0.0..=1.0).contains(&fail) && (0.0..=1.0).contains(&repair),
-            "burst probabilities ({fail}, {repair}) outside [0, 1]"
-        );
-        self.burst = Some(Markov {
-            fail: clamped01(fail),
-            repair: clamped01(repair),
-        });
         self
     }
 
@@ -289,7 +260,6 @@ impl FaultPlan {
     /// Is any fault class enabled?
     pub fn is_active(&self) -> bool {
         self.drop_p > 0.0
-            || self.burst.is_some()
             || self.delay_max > 0
             || self.stall_p > 0.0
             || self.crash_p > 0.0
@@ -308,7 +278,6 @@ impl FaultPlan {
         self.delay_max > 0
             || self.stall_p > 0.0
             || self.crash_p > 0.0
-            || self.burst.is_some()
             || (self.budget != Budget::Unlimited && self.congest == CongestMode::Degrade)
     }
 
@@ -390,8 +359,8 @@ pub(crate) struct Parked<M> {
 }
 
 /// The runtime state of one network's adversary: the installed plan,
-/// the per-fault-class RNG streams, burst link states, the holding
-/// ring, and the pre-sampled crash schedule.
+/// the per-fault-class RNG streams, the holding ring, and the
+/// pre-sampled crash schedule.
 ///
 /// Buffers here are deliberately **not** charged to the message-plane
 /// allocation gauge (like the parallel executor's scratch): enabling
@@ -406,12 +375,8 @@ pub(crate) struct Adversary<M> {
     /// same consumption points), so pure-drop plans replay old lossy
     /// runs bit-for-bit.
     pub(crate) drop_rng: SplitMix64,
-    pub(crate) burst_rng: SplitMix64,
     pub(crate) delay_rng: SplitMix64,
     pub(crate) stall_rng: SplitMix64,
-    /// Per-slot burst state (`true` = link down); empty unless the
-    /// plan has a burst model.
-    pub(crate) burst_down: Vec<bool>,
     /// The holding ring of delayed payloads.
     pub(crate) parked: Vec<Parked<M>>,
     parked_seq: u64,
@@ -434,10 +399,8 @@ impl<M> Adversary<M> {
             plan: FaultPlan::NONE,
             seed,
             drop_rng: SplitMix64::for_node(seed, STREAM_DROP),
-            burst_rng: SplitMix64::for_node(seed, STREAM_BURST),
             delay_rng: SplitMix64::for_node(seed, STREAM_DELAY),
             stall_rng: SplitMix64::for_node(seed, STREAM_STALL),
-            burst_down: Vec::new(),
             parked: Vec::new(),
             parked_seq: 0,
             crash_events: Vec::new(),
@@ -454,13 +417,8 @@ impl<M> Adversary<M> {
     pub(crate) fn install(&mut self, plan: FaultPlan, topo: &Topology) {
         self.plan = plan;
         self.drop_rng = SplitMix64::for_node(self.seed, STREAM_DROP);
-        self.burst_rng = SplitMix64::for_node(self.seed, STREAM_BURST);
         self.delay_rng = SplitMix64::for_node(self.seed, STREAM_DELAY);
         self.stall_rng = SplitMix64::for_node(self.seed, STREAM_STALL);
-        self.burst_down.clear();
-        if plan.burst.is_some() {
-            self.burst_down.resize(topo.total_ports(), false);
-        }
         self.parked.clear();
         self.parked_seq = 0;
         self.crash_events = plan.crash_schedule(self.seed, topo.len());
@@ -523,22 +481,6 @@ impl<M> Adversary<M> {
         self.crash_next < self.crash_events.len()
     }
 
-    /// Advance every edge's two-state burst chain by one round. One
-    /// draw per slot per round, in slot order, only while a burst model
-    /// is installed — so enabling bursts is the only thing that
-    /// consumes the burst stream.
-    pub(crate) fn evolve_bursts(&mut self) {
-        let Some(markov) = self.plan.burst else {
-            return;
-        };
-        for down in &mut self.burst_down {
-            let p = if *down { markov.repair } else { markov.fail };
-            if self.burst_rng.bernoulli(p) {
-                *down = !*down;
-            }
-        }
-    }
-
     /// Park a payload until `due`.
     pub(crate) fn park(&mut self, due: u64, slot: usize, to: NodeId, msg: M) {
         self.parked.push(Parked {
@@ -551,21 +493,11 @@ impl<M> Adversary<M> {
         self.parked_seq += 1;
     }
 
-    /// Migrate adversary state across a topology change: burst states
-    /// follow their surviving slots, parked payloads on removed edges
-    /// are dropped (matching the slab remap's rule for in-flight mail).
+    /// Migrate adversary state across a topology change: parked
+    /// payloads follow their surviving slots, and those on removed
+    /// edges are dropped (matching the slab remap's rule for in-flight
+    /// mail).
     pub(crate) fn on_rewire(&mut self, patch: &TopologyPatch) {
-        if self.plan.burst.is_some() {
-            let mut down = vec![false; patch.topo.total_ports()];
-            for (old, was_down) in self.burst_down.iter().enumerate() {
-                if *was_down {
-                    if let Some(new) = patch.new_slot(old) {
-                        down[new] = true;
-                    }
-                }
-            }
-            self.burst_down = down;
-        }
         self.parked.retain_mut(|e| match patch.new_slot(e.slot) {
             Some(new) => {
                 e.slot = new;
@@ -630,7 +562,6 @@ mod tests {
         assert!(FaultPlan::NONE.with_delay(3).breaks_synchrony());
         assert!(FaultPlan::NONE.with_stall(0.1).breaks_synchrony());
         assert!(FaultPlan::NONE.with_crash(0.01, 5).breaks_synchrony());
-        assert!(FaultPlan::NONE.with_burst(0.1, 0.5).breaks_synchrony());
         // Degrade-mode budgets defer bits into later rounds…
         assert!(FaultPlan::NONE
             .with_budget(Budget::Bits(64))

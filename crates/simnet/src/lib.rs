@@ -78,19 +78,21 @@
 //! size. Which nodes a round steps is fixed by the scheduler contract
 //! documented on [`Network`]: everyone starts awake, and a node stays
 //! scheduled until it calls [`Ctx::halt`] or [`Ctx::sleep`]; mail
-//! (kept for a sleeper, unlike a halted node's) and external wake-ups
-//! ([`Network::wake`], a rewire's dirty set) reschedule a sleeper until
-//! its next step. Halting is terminal and tracked by a maintained
-//! counter, so [`Network::all_halted`] is O(1).
+//! (kept for a sleeper, unlike a halted node's) and a rewire's dirty
+//! set reschedule a sleeper until its next step. Halting is terminal
+//! and tracked by a maintained counter, so [`Network::all_halted`] is
+//! O(1).
 //!
 //! There is no scheduler mode: the wake list is one of two frontier
 //! representations of a single scheduler. A deterministic,
 //! counter-driven judge runs a round as a dense `0..n` flag sweep
 //! once activity is high and drains the wake list again once it
 //! falls (see [`Network`] for the thresholds and [`parallel`] for the
-//! executor). Both representations step the same node set by
-//! construction, at any thread count ([`ExecCfg::parallel`]), and the
-//! judge reads node counts only, so results — matchings, RNG streams,
+//! executor: a sparse round runs as one chunk on the caller's thread,
+//! and only dense rounds fan out to worker threads). Both
+//! representations step the same node set by construction, at any
+//! thread count ([`ExecCfg::parallel`]), and the judge reads node
+//! counts only, so results — matchings, RNG streams,
 //! `NetStats` traces including the [`stats::RoundTrace::sched_overhead`]
 //! gauge (the slots a round examined without stepping) — are a pure
 //! function of inputs and seed. The one exemption is the opt-in
@@ -98,8 +100,8 @@
 //! [`NetStats::timings`] registry under the [`stats::timing`] names (a
 //! [`dobs::Registry`] of log-bucketed nanosecond distributions). The
 //! `dobs` flight-recorder hooks in the round loop (round spans, mode
-//! switches, wakes, rewires, worker sections) observe runs and never
-//! steer them. Per-round [`stats::RoundTrace::active`] and cumulative
+//! switches, rewires, worker sections) observe runs and never steer
+//! them. Per-round [`stats::RoundTrace::active`] and cumulative
 //! [`NetStats::node_steps`] expose the activity the sparse plane's
 //! cost is proportional to.
 //!
@@ -143,7 +145,7 @@ pub mod stats;
 pub mod topology;
 pub mod tree;
 
-pub use adversary::{Budget, CongestMode, CrashEvent, CrashKind, FaultPlan, Markov};
+pub use adversary::{Budget, CongestMode, CrashEvent, CrashKind, FaultPlan};
 pub use mailbox::{Inbox, InboxIter, Received};
 pub use message::BitSize;
 pub use network::{Ctx, ExecCfg, Network, Protocol, Rewire, RewireCtx};

@@ -53,12 +53,6 @@ pub struct RewireCtx<'a> {
 }
 
 impl RewireCtx<'_> {
-    /// This node's id.
-    #[inline]
-    pub fn id(&self) -> NodeId {
-        self.node
-    }
-
     /// The round the rewired network will execute next — the first
     /// round of the new epoch. Protocols that pace themselves by an
     /// epoch-local clock should record this and derive their phase as
@@ -102,12 +96,6 @@ impl RewireCtx<'_> {
     #[inline]
     pub fn born_ports(&self) -> &[Port] {
         self.born
-    }
-
-    /// The new topology.
-    #[inline]
-    pub fn topo(&self) -> &Topology {
-        self.topo
     }
 }
 
@@ -189,22 +177,10 @@ impl<'a, M> Ctx<'a, M> {
         self.out_msg.len()
     }
 
-    /// Sorted neighbor ids.
-    #[inline]
-    pub fn neighbors(&self) -> &[NodeId] {
-        self.topo.neighbors(self.id)
-    }
-
     /// Neighbor on `port`.
     #[inline]
     pub fn neighbor(&self, port: Port) -> NodeId {
         self.topo.neighbor(self.id, port)
-    }
-
-    /// Port leading to neighbor `u`, if adjacent.
-    #[inline]
-    pub fn port_to(&self, u: NodeId) -> Option<Port> {
-        self.topo.port_to(self.id, u)
     }
 
     /// This node's deterministic RNG stream.
@@ -250,8 +226,8 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Park until something happens: this node is not stepped again
-    /// until a message is delivered to it or it is woken externally
-    /// ([`Network::wake`] / a rewire's dirty set). Unlike
+    /// until a message is delivered to it or a [`Network::rewire`]
+    /// marks it dirty. Unlike
     /// [`Ctx::halt`], mail addressed to a sleeping node is *kept* —
     /// its arrival is exactly what wakes the node.
     ///
@@ -289,15 +265,16 @@ pub(crate) const HYBRID_SPARSE_DIV: usize = 16;
 /// network phases thread one `ExecCfg` through all of them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecCfg {
-    /// Worker threads for node stepping (1 = sequential). This is a
-    /// *ceiling*, not a demand: a round uses at most one worker per
-    /// core, and one worker per fixed floor of expected node steps
-    /// (see [`crate::parallel`]), so small rounds run on the caller's
-    /// thread alone. Results are bit-identical regardless of the value.
+    /// Worker threads for a dense round's node stepping (1 =
+    /// sequential); a sparse round always runs on the caller's thread.
+    /// This is a *ceiling*, not a demand: a dense round uses at most
+    /// one worker per core, and one worker per fixed floor of expected
+    /// node steps (see [`crate::parallel`]), so small rounds run on the
+    /// caller's thread alone. Results are bit-identical regardless of
+    /// the value.
     pub threads: usize,
-    /// The adversary plan (drop, burst, delay, stall, crash, CONGEST
-    /// budget) — the one fault-injection knob. [`FaultPlan::NONE`] by
-    /// default.
+    /// The adversary plan (drop, delay, stall, crash, CONGEST budget)
+    /// — the one fault-injection knob. [`FaultPlan::NONE`] by default.
     pub faults: FaultPlan,
     /// Collect the per-phase wall-clock breakdown into the
     /// [`NetStats::timings`] histogram registry (see
@@ -306,9 +283,10 @@ pub struct ExecCfg {
     /// the one `NetStats` field outside the bit-identity contract, so
     /// identity suites leave this off.
     pub timing: bool,
-    /// Test/bench escape hatch: bypass the fan-out floor and use one
-    /// worker per requested thread regardless of machine or workload,
-    /// so the chunk cuts and the merge run for real on any host. Never
+    /// Test/bench escape hatch: bypass the fan-out floor and give every
+    /// dense round one worker per requested thread regardless of
+    /// machine or workload, so the chunk cuts and the merge run for
+    /// real on any host. Sparse rounds stay on one chunk. Never
     /// set this in production configs — on small workloads it
     /// re-creates the thread-spawn pathology the floor exists to
     /// prevent.
@@ -373,27 +351,17 @@ impl ExecCfg {
 
 /// Per-worker scratch of the round executor: the sender buffer and the
 /// per-chunk counters, recorded contention-free per chunk and merged in
-/// chunk (= node) order after the join. A one-chunk round swaps its
-/// sender buffer with the network's instead. Reused every round;
-/// deliberately not charged to the plane gauge so stats stay
-/// bit-identical across thread counts.
-///
-/// Next-frontier (wake) output does **not** live here: each worker
-/// writes wake ids into its own disjoint window of the shared,
-/// round-sized `wake_next` buffer — a local queue bounded by the
-/// chunk's active count, with no shared-structure contention and no
-/// spill (the bound is exact: a chunk wakes at most the nodes it
-/// steps). The merge is an in-order compaction of those windows.
+/// chunk (= node) order after the join of a dense multi-chunk round. A
+/// one-chunk round, every sparse round included, swaps its sender
+/// buffer with the network's instead. Reused every round; deliberately
+/// not charged to the plane gauge so stats stay bit-identical across
+/// thread counts.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
     /// Nodes of this chunk that sent at least one message. Capacity is
     /// reserved to the chunk's active count once per round, before the
     /// step loop, so the hot loop never grows it.
     pub(crate) touched: Vec<NodeId>,
-    /// Wake entries this worker wrote into its `wake_next` window.
-    pub(crate) wake_len: usize,
-    /// Size of this worker's `wake_next` window (= chunk active count).
-    pub(crate) wake_cap: usize,
     /// Nodes of this chunk that halted this round.
     pub(crate) halts: u64,
     /// Nodes of this chunk actually stepped this round.
@@ -415,8 +383,6 @@ impl WorkerScratch {
     pub(crate) fn prepare(&mut self, chunk_nodes: usize) {
         self.touched.clear();
         self.touched.reserve(chunk_nodes);
-        self.wake_len = 0;
-        self.wake_cap = 0;
         self.halts = 0;
         self.stepped = 0;
     }
@@ -459,8 +425,8 @@ impl WorkerScratch {
 ///    nor [`Ctx::sleep`] (staying awake is the default),
 /// 3. a message was delivered to `v` for round `r` (mail always wakes
 ///    a sleeping node), or
-/// 4. `v` was woken externally since its last step ([`Network::wake`],
-///    or the dirty set of a [`Network::rewire`]).
+/// 4. since its last step, a [`Network::rewire`] marked `v` dirty or
+///    the adversary let it rejoin after a crash.
 pub struct Network<P: Protocol> {
     pub(crate) topo: Topology,
     pub(crate) nodes: Vec<P>,
@@ -541,9 +507,9 @@ pub struct Network<P: Protocol> {
     pub(crate) timing: bool,
     /// The adversary plane every delivery passes through: fault-class
     /// RNG streams (independent of node streams so that enabling
-    /// faults does not perturb node randomness), burst link states,
-    /// the delayed-payload holding ring, and the pre-sampled crash
-    /// schedule. Inert ([`FaultPlan::NONE`]) by default.
+    /// faults does not perturb node randomness), the delayed-payload
+    /// holding ring, and the pre-sampled crash schedule. Inert
+    /// ([`FaultPlan::NONE`]) by default.
     pub(crate) adversary: Adversary<P::Msg>,
 }
 
@@ -610,8 +576,8 @@ impl<P: Protocol> Network<P> {
     /// Return the network to the state [`Network::new`] built it in,
     /// under a new `seed`, so one network can serve many runs on the
     /// same topology: every node's RNG stream (from the node's own id)
-    /// and the adversary's fault streams, burst states and crash
-    /// schedule are derived from `seed` exactly as `new(seed)` plus
+    /// and the adversary's fault streams and crash schedule are
+    /// derived from `seed` exactly as `new(seed)` plus
     /// [`Network::with_cfg`] derive them; the holding ring is emptied;
     /// every node is awake and unhalted; the round counter, the judge
     /// and the statistics start over.
@@ -656,9 +622,9 @@ impl<P: Protocol> Network<P> {
 
     /// Apply the execution knobs of an [`ExecCfg`]: the worker-thread
     /// ceiling, the phase-timing switch, and the adversary plan (drop /
-    /// burst / delay / stall / crash / CONGEST budget — see
+    /// delay / stall / crash / CONGEST budget — see
     /// [`crate::adversary`]). A pre-run builder step: the plan's RNG
-    /// streams, burst states, and pre-sampled crash schedule are
+    /// streams and pre-sampled crash schedule are
     /// (re)derived from the seed of the last [`Network::new`] or
     /// [`Network::rearm`] and the topology, so
     /// installation is idempotent and same seed + same plan ⇒
@@ -682,7 +648,7 @@ impl<P: Protocol> Network<P> {
         self
     }
 
-    /// Messages dropped by fault injection (Bernoulli + burst drops).
+    /// Messages dropped by fault injection (Bernoulli drops).
     pub fn dropped(&self) -> u64 {
         self.stats.dropped
     }
@@ -729,11 +695,6 @@ impl<P: Protocol> Network<P> {
         self.live == 0
     }
 
-    /// Nodes not yet halted.
-    pub fn live_nodes(&self) -> usize {
-        self.live
-    }
-
     /// True while the upcoming round schedules from the wake list
     /// (sparse representation). Dense rounds — those the judge put above
     /// its threshold — derive scheduling from the halt/doze/mail flags
@@ -743,24 +704,11 @@ impl<P: Protocol> Network<P> {
         !self.frontier_dense
     }
 
-    /// Wake `v` externally: un-halt it if needed, clear its sleep flag,
-    /// and schedule it for the next round. The harness-level analogue
-    /// of the wake-up a rewire's dirty set performs.
-    ///
-    /// A node the adversary has crashed refuses the wake-up: it stays
-    /// down until its scheduled rejoin (resurrecting it early would
-    /// let the harness undo a fault).
-    pub fn wake(&mut self, v: NodeId) {
-        if self.adversary.is_crashed(v as usize) {
-            return;
-        }
-        if dobs::plane::enabled() {
-            dobs::plane::record(dobs::Event::Wake {
-                t_ns: dobs::plane::now_ns(),
-                round: self.round,
-                node: v as u64,
-            });
-        }
+    /// Unit tests only: un-halt `v` if needed, clear its sleep flag,
+    /// and schedule it for the next round, so tests can set each
+    /// round's activity directly.
+    #[cfg(test)]
+    pub(crate) fn wake(&mut self, v: NodeId) {
         let vi = v as usize;
         if self.halted[vi] {
             self.halted[vi] = false;
@@ -861,24 +809,23 @@ impl<P: Protocol> Network<P> {
     /// Execute one synchronous round. Returns the number of messages
     /// sent during the round.
     ///
-    /// Dispatch order: the judge picks the frontier representation,
-    /// then the fan-out rule picks the worker count
-    /// from the round's expected node steps — the wake-list length of
-    /// a sparse round, the previous round's stepped count of a dense
-    /// one. Both decisions are invisible in the results (bit-identity)
-    /// and read counts only, never the clock, so the `sched_overhead`
-    /// trace and the per-round worker counts reproduce too.
+    /// Dispatch order: the judge picks the frontier representation. A
+    /// sparse round runs as one chunk on the caller's thread; for a
+    /// dense round the fan-out rule (or, under
+    /// [`ExecCfg::force_parallel`], the requested thread count) picks
+    /// the worker count from the previous round's stepped count. Both
+    /// decisions are invisible in the results (bit-identity) and read
+    /// counts only, never the clock, so the `sched_overhead` trace and
+    /// the per-round worker counts reproduce too.
     pub fn step(&mut self) -> u64 {
         if self.adversary.has_crash_events() {
             self.apply_crash_events();
         }
         let dense = self.choose_representation();
-        let expected = if dense {
-            self.est_active as usize
-        } else {
-            self.wake_cur.len()
-        };
-        let workers = if self.force_parallel {
+        let expected = self.est_active as usize;
+        let workers = if !dense {
+            1
+        } else if self.force_parallel {
             self.threads.min(expected.max(1))
         } else {
             crate::parallel::fan_out(self.threads, crate::parallel::hw_parallelism(), expected)
@@ -893,7 +840,7 @@ impl<P: Protocol> Network<P> {
         let sent = if dense {
             crate::parallel::step_dense(self, workers)
         } else {
-            crate::parallel::step_sparse(self, workers)
+            crate::parallel::step_sparse(self)
         };
         if let Some(t0) = t0 {
             let phase = if dense {
@@ -1122,9 +1069,8 @@ impl<P: Protocol> Network<P> {
         for &s in &self.live_slots {
             self.inbox_count_round[self.topo.slot_neighbor(s) as usize] = u64::MAX;
         }
-        // Adversary state follows the slot remap: burst link states
-        // move with their surviving slots, parked payloads on removed
-        // edges are dropped (same rule as the slabs' in-flight mail).
+        // Parked payloads follow the slot remap; those on removed edges
+        // are dropped (same rule as the slabs' in-flight mail).
         self.adversary.on_rewire(&patch);
         let mut map_scratch: Vec<Option<Port>> = Vec::new(); // reused per dirty node
         let mut next_dirty = 0usize;
@@ -1266,15 +1212,14 @@ pub(crate) struct DeliverOutcome {
 /// 2. Bernoulli **drop** (the legacy `loss_rng` stream, drawn at the
 ///    legacy point, so pure-drop plans replay old lossy runs
 ///    bit-for-bit);
-/// 3. **burst** drop if the slot's Markov link is down;
-/// 4. **CONGEST** budget check — strict panics, degrade converts the
+/// 3. **CONGEST** budget check — strict panics, degrade converts the
 ///    overflow into `⌈bits/B⌉ - 1` extra rounds and records
 ///    `deferred_bits`;
-/// 5. receiver-halted check (mail to halted or crashed nodes is
+/// 4. receiver-halted check (mail to halted or crashed nodes is
 ///    dropped on the floor, unread — crash-stop);
-/// 6. **stall** (+1 round) and **delay** (uniform `0..=D` rounds)
-///    draws; a message owing extra rounds is parked in the holding
-///    ring, otherwise it is delivered as usual.
+/// 5. **stall** (+1 round, one draw per message) and **delay**
+///    (uniform `0..=D` rounds) draws; a message owing extra rounds is
+///    parked in the holding ring, otherwise it is delivered as usual.
 ///
 /// After the sender walk, parked payloads due this round are
 /// re-injected in deterministic `(slot, seq)` order: an occupied slot
@@ -1303,11 +1248,7 @@ pub(crate) fn deliver<M: BitSize>(
     let mut sent = 0u64;
     let mut delivered = 0u64;
     let mut peak = 0u64;
-    let faults = adversary.is_active();
-    let traced = faults && dobs::plane::enabled();
-    if faults {
-        adversary.evolve_bursts();
-    }
+    let traced = adversary.is_active() && dobs::plane::enabled();
     let plan = adversary.plan;
     for &v in touched {
         let base = topo.port_base(v);
@@ -1328,15 +1269,6 @@ pub(crate) fn deliver<M: BitSize>(
                 out.msg[slot] = None;
                 if traced {
                     record_fault(read_round - 1, v, p, dobs::FaultKind::Drop);
-                }
-                continue;
-            }
-            if !adversary.burst_down.is_empty() && adversary.burst_down[slot] {
-                stats.dropped += 1;
-                out.stamp[slot] = DEAD_STAMP; // link is down this round
-                out.msg[slot] = None;
-                if traced {
-                    record_fault(read_round - 1, v, p, dobs::FaultKind::BurstDrop);
                 }
                 continue;
             }
@@ -1552,7 +1484,7 @@ mod tests {
         let mut net = Network::new(topo, vec![Stubborn, Stubborn], 5);
         assert_eq!(net.run_rounds(8), 8);
         assert_eq!(net.round(), 8);
-        assert_eq!(net.live_nodes(), 2);
+        assert_eq!(net.live, 2);
     }
 
     #[test]
@@ -1954,9 +1886,9 @@ mod tests {
     #[test]
     fn halting_maintains_the_live_counter() {
         let mut net = path_net(10);
-        assert_eq!(net.live_nodes(), 10);
+        assert_eq!(net.live, 10);
         net.run_until_halt(100);
-        assert_eq!(net.live_nodes(), 0);
+        assert_eq!(net.live, 0);
         assert!(net.all_halted());
     }
 
@@ -1997,7 +1929,7 @@ mod tests {
     }
 
     /// Run 6 rounds under seed 77 (mail and, under faults, parked
-    /// payloads, burst states and crashed nodes are live when it stops),
+    /// payloads and crashed nodes are live when it stops),
     /// re-arm under `seed` and run 20 rounds; the second run must equal
     /// a fresh network's 20 rounds under `seed`, node outputs and every
     /// statistic but the allocation gauge.
@@ -2023,10 +1955,6 @@ mod tests {
         );
         if cfg.faults.is_active() {
             assert!(!kept.adversary.parked_empty(), "payloads are parked");
-            assert!(
-                kept.adversary.burst_down.iter().any(|&d| d),
-                "a link is down"
-            );
             assert!((0..n as usize).any(|v| kept.adversary.is_crashed(v)));
         }
         kept.rearm(seed);
@@ -2059,10 +1987,7 @@ mod tests {
 
     #[test]
     fn rearmed_network_equals_fresh_under_faults() {
-        let plan = FaultPlan::drop(0.1)
-            .with_delay(3)
-            .with_burst(0.2, 0.3)
-            .with_crash(0.03, 4);
+        let plan = FaultPlan::drop(0.1).with_delay(3).with_crash(0.03, 4);
         for cfg in [ExecCfg::sequential(), ExecCfg::parallel(3).forced()] {
             for pin in [None, Some(false), Some(true)] {
                 rearm_matches_fresh(cfg.with_faults(plan), pin, 5);

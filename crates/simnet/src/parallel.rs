@@ -23,35 +23,35 @@
 //!    execution strategy is considered (threshold
 //!    `active ≥ n / HYBRID_DENSE_DIV`, with hysteresis; see
 //!    [`crate::Network`]).
-//! 2. **Fan-out** — a fixed floor of `MIN_STEPS_PER_WORKER` expected
-//!    node steps per worker: a round uses
+//! 2. **Fan-out** — a sparse round is always one chunk. The judge
+//!    sends a round dense once its wake list holds `n / 8` nodes, so a
+//!    sparse round would reach two workers' floor only on networks of
+//!    more than `16 · MIN_STEPS_PER_WORKER` nodes (or in the one round
+//!    after a switch back from dense, whose rebuilt list the judge
+//!    does not re-check). A dense round uses
 //!    `min(threads, cores, expected / MIN_STEPS_PER_WORKER)` workers,
-//!    and at least one. `expected` is the wake-list length of a sparse
-//!    round and the previous round's stepped count of a dense one. A
-//!    1-core box, a small network, or a quiet tail never pays
-//!    thread-spawn latency.
-//! 3. **Chunking** — the active list (sparse) or id space (dense) is
-//!    cut into chunks of roughly equal *incident-edge* weight
-//!    (`degree + NODE_COST` per node, prefix-summed), not equal node
-//!    count. Equal-count contiguous ranges lose badly on heavy-tailed
-//!    (Chung–Lu / Barabási–Albert) graphs, where one chunk owns the
-//!    hub star and every other worker idles at the join barrier.
+//!    and at least one, where `expected` is the previous round's
+//!    stepped count. A 1-core box, a small network, or a quiet tail
+//!    never pays thread-spawn latency.
+//! 3. **Chunking** — a dense round's id space is cut into chunks of
+//!    roughly equal *incident-edge* weight (`degree + NODE_COST` per
+//!    node), not equal node count. Equal-count contiguous ranges lose
+//!    badly on heavy-tailed (Chung–Lu / Barabási–Albert) graphs, where
+//!    one chunk owns the hub star and every other worker idles at the
+//!    join barrier.
 //!
-//! Next-frontier collection is contention-free: each chunk writes the
-//! nodes it re-schedules into its own disjoint window of the shared,
-//! round-sized `wake_next` buffer (a local queue bounded by the chunk's
-//! active count — the bound is exact, so nothing ever spills), and
-//! stamps its own id range of `wake_stamp` (chunks own disjoint id
-//! ranges). After the join, the windows are compacted in chunk order,
-//! which *is* node order, so delivery sees exactly the sequence a
-//! one-chunk round produces.
+//! The next frontier is collected only by sparse rounds, on the
+//! caller's thread: the nodes that stay awake are pushed onto
+//! `wake_next` in node order, and delivery appends the nodes its mail
+//! wakes. A dense round keeps no list: the flags it sweeps are the
+//! frontier.
 //!
 //! # Determinism
 //!
 //! A round's results are bit-identical for every worker count in both
 //! representations — asserted by the tests below, which also pin each
 //! representation in turn, and by the workspace-level identity suites,
-//! which compare one-chunk rounds against forced k-chunk rounds —
+//! which compare one-chunk rounds against forced k-chunk dense rounds —
 //! because
 //!
 //! 1. every node draws from its own RNG stream,
@@ -111,12 +111,6 @@ pub(crate) fn fan_out(threads: usize, cores: usize, expected: usize) -> usize {
         .max(1)
 }
 
-/// Weight of node `v` for chunk balancing.
-#[inline]
-fn node_weight(topo: &Topology, v: NodeId) -> u64 {
-    (topo.degree(v) + NODE_COST) as u64
-}
-
 /// Slab offset of node `v`'s first port; `v = n` maps to the end of the
 /// slab, so a chunk ending before node `n` owns the slab's tail.
 fn port_start(topo: &Topology, v: usize) -> usize {
@@ -161,7 +155,6 @@ struct Chunk<'a, P: Protocol> {
     rngs: &'a mut [SplitMix64],
     halted: &'a mut [bool],
     dozing: &'a mut [bool],
-    wake_stamp: &'a mut [u64],
     stamp: &'a mut [u64],
     msg: &'a mut [Option<P::Msg>],
 }
@@ -187,7 +180,6 @@ impl<P: Protocol> Chunk<'_, P> {
             rngs: split_front(&mut self.rngs, nodes),
             halted: split_front(&mut self.halted, nodes),
             dozing: split_front(&mut self.dozing, nodes),
-            wake_stamp: split_front(&mut self.wake_stamp, nodes),
             stamp: split_front(&mut self.stamp, ports),
             msg: split_front(&mut self.msg, ports),
         };
@@ -256,45 +248,45 @@ impl<P: Protocol> Chunk<'_, P> {
         }
     }
 
-    /// Sparse drain of `wake`, the chunk's segment of the wake list:
-    /// step every valid entry and write the nodes that stay awake into
-    /// `next`, the chunk's window of the next round's wake list.
+    /// Sparse drain of the wake list `wake` by the chunk spanning the
+    /// network, whose chunk-local indices are node ids: step every
+    /// valid entry, and stamp and push onto `next` the nodes that stay
+    /// awake.
     #[inline]
     fn run_sparse(
         &mut self,
         view: &RoundView<'_, P::Msg>,
         wake: &[NodeId],
-        next: &mut [NodeId],
+        wake_stamp: &mut [u64],
+        next: &mut Vec<NodeId>,
         scratch: &mut WorkerScratch,
     ) {
+        debug_assert_eq!(self.first, 0, "a sparse round is one chunk");
         scratch.prepare(wake.len());
-        scratch.wake_cap = next.len();
-        let mut wrote = 0usize;
         for &vid in wake {
-            let i = vid as usize - self.first;
-            if self.halted[i] || self.wake_stamp[i] != view.round {
+            let v = vid as usize;
+            if self.halted[v] || wake_stamp[v] != view.round {
                 continue; // stale entry (e.g. woken then halted)
             }
-            if self.step_node(view, i, view.mail(vid as usize), scratch) {
-                // Staying awake is the default: stamp (this chunk owns
-                // the id range) and enqueue in the chunk's window.
-                self.wake_stamp[i] = view.round + 1;
-                next[wrote] = vid;
-                wrote += 1;
+            if self.step_node(view, v, view.mail(v), scratch) {
+                // Staying awake is the default.
+                wake_stamp[v] = view.round + 1;
+                next.push(vid);
             }
         }
-        scratch.wake_len = wrote;
     }
 }
 
 /// A round opened on a network: the shared view, the chunk spanning
-/// every node, the scratch of `workers` workers, and the wake lists.
+/// every node, the scratch of `workers` workers, and the wake list
+/// state a sparse round reads and writes.
 struct Round<'a, P: Protocol> {
     view: RoundView<'a, P::Msg>,
     whole: Chunk<'a, P>,
     scratch: &'a mut [WorkerScratch],
     wake_cur: &'a [NodeId],
-    wake_next: &'a mut [NodeId],
+    wake_stamp: &'a mut [u64],
+    wake_next: &'a mut Vec<NodeId>,
 }
 
 /// Advance this round's out slab and split `net` into a [`Round`].
@@ -322,12 +314,12 @@ fn open_round<P: Protocol>(net: &mut Network<P>, workers: usize) -> Round<'_, P>
             rngs: &mut net.rngs,
             halted: &mut net.halted,
             dozing: &mut net.dozing,
-            wake_stamp: &mut net.wake_stamp,
             stamp: &mut out_plane.stamp,
             msg: &mut out_plane.msg,
         },
         scratch: &mut net.workers[..workers],
         wake_cur: &net.wake_cur,
+        wake_stamp: &mut net.wake_stamp,
         wake_next: &mut net.wake_next,
     }
 }
@@ -387,7 +379,7 @@ pub(crate) fn step_dense<P: Protocol>(net: &mut Network<P>, workers: usize) -> u
     } = open_round(net, workers);
     let stepped = if workers == 1 {
         whole.run_dense(&view, &mut scratch[0]);
-        settle_single_chunk(net, false)
+        settle_single_chunk(net)
     } else {
         let topo = view.topo;
         // Weighted prefix position of node v: ports before v plus the
@@ -417,17 +409,15 @@ pub(crate) fn step_dense<P: Protocol>(net: &mut Network<P>, workers: usize) -> u
             (end > whole.first).then(|| whole.take_front(topo, end))
         });
         let spawned = run_chunks(scratch, chunks, |mut chunk, s| chunk.run_dense(&view, s));
-        merge_worker_scratch(net, spawned, false)
+        merge_worker_scratch(net, spawned)
     };
     net.finish_round(stepped, n as u64 - stepped)
 }
 
-/// Sparse round with `workers` chunks: the sorted **active list** is
-/// cut into contiguous segments of roughly equal degree weight
-/// (`Σ degree + NODE_COST` per segment), so a Chung–Lu hub and its
-/// star do not land on one worker while the rest idle.
+/// Sparse round: one chunk on the caller's thread drains the wake list
+/// (see *Fan-out* above for why it never fans out).
 #[inline]
-pub(crate) fn step_sparse<P: Protocol>(net: &mut Network<P>, workers: usize) -> u64 {
+pub(crate) fn step_sparse<P: Protocol>(net: &mut Network<P>) -> u64 {
     // Auto-reschedules arrive in node order but delivery wake-ups do
     // not; one cheap mostly-sorted pass restores the ascending order
     // delivery (and the loss RNG stream) depends on.
@@ -435,80 +425,36 @@ pub(crate) fn step_sparse<P: Protocol>(net: &mut Network<P>, workers: usize) -> 
         net.wake_cur.sort_unstable();
     }
     let active = net.wake_cur.len();
-    // The next-frontier buffer: one slot per active node, windowed per
-    // chunk. Capacity n was reserved at construction, so this resize
-    // never allocates.
+    // Capacity n was reserved at construction, and a node is pushed at
+    // most once per round, so the pushes never allocate.
     net.wake_next.clear();
-    net.wake_next.resize(active, 0);
     let Round {
         view,
         mut whole,
         scratch,
         wake_cur,
-        mut wake_next,
-    } = open_round(net, workers);
-    let stepped = if workers == 1 {
-        whole.run_sparse(&view, wake_cur, wake_next, &mut scratch[0]);
-        settle_single_chunk(net, true)
-    } else {
-        let topo = view.topo;
-        // Total degree weight of the active list (one O(active) pass);
-        // segment k ends once the running weight crosses k/workers of
-        // it, and the last segment absorbs the remainder.
-        let total_w: u64 = wake_cur.iter().map(|&v| node_weight(topo, v)).sum();
-        let (mut lo, mut cum, mut k) = (0usize, 0u64, 0usize);
-        let chunks = std::iter::from_fn(|| {
-            if lo == active {
-                return None;
-            }
-            k += 1;
-            let target = if k >= workers {
-                u64::MAX
-            } else {
-                total_w * k as u64 / workers as u64
-            };
-            let mut hi = lo;
-            while hi < active && (hi == lo || cum < target) {
-                cum += node_weight(topo, wake_cur[hi]);
-                hi += 1;
-            }
-            // The wake list is sorted and duplicate-free, so segment id
-            // ranges are disjoint and ascending: drop the unscheduled
-            // nodes before this segment, then take through its last.
-            whole.take_front(topo, wake_cur[lo] as usize);
-            let chunk = whole.take_front(topo, wake_cur[hi - 1] as usize + 1);
-            let segment = &wake_cur[lo..hi];
-            lo = hi;
-            Some((chunk, segment, split_front(&mut wake_next, segment.len())))
-        });
-        let spawned = run_chunks(scratch, chunks, |(mut chunk, wake, next), s| {
-            chunk.run_sparse(&view, wake, next, s)
-        });
-        merge_worker_scratch(net, spawned, true)
-    };
+        wake_stamp,
+        wake_next,
+    } = open_round(net, 1);
+    whole.run_sparse(&view, wake_cur, wake_stamp, wake_next, &mut scratch[0]);
+    let stepped = settle_single_chunk(net);
     net.finish_round(stepped, active as u64 - stepped)
 }
 
 /// Settle a one-chunk round: its sender list is the round's, so it is
-/// swapped in rather than copied, and its wake window is the whole
-/// buffer.
+/// swapped in rather than copied.
 #[inline]
-fn settle_single_chunk<P: Protocol>(net: &mut Network<P>, sparse: bool) -> u64 {
+fn settle_single_chunk<P: Protocol>(net: &mut Network<P>) -> u64 {
     let w = &mut net.workers[0];
     std::mem::swap(&mut net.touched, &mut w.touched);
     net.live -= w.halts as usize;
-    if sparse {
-        net.wake_next.truncate(w.wake_len);
-    }
     w.stepped
 }
 
 /// Merge per-chunk sender buffers (concatenation — chunks are
 /// id-ordered and internally ascending, so chunk order preserves the
-/// global node order delivery depends on), compact the per-chunk wake
-/// windows of `wake_next` in the same order, and settle the halt
-/// counter. Stamps were already written by the owning workers.
-fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, sparse: bool) -> u64 {
+/// global node order delivery depends on) and settle the halt counter.
+fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize) -> u64 {
     // dlint::allow(wall-clock, "timing gauge only: merge duration feeds the histogram, never steers execution")
     let t0 = net.timing.then(Instant::now);
     let traced = dobs::plane::enabled();
@@ -518,21 +464,14 @@ fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, spars
     let span_round = net.round + 1;
     net.touched.clear();
     let mut stepped = 0u64;
-    // `workers` is borrowed disjointly from `touched`/`wake_next`, but
-    // the borrow checker cannot see that through `net`; split at the
-    // field level instead.
+    // `workers` is borrowed disjointly from `touched`, but the borrow
+    // checker cannot see that through `net`; split at the field level
+    // instead.
     let workers = std::mem::take(&mut net.workers);
-    let mut write = 0usize;
-    let mut start = 0usize;
     for (k, w) in workers[..spawned].iter().enumerate() {
         net.touched.extend_from_slice(&w.touched);
         stepped += w.stepped;
         net.live -= w.halts as usize;
-        if sparse {
-            net.wake_next.copy_within(start..start + w.wake_len, write);
-            write += w.wake_len;
-            start += w.wake_cap;
-        }
         if traced {
             dobs::plane::record(dobs::Event::WorkerSpan {
                 round: span_round,
@@ -544,9 +483,6 @@ fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, spars
         }
     }
     net.workers = workers;
-    if sparse {
-        net.wake_next.truncate(write);
-    }
     if let Some(t0) = t0 {
         net.stats
             .timings
@@ -681,8 +617,10 @@ mod tests {
     /// Force true multi-worker execution — the fan-out floor would
     /// otherwise keep every test-sized (and every single-core-machine)
     /// round on one chunk, leaving the cuts and the merge untested.
-    /// `ExecCfg::forced` uses one worker per requested thread regardless
-    /// of machine or workload; chunk 0 runs on the caller's thread.
+    /// `ExecCfg::forced` gives every dense round one worker per
+    /// requested thread regardless of machine or workload; chunk 0 runs
+    /// on the caller's thread. Sparse rounds stay on one chunk, so the
+    /// run pinned to the wake list never fans out.
     #[test]
     fn forced_workers_stay_identical_in_all_modes() {
         let n = 64;
@@ -706,7 +644,11 @@ mod tests {
                 assert_eq!(seq.stats().messages, par.stats().messages);
                 assert_eq!(seq.stats().node_steps, par.stats().node_steps);
                 assert_eq!(seq.stats().peak_inbox, par.stats().peak_inbox);
-                assert!(par.peak_workers() >= 2, "no round actually fanned out");
+                if pin == Some(false) {
+                    assert_eq!(par.peak_workers(), 1, "a sparse round fanned out");
+                } else {
+                    assert!(par.peak_workers() >= 2, "no round actually fanned out");
+                }
             }
         }
     }
@@ -741,12 +683,12 @@ mod tests {
         }
     }
 
-    /// The sparse partitioner slices the *active list*, whose node ids
-    /// are non-contiguous once nodes sleep or halt. Mix sleepers (every
-    /// third node parks between pings) and early-halting nodes into the
-    /// gossip so forced multi-worker rounds must split the slab around
-    /// real gaps, and compare the full stats against one-chunk execution
-    /// in the same representation.
+    /// Once nodes sleep or halt, the nodes a round steps leave gaps in
+    /// the id range the dense cuts split. Mix sleepers (every third
+    /// node parks between pings) and early-halting nodes into the
+    /// gossip so forced multi-worker rounds must cut the slab around
+    /// real gaps, and compare the full stats against one-chunk
+    /// execution in the same representation.
     #[derive(Clone)]
     struct Patchy {
         acc: u64,
@@ -776,11 +718,11 @@ mod tests {
     }
 
     #[test]
-    fn forced_workers_partition_a_gappy_active_list() {
-        let n = 97; // odd size: uneven chunks + a trailing partial segment
+    fn forced_workers_cut_a_gappy_id_range() {
+        let n = 97; // odd size: uneven chunks
         let topo = random_topo(n, 13);
         let mk = || (0..n).map(|_| Patchy { acc: 0 }).collect::<Vec<_>>();
-        for (sched, pin) in [("judge", None), ("sparse", Some(false))] {
+        for (sched, pin) in [("judge", None), ("dense", Some(true))] {
             let mut seq = Network::new(topo.clone(), mk(), 31).pinned(pin);
             seq.run_rounds(30);
             for threads in [2, 5, 8] {
@@ -793,7 +735,7 @@ mod tests {
                         .iter()
                         .zip(par.nodes())
                         .all(|(a, b)| a.acc == b.acc),
-                    "{threads} forced workers ({sched}) diverged on a gappy active list"
+                    "{threads} forced workers ({sched}) diverged on a gappy id range"
                 );
                 assert_eq!(
                     seq.stats(),
@@ -802,6 +744,70 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Gossip that ebbs: everyone talks for four rounds, then only every
+    /// 32nd node stays awake and pings every fifth round, while the
+    /// rest sleep until mail wakes them. The judge runs the loud rounds
+    /// dense and most quiet ones sparse.
+    #[derive(Clone)]
+    struct Ebb {
+        acc: u64,
+    }
+    impl Protocol for Ebb {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: Inbox<'_, u64>) {
+            for e in inbox.iter() {
+                self.acc = self.acc.rotate_left(3) ^ *e.msg;
+            }
+            let round = ctx.round();
+            let pinger = ctx.id().is_multiple_of(32);
+            if round < 4 || (pinger && round.is_multiple_of(5)) {
+                let token = ctx.rng().next();
+                ctx.send_all(token ^ self.acc);
+            }
+            if round >= 4 && !pinger {
+                ctx.sleep();
+            }
+        }
+    }
+
+    /// Forced fan-out reaches dense rounds only: every sparse round of
+    /// a traced run is one chunk on the caller's thread, dense rounds
+    /// still split, and the run equals a sequential one.
+    #[test]
+    fn forced_sparse_rounds_stay_on_one_chunk() {
+        let n = 256;
+        let topo = random_topo(n, 17);
+        let mk = || (0..n).map(|_| Ebb { acc: 0 }).collect::<Vec<_>>();
+        let mut seq = Network::new(topo.clone(), mk(), 37);
+        seq.run_rounds(40);
+        let mut par = Network::new(topo.clone(), mk(), 37).with_cfg(ExecCfg::parallel(3).forced());
+        let session = dobs::TraceSession::start(1 << 12);
+        par.run_rounds(40);
+        let spans: Vec<(bool, u32)> = session
+            .finish()
+            .events()
+            .filter_map(|e| match *e {
+                dobs::Event::RoundSpan { dense, workers, .. } => Some((dense, workers)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans.len(), 40);
+        assert!(spans.iter().any(|&(dense, _)| !dense), "no sparse round");
+        for &(dense, workers) in &spans {
+            assert!(dense || workers == 0, "a sparse round fanned out");
+        }
+        assert!(
+            spans.iter().any(|&(dense, workers)| dense && workers >= 2),
+            "no dense round fanned out"
+        );
+        assert!(seq
+            .nodes()
+            .iter()
+            .zip(par.nodes())
+            .all(|(a, b)| a.acc == b.acc));
+        assert_eq!(seq.stats(), par.stats());
     }
 
     #[test]
@@ -874,9 +880,10 @@ mod tests {
         assert_eq!(net.peak_workers(), 1);
     }
 
-    /// Rounds that expect twice the floor fan out to two workers on any
-    /// host with two cores, in both representations and under the
-    /// judge, and stay bit-identical to one-chunk rounds.
+    /// Dense rounds that expect twice the floor fan out to two workers
+    /// on any host with two cores, under the judge and pinned dense,
+    /// and stay bit-identical to one-chunk rounds. Pinned sparse, the
+    /// same rounds stay on one chunk.
     #[test]
     fn above_the_floor_fans_out() {
         let n = 2 * MIN_STEPS_PER_WORKER;
@@ -890,7 +897,12 @@ mod tests {
                 .with_cfg(ExecCfg::parallel(2))
                 .pinned(pin);
             par.run_rounds(3);
-            assert_eq!(par.peak_workers(), 2.min(hw_parallelism()), "{sched}");
+            let workers = if pin == Some(false) {
+                1
+            } else {
+                2.min(hw_parallelism())
+            };
+            assert_eq!(par.peak_workers(), workers, "{sched}");
             assert!(seq
                 .nodes()
                 .iter()

@@ -99,23 +99,25 @@ impl SplitMix64 {
 /// ceiling (smallest is `SWITCH_TRAFFIC` = 0x7AFF = 31 743 nodes,
 /// vs. 2¹⁵ node stress topologies). New streams must come from the
 /// high block counting down from `u64::MAX` (next free:
-/// `u64::MAX - 5`), which no realizable node id reaches.
+/// `u64::MAX - 5`), which no realizable node id reaches. `u64::MAX - 1`
+/// belonged to the retired burst-loss link model; leave it unused.
 pub mod streams {
     /// Adversary: per-message drop coin flips.
     pub const ADV_DROP: u64 = u64::MAX;
-    /// Adversary: partition burst scheduling.
-    pub const ADV_BURST: u64 = u64::MAX - 1;
     /// Adversary: per-message delay jitter.
     pub const ADV_DELAY: u64 = u64::MAX - 2;
-    /// Adversary: node stall scheduling.
+    /// Adversary: per-message stall coin flips, one for each message
+    /// that is neither dropped nor addressed to a halted node.
     pub const ADV_STALL: u64 = u64::MAX - 3;
-    /// Adversary: crash-site selection.
+    /// Adversary: every node's geometric first-crash round, one draw
+    /// per node in node order when the plan is installed.
     pub const ADV_CRASH: u64 = u64::MAX - 4;
     /// Dynamic plane: churn arrival/departure schedule.
     pub const CHURN: u64 = 0xC4A7;
     /// Core: per-phase path ranks of the generic conflict-graph MIS.
     pub const GENERIC_MIS: u64 = 0xA160;
-    /// Core: palette sampling in the general-graph coloring stage.
+    /// Core: the general-graph algorithm's red/blue colorings, one bit
+    /// per node per sampling iteration, in node order.
     pub const GENERAL_COLOR: u64 = 0x000C_010B;
     /// Switch plane: scheduler tie-breaking.
     pub const SWITCH_SCHED: u64 = 0x9147;
@@ -123,9 +125,8 @@ pub mod streams {
     pub const SWITCH_TRAFFIC: u64 = 0x7AFF;
 
     /// Every reserved id, for the distinctness test and for docs.
-    pub const ALL: [(&str, u64); 10] = [
+    pub const ALL: [(&str, u64); 9] = [
         ("ADV_DROP", ADV_DROP),
-        ("ADV_BURST", ADV_BURST),
         ("ADV_DELAY", ADV_DELAY),
         ("ADV_STALL", ADV_STALL),
         ("ADV_CRASH", ADV_CRASH),

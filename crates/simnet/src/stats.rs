@@ -56,10 +56,9 @@ pub mod timing {
     /// per downswitch.
     pub const CONVERSION_NS: &str = "conversion_ns";
     /// The parallel executor's per-worker scratch merge (sender
-    /// lists, wake windows, halt counters) after the join. Also
-    /// included in the update samples above, which time the whole
-    /// round; this isolates the sequential tail. One sample per
-    /// parallel round.
+    /// lists, halt counters) after the join. Also included in the
+    /// update samples above, which time the whole round; this isolates
+    /// the sequential tail. One sample per parallel (dense) round.
     pub const MERGE_NS: &str = "merge_ns";
 }
 
@@ -87,9 +86,9 @@ pub struct NetStats {
     pub node_steps: u64,
     /// Total scheduler overhead (sum of [`RoundTrace::sched_overhead`]).
     pub sched_overhead: u64,
-    /// Messages dropped by the adversary plane (Bernoulli + burst
-    /// drops; mail to halted nodes is *not* counted here — it was
-    /// deliverable, the receiver just left).
+    /// Messages dropped by the adversary plane (Bernoulli drops; mail
+    /// to halted nodes is *not* counted here — it was deliverable, the
+    /// receiver just left).
     pub dropped: u64,
     /// Messages parked in the adversary's holding ring (delay, stall,
     /// or degrade-mode budget overflow) instead of arriving next round.

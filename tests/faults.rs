@@ -7,7 +7,7 @@
 //! that
 //!
 //! * the output is a valid matching under message drop, bounded delay,
-//!   partial delivery, bursty links, and crash-stop node faults;
+//!   partial delivery, and crash-stop node faults;
 //! * fixed-window lossy Israeli–Itai (`round_limit` under
 //!   `FaultPlan::drop`) reproduces the pre-adversary implementation
 //!   bit-for-bit (golden values);
@@ -233,7 +233,6 @@ fn fault_plans() -> Vec<(&'static str, FaultPlan)> {
             FaultPlan::drop(0.1)
                 .with_delay(2)
                 .with_stall(0.1)
-                .with_burst(0.05, 0.5)
                 .with_crash(0.01, 4),
         ),
     ]

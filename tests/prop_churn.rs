@@ -1,8 +1,8 @@
 //! Property suite for the dynamic-network engine (`dchurn`): after
 //! every epoch the repaired matching is valid and meets its
 //! algorithm's stated bound on the *current* graph, repair is
-//! bit-identical between one-chunk and forced k-chunk rounds (the
-//! repair protocol sleeps through quiet rounds — churn rewires and
+//! bit-identical between one-chunk rounds and forced k-chunk dense
+//! rounds (the repair protocol sleeps through quiet rounds — churn rewires and
 //! message arrivals are its only wake-ups, so this suite exercises
 //! every wake path: rewire dirty sets, mail, and re-asserted sleep,
 //! under the judge that switches the frontier representation), and

@@ -13,7 +13,8 @@
 //! wall-clock `timings` registry, the one field outside the contract,
 //! stays empty. Threaded configs are `forced()`: the fan-out floor
 //! would otherwise run every round of these test-sized graphs as one
-//! chunk, and the comparison would be vacuous.
+//! chunk, and the comparison would be vacuous. Forcing splits the
+//! dense rounds; a sparse round is always one chunk.
 
 use distributed_matching::dgraph::generators::random::{bipartite_gnp, gnp, random_tree};
 use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
@@ -194,7 +195,7 @@ fn chung_lu_hub_scheduler_matrix_bit_identical() {
             mwm_box: MwmBox::LocalDominant,
         },
     ];
-    // {2, 3, 8} forced threads, so the partitioners really fan out on a
+    // {2, 3, 8} forced threads, so the dense cuts really fan out on a
     // 40-node fixture.
     for alg in algs {
         let g = if weighted_input(&alg) {
@@ -317,7 +318,7 @@ fn sequential_vs_parallel_bit_identical_under_loss() {
 /// The adversary-plane determinism gate: same seed + same `FaultPlan`
 /// ⇒ bit-identical matchings and full `NetStats` between sequential and
 /// forced 3-chunk execution, for representative algorithms and for
-/// every fault class — drop, delay+stall, and crash+burst+budget. None
+/// every fault class — drop, delay+stall, and crash+budget. None
 /// of these plans may panic: the per-algorithm bounded-run extraction
 /// is part of the contract.
 #[test]
@@ -329,10 +330,9 @@ fn adversary_plans_bit_identical_across_executors() {
             FaultPlan::NONE.with_delay(3).with_stall(0.15),
         ),
         (
-            "crash+burst+budget",
+            "crash+budget",
             FaultPlan::NONE
                 .with_crash(0.02, 5)
-                .with_burst(0.1, 0.5)
                 .with_budget(Budget::Bits(96)),
         ),
     ];
